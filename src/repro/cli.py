@@ -413,71 +413,6 @@ def cmd_all(args) -> None:
     )
 
 
-def cmd_bench(args) -> int:
-    from repro import benchmarks
-
-    if args.list:
-        for name in benchmarks.SCENARIOS:
-            primary = benchmarks.PRIMARY_METRIC.get(name, "-")
-            print(f"{name}  (primary metric: {primary})")
-        return 0
-
-    out_path = args.out or f"BENCH_{benchmarks.BENCH_INDEX}.json"
-    doc = benchmarks.run_bench(
-        args.scenarios or None, quick=args.quick, jobs=args.jobs
-    )
-    rows = []
-    for name, metrics in doc["scenarios"].items():
-        primary = benchmarks.PRIMARY_METRIC.get(name)
-        for key, value in metrics.items():
-            if isinstance(value, float):
-                shown = f"{value:,.0f}" if value >= 1000 else f"{value:.4g}"
-            else:
-                shown = value
-            rows.append([name if key == next(iter(metrics)) else "", key, shown])
-        if primary:
-            rows.append(["", "", ""])
-    print(
-        report.format_table(
-            ["scenario", "metric", "value"],
-            rows,
-            title=f"aqua-repro bench ({'quick' if args.quick else 'full'})",
-        )
-    )
-    kernel = doc["scenarios"].get("kernel")
-    if kernel:
-        base = doc["baseline"]["kernel_events_per_s"]
-        speedup = kernel["events_per_s"] / base
-        print(
-            f"kernel: {kernel['events_per_s']:,.0f} events/s vs recorded "
-            f"pre-fast-path baseline {base:,.0f} ({speedup:.2f}x)"
-        )
-        if "token_steps_per_s" in kernel:
-            print(
-                f"kernel (coarsened x{kernel['coarsen']}): "
-                f"{kernel['token_steps_per_s']:,.0f} modeled token-steps/s "
-                f"({kernel['token_steps_per_s'] / base:,.2f}x baseline)"
-            )
-    print(f"peak RSS: {doc['peak_rss_bytes'] / 2**20:,.0f} MiB")
-
-    benchmarks.write_bench(doc, out_path)
-    print(f"bench results written to {out_path}")
-
-    if args.baseline:
-        baseline_doc = benchmarks.load_bench(args.baseline)
-        regressions, lines = benchmarks.compare_bench(
-            doc, baseline_doc, tolerance=args.tolerance
-        )
-        print(f"comparison against {args.baseline} (tolerance {args.tolerance:.0%}):")
-        for line in lines:
-            print(f"  {line}")
-        if regressions:
-            print(f"{len(regressions)} scenario(s) regressed")
-            return 1
-        print("no regressions")
-    return 0
-
-
 def cmd_replicate(args) -> int:
     """One-command verdict: does this repo still reproduce the paper?"""
     from repro import evals
@@ -589,27 +524,22 @@ COMMANDS: dict[str, Callable] = {
     "all": cmd_all,
     "sweep": cmd_sweep,
     "frontier": cmd_frontier,
-    "bench": cmd_bench,
     "replicate": cmd_replicate,
 }
 
 
-def _add_jobs_argument(
-    parser: argparse.ArgumentParser, default: Optional[int] = None
-) -> argparse.ArgumentParser:
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Uniform ``--jobs N`` fan-out flag (see ``docs/parallelism.md``).
 
-    ``default=None`` resolves to one worker per CPU; ``--jobs 1``
-    preserves the serial path exactly.  ``bench`` overrides the default
-    to 1 because concurrent benchmark repeats contend for cores and
-    contaminate the timings they exist to measure.
+    The default is one worker per CPU; ``--jobs 1`` preserves the serial
+    path exactly.
     """
     from repro.experiments.pool import default_jobs
 
     parser.add_argument(
         "--jobs",
         type=int,
-        default=default if default is not None else default_jobs(),
+        default=default_jobs(),
         metavar="N",
         help="worker processes for independent simulations "
         "(default: %(default)s; 1 = serial)",
@@ -915,37 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every frontier cell, bypassing the run cache",
     )
     _add_jobs_argument(p)
-
-    p = sub.add_parser(
-        "bench", help="simulator performance benchmarks (see docs/performance.md)"
-    )
-    p.add_argument(
-        "scenarios",
-        nargs="*",
-        help="scenario names to run (default: all; see --list)",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="reduced sizes for CI smoke runs"
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        metavar="BENCH.json",
-        help="where to write the results document (default: BENCH_<pr>.json)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="BENCH.json",
-        help="earlier results to gate against; non-zero exit on regression",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional slowdown before a scenario counts as regressed",
-    )
-    p.add_argument("--list", action="store_true", help="list scenarios and exit")
-    _add_jobs_argument(p, default=1)
     return parser
 
 

@@ -1,6 +1,6 @@
 """Parallel experiment fan-out with a content-addressed run cache.
 
-Every sweep point, figure cell, resilience run and bench repeat is an
+Every sweep point, figure cell, resilience run and frontier cell is an
 independent, sealed, deterministic simulation — which makes the
 experiment layer embarrassingly parallel and perfectly memoisable.
 This module provides both halves:
@@ -140,7 +140,7 @@ def resolve_task(path: str) -> Callable:
 def derive_seed(*parts) -> int:
     """Deterministic 32-bit seed from arbitrary labelling parts.
 
-    ``derive_seed("runall_parallel", 3)`` is stable across processes,
+    ``derive_seed("frontier", "diurnal", 30.0, 4)`` is stable across processes,
     platforms and Python versions (it hashes the ``repr`` of each part),
     so per-cell seeds never depend on submission order.
     """

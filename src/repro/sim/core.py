@@ -145,8 +145,8 @@ class Environment:
         The hot loops in :meth:`run` accumulate it in a local and flush
         in a ``finally`` block, so the value is only guaranteed current
         between :meth:`run` / :meth:`step` calls — which is when the
-        benchmark harness (:mod:`repro.benchmarks`) reads it to report
-        kernel events/sec.
+        repository benchmark (``bench/``) reads it to report
+        ``sim.events`` and ``sim.wall_us_per_event``.
         """
         return self._events_processed
 

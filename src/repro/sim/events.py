@@ -9,8 +9,8 @@ Performance notes
 -----------------
 This module is the hottest code in the repository: every simulated DMA
 transfer, decode iteration and retry timer allocates events here, and
-benchmarks (``aqua-repro bench``, scenario ``kernel``) retire hundreds
-of thousands of them per wall-clock second.  Three deliberate choices
+the repository benchmark (``bench/``) reports the host time each
+retired event costs as ``sim.wall_us_per_event``.  Three deliberate choices
 keep it fast, locked down by ``tests/test_determinism_golden.py`` and
 ``tests/test_sim_ordering.py``:
 

@@ -1,7 +1,7 @@
 """Tests for the parallel experiment pool and the content-addressed cache.
 
 The worker tasks live at module level in ``repro.experiments`` modules
-(``_sweep_cell``, ``_runall_cell``...); here we use a tiny arithmetic
+(``_sweep_cell``, ``_fig09_cell``...); here we use a tiny arithmetic
 task of our own so cache semantics are observable without running
 simulations.  The determinism of *real* experiment subsets under
 parallel execution is locked down in ``tests/test_determinism_golden.py``.

@@ -430,7 +430,7 @@ def test_zero_delay_timeout_runs_at_same_time():
 # scheduled entries outlive their usefulness — e.g. the stale wakeup of
 # an interrupted sleep — and assumes the schedule is the builtin list).
 # These tests pin the explicit semantics: one increment per retired
-# entry, exact across run()/step() mixes, failures, and both backends.
+# entry, exact across run()/step() mixes and failures.
 # ---------------------------------------------------------------------------
 def _three_sleepers(env):
     def proc(env, d):
