@@ -146,7 +146,9 @@ def build_consumer_rig(
         Directory for flight-recorder post-mortem bundles.
     decode_coarsen:
         Time-warp decode-coarsening window forwarded to the consumer
-        engine (and a BatchEngine producer).  Default 1 keeps the exact
+        engine and to the producer engine, whether that is a
+        ``VLLMEngine`` (LLM producer) or a ``BatchEngine`` (diffusion or
+        audio producer).  Default 1 keeps the exact
         per-token paths; see ``docs/performance.md`` for the fidelity
         trade-offs.
     """

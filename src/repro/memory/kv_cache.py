@@ -97,19 +97,31 @@ class PagedKVCache:
         self.sequences[seq_id] = state
         return state
 
-    def can_append(self, seq_id: int) -> bool:
-        """Whether one more token fits (a new block may be needed)."""
-        seq = self._resident(seq_id)
-        if seq.tokens % self.block_tokens != 0:
-            return True
-        return self.allocator.can_allocate(1)
+    def try_append(self, seq_id: int) -> bool:
+        """Grow a resident sequence by one generated token if it fits.
 
-    def append_token(self, seq_id: int) -> None:
-        """Grow a resident sequence by one generated token."""
+        At a block boundary one more block is taken when one is free.
+        When none is, returns ``False`` and leaves the sequence as it
+        was.
+        """
         seq = self._resident(seq_id)
         if seq.tokens % self.block_tokens == 0:
+            if not self.allocator.can_allocate(1):
+                return False
             seq.blocks.extend(self.allocator.allocate(1))
         seq.tokens += 1
+        return True
+
+    def append_token(self, seq_id: int) -> None:
+        """Grow a resident sequence by one generated token.
+
+        Raises
+        ------
+        AllocationError
+            If the token needs a new block and none is free.
+        """
+        if not self.try_append(seq_id):
+            raise AllocationError(f"no free block to grow sequence {seq_id}")
 
     def release(self, seq_id: int) -> None:
         """Finish a sequence and free its blocks (if resident)."""

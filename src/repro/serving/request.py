@@ -11,9 +11,13 @@ from repro.models.lora import LoRAAdapter
 _REQUEST_IDS = count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
     """One inference query against a hosted model.
+
+    Requests compare and hash by identity: two requests with equal
+    fields are still two requests, so ``running.remove(r)`` and
+    ``r in batch`` always mean *this* request.
 
     Attributes
     ----------

@@ -168,38 +168,47 @@ class VLLMEngine(LLMEngineBase):
         self.iteration += k - 1
 
     def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
-        """Account one generated token for every sequence in ``batch``."""
+        """Account one generated token for every sequence in ``batch``.
+
+        One pass: ``live`` holds the sequences still running, and
+        finished, aborted and preempted ones leave it at once;
+        ``self.running`` is compacted to it, in order, at the end.
+        """
+        live = set(self.running)
+        kv = self.kv
         for request in batch:
-            if request not in self.running:
+            if request not in live:
                 continue  # preempted by an earlier sequence this step
-            if not self.kv.can_append(request.req_id):
-                yield from self._preempt_for(request)
-            if not self.kv.can_append(request.req_id):
-                # Still no room (nothing left to preempt): end the
-                # sequence here, as a context-length abort would.
-                request.max_new_tokens = request.generated_tokens + 1
-                self._finish_token(request)
-                self.running.remove(request)
-                self.kv.release(request.req_id)
-                continue
-            self.kv.append_token(request.req_id)
+            if not kv.try_append(request.req_id):
+                yield from self._preempt_for(request, live)
+                if not kv.try_append(request.req_id):
+                    # Still no room (nothing left to preempt): end the
+                    # sequence here, as a context-length abort would.
+                    request.max_new_tokens = request.generated_tokens + 1
+                    self._finish_token(request)
+                    live.discard(request)
+                    kv.release(request.req_id)
+                    continue
             self._finish_token(request)
             if request.done:
-                self.running.remove(request)
-                self.kv.release(request.req_id)
+                live.discard(request)
+                kv.release(request.req_id)
+        if len(live) != len(self.running):
+            self.running[:] = [r for r in self.running if r in live]
 
-    def _preempt_for(self, needy: Request) -> Generator:
-        """Free KV space by preempting the youngest sequence.
+    def _preempt_for(self, needy: Request, live: set) -> Generator:
+        """Free KV space by preempting the youngest live sequence.
 
         ``recompute`` releases the victim's blocks and re-prefills its
         whole context later; ``swap`` pages the victim's KV to host
-        DRAM (paying the PCIe write now and the read at swap-in).
+        DRAM (paying the PCIe write now and the read at swap-in).  The
+        victim leaves ``live``; the caller compacts ``self.running``.
         """
-        victims = [r for r in self.running if r is not needy]
+        victims = [r for r in self.running if r is not needy and r in live]
         if not victims:
             return
         victim = max(victims, key=lambda r: r.arrival_time)
-        self.running.remove(victim)
+        live.discard(victim)
         self.preemptions += 1
         if self.telemetry is not None:
             self.telemetry.preemption(self.name)

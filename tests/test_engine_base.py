@@ -109,6 +109,25 @@ def test_producer_tick_grow_after_reclaim():
     assert peak[0] > capacity_small
 
 
+def test_requests_are_identity_equal():
+    """Two requests equal in every field are still two requests.
+
+    Value equality made ``running.remove(b)`` take out the first
+    *equal* request, which could be a different one.
+    """
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B)
+    a = Request(arrival_time=0.0, prompt_tokens=10, max_new_tokens=5, req_id=7)
+    b = Request(arrival_time=0.0, prompt_tokens=10, max_new_tokens=5, req_id=7)
+    engine.running.extend([a, b])
+    engine.requeue(b)
+    assert len(engine.running) == 1 and engine.running[0] is a
+    assert len(engine.waiting) == 1 and engine.waiting[0] is b
+    assert a != b
+    assert len({a, b}) == 2
+
+
 def test_wait_for_arrival_times_out():
     env = Environment()
     server = Server(env, n_gpus=1)

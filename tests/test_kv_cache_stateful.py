@@ -4,11 +4,12 @@ Hypothesis drives random admit/append/swap/release sequences and checks
 the block-accounting invariants that the serving engines rely on.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.memory import BlockAllocator, PagedKVCache
+from repro.memory import AllocationError, BlockAllocator, PagedKVCache
 from repro.models import MISTRAL_7B
 
 N_BLOCKS = 64
@@ -42,9 +43,29 @@ class KVCacheMachine(RuleBasedStateMachine):
         if not resident:
             return
         seq_id = data.draw(st.sampled_from(sorted(resident)))
-        if self.cache.can_append(seq_id):
-            self.cache.append_token(seq_id)
+        if self.cache.try_append(seq_id):
             self.model_tokens[seq_id] += 1
+
+    @rule()
+    def append_into_full_cache(self):
+        """With no free block, a boundary append is refused untouched."""
+        allocator = self.cache.allocator
+        if not allocator.free_blocks:
+            return
+        seq_id = self.next_id
+        self.next_id += 1
+        # Exactly fill the free blocks, ending on a block boundary.
+        tokens = allocator.free_blocks * BLOCK_TOKENS
+        self.cache.admit(seq_id, tokens)
+        self.model_tokens[seq_id] = tokens
+        assert allocator.free_blocks == 0
+        seq = self.cache.sequences[seq_id]
+        blocks = list(seq.blocks)
+        assert not self.cache.try_append(seq_id)
+        assert seq.tokens == tokens and seq.blocks == blocks
+        with pytest.raises(AllocationError):
+            self.cache.append_token(seq_id)
+        assert seq.tokens == tokens and seq.blocks == blocks
 
     @rule(data=st.data())
     def swap_out(self, data):

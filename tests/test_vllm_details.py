@@ -156,3 +156,30 @@ def test_rejected_prompt_does_not_block_later_ones():
     env.run(until=30)
     assert huge in engine.rejected
     assert ok.done
+
+
+def test_victim_preempted_earlier_in_the_step_is_not_picked_again():
+    """One decode step, two preemptions: the second must choose among
+    sequences still running, never the one the first already took."""
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B)
+    engine.allocator.shrink_any(engine.allocator.n_blocks - 3)
+    old = Request(arrival_time=0.0, prompt_tokens=16, max_new_tokens=50)
+    mid = Request(arrival_time=1.0, prompt_tokens=16, max_new_tokens=50)
+    young = Request(arrival_time=2.0, prompt_tokens=5, max_new_tokens=50)
+    for request in (old, mid, young):
+        engine.kv.admit(request.req_id, request.total_tokens)
+        engine.running.append(request)
+    assert engine.allocator.free_blocks == 0
+    # ``old`` needs a block: ``young`` goes.  ``mid`` then needs one:
+    # only ``old`` is left to preempt.  ``young`` is skipped.
+    env.process(engine._decode_bookkeeping(list(engine.running)))
+    env.run()
+    assert engine.preemptions == 2
+    assert engine.running == [mid]
+    assert list(engine.waiting) == [old, young]
+    # ``old`` got its token before ``mid`` preempted it.
+    assert old.generated_tokens == mid.generated_tokens == 1
+    assert young.generated_tokens == 0
+    assert engine.metrics.tokens_generated == 2
