@@ -413,11 +413,22 @@ class AquaLib:
 
         Raises
         ------
+        ValueError
+            When ``nbytes`` exceeds the tensor: a read or write past its
+            end is a caller bug, not something to clamp.
         TensorLostError
             When the offloaded endpoint has failed: the tensor's bytes
             are unrecoverable and the owner must recompute.
         """
-        payload = tensor.nbytes if nbytes is None else min(nbytes, tensor.nbytes)
+        if nbytes is None:
+            payload = tensor.nbytes
+        elif nbytes > tensor.nbytes:
+            raise ValueError(
+                f"tensor {tensor.tag}: move of {nbytes} bytes exceeds "
+                f"its {tensor.nbytes} bytes"
+            )
+        else:
+            payload = nbytes
         if payload <= 0:
             return
         started = self.env.now

@@ -94,3 +94,4 @@ class UVMEngine(FlexGenEngine):
             tensor.device, self.gpu, min(nbytes, tensor.nbytes), pieces=pages
         )
         tensor.fetch_count += 1
+        return self.env.now

@@ -268,7 +268,7 @@ class CFSEngine(LLMEngineBase):
                 self.trace_span("slice", slice_started, batch=slice_batch)
                 if self.telemetry is not None:
                     self.telemetry.decode_batch(self.name, slice_batch)
-                    self.attr_mark(list(seen.values()), "decode_hbm")
+                    self.attr_mark(seen.values(), "decode_hbm")
 
     def _evict_oversized(self) -> None:
         """No live prompt fits the KV cache: reject or truncate one."""

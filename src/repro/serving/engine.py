@@ -67,9 +67,10 @@ class LLMEngineBase:
         producer/inform boundary is skipped.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
-        engine reports request/token/requeue counters, latency
-        attribution marks and flow events; when ``None`` (the default)
-        every hook is a single ``None`` check.
+        engine reports request/completion/requeue counters, latency
+        attribution marks and flow events, and the hub reads its token
+        count from :attr:`metrics`; when ``None`` (the default) every
+        hook is a single ``None`` check.
     """
 
     def __init__(
@@ -104,6 +105,8 @@ class LLMEngineBase:
             tracer = telemetry.tracer
         self.tracer = tracer
         self.metrics = MetricsCollector(name)
+        if telemetry is not None:
+            telemetry.attach_engine(self)
 
         pre_reserved = gpu.hbm.used  # e.g. a LoRA cache region
         gpu.hbm.reserve(f"{name}:weights", model.weight_bytes)
@@ -170,12 +173,17 @@ class LLMEngineBase:
         yield AnyOf(self.env, [self._arrival_event, self.env.timeout(max_wait)])
 
     def _finish_token(self, request: Request) -> None:
-        """Record one generated token, completing the request if done."""
-        request.record_token(self.env.now)
-        self.metrics.record_token(self.env.now)
-        if self.telemetry is not None:
-            self.telemetry.token_generated(self.name, request)
+        """Record one generated token, completing the request if done.
+
+        Telemetry hears only of completions: the hub reads token counts
+        from :attr:`metrics` when it is collected.
+        """
+        now = self.env.now
+        request.record_token(now)
+        self.metrics.record_token(now)
         if request.done:
+            if self.telemetry is not None:
+                self.telemetry.request_finished(self.name, request)
             self.metrics.record_completion(request)
 
     def _decode_window_len(self, batch) -> int:
@@ -291,11 +299,8 @@ class LLMEngineBase:
         :class:`~repro.telemetry.attribution.LatencyAttributor` for the
         telescoping-segments model this feeds.
         """
-        if self.telemetry is None:
-            return
-        now = self.env.now
-        for request in requests:
-            self.telemetry.attribution.mark(request, component, now)
+        if self.telemetry is not None:
+            self.telemetry.attribution.mark(requests, component, self.env.now)
 
     def flow_step(self, requests, time=None) -> None:
         """Add a flow-chain step on this engine's track for each request."""

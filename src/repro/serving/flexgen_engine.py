@@ -60,17 +60,21 @@ class FlexGenEngine(LLMEngineBase):
         """FlexGen stores per-layer K and V tensors: 2 per layer."""
         return 2 * self.model.n_layers
 
+    # The io and compute legs of a decode step each return their finish
+    # time, so the step can be attributed to whichever leg bound it.
     def _io_step(self, tensor, nbytes: int) -> Generator:
         yield from tensor.fetch(nbytes=nbytes, pieces=self._stream_pieces())
+        return self.env.now
 
     def _io_window(self, tensor, total: int, k: int) -> Generator:
         """The I/O leg of a coarsened window: ``k`` sequential context
         re-reads, each identical to the per-token path's (same piece
-        count, same per-read clamp to the tensor size), issued inside
-        one process so the window costs one io∥compute barrier."""
+        count, same size), issued inside one process so the window
+        costs one io∥compute barrier."""
         kv_bytes = self.model.kv_bytes
         for s in range(1, k + 1):
             yield from self._io_step(tensor, kv_bytes(total + s))
+        return self.env.now
 
     def _compute_step(self, duration: float | None = None) -> Generator:
         # Streaming the weights through HBM dominates single-sequence
@@ -79,11 +83,13 @@ class FlexGenEngine(LLMEngineBase):
         if duration is None:
             duration = self.model.decode_step_time(self.gpu.spec, 1, 0)
         yield from self.gpu.compute_op(duration)
+        return self.env.now
 
-    def _stamped(self, gen: Generator, sink: dict, key: str) -> Generator:
-        """Run ``gen`` and note its completion time (timing-neutral)."""
-        yield from gen
-        sink[key] = self.env.now
+    def _mark_bound(self, request: Request, io, compute) -> None:
+        """Attribute the overlapped step to whichever leg finished last:
+        the fetch stream, or the GPU."""
+        bound = "offload_fetch" if io.value >= compute.value else "decode_hbm"
+        self.attr_mark([request], bound)
 
     def _infer(self, request: Request) -> Generator:
         budget = min(request.max_new_tokens, self.alloc_horizon_tokens)
@@ -121,29 +127,10 @@ class FlexGenEngine(LLMEngineBase):
                 return
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
-                if self.telemetry is None:
-                    io = self.env.process(self._io_step(tensor, io_bytes))
-                    compute = self.env.process(self._compute_step())
-                    yield AllOf(self.env, [io, compute])
-                else:
-                    # Attribute the overlapped step to whichever side
-                    # bound it: the fetch stream if I/O finished last,
-                    # the GPU otherwise.  The stamping wrapper only
-                    # records finish times — timing is identical.
-                    finished: dict[str, float] = {}
-                    io = self.env.process(
-                        self._stamped(self._io_step(tensor, io_bytes), finished, "io")
-                    )
-                    compute = self.env.process(
-                        self._stamped(self._compute_step(), finished, "compute")
-                    )
-                    yield AllOf(self.env, [io, compute])
-                    bound = (
-                        "offload_fetch"
-                        if finished["io"] >= finished["compute"]
-                        else "decode_hbm"
-                    )
-                    self.attr_mark([request], bound)
+                io = self.env.process(self._io_step(tensor, io_bytes))
+                compute = self.env.process(self._compute_step())
+                yield AllOf(self.env, [io, compute])
+                self._mark_bound(request, io, compute)
                 self._finish_token(request)
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()
@@ -176,28 +163,10 @@ class FlexGenEngine(LLMEngineBase):
                 max_total - request.total_tokens,
                 self.respond_every - generated % self.respond_every,
             )
-            total = request.total_tokens
-            if self.telemetry is None:
-                io = self.env.process(self._io_window(tensor, total, k))
-                compute = self.env.process(self._compute_step(k * step))
-                yield AllOf(self.env, [io, compute])
-            else:
-                finished: dict[str, float] = {}
-                io = self.env.process(
-                    self._stamped(
-                        self._io_window(tensor, total, k), finished, "io"
-                    )
-                )
-                compute = self.env.process(
-                    self._stamped(self._compute_step(k * step), finished, "compute")
-                )
-                yield AllOf(self.env, [io, compute])
-                bound = (
-                    "offload_fetch"
-                    if finished["io"] >= finished["compute"]
-                    else "decode_hbm"
-                )
-                self.attr_mark([request], bound)
+            io = self.env.process(self._io_window(tensor, request.total_tokens, k))
+            compute = self.env.process(self._compute_step(k * step))
+            yield AllOf(self.env, [io, compute])
+            self._mark_bound(request, io, compute)
             for _ in range(k):
                 self._finish_token(request)
             if request.generated_tokens % self.respond_every == 0:

@@ -69,8 +69,7 @@ class OrcaEngine(VLLMEngine):
         else:
             self.trace_span("decode-window", started, batch=n, steps=k)
         if self.telemetry is not None:
-            for _ in range(k):
-                self.telemetry.decode_batch(self.name, n)
+            self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
         for _ in range(k):
             for request in batch:

@@ -158,8 +158,7 @@ class VLLMEngine(LLMEngineBase):
         yield from self.gpu.compute_op(duration)
         self.trace_span("decode-window", started, batch=n, steps=k)
         if self.telemetry is not None:
-            for _ in range(k):
-                self.telemetry.decode_batch(self.name, n)
+            self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
         for _ in range(k):
             yield from self._decode_bookkeeping(batch)

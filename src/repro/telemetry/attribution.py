@@ -2,13 +2,13 @@
 
 The attributor decomposes a request's end-to-end latency into named
 components by *telescoping marks*: a timeline starts at the request's
-arrival, and every call to :meth:`LatencyAttributor.mark` closes the
-segment ``[last_mark, now]`` under one component label.  Because each
-segment begins exactly where the previous one ended, the segments
-partition ``[arrival_time, finish_time]`` with no gaps and no double
-counting — per-request component sums therefore equal the end-to-end
-latency *exactly* (any tail not covered by a mark is reported as
-``"other"``).
+arrival, and every call to :meth:`LatencyAttributor.mark` closes, for
+each request of a batch, the segment ``[last_mark, now]`` under one
+component label.  Because each segment begins exactly where the
+previous one ended, the segments partition ``[arrival_time,
+finish_time]`` with no gaps and no double counting — per-request
+component sums therefore equal the end-to-end latency *exactly* (any
+tail not covered by a mark is reported as ``"other"``).
 
 Link contention is handled as a carve-out rather than its own mark:
 the DMA layer reports, per request, how long a transfer sat waiting
@@ -68,7 +68,7 @@ def _percentile(values: list[float], q: float) -> float:
     return data[low] * (1.0 - frac) + data[high] * frac
 
 
-@dataclass
+@dataclass(slots=True)
 class _Timeline:
     request: object
     last_mark: float
@@ -92,25 +92,32 @@ class LatencyAttributor:
                 request=request, last_mark=request.arrival_time
             )
 
-    def mark(self, request, component: str, now: float) -> None:
-        """Attribute ``[last_mark, now]`` of ``request`` to ``component``."""
+    def mark(self, requests, component: str, now: float) -> None:
+        """Attribute ``[last_mark, now]`` of each of ``requests`` to
+        ``component``: one call per scheduling boundary, whatever the
+        batch size."""
         if component not in COMPONENTS:
             raise ValueError(f"unknown component {component!r}")
-        self.observe(request)
-        timeline = self._timelines[request.req_id]
-        start = timeline.last_mark
-        if now <= start:
-            return
-        if component == "offload_fetch" and timeline.pending_contention > 0.0:
-            # Split the fetch segment: the reported channel-wait portion
-            # goes to link_contention, the remainder stays offload_fetch.
-            contended = min(timeline.pending_contention, now - start)
-            timeline.segments.append((start, start + contended, "link_contention"))
-            timeline.pending_contention -= contended
-            start += contended
-        if now > start:
-            timeline.segments.append((start, now, component))
-        timeline.last_mark = now
+        timelines = self._timelines
+        fetch = component == "offload_fetch"
+        for request in requests:
+            timeline = timelines.get(request.req_id)
+            if timeline is None:
+                self.observe(request)
+                timeline = timelines[request.req_id]
+            start = timeline.last_mark
+            if now <= start:
+                continue
+            if fetch and timeline.pending_contention > 0.0:
+                # Split the fetch segment: the reported channel-wait portion
+                # goes to link_contention, the remainder stays offload_fetch.
+                contended = min(timeline.pending_contention, now - start)
+                timeline.segments.append((start, start + contended, "link_contention"))
+                timeline.pending_contention -= contended
+                start += contended
+            if now > start:
+                timeline.segments.append((start, now, component))
+            timeline.last_mark = now
 
     def note_contention(self, req_id: Optional[int], seconds: float) -> None:
         """Record channel-wait time to carve from the next fetch mark."""

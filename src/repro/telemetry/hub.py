@@ -9,8 +9,12 @@ latency decomposition) — behind small hook methods that the engines,
 AQUA-LIB, the coordinator, the DMA layer and the fault injector call.
 
 Every instrumented call site guards on ``telemetry is None``, so a run
-without telemetry pays exactly one ``None`` check per hook and records
-nothing; determinism digests are bit-identical either way.
+without telemetry records nothing; determinism digests are
+bit-identical either way.  With telemetry on, observation costs per
+decode step, per completion and per scrape, never per token: engine
+token counts are pulled from each engine's own metrics when the
+registry is collected, and the labelled children the per-step hooks
+touch are bound once (:class:`~repro.telemetry.registry.LabelIndex`).
 
 Trace-ID propagation model
 --------------------------
@@ -32,12 +36,13 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.telemetry.attribution import LatencyAttributor
-from repro.telemetry.registry import Registry
+from repro.telemetry.registry import LabelIndex, Registry
 from repro.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.dma import Transfer
     from repro.hardware.server import Server
+    from repro.serving.engine import LLMEngineBase
     from repro.serving.request import Request
 
 #: Histogram buckets for TTFT (sub-second matters) and RCT (minutes).
@@ -84,6 +89,7 @@ class Telemetry:
         self.requests_completed = r.counter(
             "aqua_engine_requests_completed_total",
             "Requests that generated their final token.", ["engine"])
+        # Read from each attached engine's metrics (see attach_engine).
         self.tokens_generated = r.counter(
             "aqua_engine_tokens_generated_total",
             "Tokens generated.", ["engine"])
@@ -159,6 +165,21 @@ class Telemetry:
             "aqua_faults_total",
             "Fault injections by kind and phase.", ["kind", "phase"])
 
+        # Children of the per-step and per-completion hooks, by engine or
+        # channel name, each bound at its first use.
+        self._submitted = LabelIndex(self.requests_submitted)
+        self._completed = LabelIndex(self.requests_completed)
+        self._requeues = LabelIndex(self.requeues)
+        self._preemptions = LabelIndex(self.preemptions)
+        self._occupancy = LabelIndex(self.batch_occupancy)
+        self._ttft = LabelIndex(self.ttft_seconds)
+        self._rct = LabelIndex(self.rct_seconds)
+        self._tpot = LabelIndex(self.tpot_seconds)
+        self._link_bytes = LabelIndex(self.link_bytes)
+        self._link_transfers = LabelIndex(self.link_transfers)
+        self._link_contention = LabelIndex(self.link_contention)
+        self._engines: set[str] = set()
+
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
@@ -182,6 +203,22 @@ class Telemetry:
                 lambda p=pool: p.peak)
             self.pool_reservations.labels(device=name).set_function(
                 lambda p=pool: len(p.reservations))
+
+    def attach_engine(self, engine: "LLMEngineBase") -> None:
+        """Export ``engine``'s token count, read from its metrics when
+        the registry is collected.
+
+        The engine name labels every engine family, so a second engine
+        of the same name on this hub would merge into the first one's
+        samples: that is refused.
+        """
+        name = engine.name
+        if name in self._engines:
+            raise ValueError(f"an engine named {name!r} is already attached to this hub")
+        self._engines.add(name)
+        metrics = engine.metrics
+        self.tokens_generated.labels(engine=name).set_function(
+            lambda: metrics.tokens_generated)
 
     def attach_observability(
         self,
@@ -283,36 +320,35 @@ class Telemetry:
     # Engine hooks
     # ------------------------------------------------------------------
     def request_submitted(self, engine: str, request: "Request") -> None:
-        self.requests_submitted.labels(engine=engine).inc()
+        self._submitted[engine].inc()
         self.attribution.observe(request)
 
-    def token_generated(self, engine: str, request: "Request") -> None:
-        self.tokens_generated.labels(engine=engine).inc()
-        if request.done:
-            self.requests_completed.labels(engine=engine).inc()
-            if request.ttft is not None:
-                self.ttft_seconds.labels(engine=engine).observe(request.ttft)
-                # TPOT from first/last token timestamps only, so it is
-                # exact even under decode coarsening (which fuses the
-                # per-token steps in between).
-                if request.generated_tokens > 1:
-                    tpot = (request.rct - request.ttft) / (
-                        request.generated_tokens - 1
-                    )
-                    self.tpot_seconds.labels(engine=engine).observe(tpot)
-            self.rct_seconds.labels(engine=engine).observe(request.rct)
-            self.flow_end(request.req_id, engine, time=request.finish_time)
-            if self.slo is not None:
-                self.slo.observe_request(engine, request)
+    def request_finished(self, engine: str, request: "Request") -> None:
+        """Record a request's completion (called once, at its final token)."""
+        self._completed[engine].inc()
+        if request.ttft is not None:
+            self._ttft[engine].observe(request.ttft)
+            # TPOT from first/last token timestamps only, so it is
+            # exact even under decode coarsening (which fuses the
+            # per-token steps in between).
+            if request.generated_tokens > 1:
+                tpot = (request.rct - request.ttft) / (
+                    request.generated_tokens - 1
+                )
+                self._tpot[engine].observe(tpot)
+        self._rct[engine].observe(request.rct)
+        self.flow_end(request.req_id, engine, time=request.finish_time)
+        if self.slo is not None:
+            self.slo.observe_request(engine, request)
 
     def request_requeued(self, engine: str) -> None:
-        self.requeues.labels(engine=engine).inc()
+        self._requeues[engine].inc()
 
     def preemption(self, engine: str) -> None:
-        self.preemptions.labels(engine=engine).inc()
+        self._preemptions[engine].inc()
 
     def decode_batch(self, engine: str, size: int) -> None:
-        self.batch_occupancy.labels(engine=engine).set(size)
+        self._occupancy[engine].set(size)
 
     # ------------------------------------------------------------------
     # DMA hook (called by Transfer.run on completion)
@@ -320,10 +356,11 @@ class Telemetry:
     def record_transfer(self, transfer: "Transfer", channels) -> None:
         contention = transfer.acquired_at - transfer.started_at
         for channel in channels:
-            self.link_bytes.labels(channel=channel.name).inc(transfer.nbytes)
-            self.link_transfers.labels(channel=channel.name).inc()
+            name = channel.name
+            self._link_bytes[name].inc(transfer.nbytes)
+            self._link_transfers[name].inc()
             if contention > 0:
-                self.link_contention.labels(channel=channel.name).inc(contention)
+                self._link_contention[name].inc(contention)
         if transfer.ctx is not None:
             self.attribution.note_contention(transfer.ctx, contention)
             for channel in channels:

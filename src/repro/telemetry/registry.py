@@ -1,12 +1,13 @@
 """A Prometheus-style labeled metrics registry.
 
 Three metric kinds — :class:`Counter` (monotone), :class:`Gauge`
-(settable, optionally callback-backed so values are read live at
-collection time), and :class:`Histogram` (cumulative buckets) — are
+(settable) and :class:`Histogram` (cumulative buckets) — are
 grouped into *families* carrying a fixed label schema, and families
 live in a :class:`Registry` that exports the whole set as Prometheus
 text exposition format (:meth:`Registry.to_prometheus_text`) or as a
-JSON-friendly dict (:meth:`Registry.to_dict`).
+JSON-friendly dict (:meth:`Registry.to_dict`).  Counters and gauges
+can instead read a live callback at collection time, so the hot path
+pays nothing for them.
 
 The module is deliberately dependency-free: the simulation's telemetry
 hub (:mod:`repro.telemetry.hub`) instantiates one registry per run, but
@@ -72,30 +73,57 @@ def _format_value(value: float) -> str:
 
 
 class Counter:
-    """A monotonically increasing value."""
+    """A monotonically increasing value, pushed with :meth:`inc` or
+    pulled from a live count with :meth:`set_function`."""
 
     kind = "counter"
+    suffixes = ("",)
 
     def __init__(self) -> None:
         self._value = 0.0
+        self._callback: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1.0) -> None:
+        if self._callback is not None:
+            raise ValueError("cannot inc a counter that reads a function")
         if amount < 0:
             raise ValueError(f"counters only go up; got {amount}")
         self._value += amount
 
+    def set_function(self, callback: Callable[[], float]) -> None:
+        """Read the counter from ``callback`` at every collection.
+
+        ``callback`` must be monotone.  Until it first returns non-zero
+        the counter has no sample, just as a pushed child exists only
+        from its first :meth:`inc`: an engine's token counter appears at
+        its first token without the engine calling telemetry per token.
+        """
+        self._callback = callback
+
     @property
     def value(self) -> float:
+        if self._callback is not None:
+            return float(self._callback())
         return self._value
 
+    def scalar_values(self) -> tuple:
+        """Values of the samples a scrape keeps, in :attr:`suffixes`
+        order; empty while the counter has no sample."""
+        value = self.value
+        if value or self._callback is None:
+            return (value,)
+        return ()
+
     def samples(self, name: str, labels: tuple) -> Iterable[tuple]:
-        yield (name, labels, self.value)
+        for value in self.scalar_values():
+            yield (name, labels, value)
 
 
 class Gauge:
     """A value that can go up and down, or track a live callback."""
 
     kind = "gauge"
+    suffixes = ("",)
 
     def __init__(self) -> None:
         self._value = 0.0
@@ -126,6 +154,9 @@ class Gauge:
             return float(self._callback())
         return self._value
 
+    def scalar_values(self) -> tuple:
+        return (self.value,)
+
     def samples(self, name: str, labels: tuple) -> Iterable[tuple]:
         yield (name, labels, self.value)
 
@@ -134,6 +165,8 @@ class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics)."""
 
     kind = "histogram"
+    #: The samples besides the buckets: what a scrape keeps.
+    suffixes = ("_sum", "_count")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         uppers = [float(b) for b in buckets if b != float("inf")]
@@ -160,6 +193,9 @@ class Histogram:
             out.append((upper, running))
         out.append((float("inf"), running + self._counts[-1]))
         return out
+
+    def scalar_values(self) -> tuple:
+        return (self.sum, self.count)
 
     def samples(self, name: str, labels: tuple) -> Iterable[tuple]:
         for upper, count in self.bucket_counts():
@@ -235,17 +271,50 @@ class Family:
         return self._default().value
 
     # -- collection ----------------------------------------------------
+    def children(self) -> list[tuple[tuple, object]]:
+        """``(((label, value), ...), child)`` pairs in exposition order."""
+        return [
+            (tuple(zip(self.labelnames, key)), self._children[key])
+            for key in sorted(self._children)
+        ]
+
     def samples(self) -> Iterable[tuple]:
         """``(sample_name, ((label, value), ...), value)`` triples."""
-        for key in sorted(self._children):
-            labels = tuple(zip(self.labelnames, key))
-            yield from self._children[key].samples(self.name, labels)
+        for labels, child in self.children():
+            yield from child.samples(self.name, labels)
+
+    @property
+    def child_count(self) -> int:
+        return len(self._children)
 
     def __repr__(self) -> str:
         return (
             f"<Family {self.kind} {self.name} labels={self.labelnames} "
             f"children={len(self._children)}>"
         )
+
+
+class LabelIndex(dict):
+    """A single-label family's children, keyed by raw label value.
+
+    Hot-path hooks index this instead of calling :meth:`Family.labels`.
+    A missing value is bound through ``labels()`` — validation, key
+    building and all — the first time it is indexed, which is when a
+    ``labels()`` call would have created the child; every later lookup
+    is a plain dict hit.
+    """
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: Family) -> None:
+        super().__init__()
+        if len(family.labelnames) != 1:
+            raise ValueError(f"{family.name} has labels {family.labelnames}, not one")
+        self.family = family
+
+    def __missing__(self, value):
+        child = self[value] = self.family.labels(**{self.family.labelnames[0]: value})
+        return child
 
 
 class Registry:

@@ -17,9 +17,10 @@ schedules are pure sleeps that shift nothing observable.
 Ring buffers bound memory for million-user sweeps: a scrape store holds
 at most ``capacity`` samples per series and silently drops the oldest —
 the recent window is what dashboards, SLO burn rates and the flight
-recorder need.  Histogram ``_bucket`` samples are skipped (only
-``_sum``/``_count`` are scraped); full distributions stay available
-from the end-of-run registry export.
+recorder need.  Histogram ``_bucket`` samples are not scraped (only
+``_sum``/``_count`` are); full distributions stay available from the
+end-of-run registry export.  The scraper binds each child to its series
+once, so a scrape costs one value read and one append per series.
 
 Derived views (:func:`rate_series`, :func:`interval_mean_series`) turn
 cumulative counter scrapes into per-interval rates and interval means —
@@ -150,6 +151,9 @@ class MetricScraper:
         self.observers: list[Callable[[float], None]] = []
         self.scrapes = 0
         self._started = False
+        #: Per family: ``{labels: (child, [series per scraped sample])}``
+        #: for every child that has had a sample.
+        self._handles: dict[str, dict[tuple, tuple]] = {}
 
     # ------------------------------------------------------------------
     def start(self) -> "MetricScraper":
@@ -176,19 +180,36 @@ class MetricScraper:
             now = self.env.now
         appended = 0
         for family in self.registry.collect():
-            for name, labels, value in family.samples():
-                if name.endswith("_bucket"):
-                    continue  # distributions stay in the registry export
-                key = sample_key(name, labels)
-                series = self.series.get(key)
-                if series is None:
-                    series = self.series[key] = RingSeries(key, self.capacity)
-                series.append(now, value)
-                appended += 1
+            handles = self._handles.get(family.name)
+            if handles is None:
+                handles = self._handles[family.name] = {}
+            if len(handles) < family.child_count:
+                self._bind(family, handles)
+            for child, series in handles.values():
+                for ring, value in zip(series, child.scalar_values()):
+                    ring.append(now, value)
+                appended += len(series)
         self.scrapes += 1
         for observer in self.observers:
             observer(now)
         return appended
+
+    def _bind(self, family, handles: dict) -> None:
+        """Give each child of ``family`` that now has samples its series.
+
+        Children are walked in exposition order, so series are created
+        in the order a sample-by-sample scrape would first meet them.
+        Histogram buckets get no series: distributions stay in the
+        registry export.
+        """
+        for labels, child in family.children():
+            if labels in handles or not child.scalar_values():
+                continue
+            series = []
+            for suffix in child.suffixes:
+                key = sample_key(family.name + suffix, labels)
+                series.append(self.series.setdefault(key, RingSeries(key, self.capacity)))
+            handles[labels] = (child, series)
 
     # ------------------------------------------------------------------
     def matching(self, prefix: str) -> dict[str, RingSeries]:

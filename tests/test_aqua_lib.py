@@ -118,6 +118,20 @@ def test_flush_roundtrip():
     assert env.now > 0
 
 
+def test_move_past_tensor_end_raises():
+    env, server, coord, consumer, producer = make_rig()
+    t = consumer.to_responsive_tensor(1 * MB)
+    with pytest.raises(ValueError, match=rf"{t.tag}.*{1 * MB + 1}.*{1 * MB}"):
+        run(env, t.fetch(nbytes=1 * MB + 1))
+    with pytest.raises(ValueError, match=rf"{t.tag}.*{2 * MB}.*{1 * MB}"):
+        run(env, t.flush(nbytes=2 * MB))
+    assert t.fetch_count == t.flush_count == 0
+    assert env.now == 0.0
+    # Exactly the tensor size is still a legal move.
+    run(env, t.fetch(nbytes=1 * MB))
+    assert t.fetch_count == 1
+
+
 def test_fetch_after_free_rejected():
     env, server, coord, consumer, producer = make_rig()
     t = consumer.to_responsive_tensor(1 * MB)

@@ -24,9 +24,9 @@ def test_marks_partition_the_timeline():
     attr = LatencyAttributor()
     r = _request(arrival=1.0)
     attr.observe(r)
-    attr.mark(r, "queueing", 2.0)
-    attr.mark(r, "prefill_compute", 3.5)
-    attr.mark(r, "decode_hbm", 6.0)
+    attr.mark([r], "queueing", 2.0)
+    attr.mark([r], "prefill_compute", 3.5)
+    attr.mark([r], "decode_hbm", 6.0)
     _finish(r, first_token=3.5, finish=6.0)
 
     got = attr.breakdown(r)
@@ -42,7 +42,7 @@ def test_uncovered_tail_lands_in_other():
     attr = LatencyAttributor()
     r = _request(arrival=0.0)
     attr.observe(r)
-    attr.mark(r, "prefill_compute", 1.0)
+    attr.mark([r], "prefill_compute", 1.0)
     _finish(r, first_token=1.0, finish=4.0)  # 3s nobody marked
     got = attr.breakdown(r)
     assert got["other"] == pytest.approx(3.0)
@@ -53,10 +53,10 @@ def test_mark_past_finish_is_clipped():
     attr = LatencyAttributor()
     r = _request(arrival=0.0)
     attr.observe(r)
-    attr.mark(r, "prefill_compute", 1.0)
+    attr.mark([r], "prefill_compute", 1.0)
     _finish(r, first_token=1.0, finish=2.0)
     # Decode bookkeeping that runs past the finish time: clipped, not dropped.
-    attr.mark(r, "decode_hbm", 3.0)
+    attr.mark([r], "decode_hbm", 3.0)
     got = attr.breakdown(r)
     assert got["decode_hbm"] == pytest.approx(1.0)
     assert sum(got.values()) == pytest.approx(r.rct)
@@ -67,7 +67,7 @@ def test_contention_carved_from_next_fetch_mark():
     r = _request(arrival=0.0)
     attr.observe(r)
     attr.note_contention(r.req_id, 0.75)
-    attr.mark(r, "offload_fetch", 2.0)
+    attr.mark([r], "offload_fetch", 2.0)
     _finish(r, first_token=2.0, finish=2.0)
     got = attr.breakdown(r)
     assert got["link_contention"] == pytest.approx(0.75)
@@ -80,12 +80,12 @@ def test_contention_never_exceeds_the_fetch_segment():
     r = _request(arrival=0.0)
     attr.observe(r)
     attr.note_contention(r.req_id, 10.0)  # more than the segment holds
-    attr.mark(r, "offload_fetch", 1.0)
+    attr.mark([r], "offload_fetch", 1.0)
     totals = attr.components_of(r)
     assert totals["link_contention"] == pytest.approx(1.0)
     assert totals["offload_fetch"] == 0.0
     # The excess stays pending for the next fetch segment.
-    attr.mark(r, "offload_fetch", 3.0)
+    attr.mark([r], "offload_fetch", 3.0)
     totals = attr.components_of(r)
     assert totals["link_contention"] == pytest.approx(3.0)
 
@@ -94,8 +94,8 @@ def test_backwards_and_zero_width_marks_are_noops():
     attr = LatencyAttributor()
     r = _request(arrival=5.0)
     attr.observe(r)
-    attr.mark(r, "queueing", 5.0)
-    attr.mark(r, "queueing", 4.0)
+    attr.mark([r], "queueing", 5.0)
+    attr.mark([r], "queueing", 4.0)
     assert attr.components_of(r)["queueing"] == 0.0
 
 
@@ -103,7 +103,23 @@ def test_unknown_component_rejected():
     attr = LatencyAttributor()
     r = _request()
     with pytest.raises(ValueError):
-        attr.mark(r, "gpu_naptime", 1.0)
+        attr.mark([r], "gpu_naptime", 1.0)
+    with pytest.raises(ValueError):
+        attr.mark([], "gpu_naptime", 1.0)  # checked once, batch or not
+
+
+def test_one_mark_covers_a_batch():
+    """A batch mark closes each request's own segment: requests that
+    arrived at different times get different spans, and one already
+    marked past ``now`` is left alone."""
+    attr = LatencyAttributor()
+    early, late, ahead = _request(arrival=0.0), _request(arrival=1.5), _request(arrival=0.0)
+    attr.mark([ahead], "queueing", 5.0)
+    attr.mark([early, late, ahead], "decode_hbm", 2.0)
+    assert attr.components_of(early)["decode_hbm"] == pytest.approx(2.0)
+    assert attr.components_of(late)["decode_hbm"] == pytest.approx(0.5)
+    assert attr.components_of(ahead)["decode_hbm"] == 0.0
+    assert attr.components_of(ahead)["queueing"] == pytest.approx(5.0)
 
 
 def test_breakdown_requires_finished_request():
@@ -120,8 +136,8 @@ def test_report_schema_and_aggregates():
     for i in range(3):
         r = _request(arrival=float(i))
         attr.observe(r)
-        attr.mark(r, "queueing", r.arrival_time + 1.0)
-        attr.mark(r, "decode_hbm", r.arrival_time + 3.0)
+        attr.mark([r], "queueing", r.arrival_time + 1.0)
+        attr.mark([r], "decode_hbm", r.arrival_time + 3.0)
         _finish(r, first_token=r.arrival_time + 1.0, finish=r.arrival_time + 3.0)
         finished.append(r)
     unfinished = _request(arrival=99.0)

@@ -14,10 +14,15 @@ import pytest
 from repro.experiments.harness import build_consumer_rig
 from repro.experiments.observe import observe_experiment
 from repro.faults import DmaStall, FaultInjector, FaultSchedule
-from repro.models import LLAMA2_13B, OPT_30B
-from repro.telemetry import capture_trace, parse_prometheus_text
+from repro.hardware import Server
+from repro.models import LLAMA2_13B, MISTRAL_7B, OPT_30B
+from repro.serving import VLLMEngine
+from repro.sim import Environment
+from repro.telemetry import Telemetry, capture_trace, parse_prometheus_text
+from repro.telemetry.timeseries import sample_key
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
+from repro.workloads.sharegpt import sharegpt_requests
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,51 @@ def test_pool_gauges_read_live_state(observe_result):
     }
     # The producer donated memory: some pool is non-empty right now.
     assert any(v > 0 for v in used.values())
+
+
+# ---------------------------------------------------------------------------
+# The token counter is read from engine metrics, not pushed per token
+# ---------------------------------------------------------------------------
+def test_scraped_token_counter_equals_engine_metrics_at_every_tick():
+    rig = build_consumer_rig(
+        "flexgen", OPT_30B, producer_model=LLAMA2_13B, use_aqua=True, scrape_interval=0.5
+    )
+    tm = rig.telemetry
+    engines = (rig.consumer_engine, rig.producer_engine)
+    ticks = []
+
+    def check(now):
+        text = tm.prometheus_text()
+        for engine in engines:
+            tokens = engine.metrics.tokens_generated
+            labels = (("engine", engine.name),)
+            key = sample_key("aqua_engine_tokens_generated_total", labels)
+            if tokens == 0:
+                # No sample before the engine's first token.
+                assert key not in tm.scraper.series
+                assert key not in text
+            else:
+                assert tm.scraper.series[key].last() == (now, float(tokens))
+                assert f"{key} {float(tokens)!r}" in text
+            ticks.append((engine.name, tokens))
+
+    tm.scraper.observers.append(check)
+    rig.start()
+    submit_all(rig.env, rig.consumer_engine, long_prompt_requests(start=2.0, max_new_tokens=20))
+    submit_all(rig.env, rig.producer_engine, sharegpt_requests(rate=2.0, count=10, start=4.0))
+    rig.env.run(until=12.0)
+    for engine in engines:  # ticks before and after the first token
+        counts = [tokens for name, tokens in ticks if name == engine.name]
+        assert counts[0] == 0 and counts[-1] > 0
+
+
+def test_engines_sharing_a_name_on_one_hub_are_refused():
+    env = Environment()
+    server = Server(env, n_gpus=2)
+    tm = Telemetry(env)
+    VLLMEngine(server.gpus[0], server, MISTRAL_7B, name="twin", telemetry=tm)
+    with pytest.raises(ValueError, match="'twin' is already attached"):
+        VLLMEngine(server.gpus[1], server, MISTRAL_7B, name="twin", telemetry=tm)
 
 
 # ---------------------------------------------------------------------------

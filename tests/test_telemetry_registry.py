@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.telemetry import Counter, Gauge, Histogram, Registry, parse_prometheus_text
+from repro.telemetry.registry import LabelIndex
 
 
 # ---------------------------------------------------------------------------
@@ -17,6 +18,22 @@ def test_counter_monotone():
     assert c.value == 3.5
     with pytest.raises(ValueError):
         c.inc(-1)
+
+
+def test_counter_function_is_absent_until_it_counts():
+    """A pulled counter has no sample while its source reads 0 — the
+    same exposition a pushed child has before its first inc."""
+    state = {"n": 0}
+    r = Registry()
+    fam = r.counter("tokens_total", "", ["engine"])
+    fam.labels(engine="a").set_function(lambda: state["n"])
+    assert list(fam.samples()) == []
+    assert "tokens_total{" not in r.to_prometheus_text()
+    state["n"] = 3
+    assert list(fam.samples()) == [("tokens_total", (("engine", "a"),), 3.0)]
+    assert isinstance(fam.labels(engine="a").value, float)
+    with pytest.raises(ValueError, match="function"):
+        fam.labels(engine="a").inc()
 
 
 def test_gauge_set_inc_dec():
@@ -83,6 +100,20 @@ def test_family_children_are_cached():
     fam.labels(k="a").inc()
     fam.labels(k="a").inc()
     assert fam.labels(k="a").value == 2.0
+
+
+def test_label_index_binds_each_child_once():
+    r = Registry()
+    fam = r.counter("x_total", "", ["k"])
+    index = LabelIndex(fam)
+    assert fam.child_count == 0  # nothing bound before first use
+    index["a"].inc()
+    index["a"].inc()
+    assert index["a"] is fam.labels(k="a")
+    assert fam.labels(k="a").value == 2.0
+    assert fam.child_count == 1
+    with pytest.raises(ValueError, match="not one"):
+        LabelIndex(r.counter("y_total", "", ["k", "j"]))
 
 
 def test_register_or_return_and_conflicts():
