@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.experiments import figures, report
 
@@ -241,7 +241,6 @@ def cmd_resilience(args) -> int:
         duration=args.duration,
         audit=args.audit,
         jobs=args.jobs,
-        scrape_interval=_resolve_scrape_interval(args),
         postmortem_dir=args.postmortem_dir,
     )
     print("Resilience: goodput under faults (FlexGen consumer, LLM producer)")
@@ -272,13 +271,6 @@ def cmd_resilience(args) -> int:
             ],
         )
     )
-    if args.trace:
-        result["tracer"].export_json(args.trace)
-        print(f"trace written to {args.trace}")
-    if result.get("observability") is not None:
-        _print_observability(
-            result["observability"], args.dashboard, result.get("dashboard_data")
-        )
     if args.audit:
         return _print_audit_reports(result["audit"])
     return 0
@@ -336,7 +328,6 @@ def cmd_observe(args) -> int:
     result = observe_experiment(
         duration=args.duration,
         faults=not args.no_faults,
-        scrape_interval=_resolve_scrape_interval(args),
         postmortem_dir=args.postmortem_dir,
     )
     rep = result["report"]
@@ -363,10 +354,6 @@ def cmd_observe(args) -> int:
         )
     )
 
-    telemetry = result["telemetry"]
-    if args.trace:
-        telemetry.tracer.export_json(args.trace)
-        print(f"trace written to {args.trace}")
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(result["prometheus"])
@@ -375,10 +362,6 @@ def cmd_observe(args) -> int:
         with open(args.report, "w") as fh:
             json.dump(rep, fh, indent=2)
         print(f"attribution report written to {args.report}")
-    if "observability" in result:
-        _print_observability(
-            result["observability"], args.dashboard, result.get("dashboard_data")
-        )
     return 0
 
 
@@ -547,32 +530,15 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> argparse.ArgumentPars
     return parser
 
 
-def _add_trace_argument(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Uniform ``--trace`` export, shared by every experiment command.
-
-    Commands whose handlers export their own tracer (``resilience``,
-    ``observe``) declare it themselves; everything else gets an ambient
-    :func:`repro.telemetry.capture_trace` wrapped around the run by
-    :func:`main`.
-    """
+def _add_observation_arguments(
+    parser: argparse.ArgumentParser,
+) -> argparse.ArgumentParser:
+    """``--trace`` / ``--scrape-interval`` / ``--dashboard``, for commands
+    that build simulated rigs; :func:`main` observes every rig with them
+    (see :func:`~repro.telemetry.observing`), in ``--jobs`` workers too."""
     parser.add_argument(
         "--trace", metavar="trace.json", help="write a Chrome trace of the run"
     )
-    return _add_observability_arguments(parser)
-
-
-def _add_observability_arguments(
-    parser: argparse.ArgumentParser,
-) -> argparse.ArgumentParser:
-    """Uniform ``--scrape-interval`` / ``--dashboard`` observability flags.
-
-    ``resilience`` and ``observe`` handle the flags themselves (their
-    experiments return observability exports directly); every other
-    command gets an ambient :func:`repro.telemetry.capture_observability`
-    wrapped around the run by :func:`main`.  Like ``--trace``, the
-    ambient spec does not cross process boundaries — combine with
-    ``--jobs 1`` on pooled commands to scrape the rigs in-process.
-    """
     parser.add_argument(
         "--scrape-interval",
         type=float,
@@ -590,39 +556,61 @@ def _add_observability_arguments(
     return parser
 
 
-def _resolve_scrape_interval(args) -> Optional[float]:
-    """``--dashboard`` without ``--scrape-interval`` implies 1 s scrapes."""
-    if args.scrape_interval is not None:
-        return args.scrape_interval
-    return 1.0 if args.dashboard else None
+def _observation(args):
+    """The flags as an :class:`~repro.telemetry.Observation`;
+    ``--dashboard`` without ``--scrape-interval`` implies 1 s scrapes."""
+    from repro.telemetry import Observation
+
+    if not hasattr(args, "trace"):
+        return Observation()
+    scrape_interval = args.scrape_interval
+    if scrape_interval is None and args.dashboard:
+        scrape_interval = 1.0
+    return Observation(trace=bool(args.trace), scrape_interval=scrape_interval)
 
 
-def _print_observability(obs: dict, dashboard_path: Optional[str],
-                         dashboard_data: Optional[dict]) -> None:
-    """Shared alert/bundle summary + dashboard export for CLI handlers."""
-    slo = obs.get("slo")
-    if slo is not None:
-        alerts = slo.get("alerts", [])
+def _write_observation(args, exports: list[dict]) -> int:
+    """Write the trace; summarise and chart the rig with the most
+    scrapes.  Non-zero when a requested export came out empty."""
+    from repro.telemetry import render_dashboard
+
+    settings = _observation(args)
+    failures = []
+    if settings.trace:
+        events = []  # one named pid per rig
+        for pid, export in enumerate(exports, 1):
+            name = {"name": export["name"]}
+            events.append({"ph": "M", "name": "process_name", "pid": pid, "args": name})
+            events += ({**event, "pid": pid} for event in export.get("trace", ()))
+        with open(args.trace, "w") as fh:
+            json.dump({"traceEvents": events}, fh)
+        print(f"trace written to {args.trace}")
+        if all(e["ph"] == "M" for e in events):
+            failures.append("--trace recorded no events")
+    scraped = [e["dashboard"] for e in exports if "dashboard" in e]
+    if settings.scrape_interval is not None and not scraped:
+        failures.append("no rig was scraped")
+    if scraped:
+        data = max(scraped, key=lambda d: d["scrape"]["scrapes"])
+        alerts = data["slo"]["alerts"]
         print(f"SLO burn-rate alerts: {len(alerts)}")
         for alert in alerts:
             print(
                 f"  t={alert['t']:7.2f}  {alert['slo']} [{alert['severity']}] "
                 f"burn {alert['burn_long']:.1f}x/{alert['burn_short']:.1f}x"
             )
-    recorder = obs.get("recorder")
-    if recorder is not None:
-        for bundle in recorder.get("bundles", []):
-            where = bundle.get("path", "(in memory)")
+        for bundle in data["recorder"]["bundles"]:
             print(
                 f"  post-mortem #{bundle['seq']} at t={bundle['t']:.2f} "
-                f"({bundle['reason']}): {where}"
+                f"({bundle['reason']}): {bundle.get('path', '(in memory)')}"
             )
-    if dashboard_path and dashboard_data is not None:
-        from repro.telemetry import render_dashboard
-
-        with open(dashboard_path, "w") as fh:
-            fh.write(render_dashboard(dashboard_data))
-        print(f"dashboard written to {dashboard_path}")
+        if args.dashboard:
+            with open(args.dashboard, "w") as fh:
+                fh.write(render_dashboard(data))
+            print(f"dashboard written to {args.dashboard}")
+    for failure in failures:
+        print(f"aqua-repro {args.command}: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,53 +621,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
 
-    p = _add_trace_argument(
+    p = _add_observation_arguments(
         sub.add_parser("fig01", help="motivation: TTFT/RCT per scheduler")
     )
     p.add_argument("--rate", type=float, default=5.0)
     p.add_argument("--count", type=int, default=60)
 
-    _add_trace_argument(
-        sub.add_parser("fig02", help="resource contention vs batch size")
-    )
+    sub.add_parser("fig02", help="resource contention vs batch size")
 
-    p = _add_trace_argument(
+    p = _add_observation_arguments(
         sub.add_parser("fig03", help="interconnect bandwidth + sharing impact")
     )
     p.add_argument("--duration", type=float, default=60.0)
 
-    p = _add_trace_argument(sub.add_parser("fig07", help="long-prompt throughput"))
+    p = _add_observation_arguments(sub.add_parser("fig07", help="long-prompt throughput"))
     p.add_argument("--duration", type=float, default=120.0)
     _add_jobs_argument(p)
 
-    p = _add_trace_argument(sub.add_parser("fig08", help="LoRA adapter RCTs"))
+    p = _add_observation_arguments(sub.add_parser("fig08", help="LoRA adapter RCTs"))
     p.add_argument("--rate", type=float, default=5.0)
     p.add_argument("--count", type=int, default=100)
 
-    p = _add_trace_argument(sub.add_parser("fig09", help="CFS responsiveness"))
+    p = _add_observation_arguments(sub.add_parser("fig09", help="CFS responsiveness"))
     p.add_argument("--rates", type=float, nargs="+", default=[2.0, 5.0])
     p.add_argument("--count", type=int, default=50)
     _add_jobs_argument(p)
 
-    _add_trace_argument(
+    _add_observation_arguments(
         sub.add_parser("fig10", help="elastic memory sharing timeline")
     )
-    _add_trace_argument(sub.add_parser("fig11", help="producer overhead"))
+    _add_observation_arguments(sub.add_parser("fig11", help="producer overhead"))
 
-    p = _add_trace_argument(sub.add_parser("fig12", help="benefit vs tensor size"))
+    p = _add_observation_arguments(sub.add_parser("fig12", help="benefit vs tensor size"))
     p.add_argument("--count", type=int, default=200)
     _add_jobs_argument(p)
 
-    p = _add_trace_argument(
+    p = _add_observation_arguments(
         sub.add_parser("fig13", help="chatbot long-term responsiveness")
     )
     p.add_argument("--users", type=int, default=25)
     p.add_argument("--turns", type=int, default=4)
 
-    p = _add_trace_argument(sub.add_parser("fig14", help="placer convergence time"))
+    p = sub.add_parser("fig14", help="placer convergence time")
     p.add_argument("--gpus", type=int, nargs="+", default=[16, 32, 64, 128])
 
-    p = _add_trace_argument(sub.add_parser("fig18", help="NVSwitch stress"))
+    p = _add_observation_arguments(sub.add_parser("fig18", help="NVSwitch stress"))
     p.add_argument("--duration", type=float, default=60.0)
 
     p = sub.add_parser("resilience", help="goodput under injected faults")
@@ -689,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault schedule JSON (default: the documented built-in scenario)",
     )
     p.add_argument("--duration", type=float, default=160.0)
-    _add_trace_argument(p)
+    _add_observation_arguments(p)
     _add_jobs_argument(p)
     p.add_argument(
         "--audit",
@@ -708,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="telemetered run: causal trace + metrics + latency attribution",
     )
     p.add_argument("--duration", type=float, default=45.0)
-    _add_trace_argument(p)
+    _add_observation_arguments(p)
     p.add_argument(
         "--metrics",
         metavar="metrics.prom",
@@ -737,9 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=60.0)
 
     sub.add_parser("tables", help="workload inventory (Tables 1-3)")
-    _add_trace_argument(
-        sub.add_parser("e2e", help="cluster placement (balanced vs LLM-heavy)")
-    )
+    sub.add_parser("e2e", help="cluster placement (balanced vs LLM-heavy)")
 
     p = sub.add_parser("all", help="run every experiment, write JSON results")
     p.add_argument("--out", default="results")
@@ -792,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list claims and exit")
     _add_jobs_argument(p)
 
-    p = _add_trace_argument(
+    p = _add_observation_arguments(
         sub.add_parser("sweep", help="scheduler trade-offs across request rates")
     )
     p.add_argument("--rates", type=float, nargs="+", default=[1.0, 2.0, 4.0, 6.0])
@@ -849,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from contextlib import ExitStack
+    from repro.telemetry import observing
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -857,54 +841,13 @@ def main(argv=None) -> int:
         for name in sorted(COMMANDS):
             print(name)
         return 0
-    # resilience/observe thread the uniform flags through their
-    # experiments themselves; every other command gets ambient captures
-    # wrapped around the run (see capture_trace/capture_observability).
-    ambient = args.command not in ("resilience", "observe")
-    trace_path = getattr(args, "trace", None) if ambient else None
-    scrape_interval = (
-        _resolve_scrape_interval(args)
-        if ambient and hasattr(args, "scrape_interval")
-        else None
-    )
-    obs_spec = None
-    with ExitStack() as stack:
-        if trace_path:
-            from repro.telemetry import capture_trace
-
-            stack.enter_context(capture_trace(trace_path))
-        if scrape_interval is not None:
-            from repro.telemetry import capture_observability
-            from repro.telemetry.slo import default_slo_policy
-
-            obs_spec = stack.enter_context(
-                capture_observability(
-                    scrape_interval=scrape_interval,
-                    slo_policy=default_slo_policy(),
-                )
-            )
-        rc = COMMANDS[args.command](args)
-    if trace_path:
-        print(f"trace written to {trace_path}")
-    if obs_spec is not None:
-        hubs = obs_spec["hubs"]
-        if not hubs:
-            print(
-                "observability: no rig ran in-process (pooled commands "
-                "need --jobs 1 for --scrape-interval/--dashboard)"
-            )
-        else:
-            # Several rigs may have adopted the spec (multi-system
-            # figures); summarise and chart the busiest one.
-            from repro.telemetry.dashboard import dashboard_data
-
-            hub = max(hubs, key=lambda h: h.scraper.scrapes)
-            _print_observability(
-                hub.observability_report(),
-                args.dashboard,
-                dashboard_data(hub, title=f"aqua-repro {args.command}"),
-            )
-    return int(rc or 0)
+    exports: list[dict] = []
+    try:
+        with observing(_observation(args), label=args.command) as exports:
+            rc = int(COMMANDS[args.command](args) or 0)
+    finally:  # a partial trace is what explains a failed command
+        observed_rc = _write_observation(args, exports)
+    return rc or observed_rc
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ from repro.models.diffusion import DiffusionSpec
 from repro.models.llm import LLMSpec
 from repro.serving import BatchEngine, CFSEngine, FlexGenEngine, LoRACache, VLLMEngine
 from repro.sim import Environment
-from repro.telemetry import Telemetry, active_capture_tracer, active_observability
+from repro.telemetry import Telemetry
+from repro.telemetry.observing import observation_frame
+from repro.telemetry.slo import default_slo_policy
 
 ProducerSpec = Union[DiffusionSpec, AudioModelSpec, LLMSpec]
 
@@ -131,17 +133,16 @@ def build_consumer_rig(
         ``docs/observability.md``.  Off by default — a disabled rig has
         bit-identical behaviour (audit digests are unchanged).
     scrape_interval:
-        When set (and ``telemetry`` is on), attach the time-resolved
-        observability layer — metric scraper, optional SLO tracker,
-        flight recorder — via
-        :meth:`~repro.telemetry.Telemetry.attach_observability`.
-        ``None`` defers to an ambient
-        :func:`~repro.telemetry.capture_observability` spec, if one is
-        active.  The layer is observation-only: audit digests are
-        identical with it on or off.
+        When set, attach the time-resolved observability layer (metric
+        scraper, optional SLO tracker, flight recorder) via
+        :meth:`~repro.telemetry.Telemetry.attach_observability`,
+        enabling telemetry.  ``None`` defers to an active
+        :func:`~repro.telemetry.observing` context, if it scrapes.  The
+        layer is observation-only: audit digests are identical with it
+        on or off.
     slo_policy:
         Optional :class:`~repro.telemetry.SLOPolicy` evaluated at each
-        scrape tick (requires ``scrape_interval`` or an ambient spec).
+        scrape tick.
     postmortem_dir:
         Directory for flight-recorder post-mortem bundles.
     decode_coarsen:
@@ -169,16 +170,14 @@ def build_consumer_rig(
     if decode_coarsen != 1:
         kwargs.setdefault("decode_coarsen", decode_coarsen)
 
-    # Explicit observability settings win; otherwise an ambient
-    # capture_observability() spec (the CLI's --scrape-interval) applies
-    # to every rig built inside it — enabling telemetry if the caller
-    # didn't ask for it, which is safe because the whole layer is
-    # observation-only (audit digests are unchanged either way).
-    ambient = active_observability()
-    if scrape_interval is None and ambient is not None:
-        scrape_interval = ambient["scrape_interval"]
-        slo_policy = slo_policy or ambient["slo_policy"]
-        postmortem_dir = postmortem_dir or ambient["postmortem_dir"]
+    # Explicit observability settings win; otherwise an active
+    # observing() context applies to every rig built inside it, which
+    # registers with it below.
+    frame = observation_frame()
+    if scrape_interval is None and frame is not None:
+        scrape_interval = frame.settings.scrape_interval
+        if scrape_interval is not None and slo_policy is None:
+            slo_policy = default_slo_policy()
 
     tm = None
     if telemetry or scrape_interval is not None:
@@ -191,8 +190,6 @@ def build_consumer_rig(
                 slo_policy=slo_policy,
                 postmortem_dir=postmortem_dir,
             )
-            if ambient is not None:
-                ambient["hubs"].append(tm)
 
     consumer_lib = None
     if use_aqua or consumer_kind == "flexgen":
@@ -257,16 +254,6 @@ def build_consumer_rig(
             telemetry=tm, **kwargs
         )
 
-    # An ambient --trace capture (repro.telemetry.capture_trace) picks up
-    # any engine/lib built without its own tracer, so every CLI command
-    # can export a trace without per-experiment plumbing.
-    capture = active_capture_tracer()
-    if capture is not None:
-        for traced in (consumer_engine, producer_engine, consumer_lib, producer_lib):
-            # BatchEngine producers have no tracer attribute — skip them.
-            if traced is not None and getattr(traced, "tracer", False) is None:
-                traced.tracer = capture
-
     auditor = None
     if audit:
         auditor = ConservationAuditor(env)
@@ -274,7 +261,7 @@ def build_consumer_rig(
         auditor.attach_coordinator(coordinator)
         auditor.watch(interval=audit_interval)
 
-    return ConsumerRig(
+    rig = ConsumerRig(
         env=env,
         server=server,
         coordinator=coordinator,
@@ -286,6 +273,9 @@ def build_consumer_rig(
         auditor=auditor,
         telemetry=tm,
     )
+    if frame is not None:
+        frame.adopt(rig)
+    return rig
 
 
 def drain(env: Environment, requests, timeout: float = 3600.0, step: float = 1.0) -> float:

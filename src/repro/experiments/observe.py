@@ -19,11 +19,8 @@ It returns everything the ``aqua-repro observe`` CLI command exports:
 ``fault_log``
     The injector's apply/clear log (empty when ``faults=False``).
 
-With ``scrape_interval`` set it also attaches the time-resolved layer
-(scraper + SLO tracker + flight recorder) and returns its exports —
-``observability`` (scrape store, SLO report, recorder dump) and
-``dashboard_data`` (the input :func:`repro.telemetry.render_dashboard`
-takes).
+Run it inside :func:`repro.telemetry.observing` to scrape it (scraper,
+SLO tracker, flight recorder) and export its trace and dashboard data.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from typing import Optional
 from repro.experiments.harness import build_consumer_rig
 from repro.faults import DmaStall, FaultInjector, FaultSchedule
 from repro.models import LLAMA2_13B, OPT_30B
-from repro.telemetry.dashboard import dashboard_data
-from repro.telemetry.slo import default_slo_policy
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
 from repro.workloads.sharegpt import sharegpt_requests
@@ -45,8 +40,6 @@ def observe_experiment(
     faults: bool = True,
     workload_start: float = 3.0,
     max_new_tokens: int = 60,
-    scrape_interval: Optional[float] = None,
-    slo_policy=None,
     postmortem_dir: Optional[str] = None,
 ) -> dict:
     """One fully telemetered run of the FlexGen/NVLink offloading rig.
@@ -65,23 +58,15 @@ def observe_experiment(
     max_new_tokens:
         Decode budget of the long-prompt request — bounded, so the
         request *finishes* and its latency attribution is complete.
-    scrape_interval:
-        When set, enable the time-resolved observability layer at this
-        cadence (simulated seconds) with the default two-tenant SLO
-        policy unless ``slo_policy`` overrides it.
     postmortem_dir:
-        Directory for flight-recorder post-mortem bundles.
+        Directory for flight-recorder post-mortem bundles (when scraped).
     """
-    if scrape_interval is not None and slo_policy is None:
-        slo_policy = default_slo_policy()
     rig = build_consumer_rig(
         "flexgen",
         OPT_30B,
         producer_model=LLAMA2_13B,
         use_aqua=True,
         telemetry=True,
-        scrape_interval=scrape_interval,
-        slo_policy=slo_policy,
         postmortem_dir=postmortem_dir,
     )
     tm = rig.telemetry
@@ -107,7 +92,7 @@ def observe_experiment(
 
     env.run(until=duration)
 
-    result = {
+    return {
         "telemetry": tm,
         "report": tm.attribution_report(),
         "prometheus": tm.prometheus_text(),
@@ -117,9 +102,3 @@ def observe_experiment(
         "producer_requests": producer_requests,
         "tokens_total": rig.consumer_engine.metrics.tokens_generated,
     }
-    if tm.scraper is not None:
-        result["observability"] = tm.observability_report()
-        result["dashboard_data"] = dashboard_data(
-            tm, title="Aqua observe run", duration=duration
-        )
-    return result

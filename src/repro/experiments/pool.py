@@ -39,14 +39,18 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
+
+from repro.telemetry.observing import Observation, observation_frame, observing
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".aqua-cache"
@@ -56,11 +60,14 @@ DEFAULT_CACHE_DIR = ".aqua-cache"
 _SALT = "aqua-repro-pool/v1"
 
 #: On-disk payload schema marker (checked on load; mismatch = miss).
-_PAYLOAD_SCHEMA = "aqua-repro-cache/v1"
+_PAYLOAD_SCHEMA = "aqua-repro-cache/v2"
 
 
 def default_jobs() -> int:
-    """The ``--jobs`` default: one worker per available CPU."""
+    """The ``--jobs`` default: one worker per CPU this process may run
+    on (``taskset`` and container CPU sets shrink the affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -107,12 +114,14 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """Outcome of one task: its value, cost, and provenance."""
+    """Outcome of one task: its value, cost, provenance and its rigs'
+    observation exports (see :func:`repro.telemetry.observing`)."""
 
     spec: RunSpec
     value: object
     seconds: float  #: worker-side execution wall time (the *original* run's, when cached)
     cached: bool = False
+    exports: list = field(default_factory=list)
 
 
 def canonical_kwargs(kwargs: dict) -> str:
@@ -210,41 +219,43 @@ class RunCache:
         self.fingerprint = fingerprint or code_fingerprint()
         self.stats = CacheStats()
 
-    def key(self, spec: RunSpec) -> str:
-        """The content address: digest of task, kwargs, seed and code."""
+    def key(self, spec: RunSpec, observation: Optional[Observation] = None) -> str:
+        """The content address: digest of task, kwargs, seed, code and,
+        for an observed run, the observation settings."""
         h = hashlib.sha256(_SALT.encode())
-        for piece in (
-            spec.task,
-            canonical_kwargs(spec.kwargs),
-            repr(spec.seed),
-            self.fingerprint,
-        ):
+        pieces = [spec.task, canonical_kwargs(spec.kwargs), repr(spec.seed), self.fingerprint]
+        if observation:
+            pieces.append(canonical_kwargs(asdict(observation)))
+        for piece in pieces:
             h.update(piece.encode())
             h.update(b"\0")
         return h.hexdigest()
 
-    def path(self, spec: RunSpec) -> Path:
-        return self.dir / f"{self.key(spec)}.pkl"
+    def path(self, spec: RunSpec, observation: Optional[Observation] = None) -> Path:
+        return self.dir / f"{self.key(spec, observation)}.pkl"
 
-    def load(self, spec: RunSpec) -> Optional[RunResult]:
+    def load(
+        self, spec: RunSpec, observation: Optional[Observation] = None
+    ) -> Optional[RunResult]:
         """Return the cached :class:`RunResult` or ``None`` (a miss).
 
         Corrupted or foreign entries are tolerated: any exception while
         reading or validating the payload counts as a miss.
         """
-        path = self.path(spec)
+        path = self.path(spec, observation)
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
             if payload["schema"] != _PAYLOAD_SCHEMA:
                 raise ValueError(f"unknown payload schema {payload['schema']!r}")
-            if payload["key"] != self.key(spec):
+            if payload["key"] != self.key(spec, observation):
                 raise ValueError("cache entry key does not match its address")
             result = RunResult(
                 spec=spec,
                 value=payload["value"],
                 seconds=float(payload["seconds"]),
                 cached=True,
+                exports=payload["exports"],
             )
         except Exception:
             self.stats.misses += 1
@@ -252,18 +263,20 @@ class RunCache:
         self.stats.hits += 1
         return result
 
-    def store(self, spec: RunSpec, value: object, seconds: float) -> None:
+    def store(self, result: RunResult, observation: Optional[Observation] = None) -> None:
         """Persist a result (atomic, best-effort: IO errors are ignored)."""
+        spec = result.spec
         payload = {
             "schema": _PAYLOAD_SCHEMA,
-            "key": self.key(spec),
+            "key": self.key(spec, observation),
             "task": spec.task,
             "kwargs": canonical_kwargs(spec.kwargs),
             "seed": spec.seed,
-            "seconds": seconds,
-            "value": value,
+            "seconds": result.seconds,
+            "value": result.value,
+            "exports": result.exports,
         }
-        path = self.path(spec)
+        path = self.path(spec, observation)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
@@ -280,19 +293,44 @@ class RunCache:
 # ---------------------------------------------------------------------------
 # Execution engine
 # ---------------------------------------------------------------------------
-def _execute(task: str, kwargs: dict, seed: Optional[int]) -> tuple[object, float]:
-    """Worker body: resolve the callable, run it, time it.
+@contextmanager
+def _fresh_ids() -> Iterator[None]:
+    """Number a cell's requests and tensors from zero wherever it runs:
+    the ids reach traces and dashboards, so they must not depend on what
+    ran before in the same process (an inline cell, a reused worker)."""
+    from repro.aqua import tensor as aqua_tensor
+    from repro.memory import tensor as memory_tensor
+    from repro.serving import request
+
+    counters = [
+        (request, "_REQUEST_IDS"),
+        (memory_tensor, "_TENSOR_IDS"),
+        (aqua_tensor, "_AQUA_TENSOR_IDS"),
+    ]
+    saved = [getattr(module, name) for module, name in counters]
+    for module, name in counters:
+        setattr(module, name, itertools.count())
+    try:
+        yield
+    finally:
+        for (module, name), counter in zip(counters, saved):
+            setattr(module, name, counter)
+
+
+def _execute(spec: RunSpec, observation: Optional[Observation]) -> RunResult:
+    """Worker body: resolve the callable, run it observed, time it.
 
     Module-level (and fed only plain data) so it is valid under every
     multiprocessing start method, including ``spawn``.
     """
-    fn = resolve_task(task)
-    call_kwargs = dict(kwargs)
-    if seed is not None:
-        call_kwargs["seed"] = seed
+    fn = resolve_task(spec.task)
+    call_kwargs = dict(spec.kwargs)
+    if spec.seed is not None:
+        call_kwargs["seed"] = spec.seed
     started = time.perf_counter()
-    value = fn(**call_kwargs)
-    return value, time.perf_counter() - started
+    with _fresh_ids(), observing(observation, label=spec.label) as exports:
+        value = fn(**call_kwargs)
+    return RunResult(spec, value, time.perf_counter() - started, exports=exports)
 
 
 def _mp_context():
@@ -328,56 +366,60 @@ def run_specs(
     returned without running anything and misses are stored after
     completion (in the parent process — workers never touch the disk).
 
+    Inside :func:`~repro.telemetry.observing`, every cell runs observed
+    with its settings (which join the cache key) and the cells' exports
+    merge into the context in submission order, however they ran.
+
     A failing task raises its exception in the caller, like the serial
     path always has.
     """
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     say = progress if progress is not None else (lambda line: None)
+    frame = observation_frame()
+    observation = frame.settings if frame is not None else None
     results: list[Optional[RunResult]] = [None] * len(specs)
 
     pending: list[int] = []
     for i, spec in enumerate(specs):
         if cache is not None:
-            hit = cache.load(spec)
+            hit = cache.load(spec, observation)
             if hit is not None:
                 results[i] = hit
                 say(f"cached {spec.label} (saved {hit.seconds:.2f}s)")
                 continue
         pending.append(i)
 
+    def finish(i: int, result: RunResult) -> None:
+        if cache is not None:
+            cache.store(result, observation)
+        results[i] = result
+
     if jobs == 1 or len(pending) <= 1:
         for i in pending:
-            spec = specs[i]
-            say(f"running {spec.label}...")
-            value, seconds = _execute(spec.task, spec.kwargs, spec.seed)
-            if cache is not None:
-                cache.store(spec, value, seconds)
-            results[i] = RunResult(spec=spec, value=value, seconds=seconds)
-        return results  # type: ignore[return-value]
-
-    workers = min(jobs, len(pending))
-    done = 0
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context()) as pool:
-        futures = {}
-        for i in pending:
-            spec = specs[i]
-            say(f"running {spec.label}...")
-            futures[pool.submit(_execute, spec.task, dict(spec.kwargs), spec.seed)] = i
-        try:
-            for future in as_completed(futures):
-                i = futures[future]
-                spec = specs[i]
-                value, seconds = future.result()
-                if cache is not None:
-                    cache.store(spec, value, seconds)
-                results[i] = RunResult(spec=spec, value=value, seconds=seconds)
-                done += 1
-                say(
-                    f"finished {spec.label} in {seconds:.2f}s "
-                    f"[{done}/{len(pending)}]"
-                )
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+            say(f"running {specs[i].label}...")
+            finish(i, _execute(specs[i], observation))
+    else:
+        workers = min(jobs, len(pending))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context()) as pool:
+            futures = {}
+            for i in pending:
+                say(f"running {specs[i].label}...")
+                futures[pool.submit(_execute, specs[i], observation)] = i
+            try:
+                for done, future in enumerate(as_completed(futures), 1):
+                    i = futures[future]
+                    result = future.result()
+                    result.spec = specs[i]  # the caller's object, not a copy
+                    finish(i, result)
+                    say(
+                        f"finished {specs[i].label} in {result.seconds:.2f}s "
+                        f"[{done}/{len(pending)}]"
+                    )
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+    if frame is not None:
+        for result in results:
+            frame.merge(result.exports)
     return results  # type: ignore[return-value]

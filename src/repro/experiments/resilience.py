@@ -142,13 +142,8 @@ def _run_rig(
         "audit": audit_report,
     }
     if observability:
-        from repro.telemetry.dashboard import dashboard_data
-
         # Plain dicts only: this result pickles back from pooled workers.
         result["observability"] = rig.telemetry.observability_report()
-        result["dashboard_data"] = dashboard_data(
-            rig.telemetry, title="Aqua resilience run", duration=duration
-        )
     return result
 
 
@@ -232,10 +227,11 @@ def resilience_experiment(
     scrape_interval:
         When set, both rigs run with the time-resolved observability
         layer (scraper + SLO tracker + flight recorder) at this cadence.
-        The faulted run's SLO alerts, post-mortem bundles and dashboard
-        data are returned under ``"observability"`` /
-        ``"dashboard_data"``.  Observation-only: the goodput series and
-        audit digests are unchanged.
+        Both runs' SLO alerts and post-mortem bundles are returned under
+        ``"observability"`` / ``"control_observability"``.
+        Observation-only: the goodput series and audit digests are
+        unchanged.  (The CLI observes through
+        :func:`~repro.telemetry.observing` instead.)
     slo_policy:
         :class:`~repro.telemetry.SLOPolicy` (or its dict form) to
         evaluate; defaults to
@@ -319,7 +315,6 @@ def resilience_experiment(
         "tracer": faulted["tracer"],
         "observability": faulted.get("observability"),
         "control_observability": control.get("observability"),
-        "dashboard_data": faulted.get("dashboard_data"),
         "audit": (
             {
                 "faulted": faulted["audit"].to_dict(),

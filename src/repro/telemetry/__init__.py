@@ -27,20 +27,16 @@ On top of those sits the time-resolved layer (opt-in via
 * :mod:`repro.telemetry.dashboard` — a self-contained HTML dashboard
   (inline SVG, no external JS or network dependencies).
 
-Enable per rig with ``build_consumer_rig(..., telemetry=True)`` or run
-``aqua-repro observe``.  Disabled telemetry costs one ``None`` check
-per hook and changes nothing else.
+Enable per rig with ``build_consumer_rig(..., telemetry=True)``, for
+every rig of a run with :func:`observing`, or run ``aqua-repro
+observe``.  Disabled telemetry costs one ``None`` check per hook and
+changes nothing else.
 """
 
 from repro.telemetry.attribution import COMPONENTS, LatencyAttributor
 from repro.telemetry.dashboard import render_dashboard
-from repro.telemetry.hub import (
-    Telemetry,
-    active_capture_tracer,
-    active_observability,
-    capture_observability,
-    capture_trace,
-)
+from repro.telemetry.hub import Telemetry
+from repro.telemetry.observing import Observation, observing
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.registry import (
     Counter,
@@ -72,18 +68,16 @@ __all__ = [
     "Histogram",
     "LatencyAttributor",
     "MetricScraper",
+    "Observation",
     "Registry",
     "RingSeries",
     "SLObjective",
     "SLOPolicy",
     "SLOTracker",
     "Telemetry",
-    "active_capture_tracer",
-    "active_observability",
-    "capture_observability",
-    "capture_trace",
     "default_slo_policy",
     "interval_mean_series",
+    "observing",
     "parse_prometheus_text",
     "rate_series",
     "render_dashboard",

@@ -32,8 +32,7 @@ reconstruct the chain programmatically.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.telemetry.attribution import LatencyAttributor
 from repro.telemetry.registry import LabelIndex, Registry
@@ -390,85 +389,3 @@ class Telemetry:
 
     def metrics_dict(self) -> dict:
         return self.registry.to_dict()
-
-
-# ---------------------------------------------------------------------------
-# Ambient trace capture (the CLI's uniform --trace support)
-# ---------------------------------------------------------------------------
-#: Stack of tracers installed by :func:`capture_trace`.  Experiment
-#: builders that construct engines internally (the figure functions)
-#: attach :func:`active_capture_tracer` to any engine built without one,
-#: so ``aqua-repro figN --trace out.json`` works with no per-experiment
-#: plumbing.
-_CAPTURE: list[Tracer] = []
-
-
-def active_capture_tracer() -> Optional[Tracer]:
-    """The innermost :func:`capture_trace` tracer, if one is active."""
-    return _CAPTURE[-1] if _CAPTURE else None
-
-
-@contextmanager
-def capture_trace(path: Optional[str] = None,
-                  tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install an ambient tracer; export it to ``path`` on exit.
-
-    All engines/libs built by :func:`repro.experiments.harness.build_consumer_rig`
-    while the context is active record into the yielded tracer (unless
-    they were given their own).  The trace is written as Chrome
-    trace-event JSON when ``path`` is given, even if the body raises.
-    """
-    tracer = tracer or Tracer()
-    _CAPTURE.append(tracer)
-    try:
-        yield tracer
-    finally:
-        _CAPTURE.pop()
-        if path is not None:
-            tracer.export_json(path)
-
-
-# ---------------------------------------------------------------------------
-# Ambient observability capture (the CLI's uniform --scrape-interval support)
-# ---------------------------------------------------------------------------
-#: Stack of observability specs installed by :func:`capture_observability`.
-#: Mirrors :func:`capture_trace`: experiment builders that construct
-#: telemetry internally consult :func:`active_observability` and call
-#: :meth:`Telemetry.attach_observability` with the spec, so
-#: ``aqua-repro figN --scrape-interval 0.5`` needs no per-experiment
-#: plumbing.  Like ambient tracing, the spec does not cross process
-#: boundaries — pooled workers (``--jobs``) run without it.
-_OBSERVABILITY: list[dict] = []
-
-
-def active_observability() -> Optional[dict]:
-    """The innermost :func:`capture_observability` spec, if any."""
-    return _OBSERVABILITY[-1] if _OBSERVABILITY else None
-
-
-@contextmanager
-def capture_observability(
-    scrape_interval: float = 1.0,
-    slo_policy=None,
-    postmortem_dir: Optional[str] = None,
-) -> Iterator[dict]:
-    """Install an ambient observability spec.
-
-    Every telemetered rig built by
-    :func:`repro.experiments.harness.build_consumer_rig` while the
-    context is active gets the time-resolved layer attached with these
-    settings.  The yielded dict grows a ``"hubs"`` list of the
-    :class:`Telemetry` objects that adopted the spec, so the caller can
-    harvest scrape stores and SLO reports after the run.
-    """
-    spec = {
-        "scrape_interval": scrape_interval,
-        "slo_policy": slo_policy,
-        "postmortem_dir": postmortem_dir,
-        "hubs": [],
-    }
-    _OBSERVABILITY.append(spec)
-    try:
-        yield spec
-    finally:
-        _OBSERVABILITY.pop()

@@ -135,8 +135,59 @@ def test_ambient_trace_flag_on_figure_command(tmp_path, capsys):
 
 
 def test_trace_flag_registered_uniformly():
-    """The shared --trace option is present on every experiment command."""
+    """The shared --trace option is present on every command that builds
+    a simulated rig, and absent where it could only write an empty file."""
     parser = build_parser()
-    for name in ("fig01", "fig07", "fig13", "e2e", "sweep", "resilience", "observe"):
+    for name in ("fig01", "fig07", "fig13", "sweep", "resilience", "observe"):
         args = parser.parse_args([name, "--trace", "out.json"])
         assert args.trace == "out.json"
+    for name in ("fig02", "fig14", "e2e"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, "--trace", "out.json"])
+
+
+def test_fig07_trace_and_dashboard_identical_in_every_mode(
+    tmp_path, monkeypatch, capsys
+):
+    """Serial, forked and spawned runs write the same trace and dashboard
+    bytes, with one named pid per rig, each holding spans."""
+    import json
+
+    outputs = []
+    for jobs, start_method in (("1", None), ("2", "fork"), ("2", "spawn")):
+        if start_method is not None:
+            monkeypatch.setenv("AQUA_POOL_START_METHOD", start_method)
+        trace = tmp_path / f"t-{jobs}-{start_method}.json"
+        dashboard = tmp_path / f"d-{jobs}-{start_method}.html"
+        assert main(["fig07", "--duration", "10", "--trace", str(trace),
+                     "--dashboard", str(dashboard), "--jobs", jobs]) == 0
+        outputs.append((trace.read_bytes(), dashboard.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    events = json.loads(outputs[0][0])["traceEvents"]
+    names = {
+        e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"
+    }
+    assert list(names.values()) == [
+        f"{label}/flexgen-OPT-30B"
+        for label in ("flexgen-dram", "aqua+sd", "aqua+audiogen", "aqua+llama")
+    ]
+    for pid in names:
+        assert any(e["pid"] == pid and e["ph"] == "X" for e in events)
+
+
+def test_empty_trace_fails_loudly(tmp_path, monkeypatch, capsys):
+    """A requested trace that records nothing is an error, not an empty file."""
+    import repro.cli
+
+    monkeypatch.setitem(repro.cli.COMMANDS, "fig10", lambda args: 0)
+    assert main(["fig10", "--trace", str(tmp_path / "t.json")]) != 0
+    assert "fig10" in capsys.readouterr().err
+
+
+def test_unscraped_dashboard_fails_loudly(tmp_path, monkeypatch, capsys):
+    import repro.cli
+
+    monkeypatch.setitem(repro.cli.COMMANDS, "fig10", lambda args: 0)
+    assert main(["fig10", "--dashboard", str(tmp_path / "d.html")]) != 0
+    assert "fig10" in capsys.readouterr().err

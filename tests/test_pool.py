@@ -205,3 +205,48 @@ def test_cache_hit_skips_execution_under_parallel_jobs(tmp_path):
     assert all(r.cached for r in warm)
     assert all(line.startswith("cached ") for line in lines)
     assert cache.stats.hits == 3
+
+
+def test_default_jobs_counts_usable_cpus(monkeypatch):
+    """Under ``taskset -c 0`` only one CPU is usable, whatever cpu_count says."""
+    from repro.experiments import pool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool.default_jobs() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pool.default_jobs() == 8
+
+
+# ---------------------------------------------------------------------------
+# Observation across the pool and the cache
+# ---------------------------------------------------------------------------
+def test_observed_exports_replay_from_cache(tmp_path):
+    """Inside ``observing``, cold and warm runs merge identical exports,
+    and the observed cache entry is not the unobserved one."""
+    from repro.telemetry import Observation, observing
+
+    settings = Observation(trace=True, scrape_interval=1.0)
+    specs = [
+        RunSpec(
+            task="repro.experiments.figures:_fig07_cell",
+            kwargs={"producer": producer, "duration": 5.0},
+            label=label,
+        )
+        for label, producer in (("dram", None), ("sd", "StableDiffusion-1.5"))
+    ]
+    cache = RunCache(tmp_path, fingerprint="f1")
+    with observing(settings) as cold:
+        cold_values = [r.value for r in run_specs(specs, jobs=2, cache=cache)]
+    assert cache.stats.misses == 2
+    warm_cache = RunCache(tmp_path, fingerprint="f1")
+    with observing(settings) as warm:
+        warm_results = run_specs(specs, jobs=2, cache=warm_cache)
+    assert warm_cache.stats.misses == 0 and all(r.cached for r in warm_results)
+    assert [r.value for r in warm_results] == cold_values
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    assert [e["name"] for e in cold] == ["dram/flexgen-OPT-30B", "sd/flexgen-OPT-30B"]
+    assert all(e["trace"] and e["dashboard"] for e in cold)
+    assert cache.key(specs[0], settings) != cache.key(specs[0])
+    # Unobserved, the same spec misses: its entry holds no exports.
+    assert cache.load(specs[0]) is None

@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments.observe import observe_experiment
 from repro.sim import Environment
-from repro.telemetry import FlightRecorder, Telemetry
+from repro.telemetry import FlightRecorder, Observation, Telemetry, observing
 from repro.telemetry.dashboard import render_dashboard, write_dashboard
 
 
@@ -128,11 +128,15 @@ def test_to_dict_is_json_safe():
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def observe_result():
-    return observe_experiment(duration=20.0, scrape_interval=0.5)
+    """Dashboard data of the observe run, scraped every 0.5 s."""
+    with observing(Observation(scrape_interval=0.5)) as exports:
+        observe_experiment(duration=20.0)
+    (export,) = exports
+    return export["dashboard"]
 
 
 def test_observe_result_carries_observability(observe_result):
-    obs = observe_result["observability"]
+    obs = observe_result
     assert obs["scrape"]["scrapes"] >= 39  # 20s at 0.5s intervals
     assert obs["scrape"]["series"]  # non-empty store
     assert "slo" in obs and "recorder" in obs
@@ -142,7 +146,7 @@ def test_observe_result_carries_observability(observe_result):
 
 
 def test_dashboard_renders_expected_sections(observe_result):
-    html = render_dashboard(observe_result["dashboard_data"])
+    html = render_dashboard(observe_result)
     assert html.lstrip().startswith("<!DOCTYPE html>")
     for expected in (
         "Token throughput",
@@ -158,7 +162,7 @@ def test_dashboard_renders_expected_sections(observe_result):
 
 def test_dashboard_is_self_contained(observe_result):
     """The CI gate in words: one file, no network, no scripts."""
-    html = render_dashboard(observe_result["dashboard_data"])
+    html = render_dashboard(observe_result)
     lowered = html.lower()
     assert "http" not in lowered
     assert "<script" not in lowered
@@ -168,10 +172,10 @@ def test_dashboard_is_self_contained(observe_result):
 
 def test_write_dashboard_round_trip(tmp_path, observe_result):
     out = tmp_path / "dash.html"
-    path = write_dashboard(str(out), observe_result["dashboard_data"])
+    path = write_dashboard(str(out), observe_result)
     assert path == str(out)
-    assert out.read_text() == render_dashboard(observe_result["dashboard_data"])
+    assert out.read_text() == render_dashboard(observe_result)
 
 
 def test_dashboard_data_is_json_safe(observe_result):
-    json.dumps(observe_result["dashboard_data"])
+    json.dumps(observe_result)

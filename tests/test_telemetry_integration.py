@@ -18,7 +18,7 @@ from repro.hardware import Server
 from repro.models import LLAMA2_13B, MISTRAL_7B, OPT_30B
 from repro.serving import VLLMEngine
 from repro.sim import Environment
-from repro.telemetry import Telemetry, capture_trace, parse_prometheus_text
+from repro.telemetry import Observation, Telemetry, observing, parse_prometheus_text
 from repro.telemetry.timeseries import sample_key
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
@@ -233,37 +233,74 @@ def test_telemetry_is_observation_only():
 
 
 # ---------------------------------------------------------------------------
-# Ambient capture (the uniform CLI --trace path)
+# observing() (the uniform CLI --trace path)
 # ---------------------------------------------------------------------------
-def test_capture_trace_adopts_tracerless_engines(tmp_path):
-    path = tmp_path / "ambient.json"
-    with capture_trace(str(path)) as tracer:
+def test_observing_adopts_tracerless_engines():
+    with observing(Observation(trace=True), label="cell") as exports:
         rig = build_consumer_rig(
             "flexgen", OPT_30B, producer_model=LLAMA2_13B, use_aqua=True
         ).start()
-        assert rig.consumer_engine.tracer is tracer
+        tracer = rig.consumer_engine.tracer
+        assert tracer is not None
+        assert rig.producer_engine.tracer is tracer
         submit_all(rig.env, rig.consumer_engine, long_prompt_requests(start=1.0))
         rig.env.run(until=8.0)
     assert len(tracer.spans) >= 1
-    events = json.loads(path.read_text())["traceEvents"]
-    assert any(e["ph"] == "X" for e in events)
+    (export,) = exports
+    assert export["name"] == "cell/flexgen-OPT-30B"
+    assert any(e["ph"] == "X" for e in export["trace"])
 
 
-def test_capture_trace_does_not_override_explicit_tracer():
+def test_observing_does_not_override_explicit_tracer():
     from repro.trace import Tracer
 
     own = Tracer(clock=lambda: 0.0)
-    with capture_trace():
+    own.add_span("mine", "own-track", 0.0, 1.0)
+    with observing(Observation(trace=True)) as exports:
         rig = build_consumer_rig(
             "vllm", LLAMA2_13B, consumer_kwargs={"tracer": own}
         )
         assert rig.consumer_engine.tracer is own
+    # The tracer the engine holds at the end is the one exported.
+    assert [e["name"] for e in exports[0]["trace"] if e["ph"] == "X"] == ["mine"]
 
 
-def test_capture_trace_exports_even_on_error(tmp_path):
+def test_observing_exports_held_tracers_not_handed_out_ones():
+    """A tracer swapped in after the build (as the resilience rig does)
+    is exported; the hub's tracer is exported even when it shadows."""
+    from repro.trace import Tracer
+
+    swapped = Tracer()
+    swapped.add_span("swapped", "faults", 0.0, 1.0)
+    with observing(Observation(trace=True, scrape_interval=1.0)) as exports:
+        rig = build_consumer_rig("flexgen", OPT_30B, producer_model=LLAMA2_13B)
+        assert rig.consumer_engine.tracer is rig.telemetry.tracer
+        rig.consumer_engine.tracer = swapped
+        rig.telemetry.tracer.add_span("hub", "hub-track", 0.0, 1.0)
+    names = {e["name"] for e in exports[0]["trace"] if e["ph"] == "X"}
+    assert names == {"swapped", "hub"}
+    assert exports[0]["dashboard"]["scrape"]["interval"] == 1.0
+
+
+def test_observing_exports_even_on_error():
+    with pytest.raises(RuntimeError):
+        with observing(Observation(trace=True)) as exports:
+            rig = build_consumer_rig("vllm", LLAMA2_13B)
+            rig.consumer_engine.tracer.add_span("work", "t", 0.0, 1.0)
+            raise RuntimeError("boom")
+    assert any(e["ph"] == "X" for e in exports[0]["trace"])
+
+
+def test_cli_writes_trace_even_when_command_raises(tmp_path, monkeypatch):
+    from repro import cli
+
+    def failing(args):
+        rig = build_consumer_rig("vllm", LLAMA2_13B)
+        rig.consumer_engine.tracer.add_span("work", "t", 0.0, 1.0)
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "fig10", failing)
     path = tmp_path / "partial.json"
     with pytest.raises(RuntimeError):
-        with capture_trace(str(path)) as tracer:
-            tracer.add_span("work", "t", 0.0, 1.0)
-            raise RuntimeError("boom")
-    assert json.loads(path.read_text())["traceEvents"]
+        cli.main(["fig10", "--trace", str(path)])
+    assert any(e["ph"] == "X" for e in json.loads(path.read_text())["traceEvents"])
