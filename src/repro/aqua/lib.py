@@ -437,8 +437,10 @@ class AquaLib:
         if self.gather_enabled and scatter > 1:
             # Gather/scatter staging: one read + one write of the payload
             # through the consumer GPU's HBM (the custom CUDA kernels of §5).
+            # Bare-delay yield: same ordering as env.timeout(staging)
+            # without a Timeout allocation per move.
             staging = 2 * payload / self.gpu.spec.effective_hbm_bandwidth
-            yield self.env.timeout(staging)
+            yield staging
         moved = yield from self._resilient_copy(
             src, dst, payload, pieces=effective_pieces, ctx=tensor.ctx
         )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Hashable, Optional, Seque
 
 from repro.hardware.gpu import GPU
 from repro.hardware.interconnect import Channel, Interconnect, Route
-from repro.sim import AllOf, Environment
+from repro.sim import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -163,7 +163,7 @@ class Transfer:
         piece = self.nbytes / self.pieces
         return self.pieces * route.transfer_time(piece)
 
-    def _check_health(self, route: Route) -> None:
+    def _check_health(self, route: Route, endpoints: list[GPU]) -> None:
         """Raise if a fault blocks this copy.
 
         Health is checked once, at transfer start: copies already on
@@ -172,7 +172,7 @@ class Transfer:
         rejects *new* transfers).  This matches how DMA engines drain
         in flight descriptors and keeps the simulation deterministic.
         """
-        for gpu in self._endpoints():
+        for gpu in endpoints:
             if gpu.failed:
                 raise GpuFailedError(f"endpoint {gpu.name} has failed")
         stalled = [ch.name for ch in route.channels if ch.stalled]
@@ -195,14 +195,16 @@ class Transfer:
             return self
 
         route = self.interconnect.route(self.src, self.dst)
-        self._check_health(route)
+        endpoints = self._endpoints()
+        self._check_health(route, endpoints)
         # Deadlock-free acquisition: all requests issued together, granted
-        # in each channel's FIFO order, and we proceed once all are held.
+        # in each channel's FIFO order, and awaited in turn, so we proceed
+        # once all are held.
         ordered = route.sorted_channels
         requests = [ch.engine.request() for ch in ordered]
-        endpoints = self._endpoints()
         try:
-            yield AllOf(self.env, requests)
+            for request in requests:
+                yield request
             self.acquired_at = self.env.now
             duration = self.wire_time(route)
             for gpu in endpoints:

@@ -56,10 +56,11 @@ class DeepSpeedEngine(FlexGenEngine):
                 pieces=self._stream_pieces(),
             )
             self._finish_token(request)
+            step = self.model.decode_step_time(self.gpu.spec, 1, 0)
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
                 yield from self._io_step(tensor, io_bytes)
-                yield from self._compute_step()
+                yield from self._compute_step(step)
                 self._finish_token(request)
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()
@@ -81,6 +82,11 @@ class UVMEngine(FlexGenEngine):
         self.page_faults = 0
 
     def _io_step(self, tensor, nbytes: int) -> Generator:
+        if nbytes > tensor.nbytes:
+            raise ValueError(
+                f"tensor {tensor.tag}: read of {nbytes} bytes exceeds "
+                f"its {tensor.nbytes} bytes"
+            )
         pages = max(1, math.ceil(nbytes / UVM_PAGE_BYTES))
         self.page_faults += pages
         # Driver fault servicing (serialized on the CPU)...
@@ -90,8 +96,6 @@ class UVMEngine(FlexGenEngine):
         # page granularity is fixed by the driver — AQUA's gather
         # kernels cannot help here, so this bypasses the AQUA data path
         # and issues the raw page-sized transfers.
-        yield from self.server.transfer(
-            tensor.device, self.gpu, min(nbytes, tensor.nbytes), pieces=pages
-        )
+        yield from self.server.transfer(tensor.device, self.gpu, nbytes, pieces=pages)
         tensor.fetch_count += 1
         return self.env.now

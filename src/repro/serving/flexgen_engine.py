@@ -21,7 +21,6 @@ from typing import Generator
 from repro.aqua.tensor import TensorLostError
 from repro.serving.engine import LLMEngineBase
 from repro.serving.request import Request
-from repro.sim import AllOf
 
 
 class FlexGenEngine(LLMEngineBase):
@@ -60,8 +59,10 @@ class FlexGenEngine(LLMEngineBase):
         """FlexGen stores per-layer K and V tensors: 2 per layer."""
         return 2 * self.model.n_layers
 
-    # The io and compute legs of a decode step each return their finish
-    # time, so the step can be attributed to whichever leg bound it.
+    # A decode step overlaps two legs.  The compute leg runs as a child
+    # process, spawned first; the io leg runs inline in the engine
+    # process, which then waits for the child.  Each leg returns its
+    # finish time, so the step can be attributed to whichever bound it.
     def _io_step(self, tensor, nbytes: int) -> Generator:
         yield from tensor.fetch(nbytes=nbytes, pieces=self._stream_pieces())
         return self.env.now
@@ -69,26 +70,24 @@ class FlexGenEngine(LLMEngineBase):
     def _io_window(self, tensor, total: int, k: int) -> Generator:
         """The I/O leg of a coarsened window: ``k`` sequential context
         re-reads, each identical to the per-token path's (same piece
-        count, same size), issued inside one process so the window
-        costs one io∥compute barrier."""
+        count, same size), issued back to back so the whole window
+        overlaps one compute child process."""
         kv_bytes = self.model.kv_bytes
         for s in range(1, k + 1):
             yield from self._io_step(tensor, kv_bytes(total + s))
         return self.env.now
 
-    def _compute_step(self, duration: float | None = None) -> Generator:
+    def _compute_step(self, duration: float) -> Generator:
         # Streaming the weights through HBM dominates single-sequence
         # decode compute; attention math runs against the KV window that
         # is being DMA'd in concurrently.
-        if duration is None:
-            duration = self.model.decode_step_time(self.gpu.spec, 1, 0)
         yield from self.gpu.compute_op(duration)
         return self.env.now
 
-    def _mark_bound(self, request: Request, io, compute) -> None:
+    def _mark_bound(self, request: Request, io_done: float, compute_done: float) -> None:
         """Attribute the overlapped step to whichever leg finished last:
         the fetch stream, or the GPU."""
-        bound = "offload_fetch" if io.value >= compute.value else "decode_hbm"
+        bound = "offload_fetch" if io_done >= compute_done else "decode_hbm"
         self.attr_mark([request], bound)
 
     def _infer(self, request: Request) -> Generator:
@@ -122,15 +121,16 @@ class FlexGenEngine(LLMEngineBase):
 
             # Decode: every token re-reads the whole context (plus writes
             # one token of fresh KV, folded into the same stream).
+            step = self.model.decode_step_time(self.gpu.spec, 1, 0)
             if self.decode_coarsen > 1:
-                yield from self._decode_stream_window(request, tensor, max_total)
+                yield from self._decode_stream_window(request, tensor, max_total, step)
                 return
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
-                io = self.env.process(self._io_step(tensor, io_bytes))
-                compute = self.env.process(self._compute_step())
-                yield AllOf(self.env, [io, compute])
-                self._mark_bound(request, io, compute)
+                compute = self.env.process(self._compute_step(step))
+                io_done = yield from self._io_step(tensor, io_bytes)
+                compute_done = yield compute
+                self._mark_bound(request, io_done, compute_done)
                 self._finish_token(request)
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()
@@ -138,23 +138,24 @@ class FlexGenEngine(LLMEngineBase):
         finally:
             tensor.free()
 
-    def _decode_stream_window(self, request: Request, tensor, max_total: int) -> Generator:
+    def _decode_stream_window(
+        self, request: Request, tensor, max_total: int, step: float
+    ) -> Generator:
         """Time-warp coarsening of the streamed decode loop.
 
         Up to ``decode_coarsen`` per-token io∥compute rounds are fused
         into ONE overlapped window: the I/O leg replays the ``k``
-        per-token context re-reads back to back inside a single process
+        per-token context re-reads back to back in the engine process
         (:meth:`_io_window` — byte- and piece-identical to the exact
         path, so its elapsed time is the exact sum) and the compute leg
-        is ``k`` roofline decode steps in one op.  Windows are clamped
-        to end exactly on ``respond_every`` boundaries, so the AQUA
-        control-loop cadence — where migrations land — is identical to
-        the exact path.  Lazy repair is conservative: a
-        :class:`~repro.aqua.tensor.TensorLostError` mid-window unwinds
-        the *whole* window (no tokens recorded), and the requeued
-        request recomputes from its last committed token.
+        is ``k`` roofline decode steps of ``step`` seconds in one op.
+        Windows are clamped to end exactly on ``respond_every``
+        boundaries, so the AQUA control-loop cadence — where migrations
+        land — is identical to the exact path.  Lazy repair is
+        conservative: a :class:`~repro.aqua.tensor.TensorLostError`
+        mid-window unwinds the *whole* window (no tokens recorded), and
+        the requeued request recomputes from its last committed token.
         """
-        step = self.model.decode_step_time(self.gpu.spec, 1, 0)
         while not request.done and request.total_tokens < max_total:
             generated = request.generated_tokens
             k = min(
@@ -163,10 +164,10 @@ class FlexGenEngine(LLMEngineBase):
                 max_total - request.total_tokens,
                 self.respond_every - generated % self.respond_every,
             )
-            io = self.env.process(self._io_window(tensor, request.total_tokens, k))
             compute = self.env.process(self._compute_step(k * step))
-            yield AllOf(self.env, [io, compute])
-            self._mark_bound(request, io, compute)
+            io_done = yield from self._io_window(tensor, request.total_tokens, k)
+            compute_done = yield compute
+            self._mark_bound(request, io_done, compute_done)
             for _ in range(k):
                 self._finish_token(request)
             if request.generated_tokens % self.respond_every == 0:

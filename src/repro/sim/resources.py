@@ -26,6 +26,8 @@ class Request(Event):
             ...  # the slot is held here
     """
 
+    __slots__ = ("resource", "priority", "_order")
+
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
         super().__init__(resource.env)
         self.resource = resource
@@ -126,6 +128,8 @@ class PriorityResource(Resource):
 
 
 class StorePut(Event):
+    __slots__ = ("item",)
+
     def __init__(self, store: "Store", item: Any) -> None:
         super().__init__(store.env)
         self.item = item
@@ -133,6 +137,8 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
+    __slots__ = ()
+
     def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
         store._get(self)

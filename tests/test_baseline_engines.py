@@ -6,6 +6,7 @@ from repro.aqua import AquaLib, BatchInformer, Coordinator
 from repro.hardware import Server
 from repro.models import OPT_30B, SD_15
 from repro.serving import BatchEngine, DeepSpeedEngine, FlexGenEngine, Request, UVMEngine
+from repro.serving.baselines import UVM_PAGE_BYTES
 from repro.sim import Environment
 from repro.workloads import long_prompt_requests
 from repro.workloads.arrivals import submit_all
@@ -70,6 +71,29 @@ def test_uvm_on_nvlink_still_beats_uvm_on_pcie():
     pcie = run_engine(UVMEngine, paired=False)
     nvlink = run_engine(UVMEngine, paired=True)
     assert nvlink.metrics.tokens_generated > pcie.metrics.tokens_generated
+
+
+def test_uvm_read_past_tensor_end_raises():
+    """An over-long context read is a caller bug: UVM refuses it before
+    faulting a page, and a read of exactly the tensor still runs."""
+    env = Environment()
+    server = Server(env, n_gpus=2)
+    lib = AquaLib(server.gpus[0], server, Coordinator())
+    engine = UVMEngine(server.gpus[0], server, OPT_30B, aqua_lib=lib, workspace_tokens=8000)
+    tensor = lib.to_responsive_tensor(4 * UVM_PAGE_BYTES, tag="uvm-ctx")
+
+    def read(nbytes):
+        return env.process(engine._io_step(tensor, nbytes))
+
+    too_long = 4 * UVM_PAGE_BYTES + 1
+    with pytest.raises(ValueError, match=rf"uvm-ctx.*{too_long}.*{4 * UVM_PAGE_BYTES}"):
+        env.run(until=read(too_long))
+    assert engine.page_faults == 0
+    assert tensor.fetch_count == 0
+    assert env.now == 0.0
+    env.run(until=read(4 * UVM_PAGE_BYTES))
+    assert engine.page_faults == 4
+    assert tensor.fetch_count == 1
 
 
 def test_baselines_clean_up_tensors():

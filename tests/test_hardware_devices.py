@@ -427,9 +427,9 @@ def test_restore_reprices_subsequent_transfers():
 
 
 def test_interrupted_transfer_releases_granted_and_queued_claims():
-    """A Transfer interrupted while waiting in ``AllOf`` — some channel
-    requests granted, others still queued — must surrender everything
-    without corrupting FIFO order for the waiters behind it."""
+    """A Transfer interrupted while waiting for its channel grants — some
+    channel requests granted, others still queued — must surrender
+    everything without corrupting FIFO order for the waiters behind it."""
     env = Environment()
     server = Server(env, n_gpus=4, topology="nvswitch")
     g0, g1, g2, _ = server.gpus
