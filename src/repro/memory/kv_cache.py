@@ -97,31 +97,39 @@ class PagedKVCache:
         self.sequences[seq_id] = state
         return state
 
-    def try_append(self, seq_id: int) -> bool:
-        """Grow a resident sequence by one generated token if it fits.
+    def append_tokens(self, seq_ids, last=()) -> int:
+        """Grow resident sequences by one generated token each, in order.
 
-        At a block boundary one more block is taken when one is free.
-        When none is, returns ``False`` and leaves the sequence as it
-        was.
-        """
-        seq = self._resident(seq_id)
-        if seq.tokens % self.block_tokens == 0:
-            if not self.allocator.can_allocate(1):
-                return False
-            seq.blocks.extend(self.allocator.allocate(1))
-        seq.tokens += 1
-        return True
-
-    def append_token(self, seq_id: int) -> None:
-        """Grow a resident sequence by one generated token.
+        At a block boundary a sequence takes one more block.  A sequence
+        in ``last`` is released right after its token, so a later
+        sequence in the same call can reuse its blocks, exactly as with
+        one call per sequence.  Stops at the first sequence that needs a
+        block when none is free, leaving it and every later one
+        untouched, and returns how many sequences grew.
 
         Raises
         ------
         AllocationError
-            If the token needs a new block and none is free.
+            If a sequence reached before the stop is swapped out.
         """
-        if not self.try_append(seq_id):
-            raise AllocationError(f"no free block to grow sequence {seq_id}")
+        sequences = self.sequences
+        block_tokens = self.block_tokens
+        allocator = self.allocator
+        resident = Residency.RESIDENT
+        grown = 0
+        for seq_id in seq_ids:
+            seq = sequences[seq_id]
+            if seq.residency is not resident:
+                raise AllocationError(f"sequence {seq_id} is swapped out")
+            if seq.tokens % block_tokens == 0:
+                if not allocator.can_allocate(1):
+                    return grown
+                seq.blocks.extend(allocator.allocate(1))
+            seq.tokens += 1
+            grown += 1
+            if seq_id in last:
+                self.release(seq_id)
+        return grown
 
     def release(self, seq_id: int) -> None:
         """Finish a sequence and free its blocks (if resident)."""

@@ -55,13 +55,13 @@ class DeepSpeedEngine(FlexGenEngine):
                 nbytes=self.model.kv_bytes(request.prompt_tokens),
                 pieces=self._stream_pieces(),
             )
-            self._finish_token(request)
+            self._finish_tokens([request])
             step = self.model.decode_step_time(self.gpu.spec, 1, 0)
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
                 yield from self._io_step(tensor, io_bytes)
                 yield from self._compute_step(step)
-                self._finish_token(request)
+                self._finish_tokens([request])
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()
         finally:

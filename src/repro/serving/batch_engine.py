@@ -137,13 +137,9 @@ class BatchEngine:
                 duration = self.model.batch_time(self.gpu.spec, self.batch_size)
                 yield from self.gpu.compute_op(m * duration)
                 for _ in range(m):
-                    batch = [self.waiting.popleft() for _ in range(self.batch_size)]
-                    for request in batch:
-                        request.record_token(self.env.now)
-                        self.metrics.record_token(self.env.now)
-                        self.metrics.record_completion(request)
-                    self.batches_run += 1
-                    self._inform()
+                    self._complete_batch(
+                        [self.waiting.popleft() for _ in range(self.batch_size)]
+                    )
                 continue
             batch = [
                 self.waiting.popleft()
@@ -151,12 +147,17 @@ class BatchEngine:
             ]
             duration = self.model.batch_time(self.gpu.spec, len(batch))
             yield from self.gpu.compute_op(duration)
-            for request in batch:
-                request.record_token(self.env.now)
-                self.metrics.record_token(self.env.now)
-                self.metrics.record_completion(request)
-            self.batches_run += 1
-            self._inform()
+            self._complete_batch(batch)
+
+    def _complete_batch(self, batch: list[Request]) -> None:
+        """Account a finished batch: one sample per request, then inform."""
+        now = self.env.now
+        for request in batch:
+            request.record_token(now)
+            self.metrics.record_completion(request)
+        self.metrics.record_token(now, len(batch))
+        self.batches_run += 1
+        self._inform()
 
     @property
     def throughput_so_far(self) -> float:

@@ -18,9 +18,10 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.aqua.tensor import TensorLostError
+from repro.memory.allocator import AllocationError
 from repro.serving.engine import LLMEngineBase
 from repro.serving.lora_manager import LoRACache
-from repro.serving.request import Request
+from repro.serving.request import Request, context_tokens
 
 
 class CFSEngine(LLMEngineBase):
@@ -205,8 +206,7 @@ class CFSEngine(LLMEngineBase):
         self.attr_mark(fresh, "prefill_compute")
         self.flow_step(fresh, time=started)
         for request in fresh:
-            self._finish_token(request)
-            if request.done:
+            if self._finish_tokens([request]):
                 yield from self._maybe_cache_context(request)
                 self.kv.release(request.req_id)
             else:
@@ -216,6 +216,38 @@ class CFSEngine(LLMEngineBase):
         """Park a finished conversation's KV before releasing its blocks."""
         if self.context_cache is not None and request.user is not None:
             yield from self.context_cache.save(request.user, request.total_tokens)
+
+    def _decode_tokens(self, batch: list[Request]) -> Generator:
+        """Account one generated token for every sequence in ``batch``.
+
+        Each segment costs one ``append_tokens`` and one
+        ``_finish_tokens`` call.  A finished conversation whose context
+        is cached ends its segment: the save yields, and its blocks are
+        released only after it.
+        """
+        kv = self.kv
+        caching = self.context_cache is not None
+        while batch:
+            end = len(batch)
+            last = set()
+            for i, request in enumerate(batch):
+                if request.generated_tokens + 1 >= request.max_new_tokens:
+                    if caching and request.user is not None:
+                        end = i + 1
+                        break
+                    last.add(request.req_id)
+            segment, batch = batch[:end], batch[end:]
+            grown = kv.append_tokens([r.req_id for r in segment], last)
+            if grown != len(segment):
+                raise AllocationError(
+                    f"{self.name}: no free block to grow sequence "
+                    f"{segment[grown].req_id}"
+                )
+            for request in self._finish_tokens(segment):
+                if request.req_id not in last:
+                    yield from self._maybe_cache_context(request)
+                    kv.release(request.req_id)
+                self.running.remove(request)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -244,7 +276,7 @@ class CFSEngine(LLMEngineBase):
                         min(r.max_new_tokens - r.generated_tokens for r in batch),
                     )
                 n = len(batch)
-                context = sum(r.total_tokens for r in batch)
+                context = context_tokens(batch)
                 if k == 1:
                     step = self.model.decode_step_time(self.gpu.spec, n, context)
                 else:
@@ -253,15 +285,10 @@ class CFSEngine(LLMEngineBase):
                     for s in range(k):
                         step += step_time(self.gpu.spec, n, context + s * n)
                 yield from self.gpu.compute_op(step)
+                for request in batch:
+                    seen.setdefault(request.req_id, request)
                 for _ in range(k):
-                    for request in batch:
-                        seen.setdefault(request.req_id, request)
-                        self.kv.append_token(request.req_id)
-                        self._finish_token(request)
-                        if request.done:
-                            yield from self._maybe_cache_context(request)
-                            self.running.remove(request)
-                            self.kv.release(request.req_id)
+                    yield from self._decode_tokens(batch)
                 tokens_left -= k
         finally:
             if slice_batch and self.env.now > slice_started:
@@ -279,7 +306,7 @@ class CFSEngine(LLMEngineBase):
             [*self.running, *self.swapped], key=lambda r: r.total_tokens
         )
         victim.max_new_tokens = victim.generated_tokens + 1
-        self._finish_token(victim)
+        self._finish_tokens([victim])
         if victim in self.running:
             self.running.remove(victim)
             self.kv.release(victim.req_id)

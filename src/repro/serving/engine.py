@@ -172,19 +172,22 @@ class LLMEngineBase:
             self._arrival_event = self.env.event()
         yield AnyOf(self.env, [self._arrival_event, self.env.timeout(max_wait)])
 
-    def _finish_token(self, request: Request) -> None:
-        """Record one generated token, completing the request if done.
+    def _finish_tokens(self, requests) -> list[Request]:
+        """Record one generated token for each of ``requests``, in order.
 
-        Telemetry hears only of completions: the hub reads token counts
-        from :attr:`metrics` when it is collected.
+        Every token is stamped at the current ``env.now`` and counted
+        in one metrics call.  Returns the requests this token completed,
+        in order.  Telemetry hears only of completions: the hub reads
+        token counts from :attr:`metrics` when it is collected.
         """
         now = self.env.now
-        request.record_token(now)
-        self.metrics.record_token(now)
-        if request.done:
+        finished = [r for r in requests if r.record_token(now)]
+        self.metrics.record_token(now, len(requests))
+        for request in finished:
             if self.telemetry is not None:
                 self.telemetry.request_finished(self.name, request)
             self.metrics.record_completion(request)
+        return finished
 
     def _decode_window_len(self, batch) -> int:
         """Length of the next time-warp decode window for ``batch``.

@@ -117,7 +117,7 @@ class FlexGenEngine(LLMEngineBase):
                 pieces=self._stream_pieces(),
             )
             self.attr_mark([request], "offload_fetch")
-            self._finish_token(request)
+            self._finish_tokens([request])
 
             # Decode: every token re-reads the whole context (plus writes
             # one token of fresh KV, folded into the same stream).
@@ -131,7 +131,7 @@ class FlexGenEngine(LLMEngineBase):
                 io_done = yield from self._io_step(tensor, io_bytes)
                 compute_done = yield compute
                 self._mark_bound(request, io_done, compute_done)
-                self._finish_token(request)
+                self._finish_tokens([request])
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()
                     self.attr_mark([request], "offload_fetch")
@@ -168,8 +168,8 @@ class FlexGenEngine(LLMEngineBase):
             io_done = yield from self._io_window(tensor, request.total_tokens, k)
             compute_done = yield compute
             self._mark_bound(request, io_done, compute_done)
-            for _ in range(k):
-                self._finish_token(request)
+            # The window's k tokens, all stamped at its end.
+            self._finish_tokens([request] * k)
             if request.generated_tokens % self.respond_every == 0:
                 yield from self.aqua_lib.respond()
                 self.attr_mark([request], "offload_fetch")

@@ -102,11 +102,19 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     def record_token(self, now: float, n: int = 1) -> None:
+        """Count ``n`` tokens generated at ``now``.
+
+        Like :meth:`TimeSeries.append`, going back in time raises:
+        :meth:`tokens_in_window` binary-searches ``token_times``.
+        """
+        times = self.token_times
+        if times and now < times[-1]:
+            raise ValueError(
+                f"non-monotonic token time for {self.name!r}: "
+                f"t={now} precedes last token t={times[-1]}"
+            )
         self.tokens_generated += n
-        if n == 1:  # the per-decode-step fast path: no throwaway list
-            self.token_times.append(now)
-        else:
-            self.token_times.extend([now] * n)
+        times.extend([now] * n)
 
     def record_completion(self, request: Request) -> None:
         self.completed.append(request)
@@ -162,7 +170,9 @@ class MetricsCollector:
         return sum(values) / len(values) if values else float("nan")
 
     def tokens_in_window(self, start: float, end: float) -> int:
-        return sum(1 for t in self.token_times if start <= t < end)
+        """Tokens generated in the half-open window ``[start, end)``."""
+        lo = bisect_left(self.token_times, start)
+        return bisect_left(self.token_times, end, lo=lo) - lo
 
     def throughput(self, start: float, end: float) -> float:
         """Generated tokens per second over a window."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.serving.request import Request
+from repro.serving.request import Request, context_tokens
 from repro.serving.vllm_engine import VLLMEngine
 
 
@@ -53,7 +53,7 @@ class OrcaEngine(VLLMEngine):
         # no preemptions — so only the token bookkeeping replays.
         k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
         n = len(batch)
-        context = sum(r.total_tokens for r in batch)
+        context = context_tokens(batch)
         if k == 1:
             step = self.model.decode_step_time(self.gpu.spec, n, context)
         else:
@@ -71,17 +71,15 @@ class OrcaEngine(VLLMEngine):
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
+        # The reservation already covers every token: no allocation, no
+        # possibility of mid-generation OOM (that is the one thing
+        # worst-case reservation buys).  The window is clamped so no
+        # sequence finishes before its last replay.
         for _ in range(k):
-            for request in batch:
-                if request.done:
-                    continue
-                # The reservation already covers this token: no allocation,
-                # no possibility of mid-generation OOM (that is the one
-                # thing worst-case reservation buys).
-                self._finish_token(request)
-                if request.done:
-                    self.running.remove(request)
-                    self.kv.release(request.req_id)
+            finished = self._finish_tokens(batch)
+        for request in finished:
+            self.running.remove(request)
+            self.kv.release(request.req_id)
         self.iteration += k - 1
 
     @property

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 from typing import Optional
 
 from repro.models.lora import LoRAAdapter
@@ -89,18 +90,36 @@ class Request:
             return None
         return self.finish_time - self.arrival_time
 
-    def record_token(self, now: float) -> None:
-        """Account one generated token at simulation time ``now``."""
+    def record_token(self, now: float) -> bool:
+        """Account one generated token at simulation time ``now``.
+
+        Returns whether this token completed the request.
+        """
         if self.first_token_time is None:
             self.first_token_time = now
         self.generated_tokens += 1
-        if self.done and self.finish_time is None:
-            self.finish_time = now
-            if self.on_finish is not None and not self.on_finish.triggered:
-                self.on_finish.succeed(self)
+        if (
+            self.generated_tokens < self.max_new_tokens
+            or self.finish_time is not None
+        ):
+            return False
+        self.finish_time = now
+        if self.on_finish is not None and not self.on_finish.triggered:
+            self.on_finish.succeed(self)
+        return True
 
     def __repr__(self) -> str:
         return (
             f"<Request #{self.req_id} prompt={self.prompt_tokens} "
             f"gen={self.generated_tokens}/{self.max_new_tokens}>"
         )
+
+
+_PROMPT_TOKENS = attrgetter("prompt_tokens")
+_GENERATED_TOKENS = attrgetter("generated_tokens")
+
+
+def context_tokens(requests) -> int:
+    """Summed :attr:`Request.total_tokens` of ``requests`` (a decode
+    step's context), without one property call per request."""
+    return sum(map(_PROMPT_TOKENS, requests)) + sum(map(_GENERATED_TOKENS, requests))

@@ -19,7 +19,7 @@ from typing import Generator, Optional
 
 from repro.serving.engine import LLMEngineBase
 from repro.serving.lora_manager import LoRACache
-from repro.serving.request import Request
+from repro.serving.request import Request, context_tokens
 
 
 class VLLMEngine(LLMEngineBase):
@@ -113,8 +113,7 @@ class VLLMEngine(LLMEngineBase):
         for request in admitted:
             # Prefill emits the first token; preempted sequences resuming
             # via recompute have already reported theirs.
-            self._finish_token(request)
-            if request.done:
+            if self._finish_tokens([request]):
                 self.kv.release(request.req_id)
             else:
                 self.running.append(request)
@@ -135,7 +134,7 @@ class VLLMEngine(LLMEngineBase):
         batch = list(self.running)
         k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
         if k == 1:
-            context = sum(r.total_tokens for r in batch)
+            context = context_tokens(batch)
             step = self.model.decode_step_time(self.gpu.spec, len(batch), context)
             started = self.env.now
             yield from self.gpu.compute_op(step)
@@ -147,7 +146,7 @@ class VLLMEngine(LLMEngineBase):
             return
 
         n = len(batch)
-        context = sum(r.total_tokens for r in batch)
+        context = context_tokens(batch)
         spec = self.gpu.spec
         step_time = self.model.decode_step_time
         duration = 0.0
@@ -169,29 +168,43 @@ class VLLMEngine(LLMEngineBase):
     def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
         """Account one generated token for every sequence in ``batch``.
 
-        One pass: ``live`` holds the sequences still running, and
-        finished, aborted and preempted ones leave it at once;
+        The pass runs in segments: each is the run of live sequences up
+        to the first one the KV cache cannot grow, and costs one
+        ``append_tokens`` call (which also releases the sequences this
+        token completes) and one ``_finish_tokens`` call.  The needy
+        sequence then preempts a victim -- a swap-mode preemption
+        yields, so later tokens carry the later time -- and heads the
+        next segment.  ``live`` holds the sequences still running:
+        finished, aborted and preempted ones leave it at once, and
         ``self.running`` is compacted to it, in order, at the end.
         """
         live = set(self.running)
         kv = self.kv
-        for request in batch:
-            if request not in live:
-                continue  # preempted by an earlier sequence this step
-            if not kv.try_append(request.req_id):
-                yield from self._preempt_for(request, live)
-                if not kv.try_append(request.req_id):
-                    # Still no room (nothing left to preempt): end the
-                    # sequence here, as a context-length abort would.
-                    request.max_new_tokens = request.generated_tokens + 1
-                    self._finish_token(request)
-                    live.discard(request)
-                    kv.release(request.req_id)
-                    continue
-            self._finish_token(request)
-            if request.done:
-                live.discard(request)
-                kv.release(request.req_id)
+        pending = batch
+        needy = None
+        while pending:
+            segment = [r for r in pending if r in live]
+            last = {
+                r.req_id
+                for r in segment
+                if r.generated_tokens + 1 >= r.max_new_tokens
+            }
+            grown = kv.append_tokens([r.req_id for r in segment], last)
+            live.difference_update(self._finish_tokens(segment[:grown]))
+            if grown == len(segment):
+                break
+            pending = segment[grown:]
+            if pending[0] is needy:
+                # Still no room (nothing left to preempt): end the
+                # sequence here, as a context-length abort would.
+                needy.max_new_tokens = needy.generated_tokens + 1
+                self._finish_tokens([needy])
+                live.discard(needy)
+                kv.release(needy.req_id)
+                pending = pending[1:]
+                continue
+            needy = pending[0]
+            yield from self._preempt_for(needy, live)
         if len(live) != len(self.running):
             self.running[:] = [r for r in self.running if r in live]
 
@@ -225,7 +238,7 @@ class VLLMEngine(LLMEngineBase):
         (it grew, or the region shrank), as a context abort would."""
         victim = self.swapped_out.pop(0)
         victim.max_new_tokens = victim.generated_tokens + 1
-        self._finish_token(victim)
+        self._finish_tokens([victim])
         self.kv.release(victim.req_id)
         self.server.dram.pool.release(f"{self.name}:swap{victim.req_id}")
 
@@ -254,7 +267,7 @@ class VLLMEngine(LLMEngineBase):
         duration = self.model.prefill_time(self.gpu.spec, chunk)
         batch = list(self.running)
         if batch:
-            context = sum(r.total_tokens for r in batch)
+            context = context_tokens(batch)
             duration += self.model.decode_step_time(self.gpu.spec, len(batch), context)
         started = self.env.now
         yield from self.gpu.compute_op(duration)
@@ -267,8 +280,7 @@ class VLLMEngine(LLMEngineBase):
         if self.prefilling[0][1] <= 0:
             self.prefilling.pop(0)
             self.flow_step([request], time=started)
-            self._finish_token(request)
-            if request.done:
+            if self._finish_tokens([request]):
                 self.kv.release(request.req_id)
             else:
                 self.running.append(request)

@@ -4,12 +4,13 @@ Hypothesis drives random admit/append/swap/release sequences and checks
 the block-accounting invariants that the serving engines rely on.
 """
 
-import pytest
+import copy
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.memory import AllocationError, BlockAllocator, PagedKVCache
+from repro.memory import BlockAllocator, PagedKVCache
 from repro.models import MISTRAL_7B
 
 N_BLOCKS = 64
@@ -43,8 +44,36 @@ class KVCacheMachine(RuleBasedStateMachine):
         if not resident:
             return
         seq_id = data.draw(st.sampled_from(sorted(resident)))
-        if self.cache.try_append(seq_id):
+        if self.cache.append_tokens([seq_id]):
             self.model_tokens[seq_id] += 1
+
+    @rule(data=st.data())
+    def append_batch(self, data):
+        """One append_tokens call equals per-sequence appends and releases."""
+        resident = sorted(s for s in self.model_tokens if s not in self.swapped)
+        if not resident:
+            return
+        seq_ids = data.draw(st.lists(st.sampled_from(resident), unique=True))
+        last = data.draw(st.sets(st.sampled_from(seq_ids))) if seq_ids else set()
+        reference = copy.deepcopy(self.cache)
+        expected = 0
+        for seq_id in seq_ids:
+            if not reference.append_tokens([seq_id]):
+                break
+            expected += 1
+            if seq_id in last:
+                reference.release(seq_id)
+        grown = self.cache.append_tokens(seq_ids, last)
+        assert grown == expected
+        for seq_id in seq_ids[:grown]:
+            if seq_id in last:
+                del self.model_tokens[seq_id]
+            else:
+                self.model_tokens[seq_id] += 1
+        assert self.cache.allocator._free == reference.allocator._free
+        assert {
+            s: (q.tokens, q.blocks) for s, q in self.cache.sequences.items()
+        } == {s: (q.tokens, q.blocks) for s, q in reference.sequences.items()}
 
     @rule()
     def append_into_full_cache(self):
@@ -61,10 +90,7 @@ class KVCacheMachine(RuleBasedStateMachine):
         assert allocator.free_blocks == 0
         seq = self.cache.sequences[seq_id]
         blocks = list(seq.blocks)
-        assert not self.cache.try_append(seq_id)
-        assert seq.tokens == tokens and seq.blocks == blocks
-        with pytest.raises(AllocationError):
-            self.cache.append_token(seq_id)
+        assert self.cache.append_tokens([seq_id]) == 0
         assert seq.tokens == tokens and seq.blocks == blocks
 
     @rule(data=st.data())

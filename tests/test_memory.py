@@ -207,10 +207,46 @@ def test_cache_append_allocates_at_block_boundary():
     cache = make_cache()
     cache.admit(1, tokens=16)
     assert len(cache.sequences[1].blocks) == 1
-    cache.append_token(1)  # 17th token needs a second block
+    assert cache.append_tokens([1]) == 1  # 17th token needs a second block
     assert len(cache.sequences[1].blocks) == 2
-    cache.append_token(1)  # 18th token does not
+    assert cache.append_tokens([1]) == 1  # 18th token does not
     assert len(cache.sequences[1].blocks) == 2
+
+
+def test_append_tokens_stops_at_first_sequence_without_a_block():
+    cache = make_cache(n_blocks=4)
+    cache.admit(1, tokens=5)
+    cache.admit(2, tokens=16)  # at a block boundary
+    cache.admit(3, tokens=7)
+    cache.admit(4, tokens=3)  # fills the last free block
+    needy = cache.sequences[2]
+    blocks = list(needy.blocks)
+    assert cache.append_tokens([1, 2, 3]) == 1
+    assert cache.sequences[1].tokens == 6
+    assert needy.tokens == 16 and needy.blocks == blocks  # untouched
+    assert cache.sequences[3].tokens == 7  # never reached
+
+
+def test_append_tokens_releases_last_and_reuses_its_block():
+    cache = make_cache(n_blocks=2)
+    cache.admit(1, tokens=10)
+    cache.admit(2, tokens=16)  # its next token needs a block
+    freed = cache.sequences[1].blocks[0]
+    assert cache.allocator.free_blocks == 0
+    assert cache.append_tokens([1, 2], last={1}) == 2
+    assert 1 not in cache.sequences
+    assert cache.sequences[2].blocks[-1] == freed
+    assert cache.sequences[2].tokens == 17
+
+
+def test_append_tokens_rejects_a_swapped_sequence():
+    cache = make_cache()
+    cache.admit(1, tokens=4)
+    cache.admit(2, tokens=4)
+    cache.swap_out(2)
+    with pytest.raises(AllocationError):
+        cache.append_tokens([1, 2])
+    assert cache.sequences[1].tokens == 5  # grown before the swapped one
 
 
 def test_cache_can_admit_respects_capacity():
@@ -244,7 +280,7 @@ def test_cache_swapped_sequence_operations_rejected():
     cache.admit(1, tokens=16)
     cache.swap_out(1)
     with pytest.raises(AllocationError):
-        cache.append_token(1)
+        cache.append_tokens([1])
     with pytest.raises(AllocationError):
         cache.swap_out(1)
     cache.swap_in(1)

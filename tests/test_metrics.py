@@ -161,6 +161,17 @@ def test_collector_throughput_window():
         m.throughput(4, 4)
 
 
+def test_collector_token_times_must_not_go_backwards():
+    m = MetricsCollector("test")
+    m.record_token(2.0, n=2)
+    m.record_token(2.0)  # equal timestamps are legal
+    with pytest.raises(ValueError, match="non-monotonic"):
+        m.record_token(1.5)
+    assert m.tokens_generated == 3
+    assert m.tokens_in_window(2.0, 2.5) == 3
+    assert m.tokens_in_window(0.0, 2.0) == 0
+
+
 def test_collector_summary():
     m = MetricsCollector("summary")
     m.record_completion(finished_request(0, 1, 2))
@@ -203,6 +214,14 @@ def test_request_lifecycle():
     assert r.done
     assert r.rct == 3.0
     assert r.total_tokens == 12
+
+
+def test_request_record_token_reports_the_completing_token():
+    r = Request(arrival_time=0.0, prompt_tokens=4, max_new_tokens=3)
+    assert [r.record_token(t) for t in (1.0, 2.0, 3.0)] == [False, False, True]
+    assert r.finish_time == 3.0
+    assert r.record_token(4.0) is False  # already complete
+    assert r.finish_time == 3.0
 
 
 def test_request_validation():
