@@ -92,8 +92,10 @@ class ServerFrontend:
         self.env.process(self._serve(request))
 
     def _serve(self, request: "Request"):
+        # Bare-delay sleeps: nothing interrupts a serving process, and
+        # the kernel orders ``yield d`` exactly like ``env.timeout(d)``.
         spec, gpu = self.spec, self.gpu_spec
-        yield self.env.timeout(spec.prefill_time(gpu, request.prompt_tokens))
+        yield spec.prefill_time(gpu, request.prompt_tokens)
         request.first_token_time = self.env.now
         request.generated_tokens = 1
         steps = request.max_new_tokens - 1
@@ -105,7 +107,7 @@ class ServerFrontend:
             batch = self.active
             context = request.prompt_tokens + steps // 2
             step = spec.decode_step_time(gpu, batch, batch * context)
-            yield self.env.timeout(steps * step)
+            yield steps * step
         request.generated_tokens = request.max_new_tokens
         request.finish_time = self.env.now
         if request.on_finish is not None and not request.on_finish.triggered:

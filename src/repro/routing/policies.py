@@ -155,9 +155,9 @@ class SLOAwarePolicy(RoutingPolicy):
     Wraps the PR 8 :class:`~repro.telemetry.slo.SLOTracker`: the router
     registers one per-server TTFT objective per frontend (named
     ``ttft:<server>``), and this policy reads their windowed attainment.
-    Scores are recomputed only at scrape ticks (:meth:`refresh`) — the
-    tracker's attainment scan walks its outcome deque, so doing it per
-    request would be quadratic in offered load.  A server with no
+    Scores are recomputed only at scrape ticks (:meth:`refresh`), so
+    routing reads a per-tick snapshot of the SLO state rather than one
+    that shifts with every completion.  A server with no
     recent outcomes scores a neutral 1.0 (no evidence against it).
     Ties break least-loaded, then lowest index, so the policy degrades
     to least-loaded when every server is meeting its SLO.
@@ -189,10 +189,13 @@ class SLOAwarePolicy(RoutingPolicy):
         self._scores = scores
 
     def choose(self, request, tenant, frontends):
-        return min(
-            range(len(frontends)),
-            key=lambda i: (-self._scores[i], frontends[i].depth, i),
-        )
+        scores = self._scores
+        best, best_key = 0, (-scores[0], frontends[0].depth, 0)
+        for i in range(1, len(frontends)):
+            key = (-scores[i], frontends[i].depth, i)
+            if key < best_key:
+                best, best_key = i, key
+        return best
 
 
 #: Policy registry: the ``aqua-repro frontier --policies`` vocabulary.

@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default tenant for untagged traffic.
 DEFAULT_TENANT = "default"
 
+#: Ledger event lines buffered per ``sha256.update`` call.  SHA-256 is
+#: streaming, so the digest does not depend on how lines are grouped;
+#: the bound keeps the buffer's memory small on long runs.
+_HASH_BATCH = 256
+
 
 class RequestLedger:
     """Shed-aware conservation books for the router.
@@ -57,6 +62,7 @@ class RequestLedger:
         self.per_tenant: dict[str, dict] = {}
         self.listeners: list[Callable[[str, str, str], None]] = []
         self._hash = hashlib.sha256()
+        self._unhashed: list[str] = []
 
     @property
     def shed_total(self) -> int:
@@ -65,7 +71,13 @@ class RequestLedger:
     @property
     def digest(self) -> str:
         """SHA-256 over the ledger's event sequence so far."""
+        self._flush()
         return self._hash.hexdigest()
+
+    def _flush(self) -> None:
+        if self._unhashed:
+            self._hash.update("".join(self._unhashed).encode("utf-8"))
+            self._unhashed.clear()
 
     def _tenant(self, tenant: str) -> dict:
         books = self.per_tenant.get(tenant)
@@ -80,7 +92,10 @@ class RequestLedger:
         return books
 
     def _event(self, kind: str, tenant: str, detail: str) -> None:
-        self._hash.update(f"{kind}|{tenant}|{detail}\n".encode("utf-8"))
+        unhashed = self._unhashed
+        unhashed.append(f"{kind}|{tenant}|{detail}\n")
+        if len(unhashed) >= _HASH_BATCH:
+            self._flush()
         for listener in self.listeners:
             listener(kind, tenant, detail)
 

@@ -13,9 +13,14 @@ is still happening).  Alerts fire as simulated events — instants on the
 triggers — at the scrape tick that detects them.
 
 Tenancy rides the existing ``engine`` label: an objective's ``tenant``
-is a substring matched against engine names (the same matching rule
-fault schedules use for channels), so one policy can cover a
+is matched against engine names as a whole name part (see
+:meth:`SLObjective.matches`), so one policy can cover a
 consumer/producer pair or a whole fleet of tenant-named engines.
+
+Each objective keeps its outcomes as a sorted time list plus, per
+outcome, the lifetime good count before it, so a trailing window is
+answered with one ``bisect`` and a subtraction rather than a walk over
+every kept outcome.
 
 Everything here is observation-only: the tracker never schedules
 events or touches simulation state — it piggybacks on the scraper's
@@ -24,7 +29,7 @@ ticks, so audit digests are identical with SLO tracking on or off.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -42,6 +47,11 @@ LATENCY_METRICS = ("ttft", "tpot", "e2e")
 METRICS = LATENCY_METRICS + ("goodput",)
 
 
+def _splits_word(name: str, i: int) -> bool:
+    """Whether position ``i`` of ``name`` lies between two letters/digits."""
+    return 0 < i < len(name) and name[i - 1].isalnum() and name[i].isalnum()
+
+
 @dataclass(frozen=True)
 class SLObjective:
     """One declarative objective for one tenant.
@@ -51,8 +61,11 @@ class SLObjective:
     name:
         Stable identifier (label value on the SLO metric families).
     tenant:
-        Substring matched against engine names; the objective applies
-        to every engine whose name contains it.
+        Matched against engine names (see :meth:`matches`): the
+        objective applies to every engine whose name contains
+        ``tenant`` as a whole part, so ``"producer"`` covers
+        ``"pair0-producer-LLAMA2-13B"`` and ``"server1"`` covers
+        ``"server1"`` but not ``"server10"``.
     metric:
         ``"ttft"`` / ``"tpot"`` / ``"e2e"`` — per-request deadlines in
         seconds — or ``"goodput"`` — a tokens/s floor evaluated per
@@ -80,6 +93,24 @@ class SLObjective:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
+
+    def matches(self, engine: str) -> bool:
+        """Whether this objective judges the engine named ``engine``.
+
+        The rule: ``tenant`` occurs in ``engine`` at a place where
+        neither end of the occurrence falls between two letters or
+        digits of the name.  Separators such as ``-`` or the ends of
+        the name bound a match; a longer run of letters and digits
+        (``server10`` around ``server1``) does not.
+        """
+        tenant = self.tenant
+        start = engine.find(tenant)
+        while start >= 0:
+            end = start + len(tenant)
+            if not (_splits_word(engine, start) or _splits_word(engine, end)):
+                return True
+            start = engine.find(tenant, start + 1)
+        return False
 
     def to_dict(self) -> dict:
         return {
@@ -219,8 +250,15 @@ class _ObjectiveState:
     """Rolling outcomes and alert state for one objective."""
 
     objective: SLObjective
-    #: (time, good) outcomes, pruned to the longest alerting window.
-    outcomes: deque = field(default_factory=deque)
+    #: Outcome times, non-decreasing.  Entries before ``head`` are
+    #: pruned (older than the longest alerting window); the lists are
+    #: compacted once the pruned head is more than half of them.
+    times: list = field(default_factory=list)
+    #: ``good_before[i]``: lifetime good count before outcome ``i``,
+    #: so the good outcomes from ``i`` on number ``good_total -
+    #: good_before[i]``.
+    good_before: list = field(default_factory=list)
+    head: int = 0
     attainment: Optional[RingSeries] = None
     #: severity -> currently-firing flag (alerts fire on rising edges).
     active: dict = field(default_factory=dict)
@@ -257,6 +295,9 @@ class SLOTracker:
         self.alerts: list[dict] = []
         self.on_alert: list[Callable[[dict], None]] = []
         self._horizon = max(w.long_s for w in policy.windows)
+        #: Engine label -> latency-objective states that judge it,
+        #: resolved on the label's first completion.
+        self._latency_states: dict[str, list[_ObjectiveState]] = {}
         self._states = {
             o.name: _ObjectiveState(
                 objective=o,
@@ -295,13 +336,17 @@ class SLOTracker:
     # ------------------------------------------------------------------
     def observe_request(self, engine: str, request: "Request") -> None:
         """Judge one finished request against every matching objective."""
+        states = self._latency_states.get(engine)
+        if states is None:
+            states = self._latency_states[engine] = [
+                state
+                for state in self._states.values()
+                if state.objective.metric in LATENCY_METRICS
+                and state.objective.matches(engine)
+            ]
         now = self.env.now
-        for state in self._states.values():
+        for state in states:
             objective = state.objective
-            if objective.metric not in LATENCY_METRICS:
-                continue
-            if objective.tenant not in engine:
-                continue
             value = self._latency_value(objective.metric, request)
             if value is None:
                 continue
@@ -322,7 +367,14 @@ class SLOTracker:
         return (request.rct - request.ttft) / (request.generated_tokens - 1)
 
     def _record_outcome(self, state: _ObjectiveState, now: float, good: bool) -> None:
-        state.outcomes.append((now, good))
+        times = state.times
+        if times and now < times[-1]:
+            raise ValueError(
+                f"SLO outcome for {state.objective.name!r} at t={now} precedes "
+                f"the last one at t={times[-1]}"
+            )
+        times.append(now)
+        state.good_before.append(state.good_total)
         if good:
             state.good_total += 1
         else:
@@ -370,12 +422,12 @@ class SLOTracker:
             demand = any(
                 count > 0
                 for engine, count in in_flight.items()
-                if objective.tenant in engine
+                if objective.matches(engine)
             )
             streamed = any(
                 value > 0
                 for engine, value in tokens_now.items()
-                if objective.tenant in engine
+                if objective.matches(engine)
             )
             if not (demand and streamed):
                 continue
@@ -383,16 +435,28 @@ class SLOTracker:
             rate = sum(
                 (value - self._last_tokens.get(engine, 0.0)) / dt
                 for engine, value in tokens_now.items()
-                if objective.tenant in engine
+                if objective.matches(engine)
             )
             self._record_outcome(state, now, rate >= objective.threshold)
         self._last_tokens = tokens_now
 
     def _prune(self, state: _ObjectiveState, now: float) -> None:
-        horizon = now - self._horizon
-        outcomes = state.outcomes
-        while outcomes and outcomes[0][0] < horizon:
-            outcomes.popleft()
+        times = state.times
+        head = bisect_left(times, now - self._horizon, state.head)
+        if 2 * head > len(times):
+            del times[:head]
+            del state.good_before[:head]
+            head = 0
+        state.head = head
+
+    @staticmethod
+    def _window(state: _ObjectiveState, start: float) -> tuple[int, int]:
+        """``(total, good)`` over the kept outcomes at or after ``start``."""
+        i = bisect_left(state.times, start, state.head)
+        total = len(state.times) - i
+        if total == 0:
+            return 0, 0
+        return total, state.good_total - state.good_before[i]
 
     def _evaluate(self, state: _ObjectiveState, now: float) -> None:
         objective = state.objective
@@ -422,17 +486,10 @@ class SLOTracker:
     ) -> Optional[float]:
         """Error-budget burn rate over the trailing window, or ``None``
         when the window holds no outcomes (no data is not an outage)."""
-        start = now - window_s
-        total = bad = 0
-        for t, good in state.outcomes:
-            if t < start:
-                continue
-            total += 1
-            if not good:
-                bad += 1
+        total, good = self._window(state, now - window_s)
         if total == 0:
             return None
-        return (bad / total) / budget
+        return ((total - good) / total) / budget
 
     def _fire(
         self,
@@ -483,15 +540,7 @@ class SLOTracker:
         ``None`` when the window holds no outcomes."""
         if now is None:
             now = self.env.now
-        state = self._states[objective_name]
-        start = now - window_s
-        total = good = 0
-        for t, ok in state.outcomes:
-            if t < start:
-                continue
-            total += 1
-            if ok:
-                good += 1
+        total, good = self._window(self._states[objective_name], now - window_s)
         if total == 0:
             return None
         return good / total

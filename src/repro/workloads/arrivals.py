@@ -221,6 +221,10 @@ def multi_region_tenants(
     ]
 
 
+#: Master arrivals :func:`nhpp_trace` converts to Python lists at a time.
+_THINNING_CHUNK = 4096
+
+
 def _master_arrival_times(
     rng: np.random.Generator, rate_cap: float, duration: float
 ) -> list[float]:
@@ -305,24 +309,43 @@ def nhpp_trace(
 
     total_weight = sum(p.weight for p in profiles)
     boundaries = np.cumsum([p.weight / total_weight for p in profiles])
+    last_tenant = len(profiles) - 1
+    names = [p.name for p in profiles]
+    # The loop reads plain Python numbers, one chunk of master arrivals
+    # at a time so that only one chunk's lists are alive at once; each
+    # chunk picks its tenants with one vectorised lookup.  The
+    # thinning test stays a per-arrival Python call: ``shape.fn`` uses
+    # ``math`` functions, which a vectorised ``np`` twin could round
+    # differently in the last place.
     trace: list[tuple[str, Request]] = []
-    for i in range(n):
-        which = int(np.searchsorted(boundaries, tenant_u[i], side="right"))
-        which = min(which, len(profiles) - 1)
-        if keep_u[i] * rate_cap >= rate * shapes[which](times[i]):
-            continue
-        trace.append(
-            (
-                profiles[which].name,
-                Request(
-                    arrival_time=start + times[i],
-                    prompt_tokens=int(prompts[i]),
-                    max_new_tokens=int(news[i]),
-                    user=int(user_ids[i]),
-                    req_id=i,
-                ),
-            )
+    for lo in range(0, n, _THINNING_CHUNK):
+        hi = lo + _THINNING_CHUNK
+        tenant_ix = np.minimum(
+            np.searchsorted(boundaries, tenant_u[lo:hi], side="right"), last_tenant
         )
+        for i, t, keep, which, prompt, new, user in zip(
+            range(lo, min(hi, n)),
+            times[lo:hi],
+            keep_u[lo:hi].tolist(),
+            tenant_ix.tolist(),
+            prompts[lo:hi].tolist(),
+            news[lo:hi].tolist(),
+            user_ids[lo:hi].tolist(),
+        ):
+            if keep * rate_cap >= rate * shapes[which](t):
+                continue
+            trace.append(
+                (
+                    names[which],
+                    Request(
+                        arrival_time=start + t,
+                        prompt_tokens=prompt,
+                        max_new_tokens=new,
+                        user=user,
+                        req_id=i,
+                    ),
+                )
+            )
     return trace
 
 

@@ -10,6 +10,8 @@ violations.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.telemetry import Telemetry
@@ -96,6 +98,22 @@ def test_latency_outcomes_respect_tenant_substring():
     assert (state.good_total, state.bad_total) == (1, 1)
 
 
+def test_tenant_matches_whole_name_parts_only():
+    server1 = SLObjective("ttft:server1", "server1", "ttft", 1.0)
+    assert server1.matches("server1")
+    assert not server1.matches("server10")
+    assert not server1.matches("server11")
+    assert not server1.matches("xserver1")
+    # The default two-tenant policy still covers the rigs' engine names.
+    consumer, producer, _ = default_slo_policy().objectives
+    for engine in ("flexgen-OPT-30B", "pair3-flexgen-OPT-30B"):
+        assert consumer.matches(engine) and not producer.matches(engine)
+    for engine in ("producer-LLAMA2-13B", "pair0-producer-LLAMA2-13B"):
+        assert producer.matches(engine) and not consumer.matches(engine)
+    # A later occurrence can match when an earlier one splits a word.
+    assert SLObjective("x", "eng", "ttft", 1.0).matches("engine/eng")
+
+
 def test_tpot_derived_from_first_and_last_token():
     env, tracker = _tracker(SLObjective("tpot", "eng", "tpot", 0.5, target=0.9))
     # 10 tokens over 4.5s of decode -> 0.5s/token exactly: on-threshold is good.
@@ -113,10 +131,63 @@ def test_burn_rate_math_and_empty_window():
     assert tracker._burn(state, now=0.0, window_s=10.0, budget=budget) is None
     # 2 bad out of 4 -> error rate 0.5 -> burn 5x budget.
     for t, good in [(1.0, True), (2.0, False), (3.0, True), (4.0, False)]:
-        state.outcomes.append((t, good))
+        tracker._record_outcome(state, t, good)
     assert tracker._burn(state, now=4.0, window_s=10.0, budget=budget) == 5.0
     # Short trailing window only sees the last (bad) outcome: total burn.
     assert tracker._burn(state, now=4.0, window_s=0.5, budget=budget) == 10.0
+
+
+def test_outcomes_must_arrive_in_time_order():
+    env, tracker = _tracker(SLObjective("e2e", "eng", "e2e", 1.0, target=0.9))
+    state = tracker._states["e2e"]
+    tracker._record_outcome(state, 2.0, True)
+    with pytest.raises(ValueError, match="precedes"):
+        tracker._record_outcome(state, 1.0, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.floats(0.0, 3.0),  # time advance
+            st.lists(st.booleans(), max_size=12),  # outcomes at that time
+            st.booleans(),  # scrape (prune) afterwards
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    windows=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+)
+def test_windows_match_a_naive_walk_over_kept_outcomes(steps, windows):
+    """``attainment`` and ``_burn`` agree with a plain walk over the
+    outcomes a tracker keeps, however often pruning compacts them —
+    including windows longer than the prune horizon."""
+    objective = SLObjective("e2e", "eng", "e2e", 1.0, target=0.9)
+    env, tracker = _tracker(
+        objective, windows=[BurnRateWindow(long_s=10.0, short_s=2.0, factor=2.0)]
+    )
+    state = tracker._states["e2e"]
+    kept = []  # (time, good), pruned exactly like the tracker's horizon
+    now = 0.0
+    for advance, outcomes, scrape in steps:
+        now += advance
+        for good in outcomes:
+            tracker._record_outcome(state, now, good)
+            kept.append((now, good))
+        if scrape:
+            tracker.on_scrape(now)
+            kept = [(t, good) for t, good in kept if t >= now - 10.0]
+        for window_s in windows + [10.0, 2.0]:
+            in_window = [good for t, good in kept if t >= now - window_s]
+            total, good = len(in_window), sum(in_window)
+            expected = good / total if total else None
+            assert tracker.attainment("e2e", window_s, now) == expected
+            burn = tracker._burn(state, now, window_s, 0.1)
+            assert burn == (((total - good) / total) / 0.1 if total else None)
+    assert (state.good_total, state.bad_total) == (
+        sum(good for _, outcomes, _ in steps for good in outcomes),
+        sum(not good for _, outcomes, _ in steps for good in outcomes),
+    )
 
 
 def test_alert_fires_on_rising_edge_only():
