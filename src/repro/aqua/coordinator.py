@@ -541,10 +541,6 @@ class Coordinator:
                 a.nbytes for a in self.allocations.values() if a.location == producer
             )
 
-    def tensors_of(self, consumer: str) -> list[Allocation]:
-        with self._lock:
-            return [a for a in self.allocations.values() if a.consumer == consumer]
-
     def audit_snapshot(self) -> dict:
         """One consistent view of the books, taken under the lock.
 

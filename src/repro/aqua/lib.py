@@ -161,10 +161,6 @@ class AquaLib:
             yield from self._migrate(tensor, target)
         self.respond_blocked_time += self.env.now - started
 
-    def free_tensor(self, tensor: AquaTensor) -> None:
-        """Release an AQUA tensor (engine-facing alias of ``tensor.free()``)."""
-        tensor.free()
-
     # ------------------------------------------------------------------
     # The consumer control-loop interface, exactly as named in §B.1.
     # respond() composes these three calls; they are also exposed
@@ -280,11 +276,6 @@ class AquaLib:
     # ==================================================================
     # Placement accounting and data-plane moves
     # ==================================================================
-    def _device_of(self, location: str) -> Hashable:
-        if location == DRAM:
-            return self.server.dram
-        return self.coordinator.devices[location]
-
     def _account_placement(self, tensor: AquaTensor, location: str) -> None:
         """Point a tensor at its (new) location and fix pool accounting."""
         if location == DRAM:

@@ -151,7 +151,6 @@ class ConservationAuditor:
         self.transfers_observed = 0
         self._servers: list["Server"] = []
         self._coordinators: list["Coordinator"] = []
-        self._extra_libs: list["AquaLib"] = []
         #: Shadow ledger, keyed by channel name (channel names are
         #: globally unique; cluster fabrics share channel objects
         #: between server interconnects).
@@ -202,13 +201,6 @@ class ConservationAuditor:
         """Audit a coordinator's leases/allocations against its libs' books."""
         if coordinator not in self._coordinators:
             self._coordinators.append(coordinator)
-        return self
-
-    def attach_lib(self, lib: "AquaLib") -> "ConservationAuditor":
-        """Explicitly register an AQUA-LIB instance (normally discovered
-        through ``coordinator.libs``)."""
-        if lib not in self._extra_libs:
-            self._extra_libs.append(lib)
         return self
 
     # ==================================================================
@@ -388,8 +380,6 @@ class ConservationAuditor:
         libs: dict[str, "AquaLib"] = {}
         for coordinator in self._coordinators:
             libs.update(coordinator.libs)
-        for lib in self._extra_libs:
-            libs[lib.name] = lib
         return libs
 
     def _check_pools_and_placement(self, checkpoint: str) -> None:

@@ -1,5 +1,9 @@
 """Command-line interface: run any paper experiment from the shell.
 
+Every entry of :data:`repro.experiments.runall.EXPERIMENTS` without a
+hand-written command here is a subcommand of the same name: its flags
+are the cell's keyword parameters, and it prints the cell's table.
+
 Examples::
 
     aqua-repro list
@@ -13,222 +17,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Callable
 
-from repro.experiments import figures, report
-
-
-def _print(obj) -> None:
-    print(json.dumps(obj, indent=2, default=str))
-
-
-def cmd_fig01(args) -> None:
-    result = figures.fig01_motivation(rate=args.rate, count=args.count)
-    rows = []
-    for label, data in result.items():
-        s = data["summary"]
-        rows.append(
-            [
-                label,
-                s.get("ttft_mean"),
-                s.get("ttft_p95"),
-                s.get("rct_mean"),
-                s.get("rct_p95"),
-            ]
-        )
-    print(
-        report.format_table(
-            ["system", "ttft_mean_s", "ttft_p95_s", "rct_mean_s", "rct_p95_s"],
-            rows,
-            title=f"Figure 1: responsiveness vs throughput ({args.rate} req/s)",
-        )
-    )
-
-
-def cmd_fig02(args) -> None:
-    result = figures.fig02_contention()
-    for model, rows in result.items():
-        print(
-            report.format_table(
-                ["batch", "throughput/s", "free_GiB"],
-                [[r["batch"], r["throughput"], r["free_gib"]] for r in rows],
-                title=f"Figure 2: {model}",
-            )
-        )
-        print()
-
-
-def cmd_fig03(args) -> None:
-    bw = figures.fig03a_interconnect_bandwidth()
-    print(
-        report.format_table(
-            ["size_bytes", "NVLink_GB/s", "PCIe_GB/s"],
-            [[r["size_bytes"], r["nvlink_gbps"], r["pcie_gbps"]] for r in bw["rows"]],
-            title="Figure 3a: effective bandwidth vs transfer size",
-        )
-    )
-    impact = figures.fig03b_sharing_impact(duration=args.duration)
-    print()
-    print(
-        report.format_table(
-            ["isolated/s", "shared/s", "impact"],
-            [
-                [
-                    impact["isolated_throughput"],
-                    impact["shared_throughput"],
-                    f"{impact['impact_fraction']:.1%}",
-                ]
-            ],
-            title="Figure 3b: producer throughput while donating memory",
-        )
-    )
-
-
-def cmd_fig07(args) -> None:
-    result = figures.fig07_longprompt(duration=args.duration, jobs=args.jobs)
-    print(
-        report.format_table(
-            ["system", "tokens", "speedup"],
-            [[k, v["tokens"], v["speedup"]] for k, v in result.items()],
-            title=f"Figure 7: long-prompt tokens in {args.duration:.0f}s",
-        )
-    )
-
-
-def cmd_fig08(args) -> None:
-    result = figures.fig08_lora(rate=args.rate, count=args.count)
-    rows = []
-    for label, data in result.items():
-        s = data["summary"]
-        rows.append([label, s.get("rct_p50"), s.get("rct_mean"), s.get("rct_p95")])
-    print(
-        report.format_table(
-            ["system", "rct_p50_s", "rct_mean_s", "rct_p95_s"],
-            rows,
-            title="Figure 8: LoRA adapter serving",
-        )
-    )
-
-
-def cmd_fig09(args) -> None:
-    result = figures.fig09_cfs(
-        rates=tuple(args.rates), count=args.count, jobs=args.jobs
-    )
-    for rate, systems in result.items():
-        rows = []
-        for label, data in systems.items():
-            s = data["summary"]
-            rows.append(
-                [label, s.get("ttft_mean"), s.get("ttft_p95"), s.get("rct_mean")]
-            )
-        print(
-            report.format_table(
-                ["system", "ttft_mean_s", "ttft_p95_s", "rct_mean_s"],
-                rows,
-                title=f"Figure 9: CFS responsiveness at {rate} req/s",
-            )
-        )
-        print()
-
-
-def cmd_fig10(args) -> None:
-    result = figures.fig10_elastic()
-    print("Figure 10: elastic memory sharing")
-    print(f"consumer tokens total: {result['consumer_tokens_total']}")
-    samples = result["free_memory_gib"]
-    step = max(1, len(samples) // 20)
-    print(
-        report.format_table(
-            ["t_s", "engine_free_GiB"],
-            [[f"{t:.0f}", v] for t, v in samples[::step]],
-        )
-    )
-
-
-def cmd_fig11(args) -> None:
-    result = figures.fig11_producer_overhead()
-    base, aqua = result["baseline"], result["aqua"]
-
-    def mid(xs):
-        return xs[len(xs) // 2] if xs else float("nan")
-
-    print(
-        report.format_table(
-            ["system", "completed", "rct_p50_s", "rct_max_s"],
-            [
-                ["baseline", len(base), mid(base), max(base, default=float("nan"))],
-                ["aqua-producer", len(aqua), mid(aqua), max(aqua, default=float("nan"))],
-            ],
-            title="Figure 11: producer-side overhead of donating memory",
-        )
-    )
-
-
-def cmd_fig12(args) -> None:
-    result = figures.fig12_tensor_size(count=args.count, jobs=args.jobs)
-    rows = []
-    for size, data in result.items():
-        rows.append(
-            [
-                size,
-                data["baseline"]["summary"].get("rct_mean"),
-                data["aqua"]["summary"].get("rct_mean"),
-                data["rct_mean_saved"],
-            ]
-        )
-    print(
-        report.format_table(
-            ["adapter", "baseline_rct_s", "aqua_rct_s", "saved_s"],
-            rows,
-            title="Figure 12: AQUA benefit vs offloaded tensor size",
-        )
-    )
-
-
-def cmd_fig13(args) -> None:
-    result = figures.fig13_chatbot(n_users=args.users, turns=args.turns)
-    rows = []
-    for label, data in result.items():
-        s = data["summary"]
-        rows.append(
-            [
-                label,
-                data["turns_completed"],
-                s.get("ttft_mean"),
-                s.get("rct_mean"),
-                s.get("rct_max"),
-            ]
-        )
-    print(
-        report.format_table(
-            ["system", "turns", "ttft_mean_s", "rct_mean_s", "rct_max_s"],
-            rows,
-            title="Figure 13: chatbot responsiveness over turns",
-        )
-    )
-
-
-def cmd_fig14(args) -> None:
-    result = figures.fig14_placer_convergence(gpu_counts=tuple(args.gpus))
-    print(
-        report.format_table(
-            ["gpus", "mixed_s", "llm5050_s"],
-            [
-                [r["gpus"], r["mixed_seconds"], r["llm5050_seconds"]]
-                for r in result["rows"]
-            ],
-            title="Figure 14: AQUA-PLACER convergence time",
-        )
-    )
-
-
-def cmd_fig18(args) -> None:
-    result = figures.fig18_nvswitch_stress(duration=args.duration)
-    print("Figure 18: NVSwitch stress (4 consumers + 4 producers)")
-    print(f"per-consumer tokens: {result['per_consumer_tokens']}")
-    print(f"2-GPU reference:     {result['two_gpu_reference_tokens']}")
+from repro.experiments import report
+from repro.experiments.runall import EXPERIMENTS, run_all
 
 
 def cmd_resilience(args) -> int:
@@ -365,29 +160,7 @@ def cmd_observe(args) -> int:
     return 0
 
 
-def cmd_tables(args) -> None:
-    for title, rows in (
-        ("Table 1: LLM jobs with memory deficit", figures.table1_deficit_jobs()),
-        ("Table 2: LLM jobs with excess memory", figures.table2_excess_llm_jobs()),
-        ("Table 3: image/audio producers", figures.table3_producer_jobs()),
-    ):
-        print(
-            report.format_table(
-                ["model", "workload", "engine"],
-                [[r["model"], r["workload"], r["engine"]] for r in rows],
-                title=title,
-            )
-        )
-        print()
-
-
-def cmd_e2e(args) -> None:
-    _print(figures.e2e_cluster_placement())
-
-
 def cmd_all(args) -> None:
-    from repro.experiments.runall import run_all
-
     run_all(
         args.out,
         only=args.only or None,
@@ -420,31 +193,9 @@ def cmd_replicate(args) -> int:
     return 1 if doc["summary"]["verdict"] == "FAIL" else 0
 
 
-def cmd_sweep(args) -> None:
-    from repro.experiments.sweep import sweep_request_rate, sweep_rows
-
-    points = sweep_request_rate(
-        rates=tuple(args.rates), count=args.count, jobs=args.jobs
-    )
-    print(
-        report.format_table(
-            [
-                "rate",
-                "vllm_ttft_p95",
-                "cfs_ttft_p95",
-                "aqua_ttft_p95",
-                "cfs_rct_penalty",
-                "aqua_rct_penalty",
-            ],
-            sweep_rows(points),
-            title="Scheduler trade-offs vs request rate",
-        )
-    )
-
-
 def cmd_frontier(args) -> int:
     """Cluster serving frontier: offered load vs goodput/SLO/shed."""
-    from repro.experiments.frontier import frontier_rows, frontier_sweep
+    from repro.experiments.frontier import frontier_sweep
 
     sweep = frontier_sweep(
         rates=tuple(args.rates),
@@ -456,18 +207,8 @@ def cmd_frontier(args) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         progress=print,
     )
-    for policy, rows in frontier_rows(sweep).items():
-        print(
-            report.format_table(
-                ["rate", "offered", "goodput/s", "attainment", "shed_rate", "q_full"],
-                rows,
-                title=(
-                    f"Frontier: {policy} over {args.servers} servers "
-                    f"({args.workload} workload, {args.duration:.0f}s)"
-                ),
-            )
-        )
-        print()
+    print(EXPERIMENTS["frontier"].render(sweep))
+    print()
     bad = [
         cell
         for cells in sweep["grid"].values()
@@ -486,28 +227,38 @@ def cmd_frontier(args) -> int:
     return 1 if bad else 0
 
 
-COMMANDS: dict[str, Callable] = {
-    "fig01": cmd_fig01,
-    "fig02": cmd_fig02,
-    "fig03": cmd_fig03,
-    "fig07": cmd_fig07,
-    "fig08": cmd_fig08,
-    "fig09": cmd_fig09,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "fig12": cmd_fig12,
-    "fig13": cmd_fig13,
-    "fig14": cmd_fig14,
-    "fig18": cmd_fig18,
+def _cell_params(name: str) -> dict[str, inspect.Parameter]:
+    return dict(inspect.signature(EXPERIMENTS[name].cell).parameters)
+
+
+def _cell_command(name: str) -> Callable:
+    """Run experiment ``name``'s cell in-process with the parsed flags
+    (not through the run cache) and print its table."""
+    experiment = EXPERIMENTS[name]
+
+    def command(args) -> None:
+        params = {}
+        for param in _cell_params(name):
+            value = getattr(args, param)
+            params[param] = tuple(value) if isinstance(value, list) else value
+        print(experiment.render(experiment.cell(**params)))
+
+    return command
+
+
+#: The hand-written commands; every other ``EXPERIMENTS`` entry is a
+#: generated command of the same name.
+_HAND_WRITTEN: dict[str, Callable] = {
     "resilience": cmd_resilience,
     "observe": cmd_observe,
     "audit": cmd_audit,
-    "tables": cmd_tables,
-    "e2e": cmd_e2e,
     "all": cmd_all,
-    "sweep": cmd_sweep,
     "frontier": cmd_frontier,
     "replicate": cmd_replicate,
+}
+COMMANDS: dict[str, Callable] = {
+    **{name: _cell_command(name) for name in EXPERIMENTS if name not in _HAND_WRITTEN},
+    **_HAND_WRITTEN,
 }
 
 
@@ -613,6 +364,29 @@ def _write_observation(args, exports: list[dict]) -> int:
     return 1 if failures else 0
 
 
+def _add_cell_parser(sub, name: str) -> None:
+    """A generated command's parser: one flag per keyword parameter of
+    the cell (its default is the flag's), ``--jobs`` when the cell takes
+    ``jobs``, and the observation flags when the cell builds rigs."""
+    experiment = EXPERIMENTS[name]
+    p = sub.add_parser(name, help=experiment.help)
+    params = _cell_params(name)
+    for param in params.values():
+        if param.name == "jobs":
+            continue
+        default = param.default
+        if isinstance(default, tuple):
+            p.add_argument(
+                f"--{param.name}", type=type(default[0]), nargs="+", default=list(default)
+            )
+        else:
+            p.add_argument(f"--{param.name}", type=type(default), default=default)
+    if experiment.rigs:
+        _add_observation_arguments(p)
+    if "jobs" in params:
+        _add_jobs_argument(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqua-repro",
@@ -621,52 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
 
-    p = _add_observation_arguments(
-        sub.add_parser("fig01", help="motivation: TTFT/RCT per scheduler")
-    )
-    p.add_argument("--rate", type=float, default=5.0)
-    p.add_argument("--count", type=int, default=60)
-
-    sub.add_parser("fig02", help="resource contention vs batch size")
-
-    p = _add_observation_arguments(
-        sub.add_parser("fig03", help="interconnect bandwidth + sharing impact")
-    )
-    p.add_argument("--duration", type=float, default=60.0)
-
-    p = _add_observation_arguments(sub.add_parser("fig07", help="long-prompt throughput"))
-    p.add_argument("--duration", type=float, default=120.0)
-    _add_jobs_argument(p)
-
-    p = _add_observation_arguments(sub.add_parser("fig08", help="LoRA adapter RCTs"))
-    p.add_argument("--rate", type=float, default=5.0)
-    p.add_argument("--count", type=int, default=100)
-
-    p = _add_observation_arguments(sub.add_parser("fig09", help="CFS responsiveness"))
-    p.add_argument("--rates", type=float, nargs="+", default=[2.0, 5.0])
-    p.add_argument("--count", type=int, default=50)
-    _add_jobs_argument(p)
-
-    _add_observation_arguments(
-        sub.add_parser("fig10", help="elastic memory sharing timeline")
-    )
-    _add_observation_arguments(sub.add_parser("fig11", help="producer overhead"))
-
-    p = _add_observation_arguments(sub.add_parser("fig12", help="benefit vs tensor size"))
-    p.add_argument("--count", type=int, default=200)
-    _add_jobs_argument(p)
-
-    p = _add_observation_arguments(
-        sub.add_parser("fig13", help="chatbot long-term responsiveness")
-    )
-    p.add_argument("--users", type=int, default=25)
-    p.add_argument("--turns", type=int, default=4)
-
-    p = sub.add_parser("fig14", help="placer convergence time")
-    p.add_argument("--gpus", type=int, nargs="+", default=[16, 32, 64, 128])
-
-    p = _add_observation_arguments(sub.add_parser("fig18", help="NVSwitch stress"))
-    p.add_argument("--duration", type=float, default=60.0)
+    for name in EXPERIMENTS:
+        if name not in _HAND_WRITTEN:
+            _add_cell_parser(sub, name)
 
     p = sub.add_parser("resilience", help="goodput under injected faults")
     p.add_argument(
@@ -722,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--duration", type=float, default=60.0)
 
-    sub.add_parser("tables", help="workload inventory (Tables 1-3)")
-    sub.add_parser("e2e", help="cluster placement (balanced vs LLM-heavy)")
-
     p = sub.add_parser("all", help="run every experiment, write JSON results")
     p.add_argument("--out", default="results")
     p.add_argument("--only", nargs="*", help="subset of experiment names")
@@ -774,13 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every experiment cell, bypassing the run cache",
     )
     p.add_argument("--list", action="store_true", help="list claims and exit")
-    _add_jobs_argument(p)
-
-    p = _add_observation_arguments(
-        sub.add_parser("sweep", help="scheduler trade-offs across request rates")
-    )
-    p.add_argument("--rates", type=float, nargs="+", default=[1.0, 2.0, 4.0, 6.0])
-    p.add_argument("--count", type=int, default=40)
     _add_jobs_argument(p)
 
     p = sub.add_parser(

@@ -14,6 +14,9 @@ three-valued verdict:
 Tolerance boundaries are **inclusive** on both ends (``lo <= x <= hi``),
 so a value landing exactly on a band edge scores deterministically —
 ``tests/test_evals.py::test_band_boundaries_are_inclusive`` pins this.
+A check that states a strict inequality (``x > lo``) passes
+``strict=True``, which excludes both edges: then a tie, such as two runs
+of a knob that no longer has any effect, FAILs.
 """
 
 from __future__ import annotations
@@ -91,11 +94,13 @@ def ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-def in_band(value: float, lo: Optional[float], hi: Optional[float]) -> bool:
-    """Inclusive band membership; ``None`` means unbounded on that side."""
-    if lo is not None and value < lo:
+def in_band(
+    value: float, lo: Optional[float], hi: Optional[float], strict: bool = False
+) -> bool:
+    """Band membership, inclusive unless ``strict``; ``None`` is unbounded."""
+    if lo is not None and (value <= lo if strict else value < lo):
         return False
-    if hi is not None and value > hi:
+    if hi is not None and (value >= hi if strict else value > hi):
         return False
     return True
 
@@ -116,10 +121,11 @@ def check_band(
     hi: Optional[float],
     label: str,
     measured: object = None,
+    strict: bool = False,
 ) -> CheckResult:
     """One-number band check with an auto-generated expected string."""
-    ok = in_band(value, lo, hi)
-    expected = _describe_band(label, lo, hi)
+    ok = in_band(value, lo, hi, strict)
+    expected = _describe_band(label, lo, hi, strict)
     return CheckResult(
         status=PASS if ok else FAIL,
         measured=measured if measured is not None else value,
@@ -148,11 +154,14 @@ def check_all(results: Sequence[CheckResult]) -> CheckResult:
     return worst
 
 
-def _describe_band(label: str, lo: Optional[float], hi: Optional[float]) -> str:
+def _describe_band(
+    label: str, lo: Optional[float], hi: Optional[float], strict: bool = False
+) -> str:
+    le, ge = ("<", ">") if strict else ("<=", ">=")
     if lo is not None and hi is not None:
-        return f"{lo:g} <= {label} <= {hi:g}"
+        return f"{lo:g} {le} {label} {le} {hi:g}"
     if lo is not None:
-        return f"{label} >= {lo:g}"
+        return f"{label} {ge} {lo:g}"
     if hi is not None:
-        return f"{label} <= {hi:g}"
+        return f"{label} {le} {hi:g}"
     return f"{label} unconstrained"

@@ -46,7 +46,7 @@ def run_cell(name: str) -> dict:
     from repro.experiments.runall import EXPERIMENTS
 
     try:
-        return {"ok": True, "value": EXPERIMENTS[name]()}
+        return {"ok": True, "value": EXPERIMENTS[name].cell()}
     except Exception as exc:  # noqa: BLE001 - contained by design
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 

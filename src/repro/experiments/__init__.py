@@ -3,8 +3,10 @@
 Every table and figure of the paper's evaluation has a function in
 :mod:`repro.experiments.figures` that builds the corresponding rig
 (server + engines + AQUA), runs the workload, and returns the series
-the paper plots.  The benchmark suite under ``benchmarks/`` calls these
-functions and prints the rows; ``EXPERIMENTS.md`` records the outcomes.
+the paper plots; :mod:`repro.experiments.ablations` does the same for
+the design ablations and extensions.  :data:`repro.experiments.runall.EXPERIMENTS`
+wraps them as cells, one ``aqua-repro`` command each, that
+``aqua-repro replicate`` scores; ``EXPERIMENTS.md`` records the outcomes.
 """
 
 from repro.experiments.harness import ConsumerRig, build_consumer_rig, drain

@@ -20,7 +20,7 @@ Host DRAM is reachable from every GPU over that GPU's PCIe channel pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Hashable
 
@@ -230,23 +230,8 @@ class Interconnect:
         """Whether a route exists from ``src`` to ``dst``."""
         return (src, dst) in self._routes
 
-    def peers(self, device: Hashable) -> list[Hashable]:
-        """All devices reachable from ``device``."""
-        return [dst for (src, dst) in self._routes if src == device]
-
     def __repr__(self) -> str:
         return (
             f"<Interconnect channels={len(self.channels)} "
             f"routes={len(self._routes)}>"
         )
-
-
-@dataclass
-class TopologyDescription:
-    """Summary of a built topology, useful for logging and tests."""
-
-    kind: str
-    n_gpus: int
-    gpu_link: LinkSpec
-    pcie_link: LinkSpec
-    extra: dict = field(default_factory=dict)

@@ -150,10 +150,6 @@ class Server:
             return 0.0
         return t.wire_time(self.interconnect.route(src, dst))
 
-    def gpu_peers(self, gpu: GPU) -> list[GPU]:
-        """Other GPUs on this server reachable over the fast interconnect."""
-        return [g for g in self.gpus if g is not gpu]
-
     @property
     def devices(self) -> list[Hashable]:
         return [*self.gpus, self.dram]

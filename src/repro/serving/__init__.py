@@ -24,7 +24,7 @@ from repro.serving.cfs import CFSEngine
 from repro.serving.context_cache import ChatContextCache
 from repro.serving.flexgen_engine import FlexGenEngine
 from repro.serving.lora_manager import LoRACache
-from repro.serving.metrics import MetricsCollector, TimeSeries, percentile
+from repro.serving.metrics import MetricsCollector, percentile
 from repro.serving.orca_engine import OrcaEngine
 from repro.serving.request import Request
 from repro.serving.vllm_engine import VLLMEngine
@@ -41,7 +41,6 @@ __all__ = [
     "MetricsCollector",
     "OrcaEngine",
     "Request",
-    "TimeSeries",
     "VLLMEngine",
     "WeightedCFSEngine",
     "percentile",

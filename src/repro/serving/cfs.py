@@ -10,7 +10,7 @@ Context switching is the whole cost: the outgoing prompts' KV caches
 are written out of the GPU and the incoming ones read back.  With AQUA
 the contexts travel over NVLink as gathered AQUA TENSORS; the baseline
 writes them to host DRAM over PCIe.  The slice length trades fairness
-against switching overhead (ablated in the benchmarks).
+against switching overhead (the ``ablation-slice`` experiment).
 """
 
 from __future__ import annotations

@@ -195,17 +195,13 @@ class LLMEngineBase:
         Clamped so the aggregate event cannot paper over a boundary the
         exact path would have observed: no request in the frozen batch
         may reach ``max_new_tokens`` before the final modelled step, and
-        the window may not cross a producer-inform or memory-sample
-        iteration boundary (``_serve`` counts a window as its modelled
+        the window may not cross a producer-inform iteration boundary (``_serve`` counts a window as its modelled
         number of iterations).
         """
         k = min(self.decode_coarsen,
                 min(r.max_new_tokens - r.generated_tokens for r in batch))
         if self.aqua_lib is not None:
             k = min(k, self.inform_every - self.iteration % self.inform_every)
-        sample_every = getattr(self, "sample_every", 0)
-        if sample_every:
-            k = min(k, sample_every - self.iteration % sample_every)
         return max(1, k)
 
     def requeue(self, request: Request) -> None:
@@ -286,10 +282,6 @@ class LLMEngineBase:
         elif delta > 0:
             self.allocator.grow(delta // self.allocator.block_bytes)
 
-    def maybe_producer_tick(self) -> Generator:
-        if self.aqua_lib is not None and self.iteration % self.inform_every == 0:
-            yield from self.producer_tick()
-
     def trace_span(self, name: str, start: float, **args) -> None:
         """Record a span from ``start`` to now on this engine's track."""
         if self.tracer is not None:
@@ -311,11 +303,6 @@ class LLMEngineBase:
             return
         for request in requests:
             self.telemetry.flow(request.req_id, self.name, time=time)
-
-    def sample_memory(self) -> None:
-        """Record the GPU's free-memory time series (Figure 10a)."""
-        self.metrics.sample("free_hbm", self.env.now, self.gpu.free_hbm)
-        self.metrics.sample("kv_free", self.env.now, self.kv_free_bytes)
 
     def __repr__(self) -> str:
         return (

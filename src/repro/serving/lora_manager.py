@@ -156,10 +156,6 @@ class LoRACache:
             slowdown += pieces * self.per_piece_overhead
             yield self.env.timeout(slowdown)
 
-    def drop_all(self) -> None:
-        """Evict every resident adapter (tests / reconfiguration)."""
-        self._resident.clear()
-
     def __repr__(self) -> str:
         return (
             f"<LoRACache {len(self._resident)} resident, "

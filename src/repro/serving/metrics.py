@@ -1,11 +1,10 @@
-"""Metric collection: per-request latencies and time series."""
+"""Metric collection: per-request latencies and token counters."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.serving.request import Request
 
@@ -38,55 +37,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
 
-@dataclass(slots=True)
-class TimeSeries:
-    """A named sequence of (time, value) samples."""
-
-    name: str
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def append(self, time: float, value: float) -> None:
-        """Append one sample; ``time`` must not precede the last sample.
-
-        Equal timestamps are legal (several samplers can fire in one
-        event).  Going backwards raises rather than clamps: the binary
-        searches in :meth:`window_sum` silently return wrong windows on
-        an unsorted series, so a non-monotonic append is always a bug
-        worth surfacing at the call site.
-        """
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"non-monotonic append to time series {self.name!r}: "
-                f"t={time} precedes last sample t={self.times[-1]}"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
-    def window_sum(self, start: float, end: float) -> float:
-        """Sum of values sampled in the half-open window ``[start, end)``.
-
-        Boundary semantics are exact: samples at ``t == start`` are
-        included, samples at ``t == end`` are excluded, so adjacent
-        windows ``[a, b)`` and ``[b, c)`` partition the series with no
-        double counting (pinned by regression tests in
-        ``tests/test_metrics.py``).
-
-        ``append`` enforces time order, so the window is located with
-        two binary searches instead of scanning the whole series —
-        goodput samplers call this every simulated second.
-        """
-        lo = bisect_left(self.times, start)
-        hi = bisect_left(self.times, end, lo=lo)
-        return sum(self.values[lo:hi])
-
-
 class MetricsCollector:
     """Aggregates completed requests and running counters for one engine."""
 
@@ -95,7 +45,6 @@ class MetricsCollector:
         self.completed: list[Request] = []
         self.tokens_generated = 0
         self.token_times: list[float] = []
-        self.series: dict[str, TimeSeries] = {}
         #: Times at which in-flight requests were re-queued after a
         #: fault (recovery metric; see ``LLMEngineBase.requeue``).
         self.requeue_times: list[float] = []
@@ -104,7 +53,7 @@ class MetricsCollector:
     def record_token(self, now: float, n: int = 1) -> None:
         """Count ``n`` tokens generated at ``now``.
 
-        Like :meth:`TimeSeries.append`, going back in time raises:
+        Going back in time raises rather than clamps:
         :meth:`tokens_in_window` binary-searches ``token_times``.
         """
         times = self.token_times
@@ -127,12 +76,6 @@ class MetricsCollector:
     def requeues(self) -> int:
         """Total fault-driven re-queues recorded so far."""
         return len(self.requeue_times)
-
-    def sample(self, series: str, time: float, value: float) -> None:
-        ts = self.series.get(series)
-        if ts is None:  # setdefault would build a TimeSeries per call
-            ts = self.series[series] = TimeSeries(series)
-        ts.append(time, value)
 
     # ------------------------------------------------------------------
     @property

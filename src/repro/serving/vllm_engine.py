@@ -33,8 +33,6 @@ class VLLMEngine(LLMEngineBase):
     lora_cache:
         Optional adapter cache; requests naming an adapter block until
         it is GPU-resident.
-    sample_every:
-        Iterations between free-memory samples (0 disables).
     preemption_mode:
         What happens to a victim when KV space runs out mid-decode:
         ``"recompute"`` (vLLM's default: drop the blocks, re-prefill the
@@ -55,7 +53,6 @@ class VLLMEngine(LLMEngineBase):
         model,
         max_batch: int = 64,
         lora_cache: Optional[LoRACache] = None,
-        sample_every: int = 0,
         preemption_mode: str = "recompute",
         chunked_prefill_tokens: Optional[int] = None,
         name: str = "vllm",
@@ -72,7 +69,6 @@ class VLLMEngine(LLMEngineBase):
             )
         self.max_batch = max_batch
         self.lora_cache = lora_cache
-        self.sample_every = sample_every
         self.preemption_mode = preemption_mode
         self.chunked_prefill_tokens = chunked_prefill_tokens
         self.preemptions = 0
@@ -129,7 +125,7 @@ class VLLMEngine(LLMEngineBase):
         preemptions, aborts, completions — is replayed at the window
         end (*lazy repair*).  The window is clamped by
         :meth:`LLMEngineBase._decode_window_len` so no sequence can
-        finish mid-window and no producer/sample boundary is skipped.
+        finish mid-window and no producer-inform boundary is skipped.
         """
         batch = list(self.running)
         k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
@@ -315,8 +311,6 @@ class VLLMEngine(LLMEngineBase):
                 self.iteration += 1
                 if self.aqua_lib is not None and self.iteration % self.inform_every == 0:
                     yield from self.producer_tick()
-                if self.sample_every and self.iteration % self.sample_every == 0:
-                    self.sample_memory()
                 continue
             if admitted:
                 yield from self._prefill(admitted)
@@ -334,5 +328,3 @@ class VLLMEngine(LLMEngineBase):
             self.iteration += 1
             if self.aqua_lib is not None and self.iteration % self.inform_every == 0:
                 yield from self.producer_tick()
-            if self.sample_every and self.iteration % self.sample_every == 0:
-                self.sample_memory()

@@ -83,8 +83,8 @@ class RingSeries:
         return self._samples[-1] if self._samples else None
 
     def window(self, start: float, end: float) -> list[tuple[float, float]]:
-        """Samples with ``start <= t < end`` (same half-open contract as
-        :meth:`repro.serving.metrics.TimeSeries.window_sum`)."""
+        """Samples with ``start <= t < end``: adjacent windows
+        ``[a, b)`` and ``[b, c)`` partition the series."""
         return [(t, v) for t, v in self._samples if start <= t < end]
 
     def to_dict(self) -> dict:

@@ -13,7 +13,7 @@ The scenario is the Figure 7/10 offloading rig: a FlexGen long-prompt
 consumer backed by an idle LLM producer, driven by the deterministic
 long-prompt trace.  It exercises every hot path the fast-path PR
 touched: the event loop, DMA channel scheduling, engine iteration
-loops, TimeSeries appends and the roofline math.
+loops, token-counter appends and the roofline math.
 """
 
 import json

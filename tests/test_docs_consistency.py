@@ -1,9 +1,10 @@
 """Documentation <-> code consistency guards.
 
-DESIGN.md's per-experiment index and EXPERIMENTS.md's bench references
-must point at files that exist, and every example mentioned in the
-README must be present — so the documentation can be trusted as a map
-of the repository.
+DESIGN.md's per-experiment index and EXPERIMENTS.md's test references
+must point at files that exist, every example mentioned in the README
+must be present, every registered claim must have a row in the
+traceability table, and every documented CLI usage must parse — so the
+documentation can be trusted as a map of the repository.
 """
 
 import re
@@ -20,17 +21,17 @@ def referenced_bench_files(text: str) -> set[str]:
 def test_design_md_bench_references_exist():
     text = (ROOT / "DESIGN.md").read_text()
     for name in referenced_bench_files(text):
-        assert (ROOT / "benchmarks" / name).exists() or (
-            ROOT / "tests" / name
-        ).exists(), f"DESIGN.md references missing file {name}"
+        assert (ROOT / "tests" / name).exists(), (
+            f"DESIGN.md references missing file {name}"
+        )
 
 
 def test_experiments_md_bench_references_exist():
     text = (ROOT / "EXPERIMENTS.md").read_text()
     for name in referenced_bench_files(text):
-        assert (ROOT / "benchmarks" / name).exists() or (
-            ROOT / "tests" / name
-        ).exists(), f"EXPERIMENTS.md references missing bench/test {name}"
+        assert (ROOT / "tests" / name).exists(), (
+            f"EXPERIMENTS.md references missing test {name}"
+        )
 
 
 def test_doc_test_pointers_resolve():
@@ -46,9 +47,8 @@ def test_doc_test_pointers_resolve():
         )
     assert refs, "expected at least one tests/...::test_* pointer in the docs"
     for fname, tname in refs:
-        candidates = [ROOT / "tests" / fname, ROOT / "benchmarks" / fname]
-        path = next((p for p in candidates if p.exists()), None)
-        assert path is not None, f"docs reference missing file {fname}"
+        path = ROOT / "tests" / fname
+        assert path.exists(), f"docs reference missing file {fname}"
         assert re.search(rf"^def {tname}\b", path.read_text(), re.M), (
             f"docs reference missing test {fname}::{tname}"
         )
@@ -60,24 +60,29 @@ def test_readme_examples_exist():
         if (ROOT / "examples" / name).exists():
             continue
         if name.startswith("test_"):
-            hits = list((ROOT / "benchmarks").glob(name)) + list(
-                (ROOT / "tests").glob(name)
-            )
+            hits = list((ROOT / "tests").glob(name))
         else:
             # Non-example code files mentioned in prose must exist in src/.
             hits = list((ROOT / "src").rglob(name))
         assert hits, f"README references missing file {name}"
 
 
-def test_every_paper_figure_has_a_bench():
-    bench_dir = ROOT / "benchmarks"
-    benches = {p.name for p in bench_dir.glob("test_*.py")}
-    for fig in ("fig01", "fig02", "fig03", "fig07", "fig08", "fig09",
-                "fig10", "fig11", "fig12", "fig13", "fig14", "fig18"):
-        assert any(fig in b for b in benches), f"no bench for {fig}"
-    assert any("fig15" in b or "fig15_17" in b for b in benches)
-    assert any("tables" in b for b in benches)
-    assert any("e2e" in b for b in benches)
+def test_every_paper_figure_and_table_has_a_registered_claim():
+    from repro import evals
+
+    scored = set(evals.REGISTRY.experiments())
+    figures = [f"fig{n:02d}" for n in (1, 2, 3, *range(7, 19))]
+    for cell in (*figures, "tables", "e2e"):
+        assert cell in scored, f"no registered claim scores {cell}"
+
+
+def test_every_registered_claim_has_a_traceability_row():
+    from repro import evals
+
+    text = (ROOT / "docs" / "replication.md").read_text()
+    rows = set(re.findall(r"^\| `([a-z0-9-]+)` \|", text, re.M))
+    missing = [c.id for c in evals.get_claims() if c.id not in rows]
+    assert not missing, f"docs/replication.md has no row for {missing}"
 
 
 def test_every_example_is_smoke_tested():
@@ -114,7 +119,7 @@ def test_cli_usages_in_docs_match_the_parser():
 
     # A usage is "aqua-repro <word> ...rest of line", where the rest is
     # cut at a backtick (end of inline code) or a shell comment.
-    usage_re = re.compile(r"aqua-repro\s+([a-z][a-z0-9_]*)([^`#\n]*)")
+    usage_re = re.compile(r"aqua-repro\s+([a-z][a-z0-9_-]*)([^`#\n]*)")
     docs = sorted((ROOT / "docs").glob("*.md"))
     docs += [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md"]
     usages = []

@@ -156,12 +156,3 @@ def test_wait_for_arrival_returns_immediately_with_backlog():
     p = env.process(waiter(env))
     env.run(until=p)
     assert p.value == 0.0
-
-
-def test_sample_memory_series():
-    env = Environment()
-    server = Server(env, n_gpus=1)
-    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B)
-    engine.sample_memory()
-    assert "free_hbm" in engine.metrics.series
-    assert "kv_free" in engine.metrics.series

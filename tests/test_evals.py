@@ -80,6 +80,73 @@ def test_band_boundaries_are_inclusive():
     assert (again.status, again.delta) == (C.PASS, 0.0)
 
 
+def test_strict_band_excludes_its_edges():
+    # A strict band ports a strict `<`/`>`: a value on the edge FAILs.
+    assert C.check_band(1.5, 1.5, None, "x", strict=True).status == C.FAIL
+    assert C.check_band(2.6, None, 2.6, "x", strict=True).status == C.FAIL
+    assert C.check_band(math.nextafter(1.5, 2.0), 1.5, 2.6, "x", strict=True).status == C.PASS
+    assert C.check_band(2.0, 1.5, None, "x", strict=True).expected == "x > 1.5"
+
+
+def _tied(results, path, value):
+    """``results`` with the leaf at ``path`` replaced by ``value``."""
+    out = json.loads(json.dumps(results))
+    node = out
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return out
+
+
+_SLICES = {
+    size: {"switch_time": switch, "ttft_p95": ttft}
+    for size, switch, ttft in (("1", 3.6, 12.1), ("5", 1.0, 11.4), ("20", 0.2, 15.0),
+                               ("80", 0.1, 22.9))
+}
+_HARDWARE = {
+    "A100 + NVLink3 / PCIe4": {"dram": 123, "aqua": 921, "speedup": 921 / 123},
+    "A100 + NVLink3 / PCIe5": {"dram": 297, "aqua": 921, "speedup": 921 / 297},
+    "H100 + NVLink4 / PCIe5": {"dram": 320, "aqua": 1633, "speedup": 1633 / 320},
+}
+_OFFLOAD = {"uvm/pcie": 90, "deepspeed/pcie": 113, "flexgen/pcie": 123,
+            "uvm/nvlink": 233, "deepspeed+aqua": 570, "aqua": 921}
+_ORCA = {
+    "orca": {"peak_concurrency": 11, "finish": 286.3, "ttft_p95": 190.4},
+    "vllm": {"peak_concurrency": 30, "finish": 234.4, "ttft_p95": 5.9},
+}
+_CHAT = {
+    "aqua": {"completed": 100, "cache_hits": 0, "rct_mean": 49.1, "finish": 301.0},
+    "aqua+ctx-cache": {"completed": 100, "cache_hits": 75, "rct_mean": 33.3,
+                       "finish": 221.0},
+}
+
+
+@pytest.mark.parametrize(
+    "claim_id, cell, value, path, tie",
+    [
+        # A knob that stopped having any effect measures the same twice.
+        ("ablation-control-frequency-reaction", "ablation-control-frequency",
+         {"4": 801, "16": 801, "512": 123}, ("512",), 801),
+        ("ablation-slice-tradeoff", "ablation-slice", _SLICES, ("20", "switch_time"), 3.6),
+        ("ablation-slice-tradeoff", "ablation-slice", _SLICES, ("80", "ttft_p95"), 11.4),
+        ("sensitivity-hardware-speedup", "sensitivity-hardware", _HARDWARE,
+         ("A100 + NVLink3 / PCIe5", "speedup"), 921 / 123),
+        ("sensitivity-hardware-speedup", "sensitivity-hardware", _HARDWARE,
+         ("H100 + NVLink4 / PCIe5", "aqua"), 921),
+        ("baseline-offload-ordering", "baseline-offload", _OFFLOAD, ("uvm/nvlink",), 123),
+        ("baseline-offload-ordering", "baseline-offload", _OFFLOAD, ("aqua",), 233),
+        ("baseline-orca-paging", "baseline-orca", _ORCA, ("vllm", "finish"), 286.3),
+        ("baseline-orca-paging", "baseline-orca", _ORCA, ("vllm", "ttft_p95"), 190.4),
+        ("context-cache-reuse", "context-cache", _CHAT, ("aqua+ctx-cache", "finish"), 301.0),
+    ],
+)
+def test_ported_strict_checks_fail_on_a_tie(claim_id, cell, value, path, tie):
+    (claim,) = [c for c in evals.get_claims() if c.id == claim_id]
+    assert claim.check({cell: value}, claim.tolerance).status == C.PASS
+    tied = claim.check({cell: _tied(value, path, tie)}, claim.tolerance)
+    assert tied.status == C.FAIL, tied.detail
+
+
 def test_metric_rejects_missing_none_and_nan():
     data = {"a": {"b": [1.0, None]}, "nan": float("nan")}
     assert C.metric(data, "a", "b", 0) == 1.0

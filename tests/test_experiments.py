@@ -1,7 +1,8 @@
 """Tests for the experiment harness, report rendering and figure shapes.
 
 These assert the *qualitative* claims of each paper figure on scaled-
-down runs; the full-scale regenerations live under ``benchmarks/``.
+down runs; the full-scale regenerations are the experiment cells that
+``aqua-repro replicate`` scores (``repro.evals``).
 """
 
 import pytest
@@ -198,6 +199,8 @@ def test_fig13_shape():
     aqua = result["aqua"]["summary"]
     assert aqua["ttft_mean"] < vllm["ttft_mean"] / 2
     assert result["aqua"]["turns_completed"] == 60
+    times = [finish for finish, _ in result["aqua"]["rct_by_completion"]]
+    assert times == sorted(times)
 
 
 def test_fig14_shape():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import MetricsCollector, Request, TimeSeries, percentile
+from repro.serving import MetricsCollector, Request, percentile
 
 
 def test_percentile_basics():
@@ -73,63 +73,6 @@ def test_percentile_bounded_by_extremes(values, q):
     """Property: any percentile lies between min and max."""
     p = percentile(values, q)
     assert min(values) - 1e-9 <= p <= max(values) + 1e-9
-
-
-def test_timeseries_append_ordered():
-    ts = TimeSeries("x")
-    ts.append(1.0, 10)
-    ts.append(2.0, 20)
-    assert len(ts) == 2
-    assert ts.last() == 20
-    with pytest.raises(ValueError):
-        ts.append(0.5, 5)
-
-
-def test_timeseries_window_sum():
-    ts = TimeSeries("x")
-    for t in range(10):
-        ts.append(float(t), 1.0)
-    assert ts.window_sum(2, 5) == 3.0
-
-
-def test_timeseries_window_sum_half_open_boundaries():
-    ts = TimeSeries("x")
-    ts.append(1.0, 10.0)
-    ts.append(2.0, 20.0)
-    ts.append(3.0, 40.0)
-    assert ts.window_sum(1.0, 3.0) == 30.0  # start inclusive, end exclusive
-    assert ts.window_sum(3.0, 3.0) == 0.0   # empty window
-    assert ts.window_sum(0.0, 0.5) == 0.0   # before all samples
-    assert ts.window_sum(5.0, 9.0) == 0.0   # after all samples
-    assert ts.window_sum(0.0, 100.0) == 70.0
-    assert ts.window_sum(4.0, 1.0) == 0.0   # inverted window sums nothing
-
-
-def test_timeseries_window_sum_with_duplicate_times():
-    ts = TimeSeries("x")
-    ts.append(1.0, 1.0)
-    ts.append(2.0, 2.0)
-    ts.append(2.0, 3.0)  # equal timestamps are legal (ordering is >=)
-    ts.append(2.0, 4.0)
-    ts.append(3.0, 8.0)
-    assert ts.window_sum(2.0, 3.0) == 9.0   # all three samples at t=2
-    assert ts.window_sum(2.0, 2.0) == 0.0
-
-
-@given(
-    times=st.lists(st.floats(0, 100, allow_nan=False), min_size=0, max_size=40),
-    start=st.floats(-10, 110, allow_nan=False),
-    width=st.floats(0, 50, allow_nan=False),
-)
-@settings(max_examples=60, deadline=None)
-def test_timeseries_window_sum_matches_linear_scan(times, start, width):
-    """The bisect implementation agrees with the obvious linear scan."""
-    ts = TimeSeries("x")
-    for i, t in enumerate(sorted(times)):
-        ts.append(t, float(i))
-    end = start + width
-    expected = sum(v for t, v in zip(ts.times, ts.values) if start <= t < end)
-    assert ts.window_sum(start, end) == expected
 
 
 def finished_request(arrival, first, finish, tokens=10):
@@ -230,33 +173,3 @@ def test_request_validation():
     with pytest.raises(ValueError):
         Request(arrival_time=0, prompt_tokens=1, max_new_tokens=0)
 
-
-def test_timeseries_non_monotonic_error_names_offending_times():
-    """The guard's message must name the series and both timestamps —
-    a scraper driven by the simulation clock can only trip this through
-    a real bug, and the message is the debugging entry point."""
-    ts = TimeSeries("goodput")
-    ts.append(3.0, 1.0)
-    with pytest.raises(ValueError, match=r"'goodput'.*t=2\.5 precedes last sample t=3\.0"):
-        ts.append(2.5, 2.0)
-    # The rejected sample was not retained.
-    assert len(ts) == 1
-
-
-def test_timeseries_equal_timestamps_are_legal():
-    ts = TimeSeries("x")
-    ts.append(1.0, 1.0)
-    ts.append(1.0, 2.0)  # ordering contract is >=, not >
-    assert len(ts) == 2
-
-
-def test_collector_sample_inherits_monotonic_guard():
-    """MetricsCollector.sample delegates to TimeSeries.append, so the
-    same non-monotonic protection applies per named series."""
-    mc = MetricsCollector("eng")
-    mc.sample("queue_depth", 1.0, 4.0)
-    mc.sample("queue_depth", 2.0, 5.0)
-    mc.sample("batch_size", 0.5, 1.0)  # independent series, own clock
-    with pytest.raises(ValueError, match="queue_depth"):
-        mc.sample("queue_depth", 1.5, 6.0)
-    assert mc.series["queue_depth"].last() == 5.0

@@ -58,7 +58,7 @@ def test_ring_series_capacity_validation():
 
 
 def test_ring_series_window_is_half_open():
-    """Same ``start <= t < end`` contract as ``TimeSeries.window_sum``."""
+    """Half-open ``start <= t < end``: adjacent windows partition the series."""
     s = RingSeries("w")
     for t in (0.0, 1.0, 2.0, 3.0):
         s.append(t, t)
