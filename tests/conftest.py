@@ -1,0 +1,10 @@
+"""Shared pytest configuration.
+
+Registers the Hypothesis ``ci`` profile: ``--hypothesis-profile=ci``
+gives the differential oracle (``tests/test_vllm_oracle.py``) a larger
+example budget than tier-1 runs by default.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=300, deadline=None)
