@@ -64,8 +64,7 @@ def _producer_informer(model: ProducerSpec):
 
 
 def _make_producer(
-    server, gpu, model: ProducerSpec, coordinator, name: str, telemetry=None,
-    decode_coarsen: int = 1,
+    server, gpu, model: ProducerSpec, coordinator, name: str, telemetry=None
 ):
     lib = AquaLib(
         gpu, server, coordinator, informer=_producer_informer(model), telemetry=telemetry
@@ -73,13 +72,10 @@ def _make_producer(
     if isinstance(model, LLMSpec):
         engine = VLLMEngine(
             gpu, server, model, aqua_lib=lib, inform_every=4, name=name,
-            telemetry=telemetry, decode_coarsen=decode_coarsen,
+            telemetry=telemetry,
         )
     else:
-        engine = BatchEngine(
-            gpu, server, model, aqua_lib=lib, name=name,
-            decode_coarsen=decode_coarsen,
-        )
+        engine = BatchEngine(gpu, server, model, aqua_lib=lib, name=name)
     return engine, lib
 
 
@@ -102,7 +98,6 @@ def build_consumer_rig(
     scrape_interval: Optional[float] = None,
     slo_policy=None,
     postmortem_dir: Optional[str] = None,
-    decode_coarsen: int = 1,
 ) -> ConsumerRig:
     """Build a consumer/producer pair.
 
@@ -145,13 +140,6 @@ def build_consumer_rig(
         scrape tick.
     postmortem_dir:
         Directory for flight-recorder post-mortem bundles.
-    decode_coarsen:
-        Time-warp decode-coarsening window forwarded to the consumer
-        engine and to the producer engine, whether that is a
-        ``VLLMEngine`` (LLM producer) or a ``BatchEngine`` (diffusion or
-        audio producer).  Default 1 keeps the exact
-        per-token paths; see ``docs/performance.md`` for the fidelity
-        trade-offs.
     """
     if consumer_kind not in ("vllm", "cfs", "flexgen"):
         raise ValueError(f"unknown consumer kind {consumer_kind!r}")
@@ -167,8 +155,6 @@ def build_consumer_rig(
         server = Server(env, n_gpus=max(2, n_gpus), topology="p2p")
     coordinator = coordinator or Coordinator()
     kwargs = dict(consumer_kwargs or {})
-    if decode_coarsen != 1:
-        kwargs.setdefault("decode_coarsen", decode_coarsen)
 
     # Explicit observability settings win; otherwise an active
     # observing() context applies to every rig built inside it, which
@@ -212,7 +198,6 @@ def build_consumer_rig(
             coordinator,
             name=f"{name_prefix}producer-{producer_model.name}",
             telemetry=tm,
-            decode_coarsen=decode_coarsen,
         )
         if use_aqua and consumer_lib is not None:
             coordinator.pair(consumer_lib.name, producer_lib.name)

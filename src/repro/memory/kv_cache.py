@@ -131,6 +131,59 @@ class PagedKVCache:
                 self.release(seq_id)
         return grown
 
+    def steps_fit(self, seq_ids, steps: int) -> int:
+        """How many of ``steps`` successive one-token appends to every
+        sequence in ``seq_ids`` the free blocks cover."""
+        free = self.allocator.free_blocks
+        block_tokens = self.block_tokens
+        if len(seq_ids) * -(-steps // block_tokens) <= free:
+            return steps  # even if every sequence crossed at every chance
+        need = [0] * steps
+        for seq_id in seq_ids:
+            tokens = self.sequences[seq_id].tokens
+            for step in range(-tokens % block_tokens, steps, block_tokens):
+                need[step] += 1
+        for step, count in enumerate(need):
+            free -= count
+            if free < 0:
+                return step
+        return steps
+
+    def append_steps(self, seq_ids, steps: int) -> None:
+        """Grow resident sequences by ``steps`` tokens each, exactly as
+        ``steps`` successive :meth:`append_tokens` calls that complete
+        nothing would: new blocks are taken in (step, sequence) order.
+
+        Raises
+        ------
+        AllocationError
+            If a sequence is swapped out or the blocks do not fit (see
+            :meth:`steps_fit`); nothing changes then.
+        """
+        sequences = self.sequences
+        block_tokens = self.block_tokens
+        resident = Residency.RESIDENT
+        states = [sequences[seq_id] for seq_id in seq_ids]
+        by_step = [[] for _ in range(steps)]
+        need = 0
+        for seq in states:
+            if seq.residency is not resident:
+                raise AllocationError(f"sequence {seq.seq_id} is swapped out")
+            first = -seq.tokens % block_tokens
+            if first < steps:
+                for step in range(first, steps, block_tokens):
+                    by_step[step].append(seq)
+                    need += 1
+        if need > self.allocator.free_blocks:
+            raise AllocationError(f"{steps} decode steps need {need} blocks")
+        for seq in states:
+            seq.tokens += steps
+        allocate = self.allocator.allocate
+        for crossing in by_step:
+            if crossing:
+                for seq, block in zip(crossing, allocate(len(crossing))):
+                    seq.blocks.append(block)
+
     def release(self, seq_id: int) -> None:
         """Finish a sequence and free its blocks (if resident)."""
         seq = self.sequences.pop(seq_id)

@@ -9,9 +9,9 @@ FIFO queue.  Service times come from the same
 use — a compute-bound prefill followed by memory-bound decode steps
 whose pace degrades with the number of co-resident sequences — so the
 cluster frontier inherits the paper's single-GPU cost model without
-paying for per-token event simulation.  (Decode is coarsened into one
-aggregate timeout per request, the same time-warp move the engine-level
-``decode_coarsen`` knob makes; the frontier sweeps need it to make
+paying for per-token event simulation.  (Decode is one aggregate
+timeout per request, an approximation the engines do not make: their
+decode windows are exact.  The frontier sweeps need it to make
 millions-of-users offered loads tractable.)
 
 Frontends never shed: admission is the router's job

@@ -39,14 +39,6 @@ class BatchEngine:
     aqua_lib:
         Optional producer-side AQUA-LIB (attach a
         :class:`~repro.aqua.informers.BatchInformer` to it).
-    decode_coarsen:
-        Aggregate-event window (default 1 = off).  When the backlog
-        holds several *full* batches, up to this many of them are
-        charged as one compute event and their completions replayed at
-        the window end — the producer-side analogue of the engines'
-        time-warp decode coarsening.  Producer ``_inform`` duties still
-        run once per modelled batch (at the window-end timestamp), so
-        donation volume is unchanged.
     """
 
     def __init__(
@@ -57,7 +49,6 @@ class BatchEngine:
         batch_size: Optional[int] = None,
         aqua_lib=None,
         name: str = "batch-engine",
-        decode_coarsen: int = 1,
     ) -> None:
         self.env = server.env
         self.gpu = gpu
@@ -72,9 +63,6 @@ class BatchEngine:
         )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if decode_coarsen < 1:
-            raise ValueError(f"decode_coarsen must be >= 1, got {decode_coarsen}")
-        self.decode_coarsen = decode_coarsen
         gpu.hbm.reserve(f"{name}:weights", model.weight_bytes)
         gpu.hbm.reserve(
             f"{name}:activations",
@@ -126,20 +114,6 @@ class BatchEngine:
                     self.env, [self._arrival_event, self.env.timeout(0.25)]
                 )
                 self._inform()
-                continue
-            if self.decode_coarsen > 1 and len(self.waiting) >= 2 * self.batch_size:
-                # Aggregate window: the backlog holds several full
-                # batches whose compute time is identical, so charge m
-                # of them as ONE event and replay the per-batch
-                # bookkeeping (completions + producer informs) at the
-                # window end.
-                m = min(self.decode_coarsen, len(self.waiting) // self.batch_size)
-                duration = self.model.batch_time(self.gpu.spec, self.batch_size)
-                yield from self.gpu.compute_op(m * duration)
-                for _ in range(m):
-                    self._complete_batch(
-                        [self.waiting.popleft() for _ in range(self.batch_size)]
-                    )
                 continue
             batch = [
                 self.waiting.popleft()

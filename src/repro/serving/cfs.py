@@ -262,34 +262,14 @@ class CFSEngine(LLMEngineBase):
                 batch = list(self.running)
                 if not batch:
                     return
-                # Time-warp coarsening (see VLLMEngine._decode_step):
-                # fuse up to decode_coarsen of the slice's per-token
-                # steps into one aggregate compute event, clamped so no
-                # sequence finishes mid-window.  KV capacity for the
-                # whole slice was budgeted by _select_active, so the
-                # replayed appends cannot overflow.
-                k = 1
-                if self.decode_coarsen > 1:
-                    k = min(
-                        self.decode_coarsen,
-                        tokens_left,
-                        min(r.max_new_tokens - r.generated_tokens for r in batch),
-                    )
-                n = len(batch)
-                context = context_tokens(batch)
-                if k == 1:
-                    step = self.model.decode_step_time(self.gpu.spec, n, context)
-                else:
-                    step_time = self.model.decode_step_time
-                    step = 0.0
-                    for s in range(k):
-                        step += step_time(self.gpu.spec, n, context + s * n)
+                step = self.model.decode_step_time(
+                    self.gpu.spec, len(batch), context_tokens(batch)
+                )
                 yield from self.gpu.compute_op(step)
                 for request in batch:
                     seen.setdefault(request.req_id, request)
-                for _ in range(k):
-                    yield from self._decode_tokens(batch)
-                tokens_left -= k
+                yield from self._decode_tokens(batch)
+                tokens_left -= 1
         finally:
             if slice_batch and self.env.now > slice_started:
                 self.trace_span("slice", slice_started, batch=slice_batch)

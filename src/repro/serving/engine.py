@@ -50,21 +50,9 @@ class LLMEngineBase:
     inform_every:
         Iterations between ``inform_stats`` calls.
     decode_coarsen:
-        Time-warp decode coarsening window (default 1 = off).  When
-        ``k > 1``, engines that support it model up to ``k`` decode
-        steps of a frozen batch as ONE aggregate simulation event whose
-        duration is the exact sum of the per-step roofline times, then
-        replay the per-token bookkeeping at the window end.  This cuts
-        kernel event count by ~``k``× for decode-bound rigs (the
-        Revati-style coarsening move, see ``docs/performance.md``) at
-        the cost of intra-window timestamp fidelity: tokens inside a
-        window are recorded at the window-end time, and interrupts
-        (faults, preemptions, AQUA migrations) landing mid-window take
-        effect at the window boundary (*lazy repair*).  Aggregate
-        metrics (tokens, completions, byte conservation) are unchanged;
-        per-token latency time series are coarsened.  Window length is
-        always clamped so no request would finish mid-window and no
-        producer/inform boundary is skipped.
+        Must be 1.  Decode steps are never fused lossily; the vLLM
+        engine fuses only steps nothing could observe (see
+        ``VLLMEngine._decode_step``).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
         engine reports request/completion/requeue counters, latency
@@ -90,15 +78,15 @@ class LLMEngineBase:
     ) -> None:
         if not 0 < utilization <= 1:
             raise ValueError(f"utilization must be in (0, 1], got {utilization}")
-        if decode_coarsen < 1:
-            raise ValueError(f"decode_coarsen must be >= 1, got {decode_coarsen}")
+        # Only 1 is accepted: the bench's chat workload still passes it.
+        if decode_coarsen != 1:
+            raise ValueError(f"decode_coarsen must be 1, got {decode_coarsen}")
         self.env: Environment = server.env
         self.gpu = gpu
         self.server = server
         self.model = model
         self.aqua_lib = aqua_lib
         self.inform_every = inform_every
-        self.decode_coarsen = decode_coarsen
         self.name = name
         self.telemetry = telemetry
         if tracer is None and telemetry is not None:
@@ -188,21 +176,6 @@ class LLMEngineBase:
                 self.telemetry.request_finished(self.name, request)
             self.metrics.record_completion(request)
         return finished
-
-    def _decode_window_len(self, batch) -> int:
-        """Length of the next time-warp decode window for ``batch``.
-
-        Clamped so the aggregate event cannot paper over a boundary the
-        exact path would have observed: no request in the frozen batch
-        may reach ``max_new_tokens`` before the final modelled step, and
-        the window may not cross a producer-inform iteration boundary (``_serve`` counts a window as its modelled
-        number of iterations).
-        """
-        k = min(self.decode_coarsen,
-                min(r.max_new_tokens - r.generated_tokens for r in batch))
-        if self.aqua_lib is not None:
-            k = min(k, self.inform_every - self.iteration % self.inform_every)
-        return max(1, k)
 
     def requeue(self, request: Request) -> None:
         """Return an in-flight request to the head of the waiting queue.

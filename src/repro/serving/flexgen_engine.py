@@ -67,16 +67,6 @@ class FlexGenEngine(LLMEngineBase):
         yield from tensor.fetch(nbytes=nbytes, pieces=self._stream_pieces())
         return self.env.now
 
-    def _io_window(self, tensor, total: int, k: int) -> Generator:
-        """The I/O leg of a coarsened window: ``k`` sequential context
-        re-reads, each identical to the per-token path's (same piece
-        count, same size), issued back to back so the whole window
-        overlaps one compute child process."""
-        kv_bytes = self.model.kv_bytes
-        for s in range(1, k + 1):
-            yield from self._io_step(tensor, kv_bytes(total + s))
-        return self.env.now
-
     def _compute_step(self, duration: float) -> Generator:
         # Streaming the weights through HBM dominates single-sequence
         # decode compute; attention math runs against the KV window that
@@ -122,9 +112,6 @@ class FlexGenEngine(LLMEngineBase):
             # Decode: every token re-reads the whole context (plus writes
             # one token of fresh KV, folded into the same stream).
             step = self.model.decode_step_time(self.gpu.spec, 1, 0)
-            if self.decode_coarsen > 1:
-                yield from self._decode_stream_window(request, tensor, max_total, step)
-                return
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
                 compute = self.env.process(self._compute_step(step))
@@ -137,42 +124,6 @@ class FlexGenEngine(LLMEngineBase):
                     self.attr_mark([request], "offload_fetch")
         finally:
             tensor.free()
-
-    def _decode_stream_window(
-        self, request: Request, tensor, max_total: int, step: float
-    ) -> Generator:
-        """Time-warp coarsening of the streamed decode loop.
-
-        Up to ``decode_coarsen`` per-token io∥compute rounds are fused
-        into ONE overlapped window: the I/O leg replays the ``k``
-        per-token context re-reads back to back in the engine process
-        (:meth:`_io_window` — byte- and piece-identical to the exact
-        path, so its elapsed time is the exact sum) and the compute leg
-        is ``k`` roofline decode steps of ``step`` seconds in one op.
-        Windows are clamped to end exactly on ``respond_every``
-        boundaries, so the AQUA control-loop cadence — where migrations
-        land — is identical to the exact path.  Lazy repair is
-        conservative: a :class:`~repro.aqua.tensor.TensorLostError`
-        mid-window unwinds the *whole* window (no tokens recorded), and
-        the requeued request recomputes from its last committed token.
-        """
-        while not request.done and request.total_tokens < max_total:
-            generated = request.generated_tokens
-            k = min(
-                self.decode_coarsen,
-                request.max_new_tokens - generated,
-                max_total - request.total_tokens,
-                self.respond_every - generated % self.respond_every,
-            )
-            compute = self.env.process(self._compute_step(k * step))
-            io_done = yield from self._io_window(tensor, request.total_tokens, k)
-            compute_done = yield compute
-            self._mark_bound(request, io_done, compute_done)
-            # The window's k tokens, all stamped at its end.
-            self._finish_tokens([request] * k)
-            if request.generated_tokens % self.respond_every == 0:
-                yield from self.aqua_lib.respond()
-                self.attr_mark([request], "offload_fetch")
 
     def _serve(self) -> Generator:
         while True:

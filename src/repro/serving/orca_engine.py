@@ -47,40 +47,20 @@ class OrcaEngine(VLLMEngine):
 
     def _decode_step(self) -> Generator:
         batch = list(self.running)
-        # Time-warp coarsening (see VLLMEngine._decode_step): k modelled
-        # iterations charged as one aggregate event.  With worst-case
-        # reservations there is nothing to repair lazily — no appends,
-        # no preemptions — so only the token bookkeeping replays.
-        k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
         n = len(batch)
-        context = context_tokens(batch)
-        if k == 1:
-            step = self.model.decode_step_time(self.gpu.spec, n, context)
-        else:
-            step_time = self.model.decode_step_time
-            spec = self.gpu.spec
-            step = 0.0
-            for s in range(k):
-                step += step_time(spec, n, context + s * n)
+        step = self.model.decode_step_time(self.gpu.spec, n, context_tokens(batch))
         started = self.env.now
         yield from self.gpu.compute_op(step)
-        if k == 1:
-            self.trace_span("decode", started, batch=n)
-        else:
-            self.trace_span("decode-window", started, batch=n, steps=k)
+        self.trace_span("decode", started, batch=n)
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
         # The reservation already covers every token: no allocation, no
         # possibility of mid-generation OOM (that is the one thing
-        # worst-case reservation buys).  The window is clamped so no
-        # sequence finishes before its last replay.
-        for _ in range(k):
-            finished = self._finish_tokens(batch)
-        for request in finished:
+        # worst-case reservation buys).
+        for request in self._finish_tokens(batch):
             self.running.remove(request)
             self.kv.release(request.req_id)
-        self.iteration += k - 1
 
     @property
     def reserved_unused_bytes(self) -> int:

@@ -115,51 +115,112 @@ class VLLMEngine(LLMEngineBase):
                 self.running.append(request)
 
     def _decode_step(self) -> Generator:
-        """One decode iteration for the whole running batch.
+        """Decode the running batch for one step, or for a window of steps.
 
-        With ``decode_coarsen > 1`` this becomes a *time-warp window*:
-        up to ``decode_coarsen`` iterations of the frozen batch are
-        charged as ONE aggregate compute event (the duration is the
-        exact sum of the per-step roofline times, so the clock advances
-        identically), and the per-token bookkeeping — KV appends,
-        preemptions, aborts, completions — is replayed at the window
-        end (*lazy repair*).  The window is clamped by
-        :meth:`LLMEngineBase._decode_window_len` so no sequence can
-        finish mid-window and no producer-inform boundary is skipped.
+        Steps ``1 … k−1`` of a window are *quiet*: the step-by-step path
+        would pass their ends without deciding anything (see
+        :meth:`_window`).  They share one compute grant and one wake at
+        ``t_k``; their clocks, token stamps, blocks and observer records
+        are exactly those of stepping one at a time, and step ``k`` runs
+        the per-step bookkeeping at ``t_k``.
         """
         batch = list(self.running)
-        k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
-        if k == 1:
-            context = context_tokens(batch)
-            step = self.model.decode_step_time(self.gpu.spec, len(batch), context)
-            started = self.env.now
-            yield from self.gpu.compute_op(step)
-            self.trace_span("decode", started, batch=len(batch))
-            if self.telemetry is not None:
-                self.telemetry.decode_batch(self.name, len(batch))
-                self.attr_mark(batch, "decode_hbm")
-            yield from self._decode_bookkeeping(batch)
-            return
-
         n = len(batch)
+        env = self.env
+        gpu = self.gpu
         context = context_tokens(batch)
-        spec = self.gpu.spec
-        step_time = self.model.decode_step_time
-        duration = 0.0
-        for s in range(k):
-            # Each modelled step grows every sequence's context by one.
-            duration += step_time(spec, n, context + s * n)
-        started = self.env.now
-        yield from self.gpu.compute_op(duration)
-        self.trace_span("decode-window", started, batch=n, steps=k)
+        started = env.now
+        horizon = env.horizon()
+        # A window only opens when the grant is the very next event, so
+        # nothing runs between request and grant.
+        alone = horizon > started and not gpu.compute.users
+        with gpu.compute.request() as grant:
+            yield grant
+            dilation = gpu.dilation()
+            first = self.model.decode_step_time(gpu.spec, n, context) * dilation
+            if alone and horizon > started + first:
+                durations, ends = self._window(batch, context, dilation, horizon, first)
+            else:
+                durations = ends = [first]
+            for duration in durations:
+                gpu.busy_time += duration
+            if len(ends) == 1:
+                yield first
+            else:
+                self._quiet_steps(batch, started, ends)
+                # _window checked that this delay lands exactly on t_k.
+                # (The clock may be a NumPy float; a bare delay is a float.)
+                yield float(ends[-1] - started)
+        self.trace_span("decode", ends[-2] if len(ends) > 1 else started, batch=n)
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
-        for _ in range(k):
-            yield from self._decode_bookkeeping(batch)
-        # The window stood in for k scheduler iterations; _serve's own
-        # increment accounts for the last one.
-        self.iteration += k - 1
+        yield from self._decode_bookkeeping(batch)
+
+    def _window(self, batch, context, dilation, horizon, first):
+        """Step durations and ends ``t_1 … t_k`` of the window that
+        starts now.
+
+        Step ``k`` is the first step whose end the step-by-step path
+        could decide something at:
+
+        * a sequence completes (that frees blocks and opens admission);
+        * a producer inform is due;
+        * the horizon -- the next pending event (an arrival, a scrape,
+          an audit tick, a fault, a DMA completion), the stop time of
+          the current ``run(until=...)``, or now under a per-event
+          monitor -- is at or before it;
+        * the blocks the earlier steps take would not all fit, which
+          would preempt.
+
+        Admission stays closed inside a window: it was closed at the
+        start, nothing is released, and the waiting queue only grows
+        through events.  The ends chain as ``t_s = t_{s-1} + d_s``, as
+        the per-step path adds them, and the window shrinks until the
+        one wake, ``t_0 + (t_k − t_0)``, lands exactly on ``t_k``.
+        """
+        limit = min([r.max_new_tokens - r.generated_tokens for r in batch])
+        if self.aqua_lib is not None:
+            limit = min(limit, self.inform_every - self.iteration % self.inform_every)
+        n = len(batch)
+        spec = self.gpu.spec
+        step_time = self.model.decode_step_time
+        now = self.env.now
+        durations = [first]
+        ends = [now + first]
+        while len(ends) < limit and horizon > ends[-1]:
+            duration = step_time(spec, n, context + len(ends) * n) * dilation
+            durations.append(duration)
+            ends.append(ends[-1] + duration)
+        k = 1 + self.kv.steps_fit([r.req_id for r in batch], len(ends) - 1)
+        while k > 1 and now + (ends[k - 1] - now) != ends[k - 1]:
+            k -= 1
+        return durations[:k], ends[:k]
+
+    def _quiet_steps(self, batch, started, ends) -> None:
+        """Account steps ``1 … k−1`` of a window at its start.
+
+        No event lands before ``t_{k-1}``, so nothing can tell: one KV
+        call grows every sequence by ``k−1`` tokens, one pass counts
+        them, and each step's stamps and observer records carry that
+        step's times.
+        """
+        quiet = len(ends) - 1
+        n = len(batch)
+        self.kv.append_steps([r.req_id for r in batch], quiet)
+        for request in batch:
+            request.generated_tokens += quiet
+        for end in ends[:quiet]:
+            self.metrics.record_token(end, n)
+        self.iteration += quiet
+        tracer, telemetry = self.tracer, self.telemetry
+        if tracer is not None or telemetry is not None:
+            for start, end in zip([started, *ends], ends[:quiet]):
+                if tracer is not None:
+                    tracer.add_span("decode", self.name, start, end, batch=n)
+                if telemetry is not None:
+                    telemetry.decode_batch(self.name, n)
+                    telemetry.attribution.mark(batch, "decode_hbm", end)
 
     def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
         """Account one generated token for every sequence in ``batch``.

@@ -104,6 +104,7 @@ class Environment:
         "_events_processed",
         "_active_process",
         "_monitors",
+        "_until",
         "event",
         "timeout",
         "process",
@@ -119,6 +120,10 @@ class Environment:
         #: Per-event observers (see :meth:`add_monitor`).  Empty in the
         #: common case, so the event loop pays one truthiness check.
         self._monitors: list[Callable[[float], None]] = []
+        #: When the caller next looks at the world: the stop time of the
+        #: last ``run(until=number)``, or the event time of the last
+        #: :meth:`step` (see :meth:`horizon`).
+        self._until = _INF
         # Event factories (see class docstring): ``partial`` / the
         # timeout closure skip one Python frame per event created,
         # which is material at benchmark rates.
@@ -176,6 +181,20 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else _INF
 
+    def horizon(self) -> float:
+        """Earliest time anything but the running process can act or look.
+
+        That is the next scheduled event, the stop time of a
+        ``run(until=number)`` in progress (its caller reads the world
+        then), or now under a per-event monitor or :meth:`step`.  A
+        process may account work ending before the horizon ahead of
+        time without anyone being able to tell.
+        """
+        if self._monitors:
+            return self._now
+        head = self._queue[0][0] if self._queue else _INF
+        return head if head < self._until else self._until
+
     def step(self) -> None:
         """Process the next scheduled event.
 
@@ -189,6 +208,7 @@ class Environment:
         except IndexError:
             raise EmptySchedule() from None
         self._events_processed += 1
+        self._until = self._now  # the caller looks after every event
 
         if event.__class__ is MethodType:
             # Bare-delay sleep: the entry is the process's resume
@@ -239,6 +259,7 @@ class Environment:
                     f"until ({stop_time}) must not be before now ({self._now})"
                 )
 
+        self._until = stop_time
         # The hot loops: one iteration per event, everything localised,
         # specialised per stop condition so the common cases pay no dead
         # checks.  Each must stay behaviourally identical to

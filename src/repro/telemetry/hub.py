@@ -327,9 +327,7 @@ class Telemetry:
         self._completed[engine].inc()
         if request.ttft is not None:
             self._ttft[engine].observe(request.ttft)
-            # TPOT from first/last token timestamps only, so it is
-            # exact even under decode coarsening (which fuses the
-            # per-token steps in between).
+            # TPOT from the first and last token timestamps only.
             if request.generated_tokens > 1:
                 tpot = (request.rct - request.ttft) / (
                     request.generated_tokens - 1

@@ -358,8 +358,8 @@ class SLOTracker:
             return request.ttft
         if metric == "e2e":
             return request.rct
-        # tpot: steady-state decode pace, robust to decode coarsening
-        # because it uses only the first/last token timestamps.
+        # tpot: steady-state decode pace, from the first and last
+        # token timestamps only.
         if request.ttft is None or request.rct is None:
             return None
         if request.generated_tokens <= 1:

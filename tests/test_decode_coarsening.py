@@ -1,293 +1,325 @@
-"""Time-warp decode coarsening (PR 7): fidelity and event savings.
+"""Exact decode windows: the vLLM engine fuses only quiet decode steps.
 
-``decode_coarsen=k`` fuses up to ``k`` per-token decode steps of a
-frozen batch into one aggregate compute event whose duration is the
-*exact sum* of the per-step roofline times, then replays the per-token
-bookkeeping at the window end.  The contract tested here:
+A window runs ``k`` decode steps of the running batch on one compute
+grant and one wake at ``t_k``.  Steps ``1 … k−1`` are *quiet*: the
+step-by-step path would pass their ends without deciding anything, so
+they are accounted at the window's start with their own clocks, stamps
+and blocks, and step ``k`` runs the per-step bookkeeping.  There is no
+knob; ``decode_coarsen`` accepts only 1.
 
-* modelled outcomes (token totals, completions — and, whenever the
-  batch composition is pinned, completion *times*) match the exact
-  per-token path;
-* the kernel retires strictly fewer events, which is the whole point;
-* windows clamp to the boundaries that carry semantics: request
-  completion, ``inform_every``, CFS slice budgets, FlexGen
-  ``respond_every``;
-* ``decode_coarsen=1`` (the default) takes the original code path —
-  byte-identical behaviour is locked down by the golden digest in
-  ``tests/test_determinism_golden.py``.
+Each condition that ends a window has a case here, checked against the
+step-loop reference (``tests/vllm_reference.py``) or against the
+per-step path itself, which a per-event monitor forces (windows never
+open under one).  Each case also asserts that windows really were open
+around the boundary, and one guard fails if the engine stops fusing.
 """
 
 import pytest
 
+from repro.aqua import AquaLib, Coordinator, LlmInformer
+from repro.audit import ConservationAuditor
 from repro.experiments.harness import build_consumer_rig
 from repro.hardware import Server
-from repro.models import KANDINSKY, MISTRAL_7B, OPT_30B, SD_15
-from repro.serving import (
-    BatchEngine,
-    CFSEngine,
-    FlexGenEngine,
-    OrcaEngine,
-    Request,
-    VLLMEngine,
-)
+from repro.models import CODELLAMA_34B, MISTRAL_7B, SD_15
+from repro.serving import BatchEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads.arrivals import submit_all
 from repro.workloads.sharegpt import sharegpt_requests
-
-
-def make_server(n_gpus=1):
-    env = Environment()
-    return env, Server(env, n_gpus=n_gpus, topology="p2p")
+from tests.test_vllm_oracle import (
+    RecordingEngine,
+    assert_matches,
+    run_reference,
+)
+from tests.vllm_reference import Reference
 
 
 def closed_batch(n, prompt=100, gen=40):
-    """All arrivals at t=0 with equal lengths: the batch composition is
-    frozen for the whole run, so coarsened timings must match exactly."""
+    """All arrivals at t=0 with equal lengths."""
+    return [(0.0, prompt, gen)] * n
+
+
+def sharegpt_trace(**kwargs):
     return [
-        Request(arrival_time=0.0, prompt_tokens=prompt, max_new_tokens=gen)
-        for _ in range(n)
+        (r.arrival_time, r.prompt_tokens, r.max_new_tokens)
+        for r in sharegpt_requests(**kwargs)
     ]
 
 
-def finish_times(requests):
-    return [r.finish_time for r in requests]
+def fused_steps(engine):
+    """Decode steps that ran inside windows."""
+    return sum(k for _, k in engine.windows)
+
+
+def per_step(env):
+    """Force the per-step path: no window opens under a per-event monitor."""
+    env.add_monitor(lambda now: None)
 
 
 # ---------------------------------------------------------------------------
-# vLLM
+# Windows are exact
 # ---------------------------------------------------------------------------
-def run_vllm(coarsen, requests):
-    env, server = make_server()
-    engine = VLLMEngine(
-        server.gpus[0], server, MISTRAL_7B, decode_coarsen=coarsen
-    )
-    engine.start()
-    submit_all(env, engine, requests)
-    env.run(until=600)
-    return env, engine
-
-
 def test_vllm_coarsened_run_matches_exact_run():
-    exact_reqs, coarse_reqs = closed_batch(12), closed_batch(12)
-    env1, e1 = run_vllm(1, exact_reqs)
-    env8, e8 = run_vllm(8, coarse_reqs)
-    assert all(r.done for r in exact_reqs) and all(r.done for r in coarse_reqs)
-    assert e8.metrics.tokens_generated == e1.metrics.tokens_generated
-    # Frozen batch: window durations are exact sums of the per-step
-    # roofline times, so completion times agree to float precision.
-    for a, b in zip(finish_times(exact_reqs), finish_times(coarse_reqs)):
-        assert b == pytest.approx(a, rel=1e-9)
-    # ~8x fewer decode events is the payoff.
-    assert env8.events_processed < env1.events_processed
+    ref, engine = assert_matches({}, closed_batch(12))
+    # Most of the run is fused: that is the payoff.
+    assert fused_steps(engine) > len(ref.step_ends) / 2
 
 
 def test_vllm_coarsening_with_open_arrivals_still_completes():
-    """Open arrivals change batch composition between windows; totals
-    must still be exact even though per-token timestamps may shift."""
-    exact_reqs = sharegpt_requests(rate=5, count=20, seed=3)
-    coarse_reqs = sharegpt_requests(rate=5, count=20, seed=3)
-    _, e1 = run_vllm(1, exact_reqs)
-    _, e8 = run_vllm(8, coarse_reqs)
-    assert all(r.done for r in coarse_reqs)
-    assert e8.metrics.tokens_generated == e1.metrics.tokens_generated
-    assert len(e8.metrics.completed) == len(e1.metrics.completed)
+    trace = sharegpt_trace(rate=5, count=20, seed=3)
+    ref, engine = assert_matches({}, trace)
+    assert len(ref.completed) == 20
+    assert engine.windows
 
 
 def test_vllm_window_clamps_to_remaining_tokens():
-    """decode_coarsen far beyond max_new_tokens must not overshoot."""
-    reqs = closed_batch(4, gen=5)
-    _, engine = run_vllm(64, reqs)
-    assert all(r.done for r in reqs)
-    assert all(r.generated_tokens == 5 for r in reqs)
+    """A window never runs past a completion: step ``k`` is at latest
+    the step that completes the first sequence."""
+    ref, engine = assert_matches({}, closed_batch(4, gen=5))
     assert engine.metrics.tokens_generated == 20
+    # Prefill emits token 1, so 4 decode steps remain: one window.
+    assert [k for _, k in engine.windows] == [4]
 
 
 def test_vllm_preemption_survives_coarsening():
-    """KV exhaustion mid-run: lazy repair at window boundaries must not
-    break the preempt/resume machinery."""
-    env, server = make_server()
-    from repro.models import CODELLAMA_34B
-
-    engine = VLLMEngine(
-        server.gpus[0], server, CODELLAMA_34B, decode_coarsen=8
-    )
-    engine.start()
-    requests = [
-        Request(arrival_time=0.0, prompt_tokens=2000, max_new_tokens=4000)
-        for _ in range(10)
-    ]
-    submit_all(env, engine, requests)
-    env.run(until=1200)
-    assert engine.preemptions > 0
-    assert all(r.done for r in requests)
-
-
-# ---------------------------------------------------------------------------
-# Orca
-# ---------------------------------------------------------------------------
-def test_orca_coarsened_run_matches_exact_run():
-    def run(coarsen):
-        env, server = make_server()
-        engine = OrcaEngine(
-            server.gpus[0], server, MISTRAL_7B, decode_coarsen=coarsen
-        )
-        engine.start()
-        reqs = closed_batch(8)
-        submit_all(env, engine, reqs)
-        env.run(until=600)
-        return env, engine, reqs
-
-    env1, e1, r1 = run(1)
-    env8, e8, r8 = run(8)
-    assert all(r.done for r in r1) and all(r.done for r in r8)
-    assert e8.metrics.tokens_generated == e1.metrics.tokens_generated
-    for a, b in zip(finish_times(r1), finish_times(r8)):
-        assert b == pytest.approx(a, rel=1e-9)
-    assert env8.events_processed < env1.events_processed
-
-
-# ---------------------------------------------------------------------------
-# CFS
-# ---------------------------------------------------------------------------
-def test_cfs_coarsened_run_matches_exact_run():
-    """Coarse windows never cross a slice boundary, so scheduling
-    decisions — and therefore times — are identical for any workload."""
-
-    def run(coarsen):
-        env, server = make_server()
-        engine = CFSEngine(
-            server.gpus[0],
-            server,
-            MISTRAL_7B,
-            use_aqua=False,
-            slice_tokens=5,
-            decode_coarsen=coarsen,
-        )
-        engine.start()
-        reqs = [
-            Request(arrival_time=i * 0.2, prompt_tokens=200, max_new_tokens=30)
-            for i in range(10)
-        ]
-        submit_all(env, engine, reqs)
-        env.run(until=600)
-        return env, engine, reqs
-
-    env1, e1, r1 = run(1)
-    env8, e8, r8 = run(8)
-    assert all(r.done for r in r1) and all(r.done for r in r8)
-    assert e8.metrics.tokens_generated == e1.metrics.tokens_generated
-    assert e8.slices_run == e1.slices_run
-    for a, b in zip(finish_times(r1), finish_times(r8)):
-        assert b == pytest.approx(a, rel=1e-9)
-    assert env8.events_processed < env1.events_processed
-
-
-# ---------------------------------------------------------------------------
-# FlexGen
-# ---------------------------------------------------------------------------
-def test_flexgen_coarsened_run_matches_exact_run():
-    from repro.aqua import AquaLib, Coordinator
-
-    def run(coarsen):
-        env, server = make_server(n_gpus=2)
-        coord = Coordinator()
-        lib = AquaLib(server.gpus[0], server, coord)
-        engine = FlexGenEngine(
-            server.gpus[0],
-            server,
-            OPT_30B,
-            aqua_lib=lib,
-            workspace_tokens=8000,
-            decode_coarsen=coarsen,
-        )
-        engine.start()
-        reqs = [
-            Request(arrival_time=0.0, prompt_tokens=3000, max_new_tokens=48)
-            for _ in range(2)
-        ]
-        submit_all(env, engine, reqs)
-        env.run(until=900)
-        return env, engine, reqs
-
-    env1, e1, r1 = run(1)
-    env8, e8, r8 = run(8)
-    assert all(r.done for r in r1) and all(r.done for r in r8)
-    assert e8.metrics.tokens_generated == e1.metrics.tokens_generated
-    for a, b in zip(finish_times(r1), finish_times(r8)):
-        assert b == pytest.approx(a, rel=1e-9)
-    assert env8.events_processed < env1.events_processed
-    # Window ends are clamped to respond_every boundaries, so the
-    # streaming-response cadence is unchanged.
-    assert all(r.generated_tokens == 48 for r in r8)
-
-
-# ---------------------------------------------------------------------------
-# BatchEngine (producer-side analogue)
-# ---------------------------------------------------------------------------
-def test_batch_engine_coarsened_backlog_matches_exact_run():
-    def run(coarsen):
-        env, server = make_server()
-        engine = BatchEngine(
-            server.gpus[0], server, SD_15, batch_size=8, decode_coarsen=coarsen
-        )
-        engine.start()
-        reqs = [
-            Request(arrival_time=0.0, prompt_tokens=1, max_new_tokens=1)
-            for _ in range(32)
-        ]
-        submit_all(env, engine, reqs)
-        env.run(until=600)
-        return env, engine, reqs
-
-    env1, e1, r1 = run(1)
-    env4, e4, r4 = run(4)
-    assert all(r.done for r in r1) and all(r.done for r in r4)
-    assert e4.batches_run == e1.batches_run == 4
-    assert len(e4.metrics.completed) == len(e1.metrics.completed) == 32
-    # The last batch of the window finishes at the same modelled time;
-    # earlier batches inside a window are stamped at the window end (the
-    # documented fidelity trade).
-    assert max(finish_times(r4)) == pytest.approx(max(finish_times(r1)), rel=1e-9)
-    assert env4.events_processed < env1.events_processed
-
-
-def test_batch_engine_partial_backlog_takes_exact_path():
-    """Below two full batches the coarse branch never engages, so the
-    per-batch path (and its timestamps) is untouched."""
-    env, server = make_server()
-    engine = BatchEngine(
-        server.gpus[0], server, KANDINSKY, batch_size=8, decode_coarsen=4
-    )
-    engine.start()
-    reqs = [
-        Request(arrival_time=0.0, prompt_tokens=1, max_new_tokens=1)
-        for _ in range(8)
-    ]
-    submit_all(env, engine, reqs)
-    env.run(until=300)
-    assert all(r.done for r in reqs)
-    assert engine.batches_run == 1
-
-
-# ---------------------------------------------------------------------------
-# Validation + harness threading
-# ---------------------------------------------------------------------------
-def test_invalid_decode_coarsen_rejected():
-    env, server = make_server()
-    with pytest.raises(ValueError, match="decode_coarsen"):
-        VLLMEngine(server.gpus[0], server, MISTRAL_7B, decode_coarsen=0)
-    with pytest.raises(ValueError, match="decode_coarsen"):
-        BatchEngine(server.gpus[0], server, SD_15, decode_coarsen=-1)
-
-
-def test_harness_threads_decode_coarsen():
-    rig = build_consumer_rig(
-        "vllm", MISTRAL_7B, producer_model=SD_15, use_aqua=True, decode_coarsen=4
-    )
-    assert rig.consumer_engine.decode_coarsen == 4
-    assert rig.producer_engine.decode_coarsen == 4
+    """KV exhaustion mid-run: a window stops before any step that would
+    preempt, so the preempt/resume machinery sees every shortfall."""
+    trace = [(0.0, 2000, 4000)] * 10
+    ref, engine = assert_matches({"model": CODELLAMA_34B}, trace, horizon=1200.0)
+    assert ref.preempted and engine.windows
 
 
 def test_harness_defaults_stay_exact():
+    """Rigs built by the harness decode exactly like the reference."""
     rig = build_consumer_rig("vllm", MISTRAL_7B, use_aqua=False)
-    assert rig.consumer_engine.decode_coarsen == 1
+    engine = rig.consumer_engine
+    trace = sharegpt_trace(rate=8, count=20, seed=4)
+    ref = Reference(
+        engine.model,
+        engine.server,
+        engine.gpu,
+        engine.allocator._free,
+        engine.kv.block_tokens,
+        engine.max_batch,
+        engine.preemption_mode,
+    )
+    ref.run(trace)
+    requests = [Request(*spec) for spec in trace]
+    rig.start()
+    submit_all(rig.env, engine, requests)
+    rig.env.run(until=120.0)
+    assert [(r.generated_tokens, r.first_token_time, r.finish_time) for r in requests] == [
+        (s.generated, s.first, s.finish) for s in sorted(ref.completed, key=lambda s: s.index)
+    ]
+    assert engine.metrics.token_times == ref.token_times
+
+
+def test_invalid_decode_coarsen_rejected():
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="decode_coarsen"):
+            VLLMEngine(server.gpus[0], server, MISTRAL_7B, decode_coarsen=k)
+
+
+# ---------------------------------------------------------------------------
+# One case per stop condition
+# ---------------------------------------------------------------------------
+def test_arrival_on_an_interior_step_end_ends_the_window():
+    trace = closed_batch(4, gen=60)
+    ref, _ = run_reference({}, trace)
+    landing = ref.step_ends[20]
+    _, engine = assert_matches({}, [*trace, (landing, 50, 10)])
+    # The window that would have run past the arrival ends on it.
+    assert landing in {end for end, k in engine.windows}
+
+
+@pytest.mark.parametrize("mode", ["recompute", "swap"])
+def test_kv_shortfall_ends_the_window(mode):
+    """Blocks run out mid-window: the window ends on the step that
+    preempts, in either preemption mode."""
+    rig = {"utilization": 0.188, "preemption_mode": mode}  # 27 blocks
+    ref, engine = assert_matches(rig, closed_batch(4, prompt=90, gen=100))
+    assert ref.preempted
+    first_shortfall = ref.preempted[0][0]
+    assert first_shortfall in {end for end, k in engine.windows}
+
+
+def test_float_guard_shortens_the_window():
+    """Right after t=0 one wake ``t_0 + (t_k − t_0)`` can miss ``t_k``
+    by an ulp; the window then shrinks until it lands exactly."""
+    trace = [(0.0, 1, 5)]
+    ref, engine = assert_matches({}, trace)
+    t0, t4 = ref.token_times[0], ref.step_ends[3]
+    assert t0 + (t4 - t0) != t4  # the full 4-step window would miss
+    assert [k for _, k in engine.windows] == [3]
+
+
+def chunked_run(windows):
+    """Run in 0.37 s slices, reading the engine between them and
+    submitting one more request from outside at 1.11 s."""
+    env = Environment()
+    if not windows:
+        per_step(env)
+    server = Server(env, n_gpus=1)
+    engine = RecordingEngine(server.gpus[0], server, MISTRAL_7B)
+    engine.start()
+    requests = sharegpt_requests(rate=4, count=8, seed=1)
+    submit_all(env, engine, requests)
+    seen = []
+    for i in range(1, 40):
+        env.run(until=0.37 * i)
+        if i == 3:
+            late = Request(arrival_time=env.now, prompt_tokens=300, max_new_tokens=50)
+            engine.submit(late)
+            requests.append(late)
+        seen.append(
+            (engine.metrics.tokens_generated, [r.generated_tokens for r in requests])
+        )
+    return engine, seen, [(r.first_token_time, r.finish_time) for r in requests]
+
+
+def test_run_stop_time_ends_the_window():
+    """``env.run(until=T)`` hands the world to its caller at ``T``: no
+    window accounts a step past it, and what the caller submits then
+    lands as it would between single steps."""
+    fused, fused_seen, fused_times = chunked_run(windows=True)
+    stepped, stepped_seen, stepped_times = chunked_run(windows=False)
+    assert fused.windows and not stepped.windows
+    assert fused_seen == stepped_seen
+    assert fused_times == stepped_times
+    assert fused.metrics.token_times == stepped.metrics.token_times
+
+
+class ProducerEngine(RecordingEngine):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ticks = []
+
+    def producer_tick(self):
+        self.ticks.append((self.env.now, self.iteration))
+        yield from super().producer_tick()
+
+
+def producer_run(windows):
+    """A vLLM producer informing AQUA every 4 iterations, donating KV."""
+    env = Environment()
+    if not windows:
+        per_step(env)
+    server = Server(env, n_gpus=2)
+    lib = AquaLib(server.gpus[0], server, Coordinator(), informer=LlmInformer())
+    engine = ProducerEngine(
+        server.gpus[0], server, MISTRAL_7B, aqua_lib=lib, inform_every=4
+    )
+    engine.start()
+    requests = sharegpt_requests(rate=6, count=30, seed=2)
+    submit_all(env, engine, requests)
+    env.run(until=30.0)
+    transcript = [(r.generated_tokens, r.first_token_time, r.finish_time) for r in requests]
+    return engine, transcript
+
+
+def test_windows_stop_at_producer_informs():
+    fused, fused_transcript = producer_run(windows=True)
+    stepped, stepped_transcript = producer_run(windows=False)
+    assert fused.windows and not stepped.windows
+    assert fused.ticks == stepped.ticks
+    assert fused_transcript == stepped_transcript
+    assert fused.metrics.token_times == stepped.metrics.token_times
+    assert fused.allocator._free == stepped.allocator._free
+
+
+class ContendedEngine(RecordingEngine):
+    """Counts decode steps that found the GPU busy."""
+
+    contended = 0
+
+    def _decode_step(self):
+        self.contended += bool(self.gpu.compute.users)
+        yield from super()._decode_step()
+
+
+def colocated_run(windows):
+    """A vLLM engine sharing its GPU's compute queue with a diffusion
+    engine, so decode steps often queue behind a batch."""
+    env = Environment()
+    if not windows:
+        per_step(env)
+    server = Server(env, n_gpus=1)
+    gpu = server.gpus[0]
+    engine = ContendedEngine(gpu, server, MISTRAL_7B, utilization=0.5)
+    images = BatchEngine(gpu, server, SD_15, batch_size=2)
+    engine.start()
+    images.start()
+    requests = sharegpt_requests(rate=6, count=20, seed=6)
+    jobs = [Request(arrival_time=0.5 * i, prompt_tokens=1, max_new_tokens=1) for i in range(30)]
+    submit_all(env, engine, requests)
+    submit_all(env, images, jobs)
+    env.run(until=30.0)
+    return engine, [
+        (r.generated_tokens, r.first_token_time, r.finish_time) for r in requests + jobs
+    ]
+
+
+def test_compute_waiter_ends_the_window():
+    fused, fused_transcript = colocated_run(windows=True)
+    stepped, stepped_transcript = colocated_run(windows=False)
+    assert fused.windows and fused.contended
+    assert fused_transcript == stepped_transcript
+    assert fused.metrics.token_times == stepped.metrics.token_times
+
+
+#: Per-event audit of a swap-mode vLLM run, recorded on the per-step
+#: engine before windows existed.
+AUDIT_DIGEST = "a7b1d4cc44c0b7d6ecbc0ea48813dc2edfaa7c7a7ea369672a91605c7d486674"
+
+
+def audited_run(per_event):
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    auditor = ConservationAuditor(env).attach_server(server)
+    if per_event:
+        auditor.watch(interval=None)
+    engine = RecordingEngine(
+        server.gpus[0], server, MISTRAL_7B, utilization=0.2, preemption_mode="swap"
+    )
+    engine.start()
+    submit_all(env, engine, sharegpt_requests(rate=8.0, count=16, seed=5))
+    env.run(until=15.0)
+    return env, engine, auditor
+
+
+def test_per_event_audit_sees_every_step():
+    env, engine, auditor = audited_run(per_event=True)
+    assert not engine.windows
+    assert auditor.checks == env.events_processed
+    assert auditor.digest == AUDIT_DIGEST
+    # The same run without the monitor does fuse.
+    bare_env, bare, _ = audited_run(per_event=False)
+    assert bare.windows and bare_env.events_processed < env.events_processed
+
+
+# ---------------------------------------------------------------------------
+# Engaged guard
+# ---------------------------------------------------------------------------
+class CountingEngine(RecordingEngine):
+    grants = 0
+
+    def _decode_step(self):
+        self.grants += 1
+        yield from super()._decode_step()
+
+
+def test_windows_stay_engaged_on_an_open_loop_drain():
+    """A rule that silently stops fusing fails here: on a small
+    open-loop burst drained at the batch limit, decode takes fewer than
+    half as many compute grants as it runs steps."""
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    engine = CountingEngine(server.gpus[0], server, MISTRAL_7B)
+    engine.start()
+    requests = sharegpt_requests(rate=40.0, count=150, seed=0)
+    submit_all(env, engine, requests)
+    env.run(until=60.0)
+    assert all(r.done for r in requests)
+    passes = engine.grants + sum(k - 1 for _, k in engine.windows)
+    assert engine.grants < passes / 2, (engine.grants, passes)

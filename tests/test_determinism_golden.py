@@ -42,11 +42,7 @@ GOLDEN_DIGEST = "aea264f10e1ea0ab8fd45cebe675e0da3e5be2fa7d67274d8adc7f4d47530b9
 DURATION = 30.0
 
 
-def _run_scenario(
-    telemetry: bool,
-    decode_coarsen: int = 1,
-    observability: bool = False,
-):
+def _run_scenario(telemetry: bool, observability: bool = False):
     """One seeded audited run; returns (digest, final-metrics dict, rig).
 
     ``observability=True`` additionally attaches the full time-resolved
@@ -60,7 +56,6 @@ def _run_scenario(
         use_aqua=True,
         audit=True,
         telemetry=telemetry,
-        decode_coarsen=decode_coarsen,
         scrape_interval=0.5 if observability else None,
         slo_policy=default_slo_policy() if observability else None,
     )
@@ -121,33 +116,27 @@ def test_telemetry_does_not_change_final_metrics():
     assert final_off == final_on
 
 
-@pytest.mark.parametrize("decode_coarsen", [1, 4])
-def test_observability_layer_is_observation_only(decode_coarsen):
+def test_observability_layer_is_observation_only():
     """The full time-resolved layer (PR 8) — 0.5 s metric scraper, SLO
     tracker with the default two-tenant policy, flight recorder — leaves
-    the audited event stream bit-identical, with decode coarsening off
-    and on.  The scraper runs on the simulation
-    clock but only *reads* state at each tick, so the only thing it may
-    change is event ids — which the audit digest deliberately excludes.
+    the audited event stream bit-identical.  The scraper runs on the
+    simulation clock but only *reads* state at each tick, so the only
+    thing it may change is event ids — which the audit digest
+    deliberately excludes.  (Its ticks also end the producer's decode
+    windows at different steps, which must not show either.)
     """
-    digest_off, final_off, _ = _run_scenario(False, decode_coarsen=decode_coarsen)
-    digest_on, final_on, rig = _run_scenario(
-        True, decode_coarsen=decode_coarsen, observability=True
-    )
+    digest_off, final_off, _ = _run_scenario(False)
+    digest_on, final_on, rig = _run_scenario(True, observability=True)
     # Non-vacuous: the layer really was attached and really scraped.
     assert rig.telemetry is not None and rig.telemetry.scraper is not None
     assert rig.telemetry.scraper.scrapes >= DURATION / 0.5 - 1
     assert rig.telemetry.slo is not None and rig.telemetry.recorder is not None
     assert digest_on == digest_off, (
-        f"observability layer perturbed the event stream "
-        f"(decode_coarsen={decode_coarsen})\n"
+        f"observability layer perturbed the event stream\n"
         f"  on  {digest_on}\n  off {digest_off}"
     )
     assert final_on == final_off
-    if decode_coarsen == 1:
-        # Coarsening intentionally time-warps decode, so only the exact
-        # per-token configuration is pinned to the committed golden.
-        assert digest_off == GOLDEN_DIGEST
+    assert digest_off == GOLDEN_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +219,7 @@ def test_sweep_parallel_matches_serial():
 # ``repro.routing`` — and even *running* a frontier cell in-process,
 # which exercises its global request-id and caching machinery — must
 # leave the single-server figure rigs byte-identical to the committed
-# golden, with decode coarsening off and on.
+# golden.
 # Second: the frontier sweep itself is a pooled fan-out, so serial,
 # ``--jobs 2`` and warm-cache replays must agree byte for byte.
 # ---------------------------------------------------------------------------
@@ -246,16 +235,12 @@ def test_routing_layer_is_inert_for_single_server_rigs():
     )
     assert cell["completed"] > 0
 
-    for decode_coarsen in (1, 4):
-        digest, final, _ = _run_scenario(
-            telemetry=False, decode_coarsen=decode_coarsen
-        )
-        assert final["tokens"] > 0
-        if decode_coarsen == 1:
-            assert digest == GOLDEN_DIGEST, (
-                f"routing layer perturbed the single-server event stream\n"
-                f"  got      {digest}\n  expected {GOLDEN_DIGEST}"
-            )
+    digest, final, _ = _run_scenario(telemetry=False)
+    assert final["tokens"] > 0
+    assert digest == GOLDEN_DIGEST, (
+        f"routing layer perturbed the single-server event stream\n"
+        f"  got      {digest}\n  expected {GOLDEN_DIGEST}"
+    )
 
 
 #: Small frontier grid for the fan-out tests: two policies, two rates,

@@ -91,12 +91,7 @@ def run_rig(engine_cls, **kwargs):
 
 RIGS = {
     "vllm-recompute-k1": (VLLMEngine, dict(preemption_mode="recompute")),
-    "vllm-recompute-k4": (
-        VLLMEngine,
-        dict(preemption_mode="recompute", decode_coarsen=4),
-    ),
     "vllm-swap-k1": (VLLMEngine, dict(preemption_mode="swap")),
-    "vllm-swap-k4": (VLLMEngine, dict(preemption_mode="swap", decode_coarsen=4)),
     "vllm-chunked-prefill": (VLLMEngine, dict(chunked_prefill_tokens=512)),
     "orca": (OrcaEngine, dict()),
     "cfs": (CFSEngine, dict(slice_tokens=5, use_aqua=False)),
@@ -105,9 +100,7 @@ RIGS = {
 #: Recorded before the one-pass decode bookkeeping landed.
 TRANSCRIPT_DIGESTS = {
     "vllm-recompute-k1": "d4ed1f7696135b252c384836eecbf3e3e095bdd622002be21f1ee2d4f9dc1b8b",
-    "vllm-recompute-k4": "143aa04a1265ecfc32a6a64e1afcbbe02f8ffb73938a941e084abd12f701875b",
     "vllm-swap-k1": "00e5a49b10332b6cb77744dcfa1eb652e7912f11c42c94a044288b533db27d50",
-    "vllm-swap-k4": "96df5a35e5ee62440ac3d5020a932fc67c7c8e1f0d874462c334c87b9b44906e",
     "vllm-chunked-prefill": "3604bd2c0d48a32c0a8b36052544cf056751ef25a8a1f9b67fdb5a76ac230fb8",
     "orca": "3b5c4664321d07b21321f4908e0d30b61453ca1c97f6093e168e67da1e81b6aa",
     "cfs": "e278b02a566f7573fb16edbd05cf77fba0b269957a1e5f01f629cdbd357ceed8",

@@ -1,12 +1,10 @@
 """Per-token transcript lockdown for the offloading long-prompt engines.
 
 The golden audit digest (``tests/test_determinism_golden.py``) pins one
-2-GPU FlexGen rig without decode coarsening.  These digests cover the
-offload paths it misses:
+2-GPU FlexGen rig.  These digests cover the offload paths it misses:
 
 * the 8-GPU NVSwitch rig of Figure 18 and of the ``offload`` bench
-  workload — four FlexGen consumers, each paired with a producer — at
-  ``decode_coarsen`` 1 and 4;
+  workload — four FlexGen consumers, each paired with a producer;
 * a DeepSpeed-style engine (synchronous context I/O) and a UVM-style
   engine (page-granular migration), each paired with a producer over
   the 2-GPU p2p NVLink.
@@ -15,11 +13,9 @@ Each rig is hashed three ways: the per-token transcript (each engine's
 ``metrics.token_times`` and each request's token count, first token and
 finish time), the conservation auditor's transfer digest (every
 transfer's time, route, size and duration) and the latency-attribution
-report.  The NVSwitch rig is fetch-bound, so coarsening moves its token
-stamps but neither its transfers nor its attribution.  The constants
-were recorded before the decode step was cut to one child process and
-must never be updated to make an engine change pass: a mismatch means
-simulated behaviour moved.
+report.  The constants were recorded before the decode step was cut
+to one child process and must never be updated to make an engine
+change pass: a mismatch means simulated behaviour moved.
 """
 
 import hashlib
@@ -49,9 +45,8 @@ WARM_UP = 1.0
 HORIZON = 60.0
 
 #: Three back-to-back 8,000-token prompts per consumer.  Each generates
-#: a token count that is a multiple of neither the AQUA
-#: ``respond_every`` cadence (16) nor the coarsening window (4), so
-#: windows are clipped at both boundaries and at completion.  At least
+#: a token count that is not a multiple of the AQUA ``respond_every``
+#: cadence (16).  At least
 #: two jobs per consumer finish inside the horizon (the attribution
 #: report covers finished requests only); on the NVSwitch rig the third
 #: is still decoding when the run stops.  The p2p engines decode more
@@ -77,7 +72,7 @@ def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def nvswitch_rig(decode_coarsen):
+def nvswitch_rig():
     """Four FlexGen consumers offloading over an 8-GPU NVSwitch."""
     env = Environment()
     server = Server(env, n_gpus=8, topology="nvswitch")
@@ -96,7 +91,6 @@ def nvswitch_rig(decode_coarsen):
             coordinator=coordinator,
             name_prefix=f"pair{i}-",
             telemetry=True,
-            decode_coarsen=decode_coarsen,
         ).start()
         for i, producer in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN))
     ]
@@ -138,9 +132,9 @@ def p2p_rig(engine_cls):
     return env, [engine], requests, auditor, tm.attribution_report()
 
 
+#: ``-k1`` names the per-step decode path the rig was recorded on.
 RIGS = {
-    "nvswitch-flexgen-k1": lambda: nvswitch_rig(1),
-    "nvswitch-flexgen-k4": lambda: nvswitch_rig(4),
+    "nvswitch-flexgen-k1": nvswitch_rig,
     "p2p-deepspeed": lambda: p2p_rig(DeepSpeedEngine),
     "p2p-uvm": lambda: p2p_rig(UVMEngine),
 }
@@ -150,11 +144,6 @@ RIGS = {
 TRANSCRIPT_DIGESTS = {
     "nvswitch-flexgen-k1": (
         "6224e1563d8fae37570cc055d75dc1438dadedd49b903b91bb9d8cca3aa6c8fb",
-        "f836debf07a6c09aec3bde387698002d4c26796f069b90874036dcb772e77402",
-        "ec1c5018f44370f01a666ef736c3000a023a694474e47b9647afebca1c3fe527",
-    ),
-    "nvswitch-flexgen-k4": (
-        "0eadfacc62c315a570ccf8f58331ee888bdc110dde1eb49451ce47cf00bfae45",
         "f836debf07a6c09aec3bde387698002d4c26796f069b90874036dcb772e77402",
         "ec1c5018f44370f01a666ef736c3000a023a694474e47b9647afebca1c3fe527",
     ),

@@ -9,8 +9,7 @@ implementation, and must never be updated to make a change pass.
 The rig is a short telemetered Figure 7 run: a FlexGen long-prompt
 consumer offloading over NVLink to a vLLM producer that serves its own
 ShareGPT trace, with the default SLO policy, a 0.5 s scrape and a 2 s
-DMA stall on the fetch link.  It runs with decode coarsening off and
-at ``decode_coarsen=4``.
+DMA stall on the fetch link.
 """
 
 import hashlib
@@ -35,28 +34,20 @@ from repro.workloads.sharegpt import sharegpt_requests
 DURATION = 30.0
 
 #: SHA-256 of (prometheus text, observability report, dashboard HTML,
-#: attribution report) per ``decode_coarsen``.
-GOLDEN = {
-    1: (
-        "a7f2a172c6584746f30390505af4051bb3c00c7bd59ffbaaebd4c795ff2c9afb",
-        "72ee5c57a5e615674a21c1d177196ab318dc3cc778138b81b345067e5714bfcc",
-        "f70ac28186b9edb09e5e2ecbff87833841d3205277922391a15f9aa95056b5fe",
-        "71436f3cae9150a7312466f35b49e4980e9480a3412beca25e9a57c5a7b8d8f2",
-    ),
-    4: (
-        "99b2f35fd766bf79ed78f1b18118e115dde38b2d207be4f7ecc11dc1efa18dbe",
-        "7cc62b95c42c3034f4d2eee8d6adc3dfaf04af1c59c0c66690e360fa558f0cf9",
-        "f906f176c4d7ca6865941d4ff96697e928d9d82ebc1fbcaa5fc08d66b4388e57",
-        "288151d8a37e18746527b0393e26e6e17c03f6cb8fcbaee22355e53d0be7d9e3",
-    ),
-}
+#: attribution report).
+GOLDEN = (
+    "a7f2a172c6584746f30390505af4051bb3c00c7bd59ffbaaebd4c795ff2c9afb",
+    "72ee5c57a5e615674a21c1d177196ab318dc3cc778138b81b345067e5714bfcc",
+    "f70ac28186b9edb09e5e2ecbff87833841d3205277922391a15f9aa95056b5fe",
+    "71436f3cae9150a7312466f35b49e4980e9480a3412beca25e9a57c5a7b8d8f2",
+)
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _exports(decode_coarsen: int) -> tuple[str, str, str, str]:
+def _exports() -> tuple[str, str, str, str]:
     rig = build_consumer_rig(
         "flexgen",
         OPT_30B,
@@ -65,7 +56,6 @@ def _exports(decode_coarsen: int) -> tuple[str, str, str, str]:
         telemetry=True,
         scrape_interval=0.5,
         slo_policy=default_slo_policy(),
-        decode_coarsen=decode_coarsen,
     )
     tm = rig.telemetry
     injector = FaultInjector(rig.server, coordinator=rig.coordinator, telemetry=tm)
@@ -96,9 +86,7 @@ def fresh_ids(monkeypatch):
     monkeypatch.setattr(repro.aqua.tensor, "_AQUA_TENSOR_IDS", itertools.count())
 
 
-@pytest.mark.parametrize("decode_coarsen", [1, 4])
-def test_observer_exports_are_byte_identical(fresh_ids, decode_coarsen):
+def test_observer_exports_are_byte_identical(fresh_ids):
     names = ("prometheus_text", "observability_report", "dashboard", "attribution_report")
-    got = _exports(decode_coarsen)
-    for name, digest, golden in zip(names, got, GOLDEN[decode_coarsen]):
-        assert digest == golden, f"{name} moved at decode_coarsen={decode_coarsen}"
+    for name, digest, golden in zip(names, _exports(), GOLDEN):
+        assert digest == golden, f"{name} moved"

@@ -389,6 +389,28 @@ def test_peek_empty_is_inf():
     assert env.peek() == float("inf")
 
 
+def test_horizon_is_the_next_point_anyone_else_can_act():
+    env = Environment()
+    env.timeout(9)
+    assert env.horizon() == 9  # no run in progress: the next event
+    seen = []
+
+    def proc(env):
+        while True:
+            seen.append(env.horizon())
+            yield env.timeout(4)
+
+    env.process(proc(env))
+    env.run(until=6)  # the caller looks at 6, before the event at 9
+    env.run(until=20)
+    assert seen == [6, 6, 9, 20, 20, 20]
+    env.step()  # stepping by hand: the caller looks after every event
+    assert env.horizon() == env.now == 24
+    env.add_monitor(lambda now: None)
+    env.run(until=30)
+    assert seen[-1] == 28  # a per-event monitor looks at every event
+
+
 def test_run_until_event_that_never_fires_raises():
     env = Environment()
     gate = env.event()

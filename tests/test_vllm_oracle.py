@@ -36,8 +36,8 @@ EXAMPLES = (
     else 20
 )
 
-#: Simulated seconds the engine runs; every drawn trace drains well
-#: before it (asserted on the reference's clock).
+#: Simulated seconds the engine runs; every trace drains well before
+#: it (asserted on the reference's clock).
 HORIZON = 200.0
 
 #: KV budgets of 27 to 109 blocks of 16 tokens (432 to 1,744 tokens)
@@ -47,46 +47,47 @@ UTILIZATIONS = (0.188, 0.1885, 0.189, 0.19)
 
 
 class RecordingEngine(VLLMEngine):
-    """Logs each preemption as ``(time it started, victim index)``."""
+    """Logs each preemption as ``(time it started, victim index)`` and
+    each decode window as ``(t_k, k)`` when ``k > 1``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.preempted = []
+        self.windows = []
 
     def _preempt_for(self, needy, live):
         before, started = set(live), self.env.now
         yield from super()._preempt_for(needy, live)
         self.preempted += [(started, r.req_id) for r in before - live]
 
-
-def build(rig, env=None):
-    env = env or Environment()
-    server = Server(env, n_gpus=1)
-    engine = RecordingEngine(
-        server.gpus[0],
-        server,
-        MISTRAL_7B,
-        utilization=rig["utilization"],
-        block_tokens=rig["block_tokens"],
-        max_batch=rig["max_batch"],
-        preemption_mode=rig["mode"],
-    )
-    return env, server, engine
+    def _quiet_steps(self, batch, started, ends):
+        self.windows.append((ends[-1], len(ends)))
+        super()._quiet_steps(batch, started, ends)
 
 
-def run_reference(rig, trace):
-    _, server, engine = build(rig)
+def build(rig, start=0.0):
+    """An engine on a fresh one-GPU server; ``rig`` holds its keyword
+    arguments (``model`` defaults to Mistral-7B)."""
+    kwargs = dict(rig)
+    model = kwargs.pop("model", MISTRAL_7B)
+    server = Server(Environment(start), n_gpus=1)
+    return RecordingEngine(server.gpus[0], server, model, **kwargs)
+
+
+def run_reference(rig, trace, start=0.0, horizon=HORIZON):
+    engine = build(rig, start)
     ref = Reference(
-        MISTRAL_7B,
-        server,
-        server.gpus[0],
+        engine.model,
+        engine.server,
+        engine.gpu,
         engine.allocator._free,
-        rig["block_tokens"],
-        rig["max_batch"],
-        rig["mode"],
+        engine.kv.block_tokens,
+        engine.max_batch,
+        engine.preemption_mode,
+        start=start,
     )
     seqs = ref.run(trace)
-    assert ref.now < HORIZON
+    assert ref.now < start + horizon
     return ref, {
         "requests": [(s.generated, repr(s.first), repr(s.finish)) for s in seqs],
         "token_times": [repr(t) for t in ref.token_times],
@@ -97,14 +98,15 @@ def run_reference(rig, trace):
     }
 
 
-def run_engine(rig, trace):
-    env, _, engine = build(rig)
+def run_engine(rig, trace, start=0.0, horizon=HORIZON):
+    engine = build(rig, start)
+    env = engine.env
     engine.start()
     requests = [Request(a, p, m) for a, p, m in trace]
     for i, request in enumerate(requests):
         request.req_id = i
     submit_all(env, engine, requests)
-    env.run(until=HORIZON)
+    env.run(until=start + horizon)
     return engine, {
         "requests": [
             (r.generated_tokens, repr(r.first_token_time), repr(r.finish_time))
@@ -118,10 +120,11 @@ def run_engine(rig, trace):
     }
 
 
-def assert_matches(rig, trace):
-    """Run both and compare; returns the reference for further checks."""
-    ref, want = run_reference(rig, trace)
-    engine, got = run_engine(rig, trace)
+def assert_matches(rig, trace, start=0.0, horizon=HORIZON):
+    """Run both from ``start`` and compare; returns both for further
+    checks."""
+    ref, want = run_reference(rig, trace, start, horizon)
+    engine, got = run_engine(rig, trace, start, horizon)
     for key in want:
         assert got[key] == want[key], f"{key} diverged from the reference"
     return ref, engine
@@ -143,7 +146,7 @@ requests = st.tuples(
 @given(data=st.data())
 def test_engine_matches_reference(mode, data):
     rig = {
-        "mode": mode,
+        "preemption_mode": mode,
         "utilization": data.draw(st.sampled_from(UTILIZATIONS)),
         "block_tokens": data.draw(st.sampled_from([1, 4, 16])),
         "max_batch": data.draw(st.integers(1, 12)),

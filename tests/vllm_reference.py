@@ -52,17 +52,17 @@ class Seq:
     finish: Optional[float] = None
     kv_tokens: int = 0
     blocks: list = field(default_factory=list)
-    swapped: bool = False
 
 
 class Reference:
     """Run a request trace through the rules above.
 
     ``free`` is the allocator's initial free list (taken from its end);
-    ``gpu``, ``dram`` and ``server`` price the swap copies.
+    ``server`` and ``gpu`` price the swap copies; the clock starts at
+    ``start``, no later than the first arrival.
     """
 
-    def __init__(self, model, server, gpu, free, block_tokens, max_batch, mode):
+    def __init__(self, model, server, gpu, free, block_tokens, max_batch, mode, start=0.0):
         self.model = model
         self.spec = gpu.spec
         self.server = server
@@ -72,7 +72,7 @@ class Reference:
         self.block_tokens = block_tokens
         self.max_batch = max_batch
         self.mode = mode
-        self.now = 0.0
+        self.now = start
         self.waiting: deque[Seq] = deque()
         self.running: list[Seq] = []
         self.swapped: list[Seq] = []
@@ -145,7 +145,6 @@ class Reference:
         ):
             seq = self.swapped.pop(0)
             seq.blocks = self.take(self.blocks_for(seq.kv_tokens))
-            seq.swapped = False
             self.now = self.now + self.copy_time(self.dram, self.gpu, seq)
             self.running.append(seq)
 
@@ -208,7 +207,6 @@ class Reference:
         self.preempted.append((self.now, victim.index))
         self.release(victim)
         if self.mode == "swap":
-            victim.swapped = True
             self.now = self.now + self.copy_time(self.gpu, self.dram, victim)
             self.swapped.append(victim)
         else:
