@@ -257,8 +257,7 @@ class CFSEngine(LLMEngineBase):
         slice_batch = len(self.running)
         seen: dict[int, Request] = {}
         try:
-            tokens_left = self.slice_tokens
-            while tokens_left > 0:
+            for _ in range(self.slice_tokens):
                 batch = list(self.running)
                 if not batch:
                     return
@@ -269,7 +268,6 @@ class CFSEngine(LLMEngineBase):
                 for request in batch:
                     seen.setdefault(request.req_id, request)
                 yield from self._decode_tokens(batch)
-                tokens_left -= 1
         finally:
             if slice_batch and self.env.now > slice_started:
                 self.trace_span("slice", slice_started, batch=slice_batch)

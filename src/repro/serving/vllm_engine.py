@@ -7,6 +7,8 @@ sit in the waiting queue making zero progress (Figure 1a / Figure 9's
 RCT jumps at ~20 requests).  Decode runs one token per iteration for
 every running sequence; when KV space runs out mid-generation the most
 recent sequence is preempted and recomputed later, as vLLM does.
+Iterations nothing could observe run as one exact window (see
+:meth:`VLLMEngine._decode_step`).
 
 The engine can simultaneously serve and act as an AQUA memory producer
 (the paper's modified vLLM, §B.1): spare KV blocks are donated via the
@@ -131,8 +133,8 @@ class VLLMEngine(LLMEngineBase):
         context = context_tokens(batch)
         started = env.now
         horizon = env.horizon()
-        # A window only opens when the grant is the very next event, so
-        # nothing runs between request and grant.
+        # A window only opens when the GPU is free and nothing else is
+        # due now: the grant is then the very next event.
         alone = horizon > started and not gpu.compute.users
         with gpu.compute.request() as grant:
             yield grant

@@ -261,6 +261,9 @@ def colocated_run(windows):
 
 
 def test_compute_waiter_ends_the_window():
+    """Decode steps that queue behind the diffusion batches open no
+    window.  (Today the horizon already rules them out: the holder's
+    wake is a pending event.)"""
     fused, fused_transcript = colocated_run(windows=True)
     stepped, stepped_transcript = colocated_run(windows=False)
     assert fused.windows and fused.contended

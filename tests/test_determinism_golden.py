@@ -18,8 +18,6 @@ loops, token-counter appends and the roofline math.
 
 import json
 
-import pytest
-
 from repro.experiments.harness import build_consumer_rig
 from repro.experiments.runall import run_all
 from repro.experiments.sweep import sweep_request_rate

@@ -75,6 +75,28 @@ class KVCacheMachine(RuleBasedStateMachine):
             s: (q.tokens, q.blocks) for s, q in self.cache.sequences.items()
         } == {s: (q.tokens, q.blocks) for s, q in reference.sequences.items()}
 
+    @rule(data=st.data(), steps=st.integers(min_value=0, max_value=40))
+    def append_window(self, data, steps):
+        """``steps_fit`` counts the whole steps of ``append_tokens``
+        calls that fit, and ``append_steps`` equals that many calls."""
+        resident = sorted(s for s in self.model_tokens if s not in self.swapped)
+        seq_ids = data.draw(st.lists(st.sampled_from(resident), unique=True)) if resident else []
+        reference = copy.deepcopy(self.cache)
+        fit = 0
+        while fit < steps and reference.append_tokens(seq_ids) == len(seq_ids):
+            fit += 1
+        assert self.cache.steps_fit(seq_ids, steps) == fit
+        reference = copy.deepcopy(self.cache)
+        for _ in range(fit):
+            reference.append_tokens(seq_ids)
+        self.cache.append_steps(seq_ids, fit)
+        for seq_id in seq_ids:
+            self.model_tokens[seq_id] += fit
+        assert self.cache.allocator._free == reference.allocator._free
+        assert {
+            s: (q.tokens, q.blocks) for s, q in self.cache.sequences.items()
+        } == {s: (q.tokens, q.blocks) for s, q in reference.sequences.items()}
+
     @rule()
     def append_into_full_cache(self):
         """With no free block, a boundary append is refused untouched."""
