@@ -202,10 +202,10 @@ class VLLMEngine(LLMEngineBase):
     def _quiet_steps(self, batch, started, ends) -> None:
         """Account steps ``1 … k−1`` of a window at its start.
 
-        No event lands before ``t_{k-1}``, so nothing can tell: one KV
-        call grows every sequence by ``k−1`` tokens, one pass counts
-        them, and each step's stamps and observer records carry that
-        step's times.
+        Nothing else acts or looks before ``t_{k-1}`` (the horizon), so
+        nothing can tell: one KV call grows every sequence by ``k−1``
+        tokens, one pass counts them, and each step's stamps and
+        observer records carry that step's times.
         """
         quiet = len(ends) - 1
         n = len(batch)
