@@ -23,32 +23,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from repro.aqua import AquaLib, AquaPlacer, AquaTensor, Coordinator
-from repro.hardware import Cluster, Server
-from repro.serving import (
-    BatchEngine,
-    CFSEngine,
-    FlexGenEngine,
-    LoRACache,
-    Request,
-    VLLMEngine,
-)
-from repro.sim import Environment
-
-__all__ = [
-    "AquaLib",
-    "AquaPlacer",
-    "AquaTensor",
-    "BatchEngine",
-    "CFSEngine",
-    "Cluster",
-    "Coordinator",
-    "Environment",
-    "FlexGenEngine",
-    "LoRACache",
-    "Request",
-    "Server",
-    "VLLMEngine",
-    "__version__",
-]

@@ -218,12 +218,6 @@ class ConservationAuditor:
             self.env.process(self._watcher(self._watch_interval))
         return self
 
-    def unwatch(self) -> None:
-        """Stop the per-event monitor (periodic watchers die with the run)."""
-        if self._watching_events:
-            self.env.remove_monitor(self._on_event)
-            self._watching_events = False
-
     def _on_event(self, now: float) -> None:
         self.check(checkpoint="event")
 
@@ -293,10 +287,6 @@ class ConservationAuditor:
         if new and self.strict:
             raise AuditError(new)
         return new
-
-    def raise_if_violations(self) -> None:
-        if self.violations:
-            raise AuditError(self.violations)
 
     def report(self) -> AuditReport:
         return AuditReport(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.aqua import AquaLib, AquaPlacer, BatchInformer, Coordinator, LlmInformer, ModelInstance
+from repro.experiments.pool import derive_seed
 from repro.hardware import Cluster
 from repro.hardware.specs import GiB
 from repro.models import get_model
@@ -263,7 +264,7 @@ class ClusterExperiment:
         return engine, lib
 
     def _make_requests(self, tenant: Tenant, duration: float) -> list:
-        seed = self.seed + tenant.name.__hash__() % 10_000
+        seed = derive_seed(self.seed, tenant.name)
         count = tenant.count or max(1, int(tenant.rate * duration * 0.8))
         if tenant.workload == "longprompt":
             return long_prompt_requests(start=1.0)

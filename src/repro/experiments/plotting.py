@@ -1,9 +1,7 @@
-"""Terminal plotting: render experiment series as ASCII charts.
+"""Terminal plotting: render experiment comparisons as ASCII bar charts.
 
-No plotting dependency is available offline, so the CLI and examples
-render their figures as text — line charts for time series (Figure 10's
-memory timeline), bar charts for comparisons (Figure 7's token counts),
-and CDF-style sorted-latency charts (Figures 8/9).
+No plotting dependency is available offline, so examples render their
+comparisons (Figure 7's token counts, per-tenant shares) as text.
 """
 
 from __future__ import annotations
@@ -35,85 +33,4 @@ def bar_chart(
     for label, value in zip(labels, values):
         bar = "#" * max(1 if value > 0 else 0, _scale(value, 0, hi, width))
         lines.append(f"{str(label).ljust(label_width)}  {bar} {value:g}{unit}")
-    return "\n".join(lines)
-
-
-def line_chart(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    height: int = 10,
-    width: int = 60,
-    title: Optional[str] = None,
-    y_label: str = "",
-) -> str:
-    """A sampled ASCII line chart of ``ys`` against ``xs``."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    if not xs:
-        return title or ""
-    if height < 2 or width < 2:
-        raise ValueError("chart must be at least 2x2")
-    lines = [title] if title else []
-    lo, hi = min(ys), max(ys)
-    if hi == lo:
-        hi = lo + 1.0
-    # Resample to the chart width.
-    columns = []
-    x0, x1 = xs[0], xs[-1]
-    for col in range(width):
-        target = x0 + (x1 - x0) * col / max(1, width - 1)
-        nearest = min(range(len(xs)), key=lambda i: abs(xs[i] - target))
-        columns.append(ys[nearest])
-    grid = [[" "] * width for _ in range(height)]
-    for col, value in enumerate(columns):
-        row = height - 1 - _scale(value, lo, hi, height - 1)
-        grid[row][col] = "*"
-    top_label = f"{hi:g}"
-    bottom_label = f"{lo:g}"
-    margin = max(len(top_label), len(bottom_label), len(y_label))
-    for i, row in enumerate(grid):
-        if i == 0:
-            prefix = top_label.rjust(margin)
-        elif i == height - 1:
-            prefix = bottom_label.rjust(margin)
-        elif i == height // 2 and y_label:
-            prefix = y_label.rjust(margin)
-        else:
-            prefix = " " * margin
-        lines.append(f"{prefix} |{''.join(row)}")
-    lines.append(f"{' ' * margin} +{'-' * width}")
-    lines.append(f"{' ' * margin}  {xs[0]:g}{' ' * (width - len(f'{xs[0]:g}') - len(f'{xs[-1]:g}'))}{xs[-1]:g}")
-    return "\n".join(lines)
-
-
-def cdf_chart(
-    series: dict[str, Sequence[float]],
-    width: int = 50,
-    title: Optional[str] = None,
-    points: int = 10,
-) -> str:
-    """Sorted-value comparison of several latency distributions.
-
-    Prints each series' value at evenly spaced ranks — the textual
-    equivalent of the paper's sorted-RCT plots.
-    """
-    if not series:
-        return title or ""
-    lines = [title] if title else []
-    names = list(series)
-    name_width = max(len(n) for n in names)
-    quantiles = [i / (points - 1) for i in range(points)]
-    header = "rank".ljust(name_width) + "  " + "  ".join(
-        f"{q:>6.0%}" for q in quantiles
-    )
-    lines.append(header)
-    for name in names:
-        values = sorted(series[name])
-        if not values:
-            continue
-        row = []
-        for q in quantiles:
-            idx = min(len(values) - 1, int(q * (len(values) - 1)))
-            row.append(f"{values[idx]:6.2f}")
-        lines.append(name.ljust(name_width) + "  " + "  ".join(row))
     return "\n".join(lines)

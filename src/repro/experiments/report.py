@@ -62,10 +62,3 @@ def summarize_requests(requests: Sequence[Request], label: str = "") -> dict:
         out["rct_max"] = max(rcts)
     return out
 
-
-def comparison_rows(summaries: Sequence[dict], keys: Sequence[str]) -> list[list]:
-    """Rows of selected metrics for several system summaries."""
-    return [
-        [s.get("label", "?"), *[s.get(k, float("nan")) for k in keys]]
-        for s in summaries
-    ]

@@ -32,10 +32,6 @@ class SweepPoint:
         """
         return self.summaries.get(system, {}).get(key, float("nan"))
 
-    def ttft_gain(self, system: str = "aqua") -> float:
-        """vLLM TTFT p95 over the system's TTFT p95 (bigger = better)."""
-        return self.metric("vllm", "ttft_p95") / self.metric(system, "ttft_p95")
-
     def rct_penalty(self, system: str) -> float:
         """System RCT mean over vLLM's (1.0 = free fairness)."""
         return self.metric(system, "rct_mean") / self.metric("vllm", "rct_mean")

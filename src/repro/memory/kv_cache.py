@@ -219,32 +219,6 @@ class PagedKVCache:
         return self.kv_bytes(seq)
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def resident_tokens(self) -> int:
-        return sum(s.tokens for s in self.sequences.values() if s.is_resident)
-
-    @property
-    def swapped_sequences(self) -> list[int]:
-        return [s.seq_id for s in self.sequences.values() if not s.is_resident]
-
-    @property
-    def resident_sequences(self) -> list[int]:
-        return [s.seq_id for s in self.sequences.values() if s.is_resident]
-
-    def scatter_pieces(self, seq_id: int) -> int:
-        """Number of distinct buffers holding a sequence's KV.
-
-        vLLM stores per-layer K and V tensors, each fragmented across
-        blocks — so a naive copy moves ``2 * layers * blocks`` small
-        buffers.  AQUA's gather kernel coalesces them into one (§5).
-        """
-        seq = self.sequences[seq_id]
-        blocks = max(1, self.blocks_for(seq.tokens))
-        return 2 * self.model.n_layers * blocks
-
-    # ------------------------------------------------------------------
     def _resident(self, seq_id: int) -> SequenceState:
         seq = self.sequences[seq_id]
         if not seq.is_resident:

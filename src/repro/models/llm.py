@@ -181,16 +181,6 @@ class LLMSpec:
         )
         return batch_size / step if step > 0 else 0.0
 
-    def max_batch_by_memory(
-        self, gpu: GPUSpec, avg_tokens_per_seq: float, reserve_bytes: int = 0
-    ) -> int:
-        """Largest batch whose KV cache fits in free HBM after weights."""
-        free = gpu.hbm_bytes - self.weight_bytes - reserve_bytes
-        if free <= 0:
-            return 0
-        per_seq = self.kv_bytes_per_token * avg_tokens_per_seq
-        return int(free // per_seq) if per_seq > 0 else 0
-
     def __str__(self) -> str:
         return self.name
 

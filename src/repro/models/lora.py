@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.models.llm import FP16_BYTES, LLMSpec
-
 MB = 10**6
 
 
@@ -39,20 +37,6 @@ class LoRAAdapter:
             raise ValueError(f"adapter size must be positive, got {self.nbytes}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-
-    @classmethod
-    def for_model(
-        cls, name: str, model: LLMSpec, rank: int, target_modules: int = 4
-    ) -> "LoRAAdapter":
-        """Derive the adapter size from the base model geometry.
-
-        Each adapted projection contributes two rank-``r`` matrices of
-        shape ``hidden x r`` per layer.
-        """
-        nbytes = (
-            2 * rank * model.hidden_dim * model.n_layers * target_modules * FP16_BYTES
-        )
-        return cls(name=name, nbytes=nbytes, rank=rank)
 
     def __str__(self) -> str:
         return f"{self.name}({self.nbytes / MB:.0f}MB)"

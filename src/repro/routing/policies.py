@@ -128,10 +128,6 @@ class SessionAffinityPolicy(RoutingPolicy):
     def __init__(self) -> None:
         self._home: dict = {}
 
-    def home_of(self, user: object) -> Optional[int]:
-        """The user's pinned frontend index, if one exists (diagnostic)."""
-        return self._home.get(user)
-
     def choose(self, request, tenant, frontends):
         if request.user is None:
             return _least_loaded_index(frontends)

@@ -133,13 +133,6 @@ class BatchEngine:
         self.batches_run += 1
         self._inform()
 
-    @property
-    def throughput_so_far(self) -> float:
-        """Completed samples per second since time zero."""
-        if self.env.now <= 0:
-            return 0.0
-        return len(self.metrics.completed) / self.env.now
-
     def __repr__(self) -> str:
         return (
             f"<BatchEngine {self.name} model={self.model.name} "

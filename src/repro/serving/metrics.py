@@ -123,10 +123,6 @@ class MetricsCollector:
             raise ValueError("window end must be after start")
         return self.tokens_in_window(start, end) / (end - start)
 
-    def sorted_rcts(self) -> list[float]:
-        """RCTs in ascending order (the paper's Figures 8, 11, 12)."""
-        return sorted(self.rcts)
-
     def summary(self) -> dict:
         """A compact report of this engine's run."""
         out = {

@@ -25,25 +25,18 @@ class OrcaEngine(VLLMEngine):
     """Continuous batching with worst-case (max-length) KV reservations."""
 
     def __init__(self, gpu, server, model, name: str = "orca", **kwargs) -> None:
-        kwargs.pop("preemption_mode", None)  # nothing to preempt: memory
-        kwargs.pop("chunked_prefill_tokens", None)  # is reserved up front
+        # Memory is reserved up front, so there is nothing to preempt,
+        # and a prefill chunk's fused decode would grow KV past the
+        # reservation: refuse both options rather than drop them.
+        if kwargs.pop("preemption_mode", "recompute") != "recompute":
+            raise ValueError("OrcaEngine reserves KV up front and never preempts")
+        if kwargs.pop("chunked_prefill_tokens", None) is not None:
+            raise ValueError("OrcaEngine does not support chunked prefill")
         super().__init__(gpu, server, model, name=name, **kwargs)
 
-    def _max_tokens(self, request: Request) -> int:
+    def _admit_tokens(self, request: Request) -> int:
+        # Reserve for the worst case; blocks never grow afterwards.
         return request.prompt_tokens + request.max_new_tokens
-
-    def _admit(self) -> list[Request]:
-        admitted = []
-        while (
-            self.waiting
-            and len(self.running) + len(admitted) < self.max_batch
-            and self.kv.can_admit(self._max_tokens(self.waiting[0]))
-        ):
-            request = self.waiting.popleft()
-            # Reserve for the worst case; blocks never grow afterwards.
-            self.kv.admit(request.req_id, self._max_tokens(request))
-            admitted.append(request)
-        return admitted
 
     def _decode_step(self) -> Generator:
         batch = list(self.running)
@@ -61,11 +54,3 @@ class OrcaEngine(VLLMEngine):
         for request in self._finish_tokens(batch):
             self.running.remove(request)
             self.kv.release(request.req_id)
-
-    @property
-    def reserved_unused_bytes(self) -> int:
-        """KV bytes reserved but not yet (and possibly never) used."""
-        used = sum(
-            self.model.kv_bytes(r.total_tokens) for r in self.running
-        )
-        return max(0, self.kv_used_bytes - used)

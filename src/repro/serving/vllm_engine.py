@@ -81,6 +81,11 @@ class VLLMEngine(LLMEngineBase):
         self.prefilling: list[list] = []
 
     # ------------------------------------------------------------------
+    def _admit_tokens(self, request: Request) -> int:
+        """KV tokens a waiting request reserves on admission: its
+        context now; blocks grow with each generated token."""
+        return request.total_tokens
+
     def _admit(self) -> list[Request]:
         """Admit waiting requests while KV memory and batch slots allow."""
         admitted = []
@@ -88,20 +93,24 @@ class VLLMEngine(LLMEngineBase):
             self.waiting
             and len(self.running) + len(self.prefilling) + len(admitted)
             < self.max_batch
-            and self.kv.can_admit(self.waiting[0].total_tokens)
+            and self.kv.can_admit(self._admit_tokens(self.waiting[0]))
         ):
             request = self.waiting.popleft()
-            self.kv.admit(request.req_id, request.total_tokens)
+            self.kv.admit(request.req_id, self._admit_tokens(request))
             admitted.append(request)
         return admitted
 
-    def _prefill(self, admitted: list[Request]) -> Generator:
-        """Run prefill for newly admitted requests (adapter loads first)."""
+    def _leave_queue(self, admitted: list[Request]) -> Generator:
+        """End the admitted requests' queueing and load their adapters."""
         self.attr_mark(admitted, "queueing")
         if self.lora_cache is not None:
             for request in admitted:
                 if request.adapter is not None:
                     yield from self.lora_cache.ensure(request.adapter)
+
+    def _prefill(self, admitted: list[Request]) -> Generator:
+        """Run whole-prompt prefill for newly admitted requests."""
+        yield from self._leave_queue(admitted)
         tokens = sum(r.total_tokens for r in admitted)
         started = self.env.now
         yield from self.gpu.compute_op(self.model.prefill_time(self.gpu.spec, tokens))
@@ -345,11 +354,8 @@ class VLLMEngine(LLMEngineBase):
                 self.running.append(request)
 
     def _start_chunked_prefill(self, admitted: list[Request]) -> Generator:
-        self.attr_mark(admitted, "queueing")
-        if self.lora_cache is not None:
-            for request in admitted:
-                if request.adapter is not None:
-                    yield from self.lora_cache.ensure(request.adapter)
+        """Queue newly admitted requests for chunked prefill."""
+        yield from self._leave_queue(admitted)
         for request in admitted:
             self.prefilling.append([request, request.total_tokens])
 
@@ -358,25 +364,13 @@ class VLLMEngine(LLMEngineBase):
             if self.swapped_out:
                 yield from self._swap_in_ready()
             admitted = self._admit()
-            if self.chunked_prefill_tokens is not None:
-                if admitted:
-                    yield from self._start_chunked_prefill(admitted)
-                if self.prefilling:
-                    yield from self._prefill_chunk_step()
-                elif self.running:
-                    yield from self._decode_step()
-                elif self.waiting:
-                    self.rejected.append(self.waiting.popleft())
-                elif self.swapped_out:
-                    self._abort_stuck_swapped()
-                else:
-                    yield from self._wait_for_arrival()
-                self.iteration += 1
-                if self.aqua_lib is not None and self.iteration % self.inform_every == 0:
-                    yield from self.producer_tick()
-                continue
+            if admitted and self.chunked_prefill_tokens is not None:
+                yield from self._start_chunked_prefill(admitted)
+                admitted = []
             if admitted:
                 yield from self._prefill(admitted)
+            elif self.prefilling:
+                yield from self._prefill_chunk_step()
             elif self.running:
                 yield from self._decode_step()
             elif self.waiting:

@@ -33,7 +33,7 @@ from repro.sim.events import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -41,10 +41,8 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

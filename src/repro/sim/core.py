@@ -172,11 +172,6 @@ class Environment:
         """
         self._monitors.append(fn)
 
-    def remove_monitor(self, fn: Callable[[float], None]) -> None:
-        """Unregister a monitor added with :meth:`add_monitor`."""
-        if fn in self._monitors:
-            self._monitors.remove(fn)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else _INF

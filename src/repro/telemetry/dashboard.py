@@ -623,10 +623,3 @@ def render_dashboard(data: dict) -> str:
         "</main></body></html>",
     ]
     return "\n".join(p for p in parts if p)
-
-
-def write_dashboard(path: str, data: dict) -> str:
-    """Render and write the dashboard; returns ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_dashboard(data))
-    return path

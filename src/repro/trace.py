@@ -164,13 +164,6 @@ class Tracer:
     def spans_on(self, track: str) -> list[Span]:
         return [s for s in self.spans if s.track == track]
 
-    def total_time(self, track: str, name: Optional[str] = None) -> float:
-        return sum(
-            s.duration
-            for s in self.spans_on(track)
-            if name is None or s.name == name
-        )
-
     def utilization(self, track: str, start: float, end: float) -> float:
         """Fraction of [start, end) covered by spans on ``track``.
 

@@ -67,7 +67,6 @@ def test_clean_run_audits_clean_per_event():
     assert report.ok
     assert report.checks > 1  # the per-event monitor fired during the run
     assert report.transfers_observed >= 5
-    auditor.raise_if_violations()  # must not raise
 
 
 def test_clean_reclaim_cycle_audits_clean():
@@ -240,13 +239,3 @@ def test_laws_are_documented():
         "placement",
         "determinism",
     )
-
-
-def test_unwatch_stops_the_event_monitor():
-    env, server, coord, consumer, producer, auditor = make_audited_rig()
-    churn(env, consumer)
-    checks_before = auditor.checks
-    auditor.unwatch()
-    t = consumer.to_responsive_tensor(16 * MB)
-    run(env, t.fetch())
-    assert auditor.checks == checks_before

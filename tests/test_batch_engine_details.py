@@ -90,14 +90,6 @@ def test_idle_engine_keeps_donating():
     assert lib.donated_bytes == donated_idle
 
 
-def test_throughput_so_far():
-    env, server, engine = make_engine(batch_size=4)
-    assert engine.throughput_so_far == 0.0
-    submit_all(env, engine, producer_requests(rate=5.0, count=20, seed=0))
-    env.run(until=60)
-    assert engine.throughput_so_far > 0
-
-
 def test_double_start_rejected():
     env, server, engine = make_engine()
     with pytest.raises(RuntimeError):

@@ -1,5 +1,11 @@
 """Tests for the concurrent multi-tenant cluster experiment."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cluster_run import (
@@ -89,3 +95,37 @@ def test_llm_heavy_cluster_pairs_all_consumers():
     consumers = [t.name for t in llm_heavy_tenants() if t.is_consumer_workload]
     matched = {c for c, _ in placement.pairs}
     assert set(consumers) <= matched
+
+
+_HASH_SEED_RUN = """
+import json
+from repro.experiments.cluster_run import ClusterExperiment, Tenant
+
+tenants = [
+    Tenant("opt-0", "OPT-30B", "longprompt"),
+    Tenant("sd-0", "StableDiffusion-1.5", "producer", rate=2.0),
+    Tenant("code-0", "CodeLlama-34B", "codesummary", rate=1.0),
+    Tenant("audio-0", "AudioGen", "producer", rate=2.0),
+]
+results = ClusterExperiment(n_servers=2).run(tenants, duration=10.0)["results"]
+print(json.dumps({n: [r.completed, r.tokens] for n, r in sorted(results.items())}))
+"""
+
+
+def test_cluster_run_does_not_depend_on_the_string_hash_seed():
+    """Per-tenant request seeds come from ``derive_seed``, not ``hash()``:
+    two interpreters with different ``PYTHONHASHSEED`` values run the
+    same cluster to the same completions and tokens."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(hash_seed: str) -> dict:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_RUN],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        return json.loads(out.stdout)
+
+    first, second = run("1"), run("2")
+    assert first == second
+    assert all(tokens > 0 for _, tokens in first.values())

@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments import build_consumer_rig, drain, format_table
 from repro.experiments import figures as F
-from repro.experiments.report import comparison_rows, summarize_requests
+from repro.experiments.report import summarize_requests
 from repro.models import CODELLAMA_34B, MISTRAL_7B, OPT_30B, SD_15
 from repro.serving import Request
 from repro.workloads.arrivals import submit_all
@@ -50,14 +50,6 @@ def test_summarize_unfinished_requests():
     s = summarize_requests([r], "x")
     assert s["completed"] == 0
     assert "ttft_mean" not in s
-
-
-def test_comparison_rows():
-    rows = comparison_rows(
-        [{"label": "a", "x": 1}, {"label": "b"}], keys=["x"]
-    )
-    assert rows[0] == ["a", 1]
-    assert rows[1][0] == "b"
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +229,8 @@ def test_sweep_single_point():
     point = points[0]
     assert point.rate == 2.0
     assert set(point.summaries) == {"vllm", "cfs-dram", "aqua"}
-    assert point.ttft_gain("aqua") > 0
+    assert point.metric("vllm", "ttft_p95") > 0
+    assert point.metric("aqua", "ttft_p95") > 0
     rows = sweep_rows(points)
     assert len(rows) == 1 and rows[0][0] == 2.0
 

@@ -177,7 +177,10 @@ class KVCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def swapped_set_matches_cache(self):
-        assert set(self.cache.swapped_sequences) == self.swapped
+        swapped = {
+            s.seq_id for s in self.cache.sequences.values() if not s.is_resident
+        }
+        assert swapped == self.swapped
 
 
 KVCacheMachine.TestCase.settings = settings(

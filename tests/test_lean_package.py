@@ -1,0 +1,87 @@
+"""Guards that keep the package lean.
+
+* Every module- and class-level ``def``/``class`` in ``src/repro`` has a
+  caller: its name appears as a word in ``src/``, ``examples/``,
+  ``bench/`` or ``pyproject.toml`` somewhere other than its own
+  definition line.  A definition only its unit tests reach is not needed
+  by the system; delete it with its tests rather than allowlist it.
+* ``import repro`` and ``import repro.sim`` stay light: neither loads
+  numpy, which every CLI call and spawned ``--jobs`` worker would pay.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+WORD = re.compile(r"\w+")
+
+#: Definitions kept without a caller, each with its reason.
+ALLOWED = {
+    # The AQUA-LIB policy interface of §B.1, exposed verbatim for
+    # engines that move tensors themselves (docs/architecture.md).
+    "done_moving_tensors": "paper's AQUA-LIB API",
+    # Figure 3a's measured bandwidth points: the anchor data the link
+    # model is fitted against (tests/test_calibration.py).
+    "paper_fig3a_points": "paper's anchor data",
+}
+
+
+def _definitions():
+    """``(path, line, name)`` of every module- and class-level def."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree.body]
+        scopes += [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                yield path, node.lineno, name
+
+
+def _word_counts():
+    """Occurrences of every word in the files a caller may live in."""
+    paths = [ROOT / "pyproject.toml"]
+    for top in ("src", "examples", "bench"):
+        paths += sorted((ROOT / top).rglob("*.py"))
+    return Counter(word for path in paths for word in WORD.findall(path.read_text()))
+
+
+def test_every_definition_has_a_caller():
+    counts = _word_counts()
+    definitions = list(_definitions())
+    assert set(ALLOWED) <= {name for _, _, name in definitions}, "stale allowlist"
+    uncalled = []
+    for path, line, name in definitions:
+        own_line = path.read_text().splitlines()[line - 1]
+        uses = counts[name] - WORD.findall(own_line).count(name)
+        if not uses and name not in ALLOWED:
+            uncalled.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not uncalled, "definitions nothing calls:\n" + "\n".join(uncalled)
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.sim"])
+def test_import_does_not_load_numpy(module):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "False"

@@ -302,15 +302,10 @@ def test_cache_resident_tokens():
     cache.admit(1, tokens=10)
     cache.admit(2, tokens=20)
     cache.swap_out(2)
-    assert cache.resident_tokens == 10
-    assert cache.swapped_sequences == [2]
-    assert cache.resident_sequences == [1]
-
-
-def test_scatter_pieces_counts_layers_and_blocks():
-    cache = make_cache()
-    cache.admit(1, tokens=32)  # 2 blocks
-    assert cache.scatter_pieces(1) == 2 * LLAMA2_13B.n_layers * 2
+    resident = [s for s in cache.sequences.values() if s.is_resident]
+    assert [s.seq_id for s in resident] == [1]
+    assert sum(s.tokens for s in resident) == 10
+    assert not cache.sequences[2].is_resident
 
 
 def test_blocks_for_rounding():
@@ -337,4 +332,5 @@ def test_cache_swap_roundtrip_preserves_tokens(seqs):
     for i, tokens in enumerate(seqs):
         cache.swap_in(i)
         assert cache.sequences[i].tokens == tokens
-    assert cache.resident_tokens == sum(seqs)
+    assert all(s.is_resident for s in cache.sequences.values())
+    assert sum(s.tokens for s in cache.sequences.values()) == sum(seqs)

@@ -34,7 +34,6 @@ def test_orca_reserves_worst_case():
     # Blocks for the full 1000 tokens were taken at admission.
     expected = engine.kv.blocks_for(1000)
     assert engine.allocator.used_blocks == expected
-    assert engine.reserved_unused_bytes > 0
 
 
 def test_orca_never_preempts():
@@ -97,3 +96,26 @@ def test_orca_worse_ttft_under_burst():
         return percentile(ttfts, 95)
 
     assert ttft_p95(OrcaEngine) > ttft_p95(VLLMEngine)
+
+
+@pytest.mark.parametrize(
+    "option", [{"preemption_mode": "swap"}, {"chunked_prefill_tokens": 256}]
+)
+def test_orca_refuses_options_it_cannot_honour(option):
+    """Nothing is ever preempted, and a chunked prefill's fused decode
+    would grow KV past the up-front reservation: both options fail
+    loudly instead of being dropped."""
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    with pytest.raises(ValueError):
+        OrcaEngine(server.gpus[0], server, MISTRAL_7B, **option)
+
+
+def test_orca_accepts_the_default_options():
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    engine = OrcaEngine(
+        server.gpus[0], server, MISTRAL_7B,
+        preemption_mode="recompute", chunked_prefill_tokens=None,
+    )
+    assert engine.chunked_prefill_tokens is None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.plotting import bar_chart, cdf_chart, line_chart
+from repro.experiments.plotting import bar_chart
 from repro.experiments.runall import EXPERIMENTS, run_all
 
 
@@ -32,41 +32,6 @@ def test_bar_chart_mismatched_lengths():
 
 def test_bar_chart_empty():
     assert bar_chart([], [], title="t") == "t"
-
-
-def test_line_chart_shape():
-    xs = list(range(100))
-    ys = [x % 20 for x in xs]
-    out = line_chart(xs, ys, height=8, width=40, title="saw")
-    lines = out.splitlines()
-    assert lines[0] == "saw"
-    assert len(lines) == 1 + 8 + 2  # title + rows + axis + x labels
-    assert any("*" in line for line in lines)
-
-
-def test_line_chart_constant_series():
-    out = line_chart([0, 1, 2], [5, 5, 5])
-    assert "*" in out
-
-
-def test_line_chart_validation():
-    with pytest.raises(ValueError):
-        line_chart([1], [1, 2])
-    with pytest.raises(ValueError):
-        line_chart([1, 2], [1, 2], height=1)
-
-
-def test_cdf_chart_orders_quantiles():
-    out = cdf_chart({"base": [5, 1, 3, 2, 4], "aqua": [1, 1, 1, 1, 1]}, points=5)
-    lines = out.splitlines()
-    assert lines[0].startswith("rank")
-    base_row = next(l for l in lines if l.startswith("base"))
-    values = [float(v) for v in base_row.split()[1:]]
-    assert values == sorted(values)
-
-
-def test_cdf_chart_empty():
-    assert cdf_chart({}, title="t") == "t"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.observe import observe_experiment
 from repro.sim import Environment
 from repro.telemetry import FlightRecorder, Observation, Telemetry, observing
-from repro.telemetry.dashboard import render_dashboard, write_dashboard
+from repro.telemetry.dashboard import render_dashboard
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +168,6 @@ def test_dashboard_is_self_contained(observe_result):
     assert "<script" not in lowered
     assert "@import" not in lowered
     assert 'src="' not in lowered
-
-
-def test_write_dashboard_round_trip(tmp_path, observe_result):
-    out = tmp_path / "dash.html"
-    path = write_dashboard(str(out), observe_result)
-    assert path == str(out)
-    assert out.read_text() == render_dashboard(observe_result)
 
 
 def test_dashboard_data_is_json_safe(observe_result):

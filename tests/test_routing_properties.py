@@ -217,7 +217,7 @@ def test_session_affinity_survives_reroutes(seed):
                 yield env.timeout(delay)
             idx = router.submit(request, tenant)
             if idx is not None:
-                routed_to.append((request.user, idx, policy.home_of(request.user)))
+                routed_to.append((request.user, idx, policy._home.get(request.user)))
 
     env.process(proc(env))
     env.run(until=20.0)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
-from repro.sim.resources import PriorityResource
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -67,29 +66,6 @@ def test_resource_fifo_order():
     assert order == ["first", "second", "third"]
 
 
-def test_priority_resource_serves_low_priority_number_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def user(env, name, priority):
-        yield env.timeout(1)
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-
-    env.process(holder(env))
-    env.process(user(env, "low-pri", 5))
-    env.process(user(env, "high-pri", 1))
-    env.run()
-    assert order == ["high-pri", "low-pri"]
-
-
 def test_release_unknown_request_is_noop():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -119,95 +95,6 @@ def test_cancel_queued_request():
     assert not queued.triggered
 
 
-def test_store_put_get_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for i in range(3):
-            yield env.timeout(1)
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append((env.now, item))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [(1, 0), (2, 1), (3, 2)]
-
-
-def test_store_get_blocks_until_item():
-    env = Environment()
-    store = Store(env)
-    times = []
-
-    def consumer(env):
-        item = yield store.get()
-        times.append((env.now, item))
-
-    def producer(env):
-        yield env.timeout(9)
-        yield store.put("x")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert times == [(9, "x")]
-
-
-def test_store_bounded_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("put-a", env.now))
-        yield store.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer(env):
-        yield env.timeout(5)
-        item = yield store.get()
-        log.append((f"got-{item}", env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("put-a", 0) in log
-    assert ("put-b", 5) in log
-
-
-def test_store_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_store_size():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    env.run()
-    assert store.size == 2
-
-
-def test_store_cancel_get():
-    env = Environment()
-    store = Store(env)
-    get_ev = store.get()
-    store.cancel_get(get_ev)
-    store.put("x")
-    env.run()
-    assert not get_ev.triggered
-    assert store.size == 1
-
-
 @given(
     holds=st.lists(st.floats(min_value=0.01, max_value=10), min_size=1, max_size=20),
     capacity=st.integers(min_value=1, max_value=5),
@@ -230,29 +117,6 @@ def test_resource_never_exceeds_capacity(holds, capacity):
     env.run()
     assert max_seen[0] <= capacity
     assert res.count == 0
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_fifo_order(items):
-    """Property: items come out of a store in the order they went in."""
-    env = Environment()
-    store = Store(env)
-    out = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in items:
-            item = yield store.get()
-            out.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert out == items
 
 
 @given(

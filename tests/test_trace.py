@@ -20,8 +20,7 @@ def test_add_span_and_queries():
     tracer.add_span("work", "t0", 1.0, 3.0, batch=4)
     tracer.add_span("work", "t0", 5.0, 6.0)
     tracer.add_span("other", "t1", 0.0, 1.0)
-    assert tracer.total_time("t0") == 3.0
-    assert tracer.total_time("t0", name="work") == 3.0
+    assert [s.duration for s in tracer.spans_on("t0")] == [2.0, 1.0]
     assert len(tracer.spans_on("t1")) == 1
     assert len(tracer) == 3
 
@@ -267,9 +266,10 @@ def test_cfs_records_slices_and_switches():
     assert "slice" in names
     assert "context-switch" in names
     # Trace accounting agrees with the engine's own counter.
-    assert tracer.total_time(engine.name, "context-switch") == pytest.approx(
-        engine.context_switch_time
+    switch_time = sum(
+        s.duration for s in tracer.spans_on(engine.name) if s.name == "context-switch"
     )
+    assert switch_time == pytest.approx(engine.context_switch_time)
 
 
 def test_engine_without_tracer_records_nothing():

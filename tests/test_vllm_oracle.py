@@ -1,4 +1,5 @@
-"""Differential test: ``VLLMEngine`` against a step-loop reference.
+"""Differential test: ``VLLMEngine`` and ``OrcaEngine`` against a
+step-loop reference.
 
 ``tests/vllm_reference.py`` restates vLLM continuous batching as a plain
 loop with no simulation kernel.  Hypothesis draws small traces --
@@ -14,6 +15,9 @@ decode step.  The engine and the reference must then agree exactly on:
 * the preemption sequence (time and victim);
 * the allocator's free list at the end.
 
+``OrcaEngine`` runs against the reference's ``"orca"`` mode on the same
+traces.
+
 The tier-1 budget is small; ``--hypothesis-profile=ci`` (registered in
 ``tests/conftest.py``) raises it.
 """
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import Server
 from repro.models import MISTRAL_7B
-from repro.serving import Request, VLLMEngine
+from repro.serving import OrcaEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads.arrivals import submit_all
 from tests.vllm_reference import Reference
@@ -65,13 +69,21 @@ class RecordingEngine(VLLMEngine):
         super()._quiet_steps(batch, started, ends)
 
 
+class RecordingOrca(OrcaEngine):
+    """An Orca engine's preemption log: always empty."""
+
+    preempted = ()
+
+
 def build(rig, start=0.0):
     """An engine on a fresh one-GPU server; ``rig`` holds its keyword
-    arguments (``model`` defaults to Mistral-7B)."""
+    arguments (``model`` defaults to Mistral-7B) and ``orca=True``
+    builds an :class:`OrcaEngine`."""
     kwargs = dict(rig)
     model = kwargs.pop("model", MISTRAL_7B)
+    cls = RecordingOrca if kwargs.pop("orca", False) else RecordingEngine
     server = Server(Environment(start), n_gpus=1)
-    return RecordingEngine(server.gpus[0], server, model, **kwargs)
+    return cls(server.gpus[0], server, model, **kwargs)
 
 
 def run_reference(rig, trace, start=0.0, horizon=HORIZON):
@@ -83,7 +95,7 @@ def run_reference(rig, trace, start=0.0, horizon=HORIZON):
         engine.allocator._free,
         engine.kv.block_tokens,
         engine.max_batch,
-        engine.preemption_mode,
+        "orca" if isinstance(engine, OrcaEngine) else engine.preemption_mode,
         start=start,
     )
     seqs = ref.run(trace)
@@ -137,20 +149,17 @@ requests = st.tuples(
 )
 
 
-@pytest.mark.parametrize("mode", ["recompute", "swap"])
-@settings(
-    max_examples=EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(data=st.data())
-def test_engine_matches_reference(mode, data):
-    rig = {
-        "preemption_mode": mode,
+def draw_rig(data, **extra):
+    return {
         "utilization": data.draw(st.sampled_from(UTILIZATIONS)),
         "block_tokens": data.draw(st.sampled_from([1, 4, 16])),
         "max_batch": data.draw(st.integers(1, 12)),
+        **extra,
     }
+
+
+def draw_trace(data, rig):
+    """A drawn trace plus up to three arrivals exactly on step ends."""
     trace = data.draw(st.lists(requests, min_size=2, max_size=10))
     # Extra arrivals exactly at decode-step ends.  Arrivals only affect
     # the schedule after they land, so each chosen end is still a step
@@ -164,4 +173,28 @@ def test_engine_matches_reference(mode, data):
         floor = data.draw(st.sampled_from(ends))
         prompt, max_new = data.draw(requests)[1:]
         trace.append((floor, prompt, max_new))
-    assert_matches(rig, trace)
+    return trace
+
+
+oracle_settings = settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("mode", ["recompute", "swap"])
+@oracle_settings
+@given(data=st.data())
+def test_engine_matches_reference(mode, data):
+    rig = draw_rig(data, preemption_mode=mode)
+    assert_matches(rig, draw_trace(data, rig))
+
+
+@oracle_settings
+@given(data=st.data())
+def test_orca_matches_reference(data):
+    """Worst-case reservations: admission, rejection, completion order
+    and the free list follow ``prompt + max_new`` blocks per request."""
+    rig = draw_rig(data, orca=True)
+    assert_matches(rig, draw_trace(data, rig))

@@ -27,6 +27,11 @@ The rules, per loop turn:
    is rejected, else a stuck swapped sequence ends; an idle engine
    waits for the next arrival.
 
+Mode ``"orca"`` is ``OrcaEngine``, Orca's worst-case reservation: rule
+2 charges each admitted prompt its ``prompt + max_new`` tokens up front,
+and a decode step only emits tokens -- sequences take no blocks as they
+grow, so nothing is ever preempted or swapped.
+
 Blocks come from a LIFO free list: taken from its end, returned in the
 order the sequence holds them.  Chunked prefill, LoRA adapters and
 producer duties are not modelled.
@@ -153,10 +158,10 @@ class Reference:
         while (
             self.waiting
             and len(self.running) + len(admitted) < self.max_batch
-            and self.blocks_for(self.context(self.waiting[0])) <= len(self.free)
+            and self.blocks_for(self.reservation(self.waiting[0])) <= len(self.free)
         ):
             seq = self.waiting.popleft()
-            seq.kv_tokens = self.context(seq)
+            seq.kv_tokens = self.reservation(seq)
             seq.blocks = self.take(self.blocks_for(seq.kv_tokens))
             admitted.append(seq)
         return admitted
@@ -164,6 +169,11 @@ class Reference:
     @staticmethod
     def context(seq):
         return seq.prompt + seq.generated
+
+    def reservation(self, seq):
+        """KV tokens admission charges: the whole output up front under
+        Orca, the context so far otherwise."""
+        return seq.prompt + seq.max_new if self.mode == "orca" else self.context(seq)
 
     def prefill(self, admitted):
         tokens = sum(self.context(s) for s in admitted)
@@ -180,6 +190,12 @@ class Reference:
         step = self.model.decode_step_time(self.spec, len(batch), context)
         self.now = self.now + step
         self.step_ends.append(self.now)
+        if self.mode == "orca":
+            for seq in batch:
+                if self.token(seq):
+                    self.running.remove(seq)
+                    self.release(seq)
+            return
         live = set(batch)
         for seq in batch:
             if seq not in live:
