@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from typing import Sequence
 
@@ -44,7 +45,14 @@ class MetricsCollector:
         self.name = name
         self.completed: list[Request] = []
         self.tokens_generated = 0
-        self.token_times: list[float] = []
+        #: One ``(time, running token total)`` pair per
+        #: :meth:`record_token` call, kept as two parallel sequences:
+        #: ``step_totals[i]`` tokens had been generated by
+        #: ``step_times[i]``.  The times stay the clock's own objects (a
+        #: NumPy float keeps its type); the totals are packed, so no int
+        #: object is kept per call.
+        self.step_times: list[float] = []
+        self.step_totals = array("q")
         #: Times at which in-flight requests were re-queued after a
         #: fault (recovery metric; see ``LLMEngineBase.requeue``).
         self.requeue_times: list[float] = []
@@ -54,16 +62,17 @@ class MetricsCollector:
         """Count ``n`` tokens generated at ``now``.
 
         Going back in time raises rather than clamps:
-        :meth:`tokens_in_window` binary-searches ``token_times``.
+        :meth:`tokens_in_window` binary-searches ``step_times``.
         """
-        times = self.token_times
+        times = self.step_times
         if times and now < times[-1]:
             raise ValueError(
                 f"non-monotonic token time for {self.name!r}: "
                 f"t={now} precedes last token t={times[-1]}"
             )
         self.tokens_generated += n
-        times.extend([now] * n)
+        times.append(now)
+        self.step_totals.append(self.tokens_generated)
 
     def record_completion(self, request: Request) -> None:
         self.completed.append(request)
@@ -114,8 +123,10 @@ class MetricsCollector:
 
     def tokens_in_window(self, start: float, end: float) -> int:
         """Tokens generated in the half-open window ``[start, end)``."""
-        lo = bisect_left(self.token_times, start)
-        return bisect_left(self.token_times, end, lo=lo) - lo
+        times, totals = self.step_times, self.step_totals
+        lo = bisect_left(times, start)
+        hi = bisect_left(times, end, lo=lo)
+        return (totals[hi - 1] if hi else 0) - (totals[lo - 1] if lo else 0)
 
     def throughput(self, start: float, end: float) -> float:
         """Generated tokens per second over a window."""

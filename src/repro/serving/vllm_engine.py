@@ -213,8 +213,10 @@ class VLLMEngine(LLMEngineBase):
 
         Nothing else acts or looks before ``t_{k-1}`` (the horizon), so
         nothing can tell: one KV call grows every sequence by ``k−1``
-        tokens, one pass counts them, and each step's stamps and
-        observer records carry that step's times.
+        tokens, one pass counts them, and each step's stamps, spans and
+        attribution marks carry that step's times.  One
+        ``mark_steps`` call covers the window, and the occupancy gauge
+        is set once: no scrape can read it before ``t_k``.
         """
         quiet = len(ends) - 1
         n = len(batch)
@@ -225,13 +227,12 @@ class VLLMEngine(LLMEngineBase):
             self.metrics.record_token(end, n)
         self.iteration += quiet
         tracer, telemetry = self.tracer, self.telemetry
-        if tracer is not None or telemetry is not None:
+        if tracer is not None:
             for start, end in zip([started, *ends], ends[:quiet]):
-                if tracer is not None:
-                    tracer.add_span("decode", self.name, start, end, batch=n)
-                if telemetry is not None:
-                    telemetry.decode_batch(self.name, n)
-                    telemetry.attribution.mark(batch, "decode_hbm", end)
+                tracer.add_span("decode", self.name, start, end, batch=n)
+        if telemetry is not None:
+            telemetry.decode_batch(self.name, n)
+            telemetry.attribution.mark_steps(batch, "decode_hbm", ends[:quiet])
 
     def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
         """Account one generated token for every sequence in ``batch``.

@@ -422,7 +422,13 @@ _OK_NONE._defused = True
 
 
 class Condition(Event):
-    """Base for events composed of several sub-events."""
+    """Base for events composed of several sub-events.
+
+    Once decided, a condition detaches from every sub-event still
+    pending, as SimPy's does: an idle wait ``AnyOf(arrival, timeout)``
+    won by its timeout leaves nothing on ``arrival``.  A sub-event that
+    fails after that is defused only if something else waits on it.
+    """
 
     __slots__ = ("_evaluate", "_events", "_count")
 
@@ -443,6 +449,8 @@ class Condition(Event):
             self.succeed({})
             return
         for event in self._events:
+            if self._state != PENDING:
+                break
             if event.callbacks is None:  # already processed
                 self._check(event)
             else:
@@ -469,6 +477,15 @@ class Condition(Event):
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
             self.succeed(self._collect_values())
+        else:
+            return
+        # Decided: leave no callback on the sub-events still pending, or
+        # a condition over an event that never fires would stay alive
+        # with it.
+        check = self._check
+        for other in self._events:
+            if other.callbacks and check in other.callbacks:
+                other.callbacks.remove(check)
 
 
 class AllOf(Condition):

@@ -1,8 +1,9 @@
 """Shared pytest configuration.
 
 Registers the Hypothesis ``ci`` profile: ``--hypothesis-profile=ci``
-gives the differential oracle (``tests/test_vllm_oracle.py``) a larger
-example budget than tier-1 runs by default.
+gives the differential oracles (``tests/test_vllm_oracle.py`` and
+``tests/test_attribution_oracle.py``) a larger example budget than
+tier-1 runs by default.
 """
 
 from hypothesis import settings

@@ -9,7 +9,7 @@ preemption, swapping, context switching and aborts:
 
 * every request's ``(req_id, generated_tokens, first_token_time,
   finish_time)``;
-* the engine's ``metrics.token_times``, its completion order and its
+* the engine's token times (one per token), its completion order and its
   preemption count;
 * the allocator's free list at the end of the run.
 
@@ -29,6 +29,7 @@ from repro.models import MISTRAL_7B
 from repro.serving import CFSEngine, OrcaEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads.arrivals import submit_all
+from tests.token_times import token_times
 
 #: KV budget of 519 blocks (8,304 tokens) for Mistral-7B on an A100-80G:
 #: well under the trace's peak demand, so every rig runs KV-starved.
@@ -63,7 +64,7 @@ def transcript_digest(engine, requests):
             [r.req_id, r.generated_tokens, repr(r.first_token_time), repr(r.finish_time)]
             for r in requests
         ],
-        "token_times": [repr(t) for t in metrics.token_times],
+        "token_times": [repr(t) for t in token_times(metrics)],
         "completed": [r.req_id for r in metrics.completed],
         "preemptions": getattr(engine, "preemptions", None),
         "free_list": list(engine.allocator._free),

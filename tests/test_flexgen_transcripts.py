@@ -10,8 +10,8 @@ The golden audit digest (``tests/test_determinism_golden.py``) pins one
   the 2-GPU p2p NVLink.
 
 Each rig is hashed three ways: the per-token transcript (each engine's
-``metrics.token_times`` and each request's token count, first token and
-finish time), the conservation auditor's transfer digest (every
+token times, one entry per token, and each request's token count, first
+token and finish time), the conservation auditor's transfer digest (every
 transfer's time, route, size and duration) and the latency-attribution
 report.  The constants were recorded before the decode step was cut
 to one child process and must never be updated to make an engine
@@ -37,6 +37,7 @@ from repro.sim import Environment
 from repro.telemetry import Telemetry
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
+from tests.token_times import token_times
 
 #: Producers donate for this long before the long prompts arrive.
 WARM_UP = 1.0
@@ -163,7 +164,7 @@ TRANSCRIPT_DIGESTS = {
 def _digests(rig):
     env, engines, requests, auditor, attribution = RIGS[rig]()
     transcript = {
-        "token_times": [[repr(t) for t in e.metrics.token_times] for e in engines],
+        "token_times": [[repr(t) for t in token_times(e.metrics)] for e in engines],
         "requests": [
             [r.generated_tokens, repr(r.first_token_time), repr(r.finish_time)]
             for r in requests

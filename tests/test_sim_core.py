@@ -288,6 +288,35 @@ def test_and_or_operators():
     assert p.value == (2, 5)
 
 
+def test_decided_condition_leaves_no_callback_behind():
+    """An idle wait, ``AnyOf(arrival, timeout)`` won by its timeout,
+    detaches from the arrival event; a condition still pending keeps
+    its callback there."""
+    env = Environment()
+    never_fired = Event(env)
+
+    def idle(env):
+        for _ in range(1000):
+            yield AnyOf(env, [never_fired, env.timeout(1)])
+
+    env.process(idle(env))
+    env.run()
+    assert env.now == 1000
+    assert never_fired.callbacks == []
+
+    # Decided at construction by an already-processed event: the
+    # pending one is never subscribed.
+    done = env.timeout(0)
+    env.run()
+    assert AnyOf(env, [done, never_fired]).triggered
+    assert never_fired.callbacks == []
+
+    pending = AnyOf(env, [never_fired, env.timeout(5)])
+    env.run(until=1002)
+    assert not pending.triggered
+    assert never_fired.callbacks == [pending._check]
+
+
 def test_empty_all_of_succeeds_immediately():
     env = Environment()
 

@@ -10,7 +10,7 @@ decode step.  The engine and the reference must then agree exactly on:
 
 * every request's generated count, first-token and finish time (as
   ``repr``, so not merely to float precision);
-* ``metrics.token_times``, the completion order and the rejected
+* the token times (one per token), the completion order and the rejected
   prompts;
 * the preemption sequence (time and victim);
 * the allocator's free list at the end.
@@ -31,6 +31,7 @@ from repro.models import MISTRAL_7B
 from repro.serving import OrcaEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads.arrivals import submit_all
+from tests.token_times import token_times
 from tests.vllm_reference import Reference
 
 #: Examples per preemption mode.
@@ -124,7 +125,7 @@ def run_engine(rig, trace, start=0.0, horizon=HORIZON):
             (r.generated_tokens, repr(r.first_token_time), repr(r.finish_time))
             for r in requests
         ],
-        "token_times": [repr(t) for t in engine.metrics.token_times],
+        "token_times": [repr(t) for t in token_times(engine.metrics)],
         "completed": [r.req_id for r in engine.metrics.completed],
         "rejected": [r.req_id for r in engine.rejected],
         "preempted": [(repr(t), i) for t, i in engine.preempted],
