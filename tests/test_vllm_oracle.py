@@ -16,7 +16,9 @@ decode step.  The engine and the reference must then agree exactly on:
 * the allocator's free list at the end.
 
 ``OrcaEngine`` runs against the reference's ``"orca"`` mode on the same
-traces.
+traces.  A second draw runs batches of up to 64 sequences in all three
+modes, with shared output lengths and prompt block phases, so that many
+completions and many block crossings land on one step.
 
 The tier-1 budget is small; ``--hypothesis-profile=ci`` (registered in
 ``tests/conftest.py``) raises it.
@@ -177,10 +179,53 @@ def draw_trace(data, rig):
     return trace
 
 
+#: KV budgets of 109 to about 930 blocks of 16 tokens: from heavy
+#: preemption of a 64-sequence batch to none at all.
+LARGE_UTILIZATIONS = (0.19, 0.195, 0.2, 0.21)
+
+
+def draw_large(data, **extra):
+    """A rig and trace with up to 64 sequences running at once.
+
+    Arrivals land on a few instants, output lengths come from a short
+    list (so many sequences complete on one step) and every prompt
+    shares one block phase (so many sequences cross a block boundary on
+    one step)."""
+    block_tokens = data.draw(st.sampled_from([1, 4, 16]))
+    rig = {
+        "utilization": data.draw(st.sampled_from(LARGE_UTILIZATIONS)),
+        "block_tokens": block_tokens,
+        "max_batch": data.draw(st.integers(16, 64)),
+        **extra,
+    }
+    phase = data.draw(st.integers(1, block_tokens))
+    outputs = data.draw(st.lists(st.integers(1, 120), min_size=1, max_size=3))
+    trace = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3).map(lambda i: i * 0.1),
+                st.integers(0, 200 // block_tokens).map(
+                    lambda m: m * block_tokens + phase
+                ),
+                st.sampled_from(outputs),
+            ),
+            min_size=16,
+            max_size=64,
+        )
+    )
+    return rig, trace
+
+
 oracle_settings = settings(
     max_examples=EXAMPLES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+
+large_settings = settings(
+    max_examples=max(EXAMPLES // 2, 10),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
 
@@ -199,3 +244,13 @@ def test_orca_matches_reference(data):
     and the free list follow ``prompt + max_new`` blocks per request."""
     rig = draw_rig(data, orca=True)
     assert_matches(rig, draw_trace(data, rig))
+
+
+@pytest.mark.parametrize("mode", ["recompute", "swap", "orca"])
+@large_settings
+@given(data=st.data())
+def test_large_batches_match_reference(mode, data):
+    """Batches of up to 64 sequences, with many completions and many
+    block crossings landing on the same step."""
+    extra = {"orca": True} if mode == "orca" else {"preemption_mode": mode}
+    assert_matches(*draw_large(data, **extra))
