@@ -85,7 +85,12 @@ class BlockAllocator:
                 f"need {count} blocks, only {len(self._free)} free "
                 f"of {self.n_blocks}"
             )
-        taken = [self._free.pop() for _ in range(count)]
+        if not count:
+            return []
+        free = self._free
+        taken = free[-count:]
+        del free[-count:]
+        taken.reverse()
         self._allocated.update(taken)
         return taken
 
@@ -95,14 +100,19 @@ class BlockAllocator:
         Raises
         ------
         AllocationError
-            If any block is not currently allocated (double free).
+            If any block is not currently allocated, or appears twice
+            (double free); nothing changes then.
         """
-        for block in blocks:
-            if block not in self._allocated:
-                raise AllocationError(f"double free of block {block}")
-        for block in blocks:
-            self._allocated.remove(block)
-            self._free.append(block)
+        returned = set(blocks)
+        held = self._allocated
+        if len(returned) != len(blocks) or not returned <= held:
+            seen = set()
+            for block in blocks:
+                if block in seen or block not in held:
+                    raise AllocationError(f"double free of block {block}")
+                seen.add(block)
+        held -= returned
+        self._free.extend(blocks)
 
     def resize(self, n_blocks: int) -> None:
         """Grow or shrink the region (AQUA donates/reclaims KV memory).

@@ -101,6 +101,29 @@ def test_allocator_double_free_rejected():
         alloc.free(blocks)
 
 
+def test_allocator_repeated_block_in_one_free_changes_nothing():
+    alloc = BlockAllocator(n_blocks=4, block_bytes=100)
+    assert alloc.allocate(2) == [0, 1]
+    with pytest.raises(AllocationError, match="block 0"):
+        alloc.free([0, 0])
+    assert alloc._free == [3, 2]
+    assert alloc.used_blocks == 2
+    alloc.free([1, 0])
+    assert alloc._free == [3, 2, 1, 0]
+
+
+def test_allocator_takes_and_returns_blocks_lifo():
+    alloc = BlockAllocator(n_blocks=5, block_bytes=100)
+    assert alloc.allocate(0) == []
+    assert alloc.allocate(3) == [0, 1, 2]
+    alloc.free([2, 0])
+    assert alloc._free == [4, 3, 2, 0]
+    assert alloc.allocate(2) == [0, 2]
+    with pytest.raises(AllocationError, match="block 7"):
+        alloc.free([1, 7])
+    assert alloc.used_blocks == 3
+
+
 def test_allocator_reserves_pool():
     pool = MemoryPool(capacity=1000)
     alloc = BlockAllocator(n_blocks=5, block_bytes=100, pool=pool)
