@@ -9,11 +9,17 @@ serving engine's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
 from enum import Enum
+from itertools import count
+from operator import attrgetter
+from typing import Optional
 
 from repro.memory.allocator import AllocationError, BlockAllocator
 from repro.models.llm import LLMSpec
+
+
+_POSITION = attrgetter("position")
 
 
 class Residency(str, Enum):
@@ -21,14 +27,58 @@ class Residency(str, Enum):
     SWAPPED = "swapped"
 
 
-@dataclass
-class SequenceState:
-    """KV bookkeeping for one sequence."""
+class StepClock:
+    """Decode steps a batch has run, read by the batch's members.
 
-    seq_id: int
-    tokens: int
-    blocks: list[int] = field(default_factory=list)
-    residency: Residency = Residency.RESIDENT
+    A member stores a base and reads its count as ``base + steps``, so
+    one step advances every member at once without visiting any.  A
+    step that stops part-way -- at a sequence that found no free block,
+    or paused after a given one -- stays *open*: ``cursor`` is then the
+    batch position of the first member it has not reached, and members
+    at or after it read one less until the step resumes.
+    """
+
+    __slots__ = ("steps", "cursor")
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.cursor: Optional[int] = None
+
+    def count(self, base: int, position: int) -> int:
+        """The count of the member at batch ``position`` storing ``base``."""
+        cursor = self.cursor
+        return base + self.steps - (cursor is not None and position >= cursor)
+
+
+class SequenceState:
+    """KV bookkeeping for one sequence.
+
+    ``tokens`` is exact at any time.  While the sequence grows with the
+    decode batch (see :meth:`PagedKVCache.join`) it is read off the
+    cache's step clock, and a step visits the sequence only when it
+    crosses a block boundary.
+    """
+
+    __slots__ = ("seq_id", "blocks", "residency", "position", "crossing", "_base", "_clock")
+
+    def __init__(self, seq_id: int, tokens: int, blocks: list[int]) -> None:
+        self.seq_id = seq_id
+        self.blocks = blocks
+        self.residency = Residency.RESIDENT
+        #: Batch position while growing with the batch, else ``None``.
+        self.position: Optional[int] = None
+        #: The batch step on which it takes its next block (while growing).
+        self.crossing = 0
+        self._base = tokens
+        self._clock: Optional[StepClock] = None
+
+    @property
+    def tokens(self) -> int:
+        """Tokens of KV the sequence holds."""
+        clock = self._clock
+        if clock is None:
+            return self._base
+        return clock.count(self._base, self.position)
 
     @property
     def is_resident(self) -> bool:
@@ -67,6 +117,13 @@ class PagedKVCache:
         self.allocator = allocator
         self.block_tokens = block_tokens
         self.sequences: dict[int, SequenceState] = {}
+        #: Decode steps of the batch: sequences that :meth:`join` it
+        #: grow by one token per :meth:`step`.
+        self.clock = StepClock()
+        #: Batch step -> the batch sequences that take a block on it, in
+        #: batch order.
+        self._crossings: dict[int, list[SequenceState]] = {}
+        self._positions = count()
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -97,99 +154,109 @@ class PagedKVCache:
         self.sequences[seq_id] = state
         return state
 
-    def append_tokens(self, seq_ids, last=()) -> int:
-        """Grow resident sequences by one generated token each, in order.
+    def join(self, seq_id: int) -> None:
+        """Grow a resident sequence with the decode batch from now on.
 
-        At a block boundary a sequence takes one more block.  A sequence
-        in ``last`` is released right after its token, so a later
-        sequence in the same call can reuse its blocks, exactly as with
-        one call per sequence.  Stops at the first sequence that needs a
-        block when none is free, leaving it and every later one
-        untouched, and returns how many sequences grew.
-
-        Raises
-        ------
-        AllocationError
-            If a sequence reached before the stop is swapped out.
+        It goes after every sequence already in the batch (batch order
+        is join order) and gains one token per :meth:`step`; it leaves
+        the batch when released or swapped out.  Only the steps on which
+        it crosses a block boundary, one in every ``block_tokens``,
+        visit it.
         """
+        seq = self._resident(seq_id)
+        if seq.position is not None:
+            raise ValueError(f"sequence {seq_id} already grows with the batch")
+        clock = self.clock
+        if clock.cursor is not None:
+            raise RuntimeError(f"sequence {seq_id} cannot join an open step")
+        tokens = seq.tokens
+        seq.position = position = next(self._positions)
+        seq._clock = clock
+        seq._base = tokens - clock.count(0, position)
+        crossing = clock.steps + 1 + -tokens % self.block_tokens
+        seq.crossing = crossing
+        self._crossings.setdefault(crossing, []).append(seq)
+
+    def blocks_due(self, ahead: int) -> int:
+        """Blocks the batch takes on its ``ahead``-th next step, if no
+        sequence leaves before it.
+
+        Every sequence's next crossing lies within ``block_tokens``
+        steps, and it crosses again every ``block_tokens`` steps.
+        """
+        step = self.clock.steps + 1 + (ahead - 1) % self.block_tokens
+        return len(self._crossings.get(step, ()))
+
+    def step(self, last=(), through: Optional[int] = None) -> Optional[int]:
+        """Grow every sequence in the batch by one token, in batch order.
+
+        Only the sequences crossing a block boundary are visited: each
+        takes one block.  A sequence in ``last`` (ids, in batch order) is
+        released right after its token, so a later sequence can reuse
+        its blocks.  With ``through`` the step pauses after that
+        sequence.  A crossing that finds no free block stops the step
+        there and its id is returned.  A paused or stopped step stays
+        open: the sequences it has not reached are untouched (their
+        ``tokens`` do not count it yet) and the next call resumes it.
+        Returns ``None`` unless the step stopped.
+        """
+        clock = self.clock
+        if clock.cursor is None:
+            clock.steps += 1
+        clock.cursor = None
+        step = clock.steps
+        crossings = self._crossings
+        due = crossings.pop(step, [])
         sequences = self.sequences
-        block_tokens = self.block_tokens
+        bounds = [(sequences[seq_id].position, seq_id) for seq_id in last]
+        stop = None if through is None else sequences[through].position
+        bounds.append((stop, None))
         allocator = self.allocator
-        resident = Residency.RESIDENT
-        grown = 0
-        for seq_id in seq_ids:
-            seq = sequences[seq_id]
-            if seq.residency is not resident:
-                raise AllocationError(f"sequence {seq_id} is swapped out")
-            if seq.tokens % block_tokens == 0:
-                if not allocator.can_allocate(1):
-                    return grown
-                seq.blocks.extend(allocator.allocate(1))
-            seq.tokens += 1
-            grown += 1
-            if seq_id in last:
-                self.release(seq_id)
-        return grown
-
-    def steps_fit(self, seq_ids, steps: int) -> int:
-        """How many of ``steps`` successive one-token appends to every
-        sequence in ``seq_ids`` the free blocks cover."""
-        free = self.allocator.free_blocks
-        block_tokens = self.block_tokens
-        if len(seq_ids) * -(-steps // block_tokens) <= free:
-            return steps  # even if every sequence crossed at every chance
-        need = [0] * steps
-        for seq_id in seq_ids:
-            tokens = self.sequences[seq_id].tokens
-            for step in range(-tokens % block_tokens, steps, block_tokens):
-                need[step] += 1
-        for step, count in enumerate(need):
-            free -= count
-            if free < 0:
-                return step
-        return steps
-
-    def append_steps(self, seq_ids, steps: int) -> None:
-        """Grow resident sequences by ``steps`` tokens each, exactly as
-        ``steps`` successive :meth:`append_tokens` calls that complete
-        nothing would: new blocks are taken in (step, sequence) order.
-
-        Raises
-        ------
-        AllocationError
-            If a sequence is swapped out or the blocks do not fit (see
-            :meth:`steps_fit`); nothing changes then.
-        """
-        sequences = self.sequences
-        block_tokens = self.block_tokens
-        resident = Residency.RESIDENT
-        states = [sequences[seq_id] for seq_id in seq_ids]
-        by_step = [[] for _ in range(steps)]
-        need = 0
-        for seq in states:
-            if seq.residency is not resident:
-                raise AllocationError(f"sequence {seq.seq_id} is swapped out")
-            first = -seq.tokens % block_tokens
-            if first < steps:
-                for step in range(first, steps, block_tokens):
-                    by_step[step].append(seq)
-                    need += 1
-        if need > self.allocator.free_blocks:
-            raise AllocationError(f"{steps} decode steps need {need} blocks")
-        for seq in states:
-            seq.tokens += steps
-        allocate = self.allocator.allocate
-        for crossing in by_step:
-            if crossing:
-                for seq, block in zip(crossing, allocate(len(crossing))):
+        later = step + self.block_tokens
+        done = 0
+        for bound, seq_id in bounds:
+            if bound is None:
+                reach = len(due)
+            else:
+                reach = bisect_right(due, bound, done, key=_POSITION)
+            grown = min(reach - done, allocator.free_blocks)
+            if grown:
+                grow = due[done : done + grown]
+                for seq, block in zip(grow, allocator.allocate(grown)):
                     seq.blocks.append(block)
+                    seq.crossing = later
+                crossings.setdefault(later, []).extend(grow)
+                done += grown
+            if done < reach:
+                needy = due[done]
+                crossings[step] = due[done:]
+                clock.cursor = needy.position
+                return needy.seq_id
+            if seq_id is not None:
+                self.release(seq_id)
+        if stop is not None:
+            if done < len(due):
+                crossings[step] = due[done:]
+            clock.cursor = stop + 1
+        return None
 
     def release(self, seq_id: int) -> None:
         """Finish a sequence and free its blocks (if resident)."""
         seq = self.sequences.pop(seq_id)
+        if seq.position is not None:
+            self._leave(seq)
         if seq.is_resident:
             self.allocator.free(seq.blocks)
         seq.blocks = []
+
+    def _leave(self, seq: SequenceState) -> None:
+        """Take a sequence out of the batch, keeping its token count."""
+        seq._base = seq.tokens
+        seq._clock = seq.position = None
+        bucket = self._crossings[seq.crossing]
+        bucket.remove(seq)
+        if not bucket:
+            del self._crossings[seq.crossing]
 
     # ------------------------------------------------------------------
     # Swapping (context switching)
@@ -202,6 +269,8 @@ class PagedKVCache:
         offload target before reusing them.
         """
         seq = self._resident(seq_id)
+        if seq.position is not None:
+            self._leave(seq)
         self.allocator.free(seq.blocks)
         seq.blocks = []
         seq.residency = Residency.SWAPPED

@@ -153,6 +153,7 @@ class CFSEngine(LLMEngineBase):
             self._dram_tags.pop(request.req_id, None)
         self.swapped.remove(request)
         self.running.append(request)
+        self.kv.join(request.req_id)
 
     def _context_switch(self, active: list[Request]) -> Generator:
         started = self.env.now
@@ -211,6 +212,7 @@ class CFSEngine(LLMEngineBase):
                 self.kv.release(request.req_id)
             else:
                 self.running.append(request)
+                self.kv.join(request.req_id)
 
     def _maybe_cache_context(self, request: Request) -> Generator:
         """Park a finished conversation's KV before releasing its blocks."""
@@ -218,30 +220,30 @@ class CFSEngine(LLMEngineBase):
             yield from self.context_cache.save(request.user, request.total_tokens)
 
     def _decode_tokens(self, batch: list[Request]) -> Generator:
-        """Account one generated token for every sequence in ``batch``.
+        """Account one generated token for every sequence in ``batch``
+        (the running batch, which grows with the KV cache's batch).
 
-        Each segment costs one ``append_tokens`` and one
+        Each segment costs one KV ``step`` call and one
         ``_finish_tokens`` call.  A finished conversation whose context
-        is cached ends its segment: the save yields, and its blocks are
-        released only after it.
+        is cached ends its segment: the step pauses after it, the save
+        yields, and its blocks are released only after it.
         """
         kv = self.kv
         caching = self.context_cache is not None
         while batch:
             end = len(batch)
-            last = set()
+            last = []
             for i, request in enumerate(batch):
                 if request.generated_tokens + 1 >= request.max_new_tokens:
                     if caching and request.user is not None:
                         end = i + 1
                         break
-                    last.add(request.req_id)
+                    last.append(request.req_id)
             segment, batch = batch[:end], batch[end:]
-            grown = kv.append_tokens([r.req_id for r in segment], last)
-            if grown != len(segment):
+            needy = kv.step(last, through=segment[-1].req_id if batch else None)
+            if needy is not None:
                 raise AllocationError(
-                    f"{self.name}: no free block to grow sequence "
-                    f"{segment[grown].req_id}"
+                    f"{self.name}: no free block to grow sequence {needy}"
                 )
             for request in self._finish_tokens(segment):
                 if request.req_id not in last:

@@ -171,11 +171,15 @@ class LLMEngineBase:
         now = self.env.now
         finished = [r for r in requests if r.record_token(now)]
         self.metrics.record_token(now, len(requests))
+        self._record_completions(finished)
+        return finished
+
+    def _record_completions(self, finished) -> None:
+        """Report ``finished`` (completed requests, in order)."""
         for request in finished:
             if self.telemetry is not None:
                 self.telemetry.request_finished(self.name, request)
             self.metrics.record_completion(request)
-        return finished
 
     def requeue(self, request: Request) -> None:
         """Return an in-flight request to the head of the waiting queue.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.serving.request import Request, context_tokens
+from repro.serving.request import Request
 from repro.serving.vllm_engine import VLLMEngine
 
 
@@ -38,19 +38,24 @@ class OrcaEngine(VLLMEngine):
         # Reserve for the worst case; blocks never grow afterwards.
         return request.prompt_tokens + request.max_new_tokens
 
+    def _join(self, request: Request) -> None:
+        # The reservation already covers every token: the KV never grows.
+        self._seat(request)
+
     def _decode_step(self) -> Generator:
-        batch = list(self.running)
-        n = len(batch)
-        step = self.model.decode_step_time(self.gpu.spec, n, context_tokens(batch))
+        running = self.running
+        n = len(running)
+        step = self.model.decode_step_time(self.gpu.spec, n, self._context)
         started = self.env.now
         yield from self.gpu.compute_op(step)
         self.trace_span("decode", started, batch=n)
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
-            self.attr_mark(batch, "decode_hbm")
-        # The reservation already covers every token: no allocation, no
-        # possibility of mid-generation OOM (that is the one thing
-        # worst-case reservation buys).
-        for request in self._finish_tokens(batch):
-            self.running.remove(request)
+            self.attr_mark(running, "decode_hbm")
+        # No allocation, no possibility of mid-generation OOM (that is
+        # the one thing worst-case reservation buys).
+        self.clock.steps += 1
+        done = self._finishing()
+        self._grant(n, done)
+        for request in done:
             self.kv.release(request.req_id)

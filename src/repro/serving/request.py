@@ -38,6 +38,14 @@ class Request:
         nice level): a weight-2 request accrues virtual progress at
         half speed, so it receives roughly twice the service under
         contention.  Plain CFS ignores it.
+    generated_tokens:
+        Tokens generated so far, exact for any reader at any time.  A
+        request running in a vLLM batch is *clocked in*
+        (:meth:`clock_in`): its count is read off the engine's
+        :class:`~repro.memory.kv_cache.StepClock`, so a decode step
+        counts every running request's token without visiting it.  The
+        count is folded back into a plain field when the request leaves
+        the batch (:meth:`clock_out`).
     """
 
     arrival_time: float
@@ -49,12 +57,15 @@ class Request:
     req_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
 
     # Runtime state, owned by the serving engine.
-    generated_tokens: int = 0
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
     #: Optional simulation event triggered on completion (closed-loop
     #: workloads wait on this to send their next turn).
     on_finish: Optional[object] = None
+    #: Position in the engine's running batch while clocked in.
+    seat: Optional[int] = field(default=None, init=False)
+    _generated: int = field(default=0, init=False, repr=False)
+    _clock: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.prompt_tokens < 1:
@@ -67,6 +78,30 @@ class Request:
             raise ValueError(f"weight must be positive, got {self.weight}")
 
     # ------------------------------------------------------------------
+    @property
+    def generated_tokens(self) -> int:
+        clock = self._clock
+        if clock is None:
+            return self._generated
+        return clock.count(self._generated, self.seat)
+
+    @generated_tokens.setter
+    def generated_tokens(self, value: int) -> None:
+        clock = self._clock
+        self._generated = value if clock is None else value - clock.count(0, self.seat)
+
+    def clock_in(self, clock, seat: int) -> None:
+        """Count this request's tokens off ``clock`` from now on, one
+        per step, as the member of its batch at position ``seat``."""
+        generated = self.generated_tokens
+        self._clock, self.seat = clock, seat
+        self.generated_tokens = generated
+
+    def clock_out(self) -> None:
+        """Leave the clock, keeping the count reached."""
+        self._generated = self.generated_tokens
+        self._clock = self.seat = None
+
     @property
     def total_tokens(self) -> int:
         """Prompt plus generated tokens (the KV-cache footprint)."""
@@ -97,16 +132,18 @@ class Request:
         """
         if self.first_token_time is None:
             self.first_token_time = now
-        self.generated_tokens += 1
-        if (
-            self.generated_tokens < self.max_new_tokens
-            or self.finish_time is not None
-        ):
+        generated = self.generated_tokens + 1
+        self.generated_tokens = generated
+        if generated < self.max_new_tokens or self.finish_time is not None:
             return False
+        self.finish(now)
+        return True
+
+    def finish(self, now: float) -> None:
+        """Complete the request at ``now``, its last token's time."""
         self.finish_time = now
         if self.on_finish is not None and not self.on_finish.triggered:
             self.on_finish.succeed(self)
-        return True
 
     def __repr__(self) -> str:
         return (

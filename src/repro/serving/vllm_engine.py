@@ -17,11 +17,15 @@ The engine can simultaneously serve and act as an AQUA memory producer
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Generator, Optional
 
+from repro.memory.allocator import AllocationError
+from repro.memory.kv_cache import StepClock
 from repro.serving.engine import LLMEngineBase
 from repro.serving.lora_manager import LoRACache
-from repro.serving.request import Request, context_tokens
+from repro.serving.request import Request
 
 
 class VLLMEngine(LLMEngineBase):
@@ -79,6 +83,16 @@ class VLLMEngine(LLMEngineBase):
         self.swapped_out: list[Request] = []
         #: (request, tokens_left_to_prefill) under chunked prefill.
         self.prefilling: list[list] = []
+        #: Decode steps of the running batch; its requests are clocked
+        #: in to it (see :meth:`_join`).
+        self.clock = StepClock()
+        self._seats = count()
+        #: Min-heap of ``(finish step, seat, request)``: the step on
+        #: which each running request's last token is due, ties in
+        #: batch order.  Entries of requests that left are skipped.
+        self._finishes: list = []
+        #: Context tokens of the running batch (prompt plus generated).
+        self._context = 0
 
     # ------------------------------------------------------------------
     def _admit_tokens(self, request: Request) -> int:
@@ -123,8 +137,73 @@ class VLLMEngine(LLMEngineBase):
             if self._finish_tokens([request]):
                 self.kv.release(request.req_id)
             else:
-                self.running.append(request)
+                self._join(request)
 
+    # ------------------------------------------------------------------
+    # The running batch
+    # ------------------------------------------------------------------
+    def _join(self, request: Request) -> None:
+        """Seat ``request`` at the end of the running batch; its KV
+        grows with the batch (:meth:`PagedKVCache.join`)."""
+        self._seat(request)
+        self.kv.join(request.req_id)
+
+    def _seat(self, request: Request) -> None:
+        """Append ``request`` to the running batch, clocked in: each
+        decode step counts its token without visiting it."""
+        seat = next(self._seats)
+        clock = self.clock
+        request.clock_in(clock, seat)
+        self.running.append(request)
+        self._context += request.total_tokens
+        finish = clock.steps + request.max_new_tokens - request.generated_tokens
+        heappush(self._finishes, (finish, seat, request))
+
+    def _leave(self, request: Request) -> None:
+        """Take ``request`` out of the running batch, keeping its count."""
+        self.running.remove(request)
+        self._context -= request.total_tokens
+        request.clock_out()
+
+    def _steps_left(self) -> int:
+        """Decode steps until the first running request completes."""
+        heap = self._finishes
+        while heap[0][2].seat != heap[0][1]:
+            heappop(heap)
+        return heap[0][0] - self.clock.steps
+
+    def _finishing(self) -> list[Request]:
+        """The running requests this step's token completes, in batch
+        order."""
+        heap = self._finishes
+        step = self.clock.steps
+        done = []
+        while heap and heap[0][0] <= step:
+            _, seat, request = heappop(heap)
+            if request.seat == seat:
+                done.append(request)
+        return done
+
+    def _grant(self, tokens: int, done: list[Request]) -> None:
+        """Stamp ``tokens`` tokens at now and complete ``done`` (the
+        requests among them that this token finishes, in batch order),
+        which leave the batch."""
+        now = self.env.now
+        for request in done:
+            self._leave(request)
+            request.finish(now)
+        self.metrics.record_token(now, tokens)
+        self._context += tokens
+        self._record_completions(done)
+
+    def requeue(self, request: Request) -> None:
+        if request.seat is not None:
+            self._leave(request)
+        super().requeue(request)
+
+    # ------------------------------------------------------------------
+    # Decode
+    # ------------------------------------------------------------------
     def _decode_step(self) -> Generator:
         """Decode the running batch for one step, or for a window of steps.
 
@@ -135,11 +214,11 @@ class VLLMEngine(LLMEngineBase):
         are exactly those of stepping one at a time, and step ``k`` runs
         the per-step bookkeeping at ``t_k``.
         """
-        batch = list(self.running)
-        n = len(batch)
+        running = self.running
+        n = len(running)
         env = self.env
         gpu = self.gpu
-        context = context_tokens(batch)
+        context = self._context
         started = env.now
         horizon = env.horizon()
         # A window only opens when the GPU is free and nothing else is
@@ -150,7 +229,7 @@ class VLLMEngine(LLMEngineBase):
             dilation = gpu.dilation()
             first = self.model.decode_step_time(gpu.spec, n, context) * dilation
             if alone and horizon > started + first:
-                durations, ends = self._window(batch, context, dilation, horizon, first)
+                durations, ends = self._window(n, context, dilation, horizon, first)
             else:
                 durations = ends = [first]
             for duration in durations:
@@ -158,19 +237,19 @@ class VLLMEngine(LLMEngineBase):
             if len(ends) == 1:
                 yield first
             else:
-                self._quiet_steps(batch, started, ends)
+                self._quiet_steps(running, started, ends)
                 # _window checked that this delay lands exactly on t_k.
                 # (The clock may be a NumPy float; a bare delay is a float.)
                 yield float(ends[-1] - started)
         self.trace_span("decode", ends[-2] if len(ends) > 1 else started, batch=n)
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
-            self.attr_mark(batch, "decode_hbm")
-        yield from self._decode_bookkeeping(batch)
+            self.attr_mark(running, "decode_hbm")
+        yield from self._decode_bookkeeping()
 
-    def _window(self, batch, context, dilation, horizon, first):
+    def _window(self, n, context, dilation, horizon, first):
         """Step durations and ends ``t_1 … t_k`` of the window that
-        starts now.
+        starts now, for a batch of ``n`` sequences.
 
         Step ``k`` is the first step whose end the step-by-step path
         could decide something at:
@@ -189,21 +268,28 @@ class VLLMEngine(LLMEngineBase):
         through events.  The ends chain as ``t_s = t_{s-1} + d_s``, as
         the per-step path adds them, and the window shrinks until the
         one wake, ``t_0 + (t_k − t_0)``, lands exactly on ``t_k``.
+        The completion heap and the KV cache's crossing schedule give
+        the first and last rules without visiting the batch.
         """
-        limit = min([r.max_new_tokens - r.generated_tokens for r in batch])
+        limit = self._steps_left()
         if self.aqua_lib is not None:
             limit = min(limit, self.inform_every - self.iteration % self.inform_every)
-        n = len(batch)
         spec = self.gpu.spec
         step_time = self.model.decode_step_time
+        blocks_due = self.kv.blocks_due
+        free = self.allocator.free_blocks
         now = self.env.now
         durations = [first]
         ends = [now + first]
         while len(ends) < limit and horizon > ends[-1]:
+            # Step len(ends) turns quiet: its blocks must fit.
+            free -= blocks_due(len(ends))
+            if free < 0:
+                break
             duration = step_time(spec, n, context + len(ends) * n) * dilation
             durations.append(duration)
             ends.append(ends[-1] + duration)
-        k = 1 + self.kv.steps_fit([r.req_id for r in batch], len(ends) - 1)
+        k = len(ends)
         while k > 1 and now + (ends[k - 1] - now) != ends[k - 1]:
             k -= 1
         return durations[:k], ends[:k]
@@ -212,17 +298,20 @@ class VLLMEngine(LLMEngineBase):
         """Account steps ``1 … k−1`` of a window at its start.
 
         Nothing else acts or looks before ``t_{k-1}`` (the horizon), so
-        nothing can tell: one KV call grows every sequence by ``k−1``
-        tokens, one pass counts them, and each step's stamps, spans and
-        attribution marks carry that step's times.  One
-        ``mark_steps`` call covers the window, and the occupancy gauge
-        is set once: no scrape can read it before ``t_k``.
+        nothing can tell: the step clock counts every sequence's tokens
+        at once, the KV cache visits only the sequences crossing a
+        block boundary, and each step's stamps, spans and attribution
+        marks carry that step's times.  One ``mark_steps`` call covers
+        the window, and the occupancy gauge is set once: no scrape can
+        read it before ``t_k``.
         """
         quiet = len(ends) - 1
         n = len(batch)
-        self.kv.append_steps([r.req_id for r in batch], quiet)
-        for request in batch:
-            request.generated_tokens += quiet
+        for _ in range(quiet):
+            if self.kv.step() is not None:
+                raise AllocationError(f"{self.name}: a quiet decode step ran out of blocks")
+        self.clock.steps += quiet
+        self._context += quiet * n
         for end in ends[:quiet]:
             self.metrics.record_token(end, n)
         self.iteration += quiet
@@ -234,48 +323,60 @@ class VLLMEngine(LLMEngineBase):
             telemetry.decode_batch(self.name, n)
             telemetry.attribution.mark_steps(batch, "decode_hbm", ends[:quiet])
 
-    def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
-        """Account one generated token for every sequence in ``batch``.
+    def _decode_bookkeeping(self) -> Generator:
+        """Account one generated token for every running sequence.
 
-        The pass runs in segments: each is the run of live sequences up
-        to the first one the KV cache cannot grow, and costs one
-        ``append_tokens`` call (which also releases the sequences this
-        token completes) and one ``_finish_tokens`` call.  The needy
-        sequence then preempts a victim -- a swap-mode preemption
-        yields, so later tokens carry the later time -- and heads the
-        next segment.  ``live`` holds the sequences still running:
-        finished, aborted and preempted ones leave it at once, and
-        ``self.running`` is compacted to it, in order, at the end.
+        The step clock counts them all at once.  Only the sequences
+        this token completes (from the finish heap) and those crossing
+        a block boundary (from the KV cache's schedule) are visited, in
+        batch order, so a completion's blocks are free before a later
+        sequence takes one.  A crossing that finds no free block ends a
+        *run* of tokens (each run costs one metrics call): the needy
+        sequence preempts a victim -- a swap-mode preemption yields, so
+        later tokens carry the later time -- and heads the next run.
         """
-        live = set(self.running)
-        kv = self.kv
-        pending = batch
+        self.clock.steps += 1
+        done = self._finishing()
+        needy_id = self.kv.step([r.req_id for r in done])
+        if needy_id is None:
+            self._grant(len(self.running), done)
+        else:
+            yield from self._decode_shortfalls(needy_id, done)
+
+    def _decode_shortfalls(self, needy_id: int, done: list[Request]) -> Generator:
+        """Finish a decode step the KV cache stopped at ``needy_id``.
+
+        Until a run resumes, the clock's cursor keeps the requests from
+        the needy one on at their count before this step.  A request
+        that is still short after preempting ends here, as a
+        context-length abort would.
+        """
+        running, clock = self.running, self.clock
+        head = -1  # seat heading the current run
         needy = None
-        while pending:
-            segment = [r for r in pending if r in live]
-            last = {
-                r.req_id
-                for r in segment
-                if r.generated_tokens + 1 >= r.max_new_tokens
-            }
-            grown = kv.append_tokens([r.req_id for r in segment], last)
-            live.difference_update(self._finish_tokens(segment[:grown]))
-            if grown == len(segment):
-                break
-            pending = segment[grown:]
-            if pending[0] is needy:
-                # Still no room (nothing left to preempt): end the
-                # sequence here, as a context-length abort would.
-                needy.max_new_tokens = needy.generated_tokens + 1
-                self._finish_tokens([needy])
-                live.discard(needy)
-                kv.release(needy.req_id)
-                pending = pending[1:]
-                continue
-            needy = pending[0]
-            yield from self._preempt_for(needy, live)
-        if len(live) != len(self.running):
-            self.running[:] = [r for r in self.running if r in live]
+        while needy_id is not None:
+            stuck = next(r for r in running if r.req_id == needy_id)
+            clock.cursor = stuck.seat
+            ready = [r for r in done if r.seat < stuck.seat]
+            done = done[len(ready):]
+            self._grant(sum(head <= r.seat < stuck.seat for r in running), ready)
+            if stuck is needy:
+                # Still no room (nothing left to preempt).
+                head = stuck.seat + 1
+                self._leave(stuck)
+                stuck.max_new_tokens = stuck.generated_tokens + 1
+                self._finish_tokens([stuck])
+                self.kv.release(stuck.req_id)
+            else:
+                needy = stuck
+                yield from self._preempt_for(needy, set(running))
+                head = needy.seat
+            done = [r for r in done if r.seat is not None]
+            needy_id = self.kv.step([r.req_id for r in done])
+        clock.cursor = None
+        tokens = sum(r.seat >= head for r in running)
+        if tokens:
+            self._grant(tokens, done)
 
     def _preempt_for(self, needy: Request, live: set) -> Generator:
         """Free KV space by preempting the youngest live sequence.
@@ -283,13 +384,14 @@ class VLLMEngine(LLMEngineBase):
         ``recompute`` releases the victim's blocks and re-prefills its
         whole context later; ``swap`` pages the victim's KV to host
         DRAM (paying the PCIe write now and the read at swap-in).  The
-        victim leaves ``live``; the caller compacts ``self.running``.
+        victim leaves ``live`` and the running batch.
         """
         victims = [r for r in self.running if r is not needy and r in live]
         if not victims:
             return
         victim = max(victims, key=lambda r: r.arrival_time)
         live.discard(victim)
+        self._leave(victim)
         self.preemptions += 1
         if self.telemetry is not None:
             self.telemetry.preemption(self.name)
@@ -322,7 +424,7 @@ class VLLMEngine(LLMEngineBase):
             nbytes = self.kv.swap_in(request.req_id)
             yield from self.server.transfer(self.server.dram, self.gpu, nbytes)
             self.server.dram.pool.release(f"{self.name}:swap{request.req_id}")
-            self.running.append(request)
+            self._join(request)
 
     def _prefill_chunk_step(self) -> Generator:
         """One fused iteration: a prefill chunk plus a decode step.
@@ -334,17 +436,16 @@ class VLLMEngine(LLMEngineBase):
         request, remaining = self.prefilling[0]
         chunk = min(remaining, self.chunked_prefill_tokens)
         duration = self.model.prefill_time(self.gpu.spec, chunk)
-        batch = list(self.running)
-        if batch:
-            context = context_tokens(batch)
-            duration += self.model.decode_step_time(self.gpu.spec, len(batch), context)
+        n = len(self.running)
+        if n:
+            duration += self.model.decode_step_time(self.gpu.spec, n, self._context)
         started = self.env.now
         yield from self.gpu.compute_op(duration)
-        self.trace_span("chunked-prefill", started, chunk=chunk, batch=len(batch))
+        self.trace_span("chunked-prefill", started, chunk=chunk, batch=n)
         self.attr_mark([request], "prefill_compute")
-        if batch:
-            self.attr_mark(batch, "decode_hbm")
-            yield from self._decode_bookkeeping(batch)
+        if n:
+            self.attr_mark(self.running, "decode_hbm")
+            yield from self._decode_bookkeeping()
         self.prefilling[0][1] -= chunk
         if self.prefilling[0][1] <= 0:
             self.prefilling.pop(0)
@@ -352,7 +453,7 @@ class VLLMEngine(LLMEngineBase):
             if self._finish_tokens([request]):
                 self.kv.release(request.req_id)
             else:
-                self.running.append(request)
+                self._join(request)
 
     def _start_chunked_prefill(self, admitted: list[Request]) -> Generator:
         """Queue newly admitted requests for chunked prefill."""

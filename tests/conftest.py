@@ -1,7 +1,8 @@
 """Shared pytest configuration.
 
 Registers the Hypothesis ``ci`` profile: ``--hypothesis-profile=ci``
-gives the differential oracles (``tests/test_vllm_oracle.py`` and
+gives the differential oracles (``tests/test_vllm_oracle.py``,
+``tests/test_kv_cache_stateful.py`` and
 ``tests/test_attribution_oracle.py``) a larger example budget than
 tier-1 runs by default.
 """

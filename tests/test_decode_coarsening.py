@@ -14,13 +14,20 @@ open under one).  Each case also asserts that windows really were open
 around the boundary, and one guard fails if the engine stops fusing.
 """
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.memory
+import repro.serving
 from repro.aqua import AquaLib, Coordinator, LlmInformer
 from repro.audit import ConservationAuditor
 from repro.experiments.harness import build_consumer_rig
 from repro.hardware import Server
 from repro.models import CODELLAMA_34B, MISTRAL_7B, SD_15
+from repro.models.llm import LLMSpec
 from repro.serving import BatchEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads.arrivals import submit_all
@@ -327,3 +334,75 @@ def test_windows_stay_engaged_on_an_open_loop_drain():
     assert all(r.done for r in requests)
     passes = engine.grants + sum(k - 1 for _, k in engine.windows)
     assert engine.grants < passes / 2, (engine.grants, passes)
+
+
+# ---------------------------------------------------------------------------
+# Cost guard
+# ---------------------------------------------------------------------------
+class FixedPace(LLMSpec):
+    """An LLM whose prefill and decode steps take fixed times, whatever
+    the batch, so batches of any size run the same windows."""
+
+    def prefill_time(self, gpu, n_tokens):
+        return 0.1
+
+    def decode_step_time(self, gpu, batch_size, context_tokens):
+        return 0.01
+
+
+PACED = FixedPace(
+    **{f.name: getattr(MISTRAL_7B, f.name) for f in dataclasses.fields(MISTRAL_7B)}
+)
+
+#: Source directories whose executed lines the guard counts.
+COUNTED = tuple(
+    str(Path(package.__file__).parent) for package in (repro.serving, repro.memory)
+)
+
+
+def traced_lines(run) -> int:
+    """Python line events ``run()`` executes in ``COUNTED`` code."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def called(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(COUNTED) else None
+
+    sys.settrace(called)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def window_lines(batch):
+    """Lines one decode step plus one window cost for a ``batch``-sized
+    batch whose prompts all sit one token past a block boundary (the
+    next crossing is 15 steps away) and whose outputs are far off."""
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    engine = RecordingEngine(server.gpus[0], server, PACED, max_batch=batch)
+    engine.start()
+    for _ in range(batch):
+        engine.submit(Request(arrival_time=0.0, prompt_tokens=161, max_new_tokens=200))
+    # Prefill ends at 0.1; the first decode step, cut short by this
+    # stop, ends at 0.11.  The traced run finishes it, then opens a
+    # window at 0.11 whose steps run to the stop at 0.205.
+    env.run(until=0.105)
+    assert len(engine.running) == batch and not engine.windows
+    lines = traced_lines(lambda: env.run(until=0.205))
+    assert [k for _, k in engine.windows] == [10]
+    assert engine.metrics.tokens_generated == batch * 11
+    return lines
+
+
+def test_window_cost_does_not_grow_with_the_batch():
+    """A window that neither completes nor crosses a block executes as
+    many lines in the serving and memory layers at batch 8 as at batch
+    128: per-sequence work cannot creep back into the decode path."""
+    assert window_lines(8) == window_lines(128)

@@ -1,20 +1,78 @@
 """Stateful property testing of the paged KV cache.
 
-Hypothesis drives random admit/append/swap/release sequences and checks
-the block-accounting invariants that the serving engines rely on.
+Hypothesis drives random admit/join/step/swap/release sequences against
+``Reference``, a plain model of the same cache that grows every batch
+sequence one token at a time, and checks after every rule that the two
+agree exactly: token counts, block ids, the free list's order, and where
+each step stops.  Steps may stop on a shortfall or pause after a chosen
+sequence, and sequences may be released or swapped out while a step is
+open, as the vLLM engine's victims are.
 """
-
-import copy
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.memory import BlockAllocator, PagedKVCache
 from repro.models import MISTRAL_7B
 
-N_BLOCKS = 64
-BLOCK_TOKENS = 16
+N_BLOCKS = 32
+BLOCK_TOKENS = 4
+
+#: Programs per run; ``--hypothesis-profile=ci`` raises it.
+EXAMPLES = (
+    settings.default.max_examples
+    if settings.get_current_profile_name() == "ci"
+    else 50
+)
+
+
+class Reference:
+    """The cache, one token at a time: ``tokens`` and ``blocks`` per
+    sequence, a LIFO free list, the batch in join order and, while a
+    step is open, the batch sequences it has not reached."""
+
+    def __init__(self):
+        self.free = list(range(N_BLOCKS - 1, -1, -1))
+        self.tokens: dict[int, int] = {}
+        self.blocks: dict[int, list[int]] = {}
+        self.batch: list[int] = []
+        self.pending = None
+
+    def admit(self, seq_id, tokens):
+        self.tokens[seq_id] = tokens
+        self.blocks[seq_id] = [self.free.pop() for _ in range(-(-tokens // BLOCK_TOKENS))]
+
+    def drop(self, seq_id):
+        """Free the blocks and leave the batch (and an open step)."""
+        self.free.extend(self.blocks[seq_id])
+        self.blocks[seq_id] = []
+        if seq_id in self.batch:
+            self.batch.remove(seq_id)
+        if self.pending is not None and seq_id in self.pending:
+            self.pending.remove(seq_id)
+
+    def release(self, seq_id):
+        self.drop(seq_id)
+        del self.tokens[seq_id], self.blocks[seq_id]
+
+    def step(self, last, through):
+        if self.pending is None:
+            self.pending = list(self.batch)
+        while self.pending:
+            seq_id = self.pending[0]
+            if self.tokens[seq_id] % BLOCK_TOKENS == 0:
+                if not self.free:
+                    return seq_id
+                self.blocks[seq_id].append(self.free.pop())
+            self.tokens[seq_id] += 1
+            self.pending.pop(0)
+            if seq_id in last:
+                self.release(seq_id)
+            if seq_id == through:
+                return None
+        self.pending = None
+        return None
 
 
 class KVCacheMachine(RuleBasedStateMachine):
@@ -25,104 +83,95 @@ class KVCacheMachine(RuleBasedStateMachine):
             block_bytes=MISTRAL_7B.kv_bytes_per_token * BLOCK_TOKENS,
         )
         self.cache = PagedKVCache(MISTRAL_7B, allocator, block_tokens=BLOCK_TOKENS)
+        self.ref = Reference()
         self.next_id = 0
-        self.model_tokens: dict[int, int] = {}  # oracle: seq -> tokens
         self.swapped: set[int] = set()
 
+    def resident(self):
+        return sorted(s for s in self.ref.tokens if s not in self.swapped)
+
     # ------------------------------------------------------------------
-    @rule(tokens=st.integers(min_value=1, max_value=200))
-    def admit(self, tokens):
-        seq_id = self.next_id
-        self.next_id += 1
-        if self.cache.can_admit(tokens):
+    @rule(
+        sizes=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8),
+        join=st.booleans(),
+    )
+    def admit(self, sizes, join):
+        """Admit a few sequences, as one prefill would, and maybe start
+        growing them with the batch."""
+        for tokens in sizes:
+            seq_id = self.next_id
+            self.next_id += 1
+            if not self.cache.can_admit(tokens):
+                return
             self.cache.admit(seq_id, tokens)
-            self.model_tokens[seq_id] = tokens
+            self.ref.admit(seq_id, tokens)
+            if join and self.ref.pending is None:
+                self.cache.join(seq_id)
+                self.ref.batch.append(seq_id)
 
     @rule(data=st.data())
-    def append(self, data):
-        resident = [s for s in self.model_tokens if s not in self.swapped]
-        if not resident:
+    def join(self, data):
+        outside = [s for s in self.resident() if s not in self.ref.batch]
+        if not outside or self.ref.pending is not None:
             return
-        seq_id = data.draw(st.sampled_from(sorted(resident)))
-        if self.cache.append_tokens([seq_id]):
-            self.model_tokens[seq_id] += 1
+        seq_id = data.draw(st.sampled_from(outside))
+        self.cache.join(seq_id)
+        self.ref.batch.append(seq_id)
 
     @rule(data=st.data())
-    def append_batch(self, data):
-        """One append_tokens call equals per-sequence appends and releases."""
-        resident = sorted(s for s in self.model_tokens if s not in self.swapped)
-        if not resident:
-            return
-        seq_ids = data.draw(st.lists(st.sampled_from(resident), unique=True))
-        last = data.draw(st.sets(st.sampled_from(seq_ids))) if seq_ids else set()
-        reference = copy.deepcopy(self.cache)
-        expected = 0
-        for seq_id in seq_ids:
-            if not reference.append_tokens([seq_id]):
-                break
-            expected += 1
-            if seq_id in last:
-                reference.release(seq_id)
-        grown = self.cache.append_tokens(seq_ids, last)
-        assert grown == expected
-        for seq_id in seq_ids[:grown]:
-            if seq_id in last:
-                del self.model_tokens[seq_id]
-            else:
-                self.model_tokens[seq_id] += 1
-        assert self.cache.allocator._free == reference.allocator._free
-        assert {
-            s: (q.tokens, q.blocks) for s, q in self.cache.sequences.items()
-        } == {s: (q.tokens, q.blocks) for s, q in reference.sequences.items()}
+    def step(self, data):
+        """One call: releases ``last`` after their tokens, may pause
+        after ``through``, stops where a crossing finds no block."""
+        reach = self.ref.pending if self.ref.pending is not None else self.ref.batch
+        through = None
+        if reach and data.draw(st.booleans()):
+            through = data.draw(st.sampled_from(reach))
+            reach = reach[: reach.index(through) + 1]
+        last = [s for s in reach if data.draw(st.booleans())]
+        expected = self.ref.step(set(last), through)
+        assert self.cache.step(last, through) == expected
 
-    @rule(data=st.data(), steps=st.integers(min_value=0, max_value=40))
-    def append_window(self, data, steps):
-        """``steps_fit`` counts the whole steps of ``append_tokens``
-        calls that fit, and ``append_steps`` equals that many calls."""
-        resident = sorted(s for s in self.model_tokens if s not in self.swapped)
-        seq_ids = data.draw(st.lists(st.sampled_from(resident), unique=True)) if resident else []
-        reference = copy.deepcopy(self.cache)
-        fit = 0
-        while fit < steps and reference.append_tokens(seq_ids) == len(seq_ids):
-            fit += 1
-        assert self.cache.steps_fit(seq_ids, steps) == fit
-        reference = copy.deepcopy(self.cache)
-        for _ in range(fit):
-            reference.append_tokens(seq_ids)
-        self.cache.append_steps(seq_ids, fit)
-        for seq_id in seq_ids:
-            self.model_tokens[seq_id] += fit
-        assert self.cache.allocator._free == reference.allocator._free
-        assert {
-            s: (q.tokens, q.blocks) for s, q in self.cache.sequences.items()
-        } == {s: (q.tokens, q.blocks) for s, q in reference.sequences.items()}
+    @rule(steps=st.integers(min_value=1, max_value=2 * BLOCK_TOKENS))
+    def quiet_steps(self, steps):
+        """Whole steps that complete nothing, as a decode window runs."""
+        for _ in range(steps):
+            expected = self.ref.step(set(), None)
+            assert self.cache.step() == expected
+            if expected is not None:
+                return
 
     @rule()
-    def append_into_full_cache(self):
-        """With no free block, a boundary append is refused untouched."""
+    def step_into_full_cache(self):
+        """A sequence at a block boundary with no free block left stops
+        the step untouched, however far the batch is from the cache's
+        capacity."""
         allocator = self.cache.allocator
-        if not allocator.free_blocks:
+        if not allocator.free_blocks or self.ref.pending is not None:
             return
         seq_id = self.next_id
         self.next_id += 1
-        # Exactly fill the free blocks, ending on a block boundary.
         tokens = allocator.free_blocks * BLOCK_TOKENS
         self.cache.admit(seq_id, tokens)
-        self.model_tokens[seq_id] = tokens
+        self.ref.admit(seq_id, tokens)
+        self.cache.join(seq_id)
+        self.ref.batch.append(seq_id)
         assert allocator.free_blocks == 0
         seq = self.cache.sequences[seq_id]
         blocks = list(seq.blocks)
-        assert self.cache.append_tokens([seq_id]) == 0
-        assert seq.tokens == tokens and seq.blocks == blocks
+        expected = self.ref.step(set(), None)
+        assert self.cache.step() == expected
+        if expected == seq_id:
+            assert seq.tokens == tokens and seq.blocks == blocks
 
     @rule(data=st.data())
     def swap_out(self, data):
-        resident = [s for s in self.model_tokens if s not in self.swapped]
+        resident = self.resident()
         if not resident:
             return
-        seq_id = data.draw(st.sampled_from(sorted(resident)))
+        seq_id = data.draw(st.sampled_from(resident))
         nbytes = self.cache.swap_out(seq_id)
-        assert nbytes == MISTRAL_7B.kv_bytes(self.model_tokens[seq_id])
+        assert nbytes == MISTRAL_7B.kv_bytes(self.ref.tokens[seq_id])
+        self.ref.drop(seq_id)
         self.swapped.add(seq_id)
 
     @rule(data=st.data())
@@ -132,29 +181,45 @@ class KVCacheMachine(RuleBasedStateMachine):
         seq_id = data.draw(st.sampled_from(sorted(self.swapped)))
         if self.cache.can_swap_in(seq_id):
             self.cache.swap_in(seq_id)
+            self.ref.admit(seq_id, self.ref.tokens[seq_id])
             self.swapped.discard(seq_id)
 
     @rule(data=st.data())
     def release(self, data):
-        if not self.model_tokens:
+        if not self.ref.tokens:
             return
-        seq_id = data.draw(st.sampled_from(sorted(self.model_tokens)))
+        seq_id = data.draw(st.sampled_from(sorted(self.ref.tokens)))
         self.cache.release(seq_id)
-        del self.model_tokens[seq_id]
+        if seq_id in self.swapped:
+            del self.ref.tokens[seq_id], self.ref.blocks[seq_id]
+        else:
+            self.ref.release(seq_id)
         self.swapped.discard(seq_id)
 
     # ------------------------------------------------------------------
     @invariant()
-    def token_counts_match_oracle(self):
-        for seq_id, tokens in self.model_tokens.items():
-            assert self.cache.sequences[seq_id].tokens == tokens
+    def matches_reference(self):
+        assert self.cache.allocator._free == self.ref.free
+        assert {
+            s: (q.tokens, q.blocks) for s, q in self.cache.sequences.items()
+        } == {s: (self.ref.tokens[s], self.ref.blocks[s]) for s in self.ref.tokens}
+
+    @invariant()
+    def blocks_due_counts_the_crossings(self):
+        if self.ref.pending is not None:
+            return
+        for ahead in range(1, 2 * BLOCK_TOKENS + 1):
+            crossing = [
+                s for s in self.ref.batch
+                if (self.ref.tokens[s] + ahead - 1) % BLOCK_TOKENS == 0
+            ]
+            assert self.cache.blocks_due(ahead) == len(crossing)
 
     @invariant()
     def resident_blocks_match_token_counts(self):
-        for seq_id, tokens in self.model_tokens.items():
-            seq = self.cache.sequences[seq_id]
+        for seq_id, seq in self.cache.sequences.items():
             if seq.is_resident:
-                assert len(seq.blocks) == self.cache.blocks_for(tokens)
+                assert len(seq.blocks) == self.cache.blocks_for(seq.tokens)
             else:
                 assert seq.blocks == []
 
@@ -184,6 +249,6 @@ class KVCacheMachine(RuleBasedStateMachine):
 
 
 KVCacheMachine.TestCase.settings = settings(
-    max_examples=50, stateful_step_count=50, deadline=None
+    max_examples=EXAMPLES, stateful_step_count=50, deadline=None
 )
 TestKVCacheStateMachine = KVCacheMachine.TestCase

@@ -229,47 +229,80 @@ def test_cache_admit_duplicate_rejected():
 def test_cache_append_allocates_at_block_boundary():
     cache = make_cache()
     cache.admit(1, tokens=16)
+    cache.join(1)
     assert len(cache.sequences[1].blocks) == 1
-    assert cache.append_tokens([1]) == 1  # 17th token needs a second block
+    assert cache.step() is None  # 17th token needs a second block
     assert len(cache.sequences[1].blocks) == 2
-    assert cache.append_tokens([1]) == 1  # 18th token does not
+    assert cache.step() is None  # 18th token does not
     assert len(cache.sequences[1].blocks) == 2
+    assert cache.sequences[1].tokens == 18
 
 
-def test_append_tokens_stops_at_first_sequence_without_a_block():
+def test_step_stops_at_first_sequence_without_a_block():
     cache = make_cache(n_blocks=4)
-    cache.admit(1, tokens=5)
+    cache.admit(1, tokens=16)  # at a block boundary
     cache.admit(2, tokens=16)  # at a block boundary
     cache.admit(3, tokens=7)
-    cache.admit(4, tokens=3)  # fills the last free block
+    cache.admit(4, tokens=16)  # fills the last free block
+    for seq_id in (1, 2, 3, 4):
+        cache.join(seq_id)
+    cache.release(4)  # one block free: sequence 1 takes it
     needy = cache.sequences[2]
     blocks = list(needy.blocks)
-    assert cache.append_tokens([1, 2, 3]) == 1
-    assert cache.sequences[1].tokens == 6
+    assert cache.step() == 2
+    assert cache.sequences[1].tokens == 17
     assert needy.tokens == 16 and needy.blocks == blocks  # untouched
-    assert cache.sequences[3].tokens == 7  # never reached
+    assert cache.sequences[3].tokens == 7  # not reached
+    cache.release(1)  # frees two blocks; the step resumes at 2
+    assert cache.step() is None
+    assert needy.tokens == 17 and len(needy.blocks) == 2
+    assert cache.sequences[3].tokens == 8
 
 
-def test_append_tokens_releases_last_and_reuses_its_block():
+def test_step_releases_last_and_reuses_its_block():
     cache = make_cache(n_blocks=2)
     cache.admit(1, tokens=10)
     cache.admit(2, tokens=16)  # its next token needs a block
+    cache.join(1)
+    cache.join(2)
     freed = cache.sequences[1].blocks[0]
     assert cache.allocator.free_blocks == 0
-    assert cache.append_tokens([1, 2], last={1}) == 2
+    assert cache.step(last=[1]) is None
     assert 1 not in cache.sequences
     assert cache.sequences[2].blocks[-1] == freed
     assert cache.sequences[2].tokens == 17
 
 
-def test_append_tokens_rejects_a_swapped_sequence():
+def test_step_pauses_through_a_sequence():
+    cache = make_cache(n_blocks=8)
+    for seq_id in (1, 2, 3):
+        cache.admit(seq_id, tokens=16)
+        cache.join(seq_id)
+    assert cache.step(through=2) is None
+    assert [cache.sequences[s].tokens for s in (1, 2, 3)] == [17, 17, 16]
+    cache.admit(4, tokens=1)
+    with pytest.raises(RuntimeError):
+        cache.join(4)  # no joining an open step
+    assert cache.step() is None
+    assert [cache.sequences[s].tokens for s in (1, 2, 3)] == [17, 17, 17]
+    assert [len(cache.sequences[s].blocks) for s in (1, 2, 3)] == [2, 2, 2]
+
+
+def test_join_rejects_a_swapped_sequence():
     cache = make_cache()
     cache.admit(1, tokens=4)
     cache.admit(2, tokens=4)
-    cache.swap_out(2)
+    cache.join(1)
+    cache.join(2)
+    assert cache.step() is None
+    assert cache.swap_out(2) == LLAMA2_13B.kv_bytes(5)  # leaves the batch
     with pytest.raises(AllocationError):
-        cache.append_tokens([1, 2])
-    assert cache.sequences[1].tokens == 5  # grown before the swapped one
+        cache.join(2)
+    assert cache.step() is None
+    assert cache.sequences[1].tokens == 6
+    assert cache.sequences[2].tokens == 5  # swapped: not grown
+    with pytest.raises(ValueError):
+        cache.join(1)  # already in the batch
 
 
 def test_cache_can_admit_respects_capacity():
@@ -303,7 +336,7 @@ def test_cache_swapped_sequence_operations_rejected():
     cache.admit(1, tokens=16)
     cache.swap_out(1)
     with pytest.raises(AllocationError):
-        cache.append_tokens([1])
+        cache.join(1)
     with pytest.raises(AllocationError):
         cache.swap_out(1)
     cache.swap_in(1)

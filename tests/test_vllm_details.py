@@ -170,11 +170,11 @@ def test_victim_preempted_earlier_in_the_step_is_not_picked_again():
     young = Request(arrival_time=2.0, prompt_tokens=5, max_new_tokens=50)
     for request in (old, mid, young):
         engine.kv.admit(request.req_id, request.total_tokens)
-        engine.running.append(request)
+        engine._join(request)
     assert engine.allocator.free_blocks == 0
     # ``old`` needs a block: ``young`` goes.  ``mid`` then needs one:
     # only ``old`` is left to preempt.  ``young`` is skipped.
-    env.process(engine._decode_bookkeeping(list(engine.running)))
+    env.process(engine._decode_bookkeeping())
     env.run()
     assert engine.preemptions == 2
     assert engine.running == [mid]
