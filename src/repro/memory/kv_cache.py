@@ -170,9 +170,9 @@ class PagedKVCache:
         if clock.cursor is not None:
             raise RuntimeError(f"sequence {seq_id} cannot join an open step")
         tokens = seq.tokens
-        seq.position = position = next(self._positions)
+        seq.position = next(self._positions)
         seq._clock = clock
-        seq._base = tokens - clock.count(0, position)
+        seq._base = tokens - clock.steps
         crossing = clock.steps + 1 + -tokens % self.block_tokens
         seq.crossing = crossing
         self._crossings.setdefault(crossing, []).append(seq)
