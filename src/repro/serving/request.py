@@ -12,7 +12,7 @@ from repro.models.lora import LoRAAdapter
 _REQUEST_IDS = count()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Request:
     """One inference query against a hosted model.
 
@@ -62,6 +62,11 @@ class Request:
     #: Optional simulation event triggered on completion (closed-loop
     #: workloads wait on this to send their next turn).
     on_finish: Optional[object] = None
+    #: Position in the engine's running batch while clocked in.
+    seat: Optional[int] = field(default=None, init=False)
+    #: Tokens generated; while clocked in, the base the clock adds to.
+    _generated: int = field(default=0, init=False, repr=False)
+    _clock: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.prompt_tokens < 1:
@@ -72,11 +77,6 @@ class Request:
             )
         if self.weight <= 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
-        #: Position in the engine's running batch while clocked in.
-        self.seat: Optional[int] = None
-        #: Tokens generated; while clocked in, the base the clock adds to.
-        self._generated = 0
-        self._clock = None
 
     # ------------------------------------------------------------------
     @property
