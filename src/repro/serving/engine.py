@@ -171,7 +171,8 @@ class LLMEngineBase:
         now = self.env.now
         finished = [r for r in requests if r.record_token(now)]
         self.metrics.record_token(now, len(requests))
-        self._record_completions(finished)
+        if finished:
+            self._record_completions(finished)
         return finished
 
     def _record_completions(self, finished) -> None:

@@ -106,10 +106,16 @@ class Request:
     @property
     def total_tokens(self) -> int:
         """Prompt plus generated tokens (the KV-cache footprint)."""
+        # Off a clock, read the field directly: every engine reads this
+        # and ``done`` per token.
+        if self._clock is None:
+            return self.prompt_tokens + self._generated
         return self.prompt_tokens + self.generated_tokens
 
     @property
     def done(self) -> bool:
+        if self._clock is None:
+            return self._generated >= self.max_new_tokens
         return self.generated_tokens >= self.max_new_tokens
 
     @property
@@ -133,9 +139,8 @@ class Request:
         """
         if self.first_token_time is None:
             self.first_token_time = now
-        generated = self.generated_tokens + 1
-        self.generated_tokens = generated
-        if generated < self.max_new_tokens or self.finish_time is not None:
+        self._generated += 1  # one more, on or off a clock
+        if self.generated_tokens < self.max_new_tokens or self.finish_time is not None:
             return False
         self.finish(now)
         return True
