@@ -309,7 +309,9 @@ class VLLMEngine(LLMEngineBase):
         n = len(batch)
         for _ in range(quiet):
             if self.kv.step() is not None:
-                raise AllocationError(f"{self.name}: a quiet decode step ran out of blocks")
+                raise AllocationError(
+                    f"{self.name}: a quiet decode step ran out of blocks"
+                )
         self.clock.steps += quiet
         self._context += quiet * n
         for end in ends[:quiet]:
@@ -375,7 +377,7 @@ class VLLMEngine(LLMEngineBase):
             needy_id = self.kv.step([r.req_id for r in done])
         clock.cursor = None
         tokens = sum(r.seat >= head for r in running)
-        if tokens:
+        if tokens:  # none after an aborted last sequence: no run to stamp
             self._grant(tokens, done)
 
     def _preempt_for(self, needy: Request, live: set) -> Generator:
