@@ -12,6 +12,7 @@ step-loop reference (``tests/vllm_reference.py``) or against the
 per-step path itself, which a per-event monitor forces (windows never
 open under one).  Each case also asserts that windows really were open
 around the boundary, and one guard fails if the engine stops fusing.
+A cost guard fails if a window's Python work grows with the batch.
 """
 
 import dataclasses
