@@ -1,5 +1,5 @@
-"""Differential test: ``VLLMEngine`` and ``OrcaEngine`` against a
-step-loop reference.
+"""Differential test: ``VLLMEngine``, ``OrcaEngine`` and ``CFSEngine``
+against a step-loop reference.
 
 ``tests/vllm_reference.py`` restates vLLM continuous batching as a plain
 loop with no simulation kernel.  Hypothesis draws small traces --
@@ -16,9 +16,12 @@ decode step.  The engine and the reference must then agree exactly on:
 * the allocator's free list at the end.
 
 ``OrcaEngine`` runs against the reference's ``"orca"`` mode on the same
-traces.  A second draw runs batches of up to 64 sequences in all three
-modes, with shared output lengths and prompt block phases, so that many
-completions and many block crossings land on one step.
+traces, and ``CFSEngine`` (DRAM context switches) against its ``"cfs"``
+mode with a drawn slice length; for CFS the preemption sequence is the
+swap-outs of its context switches and the rejected prompts are the
+queue heads it drops.  A second draw runs batches of up to 64 sequences
+in all four modes, with shared output lengths and prompt block phases,
+so that many completions and many block crossings land on one step.
 
 The tier-1 budget is small; ``--hypothesis-profile=ci`` (registered in
 ``tests/conftest.py``) raises it.
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import Server
 from repro.models import MISTRAL_7B
-from repro.serving import OrcaEngine, Request, VLLMEngine
+from repro.serving import CFSEngine, OrcaEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads.arrivals import submit_all
 from tests.token_times import token_times
@@ -78,13 +81,35 @@ class RecordingOrca(OrcaEngine):
     preempted = ()
 
 
+class RecordingCFS(CFSEngine):
+    """Logs each context switch's swap-outs as ``(time it started,
+    index)`` and each queue head an empty round drops."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.preempted = []
+        self.rejected = []
+
+    def _swap_out(self, request):
+        self.preempted.append((self.env.now, request.req_id))
+        yield from super()._swap_out(request)
+
+    def _evict_oversized(self):
+        if self.waiting:
+            self.rejected.append(self.waiting[0])
+        super()._evict_oversized()
+
+
+ENGINES = {"orca": RecordingOrca, "cfs": RecordingCFS}
+
+
 def build(rig, start=0.0):
     """An engine on a fresh one-GPU server; ``rig`` holds its keyword
-    arguments (``model`` defaults to Mistral-7B) and ``orca=True``
-    builds an :class:`OrcaEngine`."""
+    arguments (``model`` defaults to Mistral-7B) and ``engine`` names
+    the reference mode of an Orca or CFS engine (default vLLM)."""
     kwargs = dict(rig)
     model = kwargs.pop("model", MISTRAL_7B)
-    cls = RecordingOrca if kwargs.pop("orca", False) else RecordingEngine
+    cls = ENGINES.get(kwargs.pop("engine", None), RecordingEngine)
     server = Server(Environment(start), n_gpus=1)
     return cls(server.gpus[0], server, model, **kwargs)
 
@@ -98,8 +123,9 @@ def run_reference(rig, trace, start=0.0, horizon=HORIZON):
         engine.allocator._free,
         engine.kv.block_tokens,
         engine.max_batch,
-        "orca" if isinstance(engine, OrcaEngine) else engine.preemption_mode,
+        rig.get("engine") or engine.preemption_mode,
         start=start,
+        slice_tokens=getattr(engine, "slice_tokens", None),
     )
     seqs = ref.run(trace)
     assert ref.now < start + horizon
@@ -242,15 +268,29 @@ def test_engine_matches_reference(mode, data):
 def test_orca_matches_reference(data):
     """Worst-case reservations: admission, rejection, completion order
     and the free list follow ``prompt + max_new`` blocks per request."""
-    rig = draw_rig(data, orca=True)
+    rig = draw_rig(data, engine="orca")
     assert_matches(rig, draw_trace(data, rig))
 
 
-@pytest.mark.parametrize("mode", ["recompute", "swap", "orca"])
+@oracle_settings
+@given(data=st.data())
+def test_cfs_matches_reference(data):
+    """Slices, DRAM context switches (swap-out, then swap-in), rounds
+    that prefill new prompts, and the evictions of empty rounds."""
+    rig = draw_rig(data, engine="cfs", slice_tokens=data.draw(st.integers(1, 8)))
+    assert_matches(rig, draw_trace(data, rig))
+
+
+@pytest.mark.parametrize("mode", ["recompute", "swap", "orca", "cfs"])
 @large_settings
 @given(data=st.data())
 def test_large_batches_match_reference(mode, data):
     """Batches of up to 64 sequences, with many completions and many
     block crossings landing on the same step."""
-    extra = {"orca": True} if mode == "orca" else {"preemption_mode": mode}
+    if mode == "orca":
+        extra = {"engine": mode}
+    elif mode == "cfs":
+        extra = {"engine": mode, "slice_tokens": data.draw(st.integers(1, 8))}
+    else:
+        extra = {"preemption_mode": mode}
     assert_matches(*draw_large(data, **extra))

@@ -1,4 +1,5 @@
-"""A plain step-loop reference of vLLM continuous batching.
+"""A plain step-loop reference of vLLM continuous batching, and of the
+Orca and CFS schedulers that share its running batch.
 
 Written from the scheduling rules that ``docs/architecture.md`` and the
 ``VLLMEngine`` docstrings state, not from the engine's code, so the two
@@ -32,9 +33,25 @@ Mode ``"orca"`` is ``OrcaEngine``, Orca's worst-case reservation: rule
 and a decode step only emits tokens -- sequences take no blocks as they
 grow, so nothing is ever preempted or swapped.
 
+Mode ``"cfs"`` is ``CFSEngine`` (§5), in rounds:
+
+5. Live prompts (running, swapped, then waiting; stably sorted by
+   generated count, then arrival) join the round in that order while a
+   batch slot is free and blocks for ``context + slice_tokens`` tokens
+   still fit the whole cache; one that does not fit is skipped.
+6. An empty round drops the queue head, else ends the longest live
+   context as an abort would.  Otherwise running prompts outside the
+   round swap out to host DRAM (in batch order), swapped ones in it
+   swap back in (in round order), and waiting ones in it prefill
+   together, as in rule 3.
+7. The batch decodes ``slice_tokens`` steps as in rule 3, fewer if it
+   empties; the round's budget means no step runs short of blocks.
+
 Blocks come from a LIFO free list: taken from its end, returned in the
-order the sequence holds them.  Chunked prefill, LoRA adapters and
-producer duties are not modelled.
+order the sequence holds them.  Chunked prefill, LoRA adapters,
+producer duties, AQUA contexts and CFS's cached conversations are not
+modelled; ``tests/test_context_cache.py`` and the CFS transcript pin in
+``tests/test_engine_transcripts.py`` cover the last.
 """
 
 from __future__ import annotations
@@ -64,10 +81,14 @@ class Reference:
 
     ``free`` is the allocator's initial free list (taken from its end);
     ``server`` and ``gpu`` price the swap copies; the clock starts at
-    ``start``, no later than the first arrival.
+    ``start``, no later than the first arrival.  ``slice_tokens`` is
+    the CFS slice length.
     """
 
-    def __init__(self, model, server, gpu, free, block_tokens, max_batch, mode, start=0.0):
+    def __init__(
+        self, model, server, gpu, free, block_tokens, max_batch, mode, start=0.0,
+        slice_tokens=None,
+    ):
         self.model = model
         self.spec = gpu.spec
         self.server = server
@@ -77,6 +98,8 @@ class Reference:
         self.block_tokens = block_tokens
         self.max_batch = max_batch
         self.mode = mode
+        self.slice_tokens = slice_tokens
+        self.n_blocks = len(free)
         self.now = start
         self.waiting: deque[Seq] = deque()
         self.running: list[Seq] = []
@@ -84,7 +107,8 @@ class Reference:
         self.rejected: list[Seq] = []
         self.completed: list[Seq] = []
         self.token_times: list[float] = []
-        #: ``(time the preemption started, victim index)`` in order.
+        #: ``(time the preemption started, victim index)`` in order; under
+        #: CFS, each context switch's swap-out.
         self.preempted: list[tuple[float, int]] = []
         #: End time of every decode step (arrival targets for tests).
         self.step_ends: list[float] = []
@@ -124,6 +148,9 @@ class Reference:
         while True:
             while arrivals and arrivals[0].arrival <= self.now:
                 self.waiting.append(arrivals.popleft())
+            if self.mode == "cfs" and (self.running or self.swapped or self.waiting):
+                self.fair_round()
+                continue
             if self.swapped:
                 self.swap_in()
             admitted = self.admit()
@@ -202,6 +229,7 @@ class Reference:
                 continue
             boundary = seq.kv_tokens % self.block_tokens == 0
             if boundary and not self.free:
+                assert self.mode != "cfs", "a CFS round's blocks always fit"
                 victims = [s for s in self.running if s is not seq and s in live]
                 if not victims:
                     seq.max_new = seq.generated + 1
@@ -227,3 +255,52 @@ class Reference:
             self.swapped.append(victim)
         else:
             self.waiting.appendleft(victim)
+
+    # -- CFS -----------------------------------------------------------
+    def fair_round(self):
+        """Rules 5--7: pick a round, switch contexts, prefill, decode."""
+        live = [*self.running, *self.swapped, *self.waiting]
+        active, budget = [], self.n_blocks
+        for seq in sorted(live, key=lambda s: (s.generated, s.arrival)):
+            need = self.blocks_for(self.context(seq) + self.slice_tokens)
+            if len(active) < self.max_batch and need <= budget:
+                active.append(seq)
+                budget -= need
+        if not active:
+            self.evict()
+            return
+        for seq in [s for s in self.running if s not in active]:
+            self.preempted.append((self.now, seq.index))
+            self.release(seq)
+            self.now = self.now + self.copy_time(self.gpu, self.dram, seq)
+            self.running.remove(seq)
+            self.swapped.append(seq)
+        for seq in [s for s in active if s in self.swapped]:
+            seq.blocks = self.take(self.blocks_for(seq.kv_tokens))
+            self.now = self.now + self.copy_time(self.dram, self.gpu, seq)
+            self.swapped.remove(seq)
+            self.running.append(seq)
+        fresh = [s for s in active if s in self.waiting]
+        for seq in fresh:
+            self.waiting.remove(seq)
+            seq.kv_tokens = self.context(seq)
+            seq.blocks = self.take(self.blocks_for(seq.kv_tokens))
+        if fresh:
+            self.prefill(fresh)
+        for _ in range(self.slice_tokens):
+            if not self.running:
+                break
+            self.decode()
+
+    def evict(self):
+        if self.waiting:
+            self.rejected.append(self.waiting.popleft())
+            return
+        victim = max([*self.running, *self.swapped], key=self.context)
+        victim.max_new = victim.generated + 1
+        self.token(victim)
+        if victim in self.running:
+            self.running.remove(victim)
+            self.release(victim)
+        else:
+            self.swapped.remove(victim)
