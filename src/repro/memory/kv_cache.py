@@ -35,14 +35,21 @@ class StepClock:
     step that stops part-way -- at a sequence that found no free block,
     or paused after a given one -- stays *open*: ``cursor`` is then the
     batch position of the first member it has not reached, and members
-    at or after it read one less until the step resumes.
+    at or after it read one less until the step resumes.  The clock
+    hands out the positions, so a member that holds no growing KV still
+    has its place in batch order.
     """
 
-    __slots__ = ("steps", "cursor")
+    __slots__ = ("steps", "cursor", "_positions")
 
     def __init__(self) -> None:
         self.steps = 0
         self.cursor: Optional[int] = None
+        self._positions = count()
+
+    def next_position(self) -> int:
+        """The batch position of a new member, after every earlier one."""
+        return next(self._positions)
 
     def count(self, base: int, position: int) -> int:
         """The count of the member at batch ``position`` storing ``base``."""
@@ -123,7 +130,6 @@ class PagedKVCache:
         #: Batch step -> the batch sequences that take a block on it, in
         #: batch order.
         self._crossings: dict[int, list[SequenceState]] = {}
-        self._positions = count()
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -154,14 +160,14 @@ class PagedKVCache:
         self.sequences[seq_id] = state
         return state
 
-    def join(self, seq_id: int) -> None:
+    def join(self, seq_id: int) -> int:
         """Grow a resident sequence with the decode batch from now on.
 
-        It goes after every sequence already in the batch (batch order
-        is join order) and gains one token per :meth:`step`; it leaves
-        the batch when released or swapped out.  Only the steps on which
-        it crosses a block boundary, one in every ``block_tokens``,
-        visit it.
+        It goes after every member of the batch (batch order is join
+        order) and gains one token per :meth:`step`; it leaves the batch
+        when released or swapped out.  Only the steps on which it
+        crosses a block boundary, one in every ``block_tokens``, visit
+        it.  Returns its batch position.
         """
         seq = self._resident(seq_id)
         if seq.position is not None:
@@ -170,12 +176,13 @@ class PagedKVCache:
         if clock.cursor is not None:
             raise RuntimeError(f"sequence {seq_id} cannot join an open step")
         tokens = seq.tokens
-        seq.position = next(self._positions)
+        seq.position = clock.next_position()
         seq._clock = clock
         seq._base = tokens - clock.steps
         crossing = clock.steps + 1 + -tokens % self.block_tokens
         seq.crossing = crossing
         self._crossings.setdefault(crossing, []).append(seq)
+        return seq.position
 
     def blocks_due(self, ahead: int) -> int:
         """Blocks the batch takes on its ``ahead``-th next step, if no
@@ -193,12 +200,13 @@ class PagedKVCache:
         Only the sequences crossing a block boundary are visited: each
         takes one block.  A sequence in ``last`` (ids, in batch order) is
         released right after its token, so a later sequence can reuse
-        its blocks.  With ``through`` the step pauses after that
-        sequence.  A crossing that finds no free block stops the step
-        there and its id is returned.  A paused or stopped step stays
-        open: the sequences it has not reached are untouched (their
-        ``tokens`` do not count it yet) and the next call resumes it.
-        Returns ``None`` unless the step stopped.
+        its blocks; one outside the batch (a reservation that never
+        grows) is released after every crossing.  With ``through`` the
+        step pauses after that sequence.  A crossing that finds no free
+        block stops the step there and its id is returned.  A paused or
+        stopped step stays open: the sequences it has not reached are
+        untouched (their ``tokens`` do not count it yet) and the next
+        call resumes it.  Returns ``None`` unless the step stopped.
         """
         clock = self.clock
         if clock.cursor is None:

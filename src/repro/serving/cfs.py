@@ -21,7 +21,7 @@ from repro.aqua.tensor import TensorLostError
 from repro.memory.allocator import AllocationError
 from repro.serving.engine import LLMEngineBase
 from repro.serving.lora_manager import LoRACache
-from repro.serving.request import Request, context_tokens
+from repro.serving.request import Request
 
 
 class CFSEngine(LLMEngineBase):
@@ -108,11 +108,12 @@ class CFSEngine(LLMEngineBase):
 
         The request keeps its token progress; re-admission through
         :meth:`_admit_new` prefills the whole context again (the
-        recompute cost of recovery).  Requests are never dropped.
+        recompute cost of recovery).  Requests are never dropped.  A
+        seated request's KV is released by :meth:`requeue`.
         """
-        self.kv.release(request.req_id)
         if request in self.swapped:
             self.swapped.remove(request)
+            self.kv.release(request.req_id)
         self.requeue(request)
 
     def _swap_out(self, request: Request) -> Generator:
@@ -133,7 +134,7 @@ class CFSEngine(LLMEngineBase):
             self.server.dram.pool.reserve(f"{self.name}:ctx{request.req_id}", nbytes)
             self._dram_tags[request.req_id] = nbytes
             yield from self.server.transfer(self.gpu, self.server.dram, nbytes)
-        self.running.remove(request)
+        self._leave(request)
         self.swapped.append(request)
 
     def _swap_in(self, request: Request) -> Generator:
@@ -152,8 +153,7 @@ class CFSEngine(LLMEngineBase):
             self.server.dram.pool.release(f"{self.name}:ctx{request.req_id}")
             self._dram_tags.pop(request.req_id, None)
         self.swapped.remove(request)
-        self.running.append(request)
-        self.kv.join(request.req_id)
+        self._join(request)
 
     def _context_switch(self, active: list[Request]) -> Generator:
         started = self.env.now
@@ -211,71 +211,70 @@ class CFSEngine(LLMEngineBase):
                 yield from self._maybe_cache_context(request)
                 self.kv.release(request.req_id)
             else:
-                self.running.append(request)
-                self.kv.join(request.req_id)
+                self._join(request)
 
     def _maybe_cache_context(self, request: Request) -> Generator:
         """Park a finished conversation's KV before releasing its blocks."""
         if self.context_cache is not None and request.user is not None:
             yield from self.context_cache.save(request.user, request.total_tokens)
 
-    def _decode_tokens(self, batch: list[Request]) -> Generator:
-        """Account one generated token for every sequence in ``batch``
-        (the running batch, which grows with the KV cache's batch).
+    def _step_tokens(self) -> Generator:
+        """Account one generated token for every running prompt.
 
-        Each segment costs one KV ``step`` call and one
-        ``_finish_tokens`` call.  A finished conversation whose context
-        is cached ends its segment: the step pauses after it, the save
-        yields, and its blocks are released only after it.
+        The step clock counts them all; only the prompts this token
+        completes (from the finish heap) are visited.  A finished
+        conversation whose context is cached ends a run of tokens: the
+        KV step pauses after it, the save yields (later prompts' tokens
+        carry the later time), and only then are its blocks released and
+        the step resumed.
         """
-        kv = self.kv
+        done = self._finishing()
         caching = self.context_cache is not None
-        while batch:
-            end = len(batch)
-            last = []
-            for i, request in enumerate(batch):
-                if request.generated_tokens + 1 >= request.max_new_tokens:
-                    if caching and request.user is not None:
-                        end = i + 1
-                        break
-                    last.append(request.req_id)
-            segment, batch = batch[:end], batch[end:]
-            needy = kv.step(last, through=segment[-1].req_id if batch else None)
-            if needy is not None:
-                raise AllocationError(
-                    f"{self.name}: no free block to grow sequence {needy}"
-                )
-            for request in self._finish_tokens(segment):
-                if request.req_id not in last:
-                    yield from self._maybe_cache_context(request)
-                    kv.release(request.req_id)
-                self.running.remove(request)
+        head = -1  # seat heading the current run
+        for pause in [r for r in done if caching and r.user is not None]:
+            end = pause.seat + 1
+            run = [r for r in done if r.seat < end]
+            done = done[len(run):]
+            self._grow([r.req_id for r in run[:-1]], through=pause.req_id)
+            self._grant(sum(head <= r.seat < end for r in self.running), run)
+            head = end
+            yield from self._maybe_cache_context(pause)
+            self.kv.release(pause.req_id)
+        self._grow([r.req_id for r in done])
+        running = self.running
+        tokens = len(running) if head < 0 else sum(r.seat >= head for r in running)
+        if tokens:  # none after a pause at the last prompt
+            self._grant(tokens, done)
+
+    def _grow(self, last, through=None) -> None:
+        """Run (or resume) the KV step; CFS sizes its slices so that a
+        step never runs short of blocks."""
+        needy = self.kv.step(last, through)
+        if needy is not None:
+            raise AllocationError(f"{self.name}: no free block to grow sequence {needy}")
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def _run_slice(self) -> Generator:
         slice_started = self.env.now
-        slice_batch = len(self.running)
-        seen: dict[int, Request] = {}
+        # Nothing joins mid-slice: the batch only shrinks.
+        batch = list(self.running)
         try:
             for _ in range(self.slice_tokens):
-                batch = list(self.running)
-                if not batch:
+                if not self.running:
                     return
                 step = self.model.decode_step_time(
-                    self.gpu.spec, len(batch), context_tokens(batch)
+                    self.gpu.spec, len(self.running), self._context
                 )
                 yield from self.gpu.compute_op(step)
-                for request in batch:
-                    seen.setdefault(request.req_id, request)
-                yield from self._decode_tokens(batch)
+                yield from self._step_tokens()
         finally:
-            if slice_batch and self.env.now > slice_started:
-                self.trace_span("slice", slice_started, batch=slice_batch)
+            if batch and self.env.now > slice_started:
+                self.trace_span("slice", slice_started, batch=len(batch))
                 if self.telemetry is not None:
-                    self.telemetry.decode_batch(self.name, slice_batch)
-                    self.attr_mark(seen.values(), "decode_hbm")
+                    self.telemetry.decode_batch(self.name, len(batch))
+                    self.attr_mark(batch, "decode_hbm")
 
     def _evict_oversized(self) -> None:
         """No live prompt fits the KV cache: reject or truncate one."""
@@ -285,23 +284,15 @@ class CFSEngine(LLMEngineBase):
         victim = max(
             [*self.running, *self.swapped], key=lambda r: r.total_tokens
         )
-        victim.max_new_tokens = victim.generated_tokens + 1
-        self._finish_tokens([victim])
-        if victim in self.running:
-            self.running.remove(victim)
-            self.kv.release(victim.req_id)
-        self._release_finished_swapped()
-
-    def _release_finished_swapped(self) -> None:
-        for request in [r for r in self.swapped if r.done]:
-            self.swapped.remove(request)
-            self.kv.release(request.req_id)
-            tensor = self._swap_tensors.pop(request.req_id, None)
+        self._abort(victim)
+        if victim in self.swapped:
+            # Its context lives offloaded: drop that copy too.
+            self.swapped.remove(victim)
+            tensor = self._swap_tensors.pop(victim.req_id, None)
             if tensor is not None:
                 tensor.free()
-            if request.req_id in self._dram_tags:
-                self.server.dram.pool.release(f"{self.name}:ctx{request.req_id}")
-                del self._dram_tags[request.req_id]
+            if self._dram_tags.pop(victim.req_id, None) is not None:
+                self.server.dram.pool.release(f"{self.name}:ctx{victim.req_id}")
 
     def _serve(self) -> Generator:
         while True:
@@ -318,7 +309,6 @@ class CFSEngine(LLMEngineBase):
             yield from self._context_switch(active)
             yield from self._admit_new(active)
             yield from self._run_slice()
-            self._release_finished_swapped()
             self.slices_run += 1
             self.iteration += 1
             if self.aqua_lib is not None and self.iteration % self.respond_every == 0:

@@ -6,11 +6,16 @@ workspace reservations, the paged KV cache sized like a real engine
 producer-side AQUA duties (periodic ``inform_stats`` with donate/grow
 handling).  Concrete schedulers (continuous batching, CFS, FlexGen-style
 streaming) subclass it.
+
+It also owns the running batch that vLLM, Orca and CFS decode: requests
+seated in it are counted off the KV cache's step clock, and a finish
+heap names the requests each step completes (see :meth:`_seat`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.aqua.informers import EngineStats
@@ -118,7 +123,14 @@ class LLMEngineBase:
         self.kv = PagedKVCache(model, self.allocator, block_tokens=block_tokens)
 
         self.waiting: deque[Request] = deque()
+        #: The running batch, in seat order (see :meth:`_seat`).
         self.running: list[Request] = []
+        #: Min-heap of ``(finish step, seat, request)``: the step on
+        #: which each seated request's last token is due, ties in batch
+        #: order.  Entries of requests that left are skipped.
+        self._finishes: list = []
+        #: Context tokens of the running batch (prompt plus generated).
+        self._context = 0
         self.total_submitted = 0
         self.iteration = 0
         self._arrival_event = self.env.event()
@@ -182,6 +194,71 @@ class LLMEngineBase:
                 self.telemetry.request_finished(self.name, request)
             self.metrics.record_completion(request)
 
+    # ------------------------------------------------------------------
+    # The running batch
+    # ------------------------------------------------------------------
+    def _join(self, request: Request) -> None:
+        """Seat ``request`` at the end of the running batch; its KV
+        grows with the batch (:meth:`PagedKVCache.join`)."""
+        self._seat(request, self.kv.join(request.req_id))
+
+    def _seat(self, request: Request, seat: int) -> None:
+        """Append ``request`` to the running batch at batch position
+        ``seat``, clocked in: each KV step counts its token without
+        visiting it."""
+        clock = self.kv.clock
+        request.clock_in(clock, seat)
+        self.running.append(request)
+        self._context += request.total_tokens
+        finish = clock.steps + request.max_new_tokens - request.generated_tokens
+        heappush(self._finishes, (finish, seat, request))
+
+    def _leave(self, request: Request) -> None:
+        """Take ``request`` out of the running batch, keeping its count."""
+        self.running.remove(request)
+        self._context -= request.total_tokens
+        request.clock_out()
+
+    def _steps_left(self) -> int:
+        """Decode steps until the first running request completes."""
+        heap = self._finishes
+        while heap[0][2].seat != heap[0][1]:
+            heappop(heap)
+        return heap[0][0] - self.kv.clock.steps
+
+    def _finishing(self) -> list[Request]:
+        """The running requests the next step's token completes, in
+        batch order."""
+        heap = self._finishes
+        step = self.kv.clock.steps + 1
+        done = []
+        while heap and heap[0][0] <= step:
+            _, seat, request = heappop(heap)
+            if request.seat == seat:
+                done.append(request)
+        return done
+
+    def _grant(self, tokens: int, done: list[Request]) -> None:
+        """Stamp ``tokens`` tokens at now and complete ``done`` (the
+        requests among them that this token finishes, in batch order),
+        which leave the batch."""
+        now = self.env.now
+        for request in done:
+            self._leave(request)
+            request.finish(now)
+        self.metrics.record_token(now, tokens)
+        self._context += tokens
+        self._record_completions(done)
+
+    def _abort(self, request: Request) -> None:
+        """End ``request`` as a context-length abort would: its next
+        token, stamped now, is its last, and its KV is released."""
+        if request.seat is not None:
+            self._leave(request)
+        request.max_new_tokens = request.generated_tokens + 1
+        self._finish_tokens([request])
+        self.kv.release(request.req_id)
+
     def requeue(self, request: Request) -> None:
         """Return an in-flight request to the head of the waiting queue.
 
@@ -189,11 +266,14 @@ class LLMEngineBase:
         context (e.g. :class:`~repro.aqua.TensorLostError` after a
         producer GPU failure), the engine re-queues the request instead
         of dropping it.  The request keeps its generated-token progress;
-        the engine recomputes the lost context when the request next
-        runs, which is the recovery cost the resilience experiment
-        measures.
+        a seated request gives back its KV, and the engine recomputes
+        the lost context when the request next runs, which is the
+        recovery cost the resilience experiment measures.
         """
-        if request in self.running:
+        if request.seat is not None:
+            self._leave(request)
+            self.kv.release(request.req_id)
+        elif request in self.running:
             self.running.remove(request)
         self.waiting.appendleft(request)
         self.metrics.record_requeue(self.env.now)

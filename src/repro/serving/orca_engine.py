@@ -5,17 +5,19 @@ that scheduler and added paged attention.  The operative difference is
 memory: Orca-era engines reserve each sequence's KV for its *maximum
 possible length* up front (contiguous allocation), so memory admission
 is gated by worst-case sizes and most of the reservation sits unused.
-This engine reproduces that: same continuous-batching loop as
-:class:`VLLMEngine`, but admission charges ``prompt + max_new_tokens``
-immediately and generation never allocates again.
+This engine reproduces that: the same continuous-batching loop,
+running batch and windowed decode step as :class:`VLLMEngine`, but
+admission charges ``prompt + max_new_tokens`` immediately and
+generation never allocates again.  Its requests take their seats from
+the KV cache's step clock without joining the KV batch, so no step
+crosses a block (every window runs to its completion or horizon) and a
+step only releases the reservations its token completes.
 
 Comparing it with vLLM on the same burst shows paged attention's
 concurrency win — and why AQUA builds on the paged engine.
 """
 
 from __future__ import annotations
-
-from typing import Generator
 
 from repro.serving.request import Request
 from repro.serving.vllm_engine import VLLMEngine
@@ -40,22 +42,4 @@ class OrcaEngine(VLLMEngine):
 
     def _join(self, request: Request) -> None:
         # The reservation already covers every token: the KV never grows.
-        self._seat(request)
-
-    def _decode_step(self) -> Generator:
-        running = self.running
-        n = len(running)
-        step = self.model.decode_step_time(self.gpu.spec, n, self._context)
-        started = self.env.now
-        yield from self.gpu.compute_op(step)
-        self.trace_span("decode", started, batch=n)
-        if self.telemetry is not None:
-            self.telemetry.decode_batch(self.name, n)
-            self.attr_mark(running, "decode_hbm")
-        # No allocation, no possibility of mid-generation OOM (that is
-        # the one thing worst-case reservation buys).
-        self.clock.steps += 1
-        done = self._finishing()
-        self._grant(n, done)
-        for request in done:
-            self.kv.release(request.req_id)
+        self._seat(request, self.kv.clock.next_position())

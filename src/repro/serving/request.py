@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from operator import attrgetter
 from typing import Optional
 
 from repro.models.lora import LoRAAdapter
@@ -40,9 +39,10 @@ class Request:
         contention.  Plain CFS ignores it.
     generated_tokens:
         Tokens generated so far, exact for any reader at any time.  A
-        request running in a vLLM batch is *clocked in*
-        (:meth:`clock_in`): its count is read off the engine's
-        :class:`~repro.memory.kv_cache.StepClock`, so a decode step
+        request seated in an engine's running batch (vLLM, Orca or CFS)
+        is *clocked in* (:meth:`clock_in`): its count is read off the
+        step clock of the engine's KV cache
+        (:class:`~repro.memory.kv_cache.StepClock`), so a decode step
         counts every running request's token without visiting it.  The
         count is folded back into a plain field when the request leaves
         the batch (:meth:`clock_out`).
@@ -156,13 +156,3 @@ class Request:
             f"<Request #{self.req_id} prompt={self.prompt_tokens} "
             f"gen={self.generated_tokens}/{self.max_new_tokens}>"
         )
-
-
-_PROMPT_TOKENS = attrgetter("prompt_tokens")
-_GENERATED_TOKENS = attrgetter("generated_tokens")
-
-
-def context_tokens(requests) -> int:
-    """Summed :attr:`Request.total_tokens` of ``requests`` (a decode
-    step's context), without one property call per request."""
-    return sum(map(_PROMPT_TOKENS, requests)) + sum(map(_GENERATED_TOKENS, requests))

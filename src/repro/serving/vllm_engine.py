@@ -17,12 +17,9 @@ The engine can simultaneously serve and act as an AQUA memory producer
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import count
 from typing import Generator, Optional
 
 from repro.memory.allocator import AllocationError
-from repro.memory.kv_cache import StepClock
 from repro.serving.engine import LLMEngineBase
 from repro.serving.lora_manager import LoRACache
 from repro.serving.request import Request
@@ -83,16 +80,6 @@ class VLLMEngine(LLMEngineBase):
         self.swapped_out: list[Request] = []
         #: (request, tokens_left_to_prefill) under chunked prefill.
         self.prefilling: list[list] = []
-        #: Decode steps of the running batch; its requests are clocked
-        #: in to it (see :meth:`_join`).
-        self.clock = StepClock()
-        self._seats = count()
-        #: Min-heap of ``(finish step, seat, request)``: the step on
-        #: which each running request's last token is due, ties in
-        #: batch order.  Entries of requests that left are skipped.
-        self._finishes: list = []
-        #: Context tokens of the running batch (prompt plus generated).
-        self._context = 0
 
     # ------------------------------------------------------------------
     def _admit_tokens(self, request: Request) -> int:
@@ -138,68 +125,6 @@ class VLLMEngine(LLMEngineBase):
                 self.kv.release(request.req_id)
             else:
                 self._join(request)
-
-    # ------------------------------------------------------------------
-    # The running batch
-    # ------------------------------------------------------------------
-    def _join(self, request: Request) -> None:
-        """Seat ``request`` at the end of the running batch; its KV
-        grows with the batch (:meth:`PagedKVCache.join`)."""
-        self._seat(request)
-        self.kv.join(request.req_id)
-
-    def _seat(self, request: Request) -> None:
-        """Append ``request`` to the running batch, clocked in: each
-        decode step counts its token without visiting it."""
-        seat = next(self._seats)
-        clock = self.clock
-        request.clock_in(clock, seat)
-        self.running.append(request)
-        self._context += request.total_tokens
-        finish = clock.steps + request.max_new_tokens - request.generated_tokens
-        heappush(self._finishes, (finish, seat, request))
-
-    def _leave(self, request: Request) -> None:
-        """Take ``request`` out of the running batch, keeping its count."""
-        self.running.remove(request)
-        self._context -= request.total_tokens
-        request.clock_out()
-
-    def _steps_left(self) -> int:
-        """Decode steps until the first running request completes."""
-        heap = self._finishes
-        while heap[0][2].seat != heap[0][1]:
-            heappop(heap)
-        return heap[0][0] - self.clock.steps
-
-    def _finishing(self) -> list[Request]:
-        """The running requests this step's token completes, in batch
-        order."""
-        heap = self._finishes
-        step = self.clock.steps
-        done = []
-        while heap and heap[0][0] <= step:
-            _, seat, request = heappop(heap)
-            if request.seat == seat:
-                done.append(request)
-        return done
-
-    def _grant(self, tokens: int, done: list[Request]) -> None:
-        """Stamp ``tokens`` tokens at now and complete ``done`` (the
-        requests among them that this token finishes, in batch order),
-        which leave the batch."""
-        now = self.env.now
-        for request in done:
-            self._leave(request)
-            request.finish(now)
-        self.metrics.record_token(now, tokens)
-        self._context += tokens
-        self._record_completions(done)
-
-    def requeue(self, request: Request) -> None:
-        if request.seat is not None:
-            self._leave(request)
-        super().requeue(request)
 
     # ------------------------------------------------------------------
     # Decode
@@ -312,7 +237,6 @@ class VLLMEngine(LLMEngineBase):
                 raise AllocationError(
                     f"{self.name}: a quiet decode step ran out of blocks"
                 )
-        self.clock.steps += quiet
         self._context += quiet * n
         for end in ends[:quiet]:
             self.metrics.record_token(end, n)
@@ -337,7 +261,6 @@ class VLLMEngine(LLMEngineBase):
         sequence preempts a victim -- a swap-mode preemption yields, so
         later tokens carry the later time -- and heads the next run.
         """
-        self.clock.steps += 1
         done = self._finishing()
         needy_id = self.kv.step([r.req_id for r in done])
         if needy_id is None:
@@ -348,34 +271,29 @@ class VLLMEngine(LLMEngineBase):
     def _decode_shortfalls(self, needy_id: int, done: list[Request]) -> Generator:
         """Finish a decode step the KV cache stopped at ``needy_id``.
 
-        Until a run resumes, the clock's cursor keeps the requests from
-        the needy one on at their count before this step.  A request
-        that is still short after preempting ends here, as a
-        context-length abort would.
+        Until a run resumes, the step clock's cursor (set by the KV
+        cache) keeps the requests from the needy one on at their count
+        before this step.  A request that is still short after
+        preempting ends here, as a context-length abort would.
         """
-        running, clock = self.running, self.clock
+        running = self.running
         head = -1  # seat heading the current run
         needy = None
         while needy_id is not None:
             stuck = next(r for r in running if r.req_id == needy_id)
-            clock.cursor = stuck.seat
             ready = [r for r in done if r.seat < stuck.seat]
             done = done[len(ready):]
             self._grant(sum(head <= r.seat < stuck.seat for r in running), ready)
             if stuck is needy:
                 # Still no room (nothing left to preempt).
                 head = stuck.seat + 1
-                self._leave(stuck)
-                stuck.max_new_tokens = stuck.generated_tokens + 1
-                self._finish_tokens([stuck])
-                self.kv.release(stuck.req_id)
+                self._abort(stuck)
             else:
                 needy = stuck
                 yield from self._preempt_for(needy, set(running))
                 head = needy.seat
             done = [r for r in done if r.seat is not None]
             needy_id = self.kv.step([r.req_id for r in done])
-        clock.cursor = None
         tokens = sum(r.seat >= head for r in running)
         if tokens:  # none after an aborted last sequence: no run to stamp
             self._grant(tokens, done)
@@ -410,9 +328,7 @@ class VLLMEngine(LLMEngineBase):
         """End a swapped sequence that can no longer fit the KV cache
         (it grew, or the region shrank), as a context abort would."""
         victim = self.swapped_out.pop(0)
-        victim.max_new_tokens = victim.generated_tokens + 1
-        self._finish_tokens([victim])
-        self.kv.release(victim.req_id)
+        self._abort(victim)
         self.server.dram.pool.release(f"{self.name}:swap{victim.req_id}")
 
     def _swap_in_ready(self) -> Generator:

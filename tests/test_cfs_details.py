@@ -175,3 +175,25 @@ def test_cfs_interleaves_two_classes_fairly():
     short_done = max(r.finish_time for r in short_jobs)
     long_done = max(r.finish_time for r in long_jobs if r.done)
     assert short_done < long_done
+
+
+def test_cfs_context_lost_on_swap_out_requeues_once():
+    """A context lost while it is swapped out costs the request its KV
+    once: the request is requeued, prefills again, and completes."""
+    env, engine = make_cfs(use_aqua=True, slice_tokens=2, max_batch=1)
+    lib = engine.aqua_lib
+    make = lib.to_responsive_tensor
+
+    def lost_tensor(*args, **kwargs):
+        tensor = make(*args, **kwargs)
+        tensor.lost = True
+        return tensor
+
+    lib.to_responsive_tensor = lost_tensor
+    reqs = [Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=6) for _ in range(2)]
+    submit_all(env, engine, reqs)
+    env.run(until=60)
+    assert all(r.done and r.generated_tokens == 6 for r in reqs)
+    assert engine.metrics.requeues == 2
+    assert engine.allocator.used_blocks == 0 and not engine.kv.sequences
+    assert not engine.running and not engine.swapped

@@ -12,7 +12,8 @@ step-loop reference (``tests/vllm_reference.py``) or against the
 per-step path itself, which a per-event monitor forces (windows never
 open under one).  Each case also asserts that windows really were open
 around the boundary, and one guard fails if the engine stops fusing.
-A cost guard fails if a window's Python work grows with the batch.
+A cost guard fails if a window's Python work grows with the batch, for
+vLLM and for Orca, which runs the same windowed step.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from repro.workloads.arrivals import submit_all
 from repro.workloads.sharegpt import sharegpt_requests
 from tests.test_vllm_oracle import (
     RecordingEngine,
+    RecordingOrca,
     assert_matches,
     run_reference,
 )
@@ -381,13 +383,13 @@ def traced_lines(run) -> int:
     return lines
 
 
-def window_lines(batch):
+def window_lines(engine_cls, batch):
     """Lines one decode step plus one window cost for a ``batch``-sized
     batch whose prompts all sit one token past a block boundary (the
     next crossing is 15 steps away) and whose outputs are far off."""
     env = Environment()
     server = Server(env, n_gpus=1)
-    engine = RecordingEngine(server.gpus[0], server, PACED, max_batch=batch)
+    engine = engine_cls(server.gpus[0], server, PACED, max_batch=batch)
     engine.start()
     for _ in range(batch):
         engine.submit(Request(arrival_time=0.0, prompt_tokens=161, max_new_tokens=200))
@@ -402,8 +404,10 @@ def window_lines(batch):
     return lines
 
 
-def test_window_cost_does_not_grow_with_the_batch():
+@pytest.mark.parametrize("engine_cls", [RecordingEngine, RecordingOrca], ids=["vllm", "orca"])
+def test_window_cost_does_not_grow_with_the_batch(engine_cls):
     """A window that neither completes nor crosses a block executes as
     many lines in the serving and memory layers at batch 8 as at batch
-    128: per-sequence work cannot creep back into the decode path."""
-    assert window_lines(8) == window_lines(128)
+    128: per-sequence work cannot creep back into the decode path.
+    Orca's reservations never cross a block; it opens the same window."""
+    assert window_lines(engine_cls, 8) == window_lines(engine_cls, 128)

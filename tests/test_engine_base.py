@@ -156,3 +156,22 @@ def test_wait_for_arrival_returns_immediately_with_backlog():
     p = env.process(waiter(env))
     env.run(until=p)
     assert p.value == 0.0
+
+
+def test_requeue_releases_a_running_requests_kv():
+    """Requeueing a request mid-decode gives back its KV sequence, so it
+    re-prefills on re-admission instead of colliding with its old one."""
+    env = Environment()
+    server = Server(env, n_gpus=1)
+    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B)
+    request = Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=50)
+    engine.submit(request)
+    engine.start()
+    env.run(until=0.2)
+    assert request.generated_tokens == 19 and engine.allocator.used_blocks == 8
+    engine.requeue(request)
+    assert engine.allocator.used_blocks == 0 and not engine.running
+    assert request.generated_tokens == 19  # progress is kept
+    env.run(until=5.0)
+    assert request.done and request.generated_tokens == 50
+    assert engine.allocator.used_blocks == 0

@@ -75,10 +75,8 @@ class RecordingEngine(VLLMEngine):
         super()._quiet_steps(batch, started, ends)
 
 
-class RecordingOrca(OrcaEngine):
-    """An Orca engine's preemption log: always empty."""
-
-    preempted = ()
+class RecordingOrca(RecordingEngine, OrcaEngine):
+    """An Orca engine's logs; its preemption log stays empty."""
 
 
 class RecordingCFS(CFSEngine):
