@@ -22,7 +22,6 @@ from repro.evals.schema import (
     REPLICATION_SCHEMA,
     SchemaError,
     dump_replication,
-    load_replication,
     validate_replication,
     write_replication,
 )
@@ -56,6 +55,5 @@ __all__ = [
     "write_markdown",
     "dump_replication",
     "write_replication",
-    "load_replication",
     "validate_replication",
 ]

@@ -120,9 +120,3 @@ def write_replication(doc: dict, path: Union[str, Path]) -> Path:
     path = Path(path)
     path.write_text(dump_replication(doc))
     return path
-
-
-def load_replication(path: Union[str, Path]) -> dict:
-    """Read and validate a replication document from disk."""
-    with open(path) as fh:
-        return validate_replication(json.load(fh))

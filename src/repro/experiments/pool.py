@@ -299,12 +299,10 @@ def _fresh_ids() -> Iterator[None]:
     the ids reach traces and dashboards, so they must not depend on what
     ran before in the same process (an inline cell, a reused worker)."""
     from repro.aqua import tensor as aqua_tensor
-    from repro.memory import tensor as memory_tensor
     from repro.serving import request
 
     counters = [
         (request, "_REQUEST_IDS"),
-        (memory_tensor, "_TENSOR_IDS"),
         (aqua_tensor, "_AQUA_TENSOR_IDS"),
     ]
     saved = [getattr(module, name) for module, name in counters]

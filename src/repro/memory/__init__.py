@@ -2,10 +2,8 @@
 
 Serving engines need finer-grained memory management than the raw
 byte-pool of a device: vLLM allocates the KV cache in fixed-size token
-*blocks* (paged attention), and AQUA migrates whole tensors between
-devices.  This package provides those pieces:
+*blocks* (paged attention).  This package provides those pieces:
 
-* :class:`SimTensor` — a named, sized buffer with a physical location.
 * :class:`BlockAllocator` — fixed-size block allocation with a free list.
 * :class:`PagedKVCache` — per-sequence block accounting in the style of
   vLLM's paged attention, including swapped-out (offloaded) sequences.
@@ -13,12 +11,10 @@ devices.  This package provides those pieces:
 
 from repro.memory.allocator import AllocationError, BlockAllocator
 from repro.memory.kv_cache import PagedKVCache, SequenceState
-from repro.memory.tensor import SimTensor
 
 __all__ = [
     "AllocationError",
     "BlockAllocator",
     "PagedKVCache",
     "SequenceState",
-    "SimTensor",
 ]

@@ -1,9 +1,9 @@
 """Paged KV-cache accounting in the style of vLLM's paged attention.
 
 Sequences own lists of fixed-size token blocks.  A sequence can be
-*resident* (blocks on the GPU) or *swapped out* (its KV bytes live in an
-offload target — host DRAM for baseline vLLM, a producer GPU's HBM for
-AQUA).  The cache tracks only placement and sizes; byte movement is the
+*resident* (blocks on the GPU) or *swapped out* by a CFS context switch
+(its KV bytes live in an offload target — host DRAM for the baseline, a
+producer GPU's HBM for AQUA).  The cache tracks only placement and sizes; byte movement is the
 serving engine's job.
 """
 
@@ -283,10 +283,6 @@ class PagedKVCache:
         seq.blocks = []
         seq.residency = Residency.SWAPPED
         return self.kv_bytes(seq)
-
-    def can_swap_in(self, seq_id: int) -> bool:
-        seq = self._swapped(seq_id)
-        return self.allocator.can_allocate(self.blocks_for(seq.tokens))
 
     def swap_in(self, seq_id: int) -> int:
         """Bring a swapped sequence back; returns bytes to move."""

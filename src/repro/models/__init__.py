@@ -24,8 +24,6 @@ from repro.models.registry import (
     ALL_MODELS,
     BoundKind,
     get_model,
-    is_compute_bound,
-    is_memory_bound,
 )
 
 __all__ = [
@@ -47,7 +45,5 @@ __all__ = [
     "SD_XL",
     "ZEPHYR_ADAPTER",
     "get_model",
-    "is_compute_bound",
-    "is_memory_bound",
     "synthesize_adapters",
 ]

@@ -38,11 +38,6 @@ class LLMSpec:
         Maximum sequence length the model supports.
     dtype_bytes:
         Bytes per weight/KV element (2 for FP16).
-    n_active_params:
-        Parameters touched per token.  Equal to ``n_params`` for dense
-        models; smaller for mixture-of-experts models (e.g. Mixtral
-        activates 2 of 8 experts per token), which makes small-batch
-        decode read far less than the full weights.
     """
 
     name: str
@@ -53,35 +48,12 @@ class LLMSpec:
     head_dim: int
     max_context: int = 4096
     dtype_bytes: int = FP16_BYTES
-    n_active_params: float = 0.0  # 0 means dense: all parameters active
 
     def __post_init__(self) -> None:
         if self.n_kv_heads > self.n_heads:
             raise ValueError("n_kv_heads cannot exceed n_heads")
         if min(self.n_layers, self.n_heads, self.n_kv_heads, self.head_dim) < 1:
             raise ValueError("transformer geometry values must be >= 1")
-        if self.n_active_params < 0 or self.n_active_params > self.n_params:
-            raise ValueError("n_active_params must be in [0, n_params]")
-        if self.n_active_params == 0:
-            object.__setattr__(self, "n_active_params", self.n_params)
-
-    @property
-    def is_moe(self) -> bool:
-        """Whether this is a mixture-of-experts model."""
-        return self.n_active_params < self.n_params
-
-    def weight_read_fraction(self, batch_size: int) -> float:
-        """Fraction of the weights one decode step must stream from HBM.
-
-        Dense models always read everything.  An MoE batch of one
-        touches only the active experts; as the batch grows, different
-        tokens route to different experts and the read approaches the
-        full weights.
-        """
-        if not self.is_moe:
-            return 1.0
-        active_fraction = self.n_active_params / self.n_params
-        return min(1.0, active_fraction * max(1, batch_size))
 
     # ------------------------------------------------------------------
     # Memory footprint
@@ -201,15 +173,15 @@ def _decode_coeffs(
     spec: LLMSpec, gpu: GPUSpec, batch_size: int
 ) -> tuple[float, float, float]:
     """(weight_read bytes, compute seconds, overhead seconds) for decode."""
-    weight_read = spec.weight_bytes * spec.weight_read_fraction(batch_size)
-    compute = 2.0 * spec.n_active_params * batch_size / gpu.effective_flops
+    weight_read = spec.weight_bytes
+    compute = 2.0 * spec.n_params * batch_size / gpu.effective_flops
     overhead = spec.n_layers * gpu.kernel_overhead
     return weight_read, compute, overhead
 
 
 @lru_cache(maxsize=4096)
 def _prefill_time(spec: LLMSpec, gpu: GPUSpec, n_tokens: int) -> float:
-    linear_flops = 2.0 * spec.n_active_params * n_tokens
+    linear_flops = 2.0 * spec.n_params * n_tokens
     # Attention score/context matmuls grow quadratically with length.
     attn_flops = 4.0 * spec.n_layers * spec.hidden_dim * float(n_tokens) ** 2
     compute = (linear_flops + attn_flops) / gpu.effective_flops
@@ -259,19 +231,4 @@ CODELLAMA_34B = LLMSpec(
     n_kv_heads=8,
     head_dim=128,
     max_context=16384,
-)
-
-#: Mixtral 8x7B (cited by the paper as a large MoE): 46.7B parameters
-#: total, ~12.9B active per token (top-2 of 8 experts).  Its FP16
-#: weights exceed one A100-80G, so hosting it single-GPU requires a
-#: larger-memory part or quantization — included for the MoE roofline.
-MIXTRAL_8X7B = LLMSpec(
-    name="Mixtral-8x7B",
-    n_params=46.7e9,
-    n_layers=32,
-    n_heads=32,
-    n_kv_heads=8,
-    head_dim=128,
-    max_context=32768,
-    n_active_params=12.9e9,
 )

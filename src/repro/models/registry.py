@@ -68,11 +68,3 @@ def classify(model: ModelSpec) -> BoundKind:
     if isinstance(model, LLMSpec):
         return BoundKind.MEMORY
     return BoundKind.COMPUTE
-
-
-def is_memory_bound(model: ModelSpec) -> bool:
-    return classify(model) is BoundKind.MEMORY
-
-
-def is_compute_bound(model: ModelSpec) -> bool:
-    return classify(model) is BoundKind.COMPUTE

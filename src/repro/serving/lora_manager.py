@@ -24,6 +24,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.gpu import GPU
     from repro.hardware.server import Server
 
+#: Scatter granularity of the stock path: each per-layer/per-module A/B
+#: matrix is a separate copy (~2 matrices x 7 target modules x 16-32
+#: layers in real adapters).
+PIECES_PER_ADAPTER = 224
+
+#: The stock loader copies from *pageable* host memory, which reaches
+#: only this fraction of PCIe's DMA bandwidth; AQUA's offload store (GPU
+#: HBM or pinned staging) pays no such penalty.
+HOST_BANDWIDTH_FRACTION = 0.2
+
+#: CPU-side cost (Python dispatch + kernel launch + sync) of each small
+#: copy on the stock path, in seconds.
+PER_PIECE_OVERHEAD = 0.15e-3
+
 
 class LoRACache:
     """LRU cache of GPU-resident adapters with simulated load paths.
@@ -41,17 +55,7 @@ class LoRACache:
     whole_copy:
         Copy each adapter as one buffer (AQUA's vLLM modification).
         When ``False`` the stock path moves each per-layer/per-module
-        A/B matrix separately.
-    pieces_per_adapter:
-        Scatter granularity of the stock path (~2 matrices x 7 target
-        modules x 16-32 layers in real adapters).
-    host_bandwidth_fraction:
-        The stock loader copies from *pageable* host memory, which
-        reaches only a fraction of PCIe's DMA bandwidth; AQUA's
-        offload store (GPU HBM or pinned staging) pays no such penalty.
-    per_piece_overhead:
-        CPU-side cost (Python dispatch + kernel launch + sync) per
-        small copy on the stock path.
+        A/B matrix separately (:data:`PIECES_PER_ADAPTER` copies).
     """
 
     def __init__(
@@ -61,9 +65,6 @@ class LoRACache:
         capacity_bytes: int,
         aqua_lib: Optional["AquaLib"] = None,
         whole_copy: bool = True,
-        pieces_per_adapter: int = 224,
-        host_bandwidth_fraction: float = 0.2,
-        per_piece_overhead: float = 0.15e-3,
         name: str = "lora-cache",
     ) -> None:
         if capacity_bytes <= 0:
@@ -73,14 +74,7 @@ class LoRACache:
         self.server = server
         self.capacity_bytes = capacity_bytes
         self.aqua_lib = aqua_lib
-        if not 0 < host_bandwidth_fraction <= 1:
-            raise ValueError(
-                f"host_bandwidth_fraction must be in (0, 1], got {host_bandwidth_fraction}"
-            )
         self.whole_copy = whole_copy
-        self.pieces_per_adapter = pieces_per_adapter
-        self.host_bandwidth_fraction = host_bandwidth_fraction
-        self.per_piece_overhead = per_piece_overhead
         self.name = name
         gpu.hbm.reserve(f"{name}:region", capacity_bytes)
         self._resident: OrderedDict[str, int] = OrderedDict()
@@ -107,7 +101,7 @@ class LoRACache:
         if self.aqua_lib is None or adapter.name in self._store:
             return
         self._store[adapter.name] = self.aqua_lib.to_responsive_tensor(
-            adapter.nbytes, pieces=self.pieces_per_adapter, tag=f"lora-{adapter.name}"
+            adapter.nbytes, pieces=PIECES_PER_ADAPTER, tag=f"lora-{adapter.name}"
         )
 
     def ensure(self, adapter: LoRAAdapter) -> Generator:
@@ -132,7 +126,7 @@ class LoRACache:
         if self.aqua_lib is not None:
             self.register(adapter)
             tensor = self._store[adapter.name]
-            pieces = None if self.whole_copy else self.pieces_per_adapter
+            pieces = None if self.whole_copy else PIECES_PER_ADAPTER
             if self.whole_copy:
                 # One whole-adapter copy, then a local scatter into the
                 # per-layer weights (two HBM passes).
@@ -142,18 +136,18 @@ class LoRACache:
             else:
                 yield from tensor.fetch(pieces=pieces)
         else:
-            pieces = 1 if self.whole_copy else self.pieces_per_adapter
+            pieces = 1 if self.whole_copy else PIECES_PER_ADAPTER
             yield from self.server.transfer(
                 self.server.dram, self.gpu, adapter.nbytes, pieces=pieces
             )
             # Pageable-host penalty: the stock loader's source buffers are
             # not pinned, so DMA runs well below PCIe peak...
             peak = self.server.pcie_link.peak_bandwidth
-            slowdown = adapter.nbytes / (peak * self.host_bandwidth_fraction) - (
+            slowdown = adapter.nbytes / (peak * HOST_BANDWIDTH_FRACTION) - (
                 adapter.nbytes / peak
             )
             # ...and each per-module copy pays CPU dispatch overhead.
-            slowdown += pieces * self.per_piece_overhead
+            slowdown += pieces * PER_PIECE_OVERHEAD
             yield self.env.timeout(slowdown)
 
     def __repr__(self) -> str:

@@ -27,13 +27,6 @@ class OrcaEngine(VLLMEngine):
     """Continuous batching with worst-case (max-length) KV reservations."""
 
     def __init__(self, gpu, server, model, name: str = "orca", **kwargs) -> None:
-        # Memory is reserved up front, so there is nothing to preempt,
-        # and a prefill chunk's fused decode would grow KV past the
-        # reservation: refuse both options rather than drop them.
-        if kwargs.pop("preemption_mode", "recompute") != "recompute":
-            raise ValueError("OrcaEngine reserves KV up front and never preempts")
-        if kwargs.pop("chunked_prefill_tokens", None) is not None:
-            raise ValueError("OrcaEngine does not support chunked prefill")
         super().__init__(gpu, server, model, name=name, **kwargs)
 
     def _admit_tokens(self, request: Request) -> int:

@@ -36,17 +36,6 @@ class VLLMEngine(LLMEngineBase):
     lora_cache:
         Optional adapter cache; requests naming an adapter block until
         it is GPU-resident.
-    preemption_mode:
-        What happens to a victim when KV space runs out mid-decode:
-        ``"recompute"`` (vLLM's default: drop the blocks, re-prefill the
-        whole context later) or ``"swap"`` (page the KV to host DRAM
-        over PCIe and bring it back when space frees up).
-    chunked_prefill_tokens:
-        When set, prompts prefill in chunks of at most this many tokens,
-        fused with a decode step for the running batch each iteration —
-        the DeepSpeed-FastGen behaviour the paper cites [22], which
-        keeps decode latency smooth while long prompts ingest.  ``None``
-        keeps whole-prompt prefill.
     """
 
     def __init__(
@@ -56,30 +45,16 @@ class VLLMEngine(LLMEngineBase):
         model,
         max_batch: int = 64,
         lora_cache: Optional[LoRACache] = None,
-        preemption_mode: str = "recompute",
-        chunked_prefill_tokens: Optional[int] = None,
         name: str = "vllm",
         **kwargs,
     ) -> None:
         super().__init__(gpu, server, model, name=name, **kwargs)
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if preemption_mode not in ("recompute", "swap"):
-            raise ValueError(f"unknown preemption mode {preemption_mode!r}")
-        if chunked_prefill_tokens is not None and chunked_prefill_tokens < 1:
-            raise ValueError(
-                f"chunked_prefill_tokens must be >= 1, got {chunked_prefill_tokens}"
-            )
         self.max_batch = max_batch
         self.lora_cache = lora_cache
-        self.preemption_mode = preemption_mode
-        self.chunked_prefill_tokens = chunked_prefill_tokens
         self.preemptions = 0
         self.rejected: list[Request] = []
-        #: Sequences swapped out to host DRAM (preemption_mode="swap").
-        self.swapped_out: list[Request] = []
-        #: (request, tokens_left_to_prefill) under chunked prefill.
-        self.prefilling: list[list] = []
 
     # ------------------------------------------------------------------
     def _admit_tokens(self, request: Request) -> int:
@@ -92,8 +67,7 @@ class VLLMEngine(LLMEngineBase):
         admitted = []
         while (
             self.waiting
-            and len(self.running) + len(self.prefilling) + len(admitted)
-            < self.max_batch
+            and len(self.running) + len(admitted) < self.max_batch
             and self.kv.can_admit(self._admit_tokens(self.waiting[0]))
         ):
             request = self.waiting.popleft()
@@ -101,17 +75,14 @@ class VLLMEngine(LLMEngineBase):
             admitted.append(request)
         return admitted
 
-    def _leave_queue(self, admitted: list[Request]) -> Generator:
-        """End the admitted requests' queueing and load their adapters."""
+    def _prefill(self, admitted: list[Request]) -> Generator:
+        """Load the newly admitted requests' adapters, then run their
+        whole-prompt prefill."""
         self.attr_mark(admitted, "queueing")
         if self.lora_cache is not None:
             for request in admitted:
                 if request.adapter is not None:
                     yield from self.lora_cache.ensure(request.adapter)
-
-    def _prefill(self, admitted: list[Request]) -> Generator:
-        """Run whole-prompt prefill for newly admitted requests."""
-        yield from self._leave_queue(admitted)
         tokens = sum(r.total_tokens for r in admitted)
         started = self.env.now
         yield from self.gpu.compute_op(self.model.prefill_time(self.gpu.spec, tokens))
@@ -170,7 +141,7 @@ class VLLMEngine(LLMEngineBase):
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
             self.attr_mark(running, "decode_hbm")
-        yield from self._decode_bookkeeping()
+        self._decode_bookkeeping()
 
     def _window(self, n, context, dilation, horizon, first):
         """Step durations and ends ``t_1 … t_k`` of the window that
@@ -249,7 +220,7 @@ class VLLMEngine(LLMEngineBase):
             telemetry.decode_batch(self.name, n)
             telemetry.attribution.mark_steps(batch, "decode_hbm", ends[:quiet])
 
-    def _decode_bookkeeping(self) -> Generator:
+    def _decode_bookkeeping(self) -> None:
         """Account one generated token for every running sequence.
 
         The step clock counts them all at once.  Only the sequences
@@ -258,17 +229,17 @@ class VLLMEngine(LLMEngineBase):
         batch order, so a completion's blocks are free before a later
         sequence takes one.  A crossing that finds no free block ends a
         *run* of tokens (each run costs one metrics call): the needy
-        sequence preempts a victim -- a swap-mode preemption yields, so
-        later tokens carry the later time -- and heads the next run.
+        sequence preempts a victim and heads the next run.  Every token
+        of the step is stamped at the same instant.
         """
         done = self._finishing()
         needy_id = self.kv.step([r.req_id for r in done])
         if needy_id is None:
             self._grant(len(self.running), done)
         else:
-            yield from self._decode_shortfalls(needy_id, done)
+            self._decode_shortfalls(needy_id, done)
 
-    def _decode_shortfalls(self, needy_id: int, done: list[Request]) -> Generator:
+    def _decode_shortfalls(self, needy_id: int, done: list[Request]) -> None:
         """Finish a decode step the KV cache stopped at ``needy_id``.
 
         Until a run resumes, the step clock's cursor (set by the KV
@@ -290,7 +261,7 @@ class VLLMEngine(LLMEngineBase):
                 self._abort(stuck)
             else:
                 needy = stuck
-                yield from self._preempt_for(needy, set(running))
+                self._preempt_for(needy)
                 head = needy.seat
             done = [r for r in done if r.seat is not None]
             needy_id = self.kv.step([r.req_id for r in done])
@@ -298,99 +269,27 @@ class VLLMEngine(LLMEngineBase):
         if tokens:  # none after an aborted last sequence: no run to stamp
             self._grant(tokens, done)
 
-    def _preempt_for(self, needy: Request, live: set) -> Generator:
-        """Free KV space by preempting the youngest live sequence.
-
-        ``recompute`` releases the victim's blocks and re-prefills its
-        whole context later; ``swap`` pages the victim's KV to host
-        DRAM (paying the PCIe write now and the read at swap-in).  The
-        victim leaves ``live`` and the running batch.
-        """
-        victims = [r for r in self.running if r is not needy and r in live]
+    def _preempt_for(self, needy: Request) -> None:
+        """Free KV space by preempting the youngest other running
+        sequence, as vLLM's default (recompute) preemption does: the
+        victim leaves the batch, its blocks are released, and it heads
+        the waiting queue to re-prefill its whole context later."""
+        victims = [r for r in self.running if r is not needy]
         if not victims:
             return
         victim = max(victims, key=lambda r: r.arrival_time)
-        live.discard(victim)
         self._leave(victim)
         self.preemptions += 1
         if self.telemetry is not None:
             self.telemetry.preemption(self.name)
-        if self.preemption_mode == "swap":
-            nbytes = self.kv.swap_out(victim.req_id)
-            self.server.dram.pool.reserve(f"{self.name}:swap{victim.req_id}", nbytes)
-            yield from self.server.transfer(self.gpu, self.server.dram, nbytes)
-            self.swapped_out.append(victim)
-        else:
-            self.kv.release(victim.req_id)
-            self.waiting.appendleft(victim)
-
-    def _abort_stuck_swapped(self) -> None:
-        """End a swapped sequence that can no longer fit the KV cache
-        (it grew, or the region shrank), as a context abort would."""
-        victim = self.swapped_out.pop(0)
-        self._abort(victim)
-        self.server.dram.pool.release(f"{self.name}:swap{victim.req_id}")
-
-    def _swap_in_ready(self) -> Generator:
-        """Bring back swapped sequences when KV space allows (FIFO)."""
-        while (
-            self.swapped_out
-            and len(self.running) < self.max_batch
-            and self.kv.can_swap_in(self.swapped_out[0].req_id)
-        ):
-            request = self.swapped_out.pop(0)
-            nbytes = self.kv.swap_in(request.req_id)
-            yield from self.server.transfer(self.server.dram, self.gpu, nbytes)
-            self.server.dram.pool.release(f"{self.name}:swap{request.req_id}")
-            self._join(request)
-
-    def _prefill_chunk_step(self) -> Generator:
-        """One fused iteration: a prefill chunk plus a decode step.
-
-        The chunk's compute and the running batch's decode run as one
-        kernel schedule; finished prompts emit their first token and
-        join the running batch.
-        """
-        request, remaining = self.prefilling[0]
-        chunk = min(remaining, self.chunked_prefill_tokens)
-        duration = self.model.prefill_time(self.gpu.spec, chunk)
-        n = len(self.running)
-        if n:
-            duration += self.model.decode_step_time(self.gpu.spec, n, self._context)
-        started = self.env.now
-        yield from self.gpu.compute_op(duration)
-        self.trace_span("chunked-prefill", started, chunk=chunk, batch=n)
-        self.attr_mark([request], "prefill_compute")
-        if n:
-            self.attr_mark(self.running, "decode_hbm")
-            yield from self._decode_bookkeeping()
-        self.prefilling[0][1] -= chunk
-        if self.prefilling[0][1] <= 0:
-            self.prefilling.pop(0)
-            self.flow_step([request], time=started)
-            if self._finish_tokens([request]):
-                self.kv.release(request.req_id)
-            else:
-                self._join(request)
-
-    def _start_chunked_prefill(self, admitted: list[Request]) -> Generator:
-        """Queue newly admitted requests for chunked prefill."""
-        yield from self._leave_queue(admitted)
-        for request in admitted:
-            self.prefilling.append([request, request.total_tokens])
+        self.kv.release(victim.req_id)
+        self.waiting.appendleft(victim)
 
     def _serve(self) -> Generator:
         while True:
-            if self.swapped_out:
-                yield from self._swap_in_ready()
             admitted = self._admit()
-            if admitted and self.chunked_prefill_tokens is not None:
-                yield from self._start_chunked_prefill(admitted)
-                admitted = []
             if admitted:
                 yield from self._prefill(admitted)
-            elif self.prefilling:
-                yield from self._prefill_chunk_step()
             elif self.running:
                 yield from self._decode_step()
             elif self.waiting:
@@ -398,8 +297,6 @@ class VLLMEngine(LLMEngineBase):
                 # prompt exceeds the whole KV cache.  Reject it, as vLLM
                 # rejects prompts beyond the context capacity.
                 self.rejected.append(self.waiting.popleft())
-            elif self.swapped_out:
-                self._abort_stuck_swapped()
             else:
                 yield from self._wait_for_arrival()
             self.iteration += 1

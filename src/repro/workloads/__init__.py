@@ -13,7 +13,6 @@ from repro.workloads.arrivals import (
     diurnal_shape,
     flash_crowd_shape,
     multi_region_tenants,
-    nhpp_requests,
     nhpp_trace,
     poisson_arrival_times,
     steady_shape,
@@ -37,7 +36,6 @@ __all__ = [
     "long_prompt_requests",
     "lora_requests",
     "multi_region_tenants",
-    "nhpp_requests",
     "nhpp_trace",
     "poisson_arrival_times",
     "producer_requests",

@@ -347,8 +347,3 @@ def nhpp_trace(
                 )
             )
     return trace
-
-
-def nhpp_requests(rate: float, duration: float, **kwargs) -> list[Request]:
-    """Single-tenant convenience wrapper around :func:`nhpp_trace`."""
-    return [request for _, request in nhpp_trace(rate, duration, **kwargs)]

@@ -37,7 +37,6 @@ class ChatbotWorkload:
         turns: int = 4,
         think_time_mean: float = 2.0,
         seed: int = 0,
-        code_chat: bool = True,
     ) -> None:
         if n_users < 1 or turns < 1:
             raise ValueError("n_users and turns must be >= 1")
@@ -45,22 +44,18 @@ class ChatbotWorkload:
         self.turns = turns
         self.think_time_mean = think_time_mean
         self.seed = seed
-        #: The paper's chatbot runs on CodeLlama-34B: turns carry code
-        #: context, so prompts are long enough to pressure KV memory.
-        self.code_chat = code_chat
 
     def attach(self, env: Environment, engine) -> list:
         """Spawn one closed-loop process per user; returns the processes."""
         processes = []
         for user in range(self.n_users):
-            if self.code_chat:
-                sampler = ShareGPTSampler(
-                    seed=self.seed * 10_000 + user,
-                    prompt=CODE_PROMPT,
-                    response=CODE_RESPONSE,
-                )
-            else:
-                sampler = ShareGPTSampler(seed=self.seed * 10_000 + user)
+            # The paper's chatbot runs on CodeLlama-34B: turns carry code
+            # context, so prompts are long enough to pressure KV memory.
+            sampler = ShareGPTSampler(
+                seed=self.seed * 10_000 + user,
+                prompt=CODE_PROMPT,
+                response=CODE_RESPONSE,
+            )
             rng = np.random.default_rng(self.seed * 20_000 + user)
             state: dict = {"last": None}
 

@@ -81,19 +81,6 @@ def test_context_accumulates_across_turns():
         assert nxt.prompt_tokens >= prev.prompt_tokens + prev.max_new_tokens
 
 
-def test_sharegpt_mode_uses_shorter_prompts():
-    def first_prompt(code_chat):
-        env = Environment()
-        engine = InstantEngine(env)
-        ChatbotWorkload(n_users=8, turns=1, seed=3, code_chat=code_chat).attach(
-            env, engine
-        )
-        env.run()
-        return sum(r.prompt_tokens for r in engine.received) / len(engine.received)
-
-    assert first_prompt(code_chat=True) > first_prompt(code_chat=False)
-
-
 def test_closed_loop_user_validation():
     env = Environment()
     engine = InstantEngine(env)

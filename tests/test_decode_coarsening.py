@@ -111,7 +111,7 @@ def test_harness_defaults_stay_exact():
         engine.allocator._free,
         engine.kv.block_tokens,
         engine.max_batch,
-        engine.preemption_mode,
+        "recompute",
     )
     ref.run(trace)
     requests = [Request(*spec) for spec in trace]
@@ -144,11 +144,10 @@ def test_arrival_on_an_interior_step_end_ends_the_window():
     assert landing in {end for end, k in engine.windows}
 
 
-@pytest.mark.parametrize("mode", ["recompute", "swap"])
-def test_kv_shortfall_ends_the_window(mode):
+def test_kv_shortfall_ends_the_window():
     """Blocks run out mid-window: the window ends on the step that
-    preempts, in either preemption mode."""
-    rig = {"utilization": 0.188, "preemption_mode": mode}  # 27 blocks
+    preempts."""
+    rig = {"utilization": 0.188}  # 27 blocks
     ref, engine = assert_matches(rig, closed_batch(4, prompt=90, gen=100))
     assert ref.preempted
     first_shortfall = ref.preempted[0][0]
@@ -282,8 +281,8 @@ def test_compute_waiter_ends_the_window():
     assert token_times(fused.metrics) == token_times(stepped.metrics)
 
 
-#: Per-event audit of a swap-mode vLLM run, recorded on the per-step
-#: engine before windows existed.
+#: Per-event audit of a vLLM run, recorded on the per-step engine before
+#: windows existed.  The run never preempts.
 AUDIT_DIGEST = "a7b1d4cc44c0b7d6ecbc0ea48813dc2edfaa7c7a7ea369672a91605c7d486674"
 
 
@@ -293,9 +292,7 @@ def audited_run(per_event):
     auditor = ConservationAuditor(env).attach_server(server)
     if per_event:
         auditor.watch(interval=None)
-    engine = RecordingEngine(
-        server.gpus[0], server, MISTRAL_7B, utilization=0.2, preemption_mode="swap"
-    )
+    engine = RecordingEngine(server.gpus[0], server, MISTRAL_7B, utilization=0.2)
     engine.start()
     submit_all(env, engine, sharegpt_requests(rate=8.0, count=16, seed=5))
     env.run(until=15.0)
@@ -307,6 +304,7 @@ def test_per_event_audit_sees_every_step():
     assert not engine.windows
     assert auditor.checks == env.events_processed
     assert auditor.digest == AUDIT_DIGEST
+    assert engine.preemptions == 0
     # The same run without the monitor does fuse.
     bare_env, bare, _ = audited_run(per_event=False)
     assert bare.windows and bare_env.events_processed < env.events_processed

@@ -5,7 +5,7 @@ event stream of one offloading rig, but it cannot see a token stamped at
 the wrong simulated time, a completion reordered, or a block returned to
 the free list in a different order.  These digests can: each one hashes
 the full transcript of a KV-starved run that is forced through
-preemption, swapping, context switching and aborts:
+preemption, context switching (swapping) and aborts:
 
 * every request's ``(req_id, generated_tokens, first_token_time,
   finish_time)``;
@@ -91,9 +91,7 @@ def run_rig(engine_cls, **kwargs):
 
 
 RIGS = {
-    "vllm-recompute-k1": (VLLMEngine, dict(preemption_mode="recompute")),
-    "vllm-swap-k1": (VLLMEngine, dict(preemption_mode="swap")),
-    "vllm-chunked-prefill": (VLLMEngine, dict(chunked_prefill_tokens=512)),
+    "vllm-recompute-k1": (VLLMEngine, dict()),
     "orca": (OrcaEngine, dict()),
     "cfs": (CFSEngine, dict(slice_tokens=5, use_aqua=False)),
 }
@@ -101,8 +99,6 @@ RIGS = {
 #: Recorded before the one-pass decode bookkeeping landed.
 TRANSCRIPT_DIGESTS = {
     "vllm-recompute-k1": "d4ed1f7696135b252c384836eecbf3e3e095bdd622002be21f1ee2d4f9dc1b8b",
-    "vllm-swap-k1": "00e5a49b10332b6cb77744dcfa1eb652e7912f11c42c94a044288b533db27d50",
-    "vllm-chunked-prefill": "3604bd2c0d48a32c0a8b36052544cf056751ef25a8a1f9b67fdb5a76ac230fb8",
     "orca": "3b5c4664321d07b21321f4908e0d30b61453ca1c97f6093e168e67da1e81b6aa",
     "cfs": "e278b02a566f7573fb16edbd05cf77fba0b269957a1e5f01f629cdbd357ceed8",
 }

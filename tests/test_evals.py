@@ -242,7 +242,7 @@ def _fast_doc(tmp_path, **kwargs):
 def test_replication_document_round_trips(tmp_path):
     doc = _fast_doc(tmp_path)
     path = evals.write_replication(doc, tmp_path / "REPLICATION.json")
-    loaded = evals.load_replication(path)  # validates on load
+    loaded = validate_replication(json.loads(path.read_text()))
     assert loaded == json.loads(json.dumps(doc, default=str))
     assert loaded["summary"]["verdict"] in ("PASS", "FAIL")
     assert loaded["summary"]["total"] == len(loaded["claims"]) == 3
@@ -319,5 +319,6 @@ def test_cli_replicate_list_and_run(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert (tmp_path / "REPLICATION.json").exists()
     assert (tmp_path / "verdict.md").exists()
-    loaded = evals.load_replication(tmp_path / "REPLICATION.json")
+    written = tmp_path / "REPLICATION.json"
+    loaded = validate_replication(json.loads(written.read_text()))
     assert loaded["summary"]["verdict"] == "PASS"

@@ -25,7 +25,6 @@ import json
 import pytest
 
 import repro.aqua.tensor
-import repro.memory.tensor
 import repro.serving.request
 from repro.aqua import AquaLib, BatchInformer, Coordinator
 from repro.audit import ConservationAuditor
@@ -65,7 +64,6 @@ def fresh_ids(monkeypatch):
     """Restart the global id counters: request ids reach the attribution
     report, so the digests must not depend on which tests ran first."""
     monkeypatch.setattr(repro.serving.request, "_REQUEST_IDS", itertools.count())
-    monkeypatch.setattr(repro.memory.tensor, "_TENSOR_IDS", itertools.count())
     monkeypatch.setattr(repro.aqua.tensor, "_AQUA_TENSOR_IDS", itertools.count())
 
 

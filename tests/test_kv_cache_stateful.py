@@ -6,7 +6,7 @@ sequence one token at a time, and checks after every rule that the two
 agree exactly: token counts, block ids, the free list's order, and where
 each step stops.  Steps may stop on a shortfall or pause after a chosen
 sequence, and sequences may be released or swapped out while a step is
-open, as the vLLM engine's victims are.
+open: the vLLM engine releases its preemption victims that way.
 """
 
 from hypothesis import settings
@@ -179,7 +179,7 @@ class KVCacheMachine(RuleBasedStateMachine):
         if not self.swapped:
             return
         seq_id = data.draw(st.sampled_from(sorted(self.swapped)))
-        if self.cache.can_swap_in(seq_id):
+        if -(-self.ref.tokens[seq_id] // BLOCK_TOKENS) <= len(self.ref.free):
             self.cache.swap_in(seq_id)
             self.ref.admit(seq_id, self.ref.tokens[seq_id])
             self.swapped.discard(seq_id)

@@ -1,76 +1,12 @@
-"""Tests for tensors, the block allocator and the paged KV cache."""
+"""Tests for the block allocator and the paged KV cache."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import A100_80G, GPU, HostDRAM, MemoryPool, OutOfDeviceMemory
-from repro.memory import AllocationError, BlockAllocator, PagedKVCache, SimTensor
+from repro.hardware import MemoryPool
+from repro.memory import AllocationError, BlockAllocator, PagedKVCache
 from repro.models import LLAMA2_13B, MISTRAL_7B
-from repro.sim import Environment
-
-
-# ---------------------------------------------------------------------------
-# SimTensor
-# ---------------------------------------------------------------------------
-def test_tensor_reserves_on_device():
-    env = Environment()
-    gpu = GPU(env, 0, A100_80G)
-    t = SimTensor(1024, device=gpu)
-    assert gpu.hbm.used == 1024
-    assert t.device is gpu
-
-
-def test_tensor_relocate_moves_accounting():
-    env = Environment()
-    gpu = GPU(env, 0, A100_80G)
-    dram = HostDRAM(env, 10**12)
-    t = SimTensor(2048, device=gpu)
-    t.relocate(dram)
-    assert gpu.hbm.used == 0
-    assert dram.pool.used == 2048
-    assert t.device is dram
-
-
-def test_tensor_free_is_idempotent():
-    env = Environment()
-    gpu = GPU(env, 0, A100_80G)
-    t = SimTensor(1024, device=gpu)
-    t.free()
-    t.free()
-    assert gpu.hbm.used == 0
-    assert t.freed
-
-
-def test_tensor_relocate_after_free_rejected():
-    env = Environment()
-    gpu = GPU(env, 0, A100_80G)
-    t = SimTensor(1024, device=gpu)
-    t.free()
-    with pytest.raises(RuntimeError):
-        t.relocate(gpu)
-
-
-def test_tensor_invalid_size():
-    with pytest.raises(ValueError):
-        SimTensor(0)
-
-
-def test_tensor_relocate_fails_when_target_full():
-    env = Environment()
-    gpu = GPU(env, 0, A100_80G)
-    small = HostDRAM(env, 100)
-    t = SimTensor(1024, device=gpu)
-    with pytest.raises(OutOfDeviceMemory):
-        t.relocate(small)
-    # Reservation on the source must be intact after a failed move.
-    assert gpu.hbm.used == 1024
-
-
-def test_tensor_unmaterialized():
-    t = SimTensor(64)
-    assert t.device is None
-    t.free()
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from repro.models import (
     MTEB_ADAPTER,
     ZEPHYR_ADAPTER,
     get_model,
-    is_compute_bound,
-    is_memory_bound,
     synthesize_adapters,
 )
 from repro.models.llm import LLMSpec
@@ -168,10 +166,10 @@ def test_fig2_llm_exhausts_memory_at_peak():
 
 
 def test_classification_by_modality():
-    assert is_memory_bound(LLAMA2_13B)
-    assert is_memory_bound(CODELLAMA_34B)
-    assert is_compute_bound(SD_15)
-    assert is_compute_bound(AUDIOGEN)
+    assert classify(LLAMA2_13B) is BoundKind.MEMORY
+    assert classify(CODELLAMA_34B) is BoundKind.MEMORY
+    assert classify(SD_15) is BoundKind.COMPUTE
+    assert classify(AUDIOGEN) is BoundKind.COMPUTE
     assert classify(KANDINSKY) is BoundKind.COMPUTE
 
 

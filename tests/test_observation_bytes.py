@@ -19,7 +19,6 @@ import json
 import pytest
 
 import repro.aqua.tensor
-import repro.memory.tensor
 import repro.serving.request
 from repro.experiments.harness import build_consumer_rig
 from repro.faults import DmaStall, FaultInjector, FaultSchedule
@@ -82,7 +81,6 @@ def fresh_ids(monkeypatch):
     report and the dashboard, so the digests must not depend on how many
     requests earlier tests created."""
     monkeypatch.setattr(repro.serving.request, "_REQUEST_IDS", itertools.count())
-    monkeypatch.setattr(repro.memory.tensor, "_TENSOR_IDS", itertools.count())
     monkeypatch.setattr(repro.aqua.tensor, "_AQUA_TENSOR_IDS", itertools.count())
 
 

@@ -1,7 +1,5 @@
 """Tests for the Orca-style worst-case-reservation baseline."""
 
-import pytest
-
 from repro.hardware import Server
 from repro.models import CODELLAMA_34B, MISTRAL_7B
 from repro.serving import OrcaEngine, Request, VLLMEngine
@@ -96,26 +94,3 @@ def test_orca_worse_ttft_under_burst():
         return percentile(ttfts, 95)
 
     assert ttft_p95(OrcaEngine) > ttft_p95(VLLMEngine)
-
-
-@pytest.mark.parametrize(
-    "option", [{"preemption_mode": "swap"}, {"chunked_prefill_tokens": 256}]
-)
-def test_orca_refuses_options_it_cannot_honour(option):
-    """Nothing is ever preempted, and a chunked prefill's fused decode
-    would grow KV past the up-front reservation: both options fail
-    loudly instead of being dropped."""
-    env = Environment()
-    server = Server(env, n_gpus=1)
-    with pytest.raises(ValueError):
-        OrcaEngine(server.gpus[0], server, MISTRAL_7B, **option)
-
-
-def test_orca_accepts_the_default_options():
-    env = Environment()
-    server = Server(env, n_gpus=1)
-    engine = OrcaEngine(
-        server.gpus[0], server, MISTRAL_7B,
-        preemption_mode="recompute", chunked_prefill_tokens=None,
-    )
-    assert engine.chunked_prefill_tokens is None

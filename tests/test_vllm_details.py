@@ -174,8 +174,7 @@ def test_victim_preempted_earlier_in_the_step_is_not_picked_again():
     assert engine.allocator.free_blocks == 0
     # ``old`` needs a block: ``young`` goes.  ``mid`` then needs one:
     # only ``old`` is left to preempt.  ``young`` is skipped.
-    env.process(engine._decode_bookkeeping())
-    env.run()
+    engine._decode_bookkeeping()
     assert engine.preemptions == 2
     assert engine.running == [mid]
     assert list(engine.waiting) == [old, young]
@@ -183,3 +182,25 @@ def test_victim_preempted_earlier_in_the_step_is_not_picked_again():
     assert old.generated_tokens == mid.generated_tokens == 1
     assert young.generated_tokens == 0
     assert engine.metrics.tokens_generated == 2
+
+
+def test_recompute_does_not_touch_dram():
+    """A preempted sequence's KV is dropped and recomputed, never paged
+    to host DRAM."""
+    env, server, engine = make_vllm(model=CODELLAMA_34B)
+    requests = [
+        Request(arrival_time=0.0, prompt_tokens=2000, max_new_tokens=4000)
+        for _ in range(10)
+    ]
+    submit_all(env, engine, requests)
+    peak_dram = [0]
+
+    def watch(env):
+        while True:
+            peak_dram[0] = max(peak_dram[0], server.dram.pool.used)
+            yield env.timeout(0.5)
+
+    env.process(watch(env))
+    env.run(until=600)
+    assert peak_dram[0] == 0
+    assert engine.preemptions > 0

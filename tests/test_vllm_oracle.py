@@ -20,7 +20,7 @@ traces, and ``CFSEngine`` (DRAM context switches) against its ``"cfs"``
 mode with a drawn slice length; for CFS the preemption sequence is the
 swap-outs of its context switches and the rejected prompts are the
 queue heads it drops.  A second draw runs batches of up to 64 sequences
-in all four modes, with shared output lengths and prompt block phases,
+in all three modes, with shared output lengths and prompt block phases,
 so that many completions and many block crossings land on one step.
 
 The tier-1 budget is small; ``--hypothesis-profile=ci`` (registered in
@@ -39,7 +39,7 @@ from repro.workloads.arrivals import submit_all
 from tests.token_times import token_times
 from tests.vllm_reference import Reference
 
-#: Examples per preemption mode.
+#: Examples per engine mode.
 EXAMPLES = (
     settings.default.max_examples
     if settings.get_current_profile_name() == "ci"
@@ -65,10 +65,12 @@ class RecordingEngine(VLLMEngine):
         self.preempted = []
         self.windows = []
 
-    def _preempt_for(self, needy, live):
-        before, started = set(live), self.env.now
-        yield from super()._preempt_for(needy, live)
-        self.preempted += [(started, r.req_id) for r in before - live]
+    def _preempt_for(self, needy):
+        before = list(self.running)
+        super()._preempt_for(needy)
+        self.preempted += [
+            (self.env.now, r.req_id) for r in before if r not in self.running
+        ]
 
     def _quiet_steps(self, batch, started, ends):
         self.windows.append((ends[-1], len(ends)))
@@ -121,7 +123,7 @@ def run_reference(rig, trace, start=0.0, horizon=HORIZON):
         engine.allocator._free,
         engine.kv.block_tokens,
         engine.max_batch,
-        rig.get("engine") or engine.preemption_mode,
+        rig.get("engine", "recompute"),
         start=start,
         slice_tokens=getattr(engine, "slice_tokens", None),
     )
@@ -253,11 +255,10 @@ large_settings = settings(
 )
 
 
-@pytest.mark.parametrize("mode", ["recompute", "swap"])
 @oracle_settings
 @given(data=st.data())
-def test_engine_matches_reference(mode, data):
-    rig = draw_rig(data, preemption_mode=mode)
+def test_engine_matches_reference(data):
+    rig = draw_rig(data)
     assert_matches(rig, draw_trace(data, rig))
 
 
@@ -279,7 +280,7 @@ def test_cfs_matches_reference(data):
     assert_matches(rig, draw_trace(data, rig))
 
 
-@pytest.mark.parametrize("mode", ["recompute", "swap", "orca", "cfs"])
+@pytest.mark.parametrize("mode", ["recompute", "orca", "cfs"])
 @large_settings
 @given(data=st.data())
 def test_large_batches_match_reference(mode, data):
@@ -290,5 +291,5 @@ def test_large_batches_match_reference(mode, data):
     elif mode == "cfs":
         extra = {"engine": mode, "slice_tokens": data.draw(st.integers(1, 8))}
     else:
-        extra = {"preemption_mode": mode}
+        extra = {}
     assert_matches(*draw_large(data, **extra))

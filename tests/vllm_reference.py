@@ -9,48 +9,44 @@ engine charges, and the loop visits one scheduling decision at a time.
 Arrivals submitted at exactly the time the engine acts are seen before
 it acts (the arrival processes were scheduled first).
 
-The rules, per loop turn:
+The rules of mode ``"recompute"`` (``VLLMEngine``), per loop turn:
 
-1. Swapped sequences come back first, oldest first, while a batch slot
-   and their blocks are free (a PCIe read each).
-2. Waiting prompts are admitted in order while a batch slot is free and
+1. Waiting prompts are admitted in order while a batch slot is free and
    the paged KV cache can hold the whole context.
-3. If any were admitted, they prefill together and each emits a token.
+2. If any were admitted, they prefill together and each emits a token.
    Otherwise the running batch decodes one step: every live sequence,
    in batch order, grows by one token and takes a new block at a block
    boundary.  A sequence with no free block preempts the youngest other
-   live sequence (latest arrival): ``recompute`` drops its blocks and
-   puts it at the head of the queue, ``swap`` pages it to host DRAM (a
-   PCIe write, during which the clock moves).  With nothing to preempt
-   the sequence ends, as a context-length abort would.  A sequence that
-   reaches its output length completes and frees its blocks at once.
-4. With nothing running, a queue head that does not fit an empty cache
-   is rejected, else a stuck swapped sequence ends; an idle engine
-   waits for the next arrival.
+   live sequence (latest arrival), which drops its blocks and goes to
+   the head of the queue.  With nothing to preempt the sequence ends,
+   as a context-length abort would.  A sequence that reaches its output
+   length completes and frees its blocks at once.
+3. With nothing running, a queue head that does not fit an empty cache
+   is rejected; an idle engine waits for the next arrival.
 
 Mode ``"orca"`` is ``OrcaEngine``, Orca's worst-case reservation: rule
-2 charges each admitted prompt its ``prompt + max_new`` tokens up front,
+1 charges each admitted prompt its ``prompt + max_new`` tokens up front,
 and a decode step only emits tokens -- sequences take no blocks as they
-grow, so nothing is ever preempted or swapped.
+grow, so nothing is ever preempted.
 
 Mode ``"cfs"`` is ``CFSEngine`` (§5), in rounds:
 
-5. Live prompts (running, swapped, then waiting; stably sorted by
+4. Live prompts (running, swapped, then waiting; stably sorted by
    generated count, then arrival) join the round in that order while a
    batch slot is free and blocks for ``context + slice_tokens`` tokens
    still fit the whole cache; one that does not fit is skipped.
-6. An empty round drops the queue head, else ends the longest live
+5. An empty round drops the queue head, else ends the longest live
    context as an abort would.  Otherwise running prompts outside the
    round swap out to host DRAM (in batch order), swapped ones in it
    swap back in (in round order), and waiting ones in it prefill
-   together, as in rule 3.
-7. The batch decodes ``slice_tokens`` steps as in rule 3, fewer if it
+   together, as in rule 2.
+6. The batch decodes ``slice_tokens`` steps as in rule 2, fewer if it
    empties; the round's budget means no step runs short of blocks.
 
 Blocks come from a LIFO free list: taken from its end, returned in the
-order the sequence holds them.  Chunked prefill, LoRA adapters,
-producer duties, AQUA contexts and CFS's cached conversations are not
-modelled; ``tests/test_context_cache.py`` and the CFS transcript pin in
+order the sequence holds them.  LoRA adapters, producer duties, AQUA
+contexts and CFS's cached conversations are not modelled;
+``tests/test_context_cache.py`` and the CFS transcript pin in
 ``tests/test_engine_transcripts.py`` cover the last.
 """
 
@@ -151,8 +147,6 @@ class Reference:
             if self.mode == "cfs" and (self.running or self.swapped or self.waiting):
                 self.fair_round()
                 continue
-            if self.swapped:
-                self.swap_in()
             admitted = self.admit()
             if admitted:
                 self.prefill(admitted)
@@ -160,25 +154,10 @@ class Reference:
                 self.decode()
             elif self.waiting:
                 self.rejected.append(self.waiting.popleft())
-            elif self.swapped:
-                seq = self.swapped.pop(0)
-                seq.max_new = seq.generated + 1
-                self.token(seq)
             elif arrivals:
                 self.now = arrivals[0].arrival
             else:
                 return seqs
-
-    def swap_in(self):
-        while (
-            self.swapped
-            and len(self.running) < self.max_batch
-            and self.blocks_for(self.swapped[0].kv_tokens) <= len(self.free)
-        ):
-            seq = self.swapped.pop(0)
-            seq.blocks = self.take(self.blocks_for(seq.kv_tokens))
-            self.now = self.now + self.copy_time(self.dram, self.gpu, seq)
-            self.running.append(seq)
 
     def admit(self):
         admitted = []
@@ -250,15 +229,11 @@ class Reference:
         live.discard(victim)
         self.preempted.append((self.now, victim.index))
         self.release(victim)
-        if self.mode == "swap":
-            self.now = self.now + self.copy_time(self.gpu, self.dram, victim)
-            self.swapped.append(victim)
-        else:
-            self.waiting.appendleft(victim)
+        self.waiting.appendleft(victim)
 
     # -- CFS -----------------------------------------------------------
     def fair_round(self):
-        """Rules 5--7: pick a round, switch contexts, prefill, decode."""
+        """Rules 4--6: pick a round, switch contexts, prefill, decode."""
         live = [*self.running, *self.swapped, *self.waiting]
         active, budget = [], self.n_blocks
         for seq in sorted(live, key=lambda s: (s.generated, s.arrival)):
