@@ -2,16 +2,19 @@
 
 * Every module- and class-level ``def``/``class`` in ``src/repro`` has a
   caller: its name appears as a word in ``src/``, ``examples/``,
-  ``bench/`` or ``pyproject.toml`` somewhere other than its own
-  definition line, an ``import`` statement or an ``__all__`` list (a
-  re-export is not a use).  A definition only its unit tests reach is
-  not needed by the system; delete it with its tests rather than
-  allowlist it.
+  ``bench/``, ``pyproject.toml`` or the CI workflows somewhere other
+  than its own definition line, an ``import`` statement or an
+  ``__all__`` list (a re-export is not a use).  A definition only its
+  unit tests reach is not needed by the system; delete it with its
+  tests rather than allowlist it.
+* Every name a workflow's inline script imports from ``repro`` exists,
+  so deleting a definition cannot leave CI calling it.
 * ``import repro`` and ``import repro.sim`` stay light: neither loads
   numpy, which every CLI call and spawned ``--jobs`` worker would pay.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -24,6 +27,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 WORD = re.compile(r"\w+")
+#: An import line in a workflow's inline script.
+IMPORT_LINE = re.compile(r"^\s*(?:from|import)\s.*$", re.MULTILINE)
+#: ``from repro... import a, b`` in a workflow's inline script.
+REPRO_IMPORT = re.compile(r"^\s*from (repro[\w.]*) import ([\w, ]+)$", re.MULTILINE)
 
 #: Definitions kept without a caller, each with its reason.
 ALLOWED = {
@@ -33,9 +40,6 @@ ALLOWED = {
     # Figure 3a's measured bandwidth points: the anchor data the link
     # model is fitted against (tests/test_calibration.py).
     "paper_fig3a_points": "paper's anchor data",
-    # The reader the exported Prometheus text is checked against
-    # (docs/observability.md): exports must round-trip through it.
-    "parse_prometheus_text": "documented reader of the metrics export",
 }
 
 
@@ -73,6 +77,9 @@ def _word_counts():
     """Occurrences of every word in the files a caller may live in,
     outside import statements and ``__all__`` lists."""
     counts = Counter(WORD.findall((ROOT / "pyproject.toml").read_text()))
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        text = path.read_text()
+        counts.update(WORD.findall(IMPORT_LINE.sub("", text)))
     for top in ("src", "examples", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             text = path.read_text()
@@ -92,6 +99,16 @@ def test_every_definition_has_a_caller():
         if not uses and name not in ALLOWED:
             uncalled.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not uncalled, "definitions nothing calls:\n" + "\n".join(uncalled)
+
+
+def test_workflow_imports_resolve():
+    missing = []
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        for module, names in REPRO_IMPORT.findall(path.read_text()):
+            for name in WORD.findall(names):
+                if not hasattr(importlib.import_module(module), name):
+                    missing.append(f"{path.relative_to(ROOT)}: {module}.{name}")
+    assert not missing, "workflows import missing names:\n" + "\n".join(missing)
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.sim"])
