@@ -1,9 +1,10 @@
 """Observability: trace an engine's schedule and export a Chrome trace.
 
-Attaches a :class:`repro.trace.Tracer` to an AQUA CFS engine under a
-bursty code-summary workload, then reports where the time went —
-prefill, decode slices, context switches — and writes
-``aqua_trace.json`` for chrome://tracing or https://ui.perfetto.dev.
+Gives an AQUA CFS engine a :class:`repro.telemetry.Telemetry` hub
+under a bursty code-summary workload, then reads the hub's tracer to
+report where the time went — prefill, decode slices, context switches
+— and writes ``aqua_trace.json`` for chrome://tracing or
+https://ui.perfetto.dev.
 
 Run:  python examples/trace_inspection.py
 """
@@ -14,7 +15,7 @@ from repro.hardware import Server
 from repro.models import CODELLAMA_34B, KANDINSKY
 from repro.serving import BatchEngine, CFSEngine
 from repro.sim import Environment
-from repro.trace import Tracer
+from repro.telemetry import Telemetry
 from repro.workloads import code_summary_requests
 from repro.workloads.arrivals import submit_all
 
@@ -26,7 +27,7 @@ def main() -> None:
     env = Environment()
     server = Server(env, n_gpus=2)
     coordinator = Coordinator()
-    tracer = Tracer(clock=lambda: env.now)
+    tm = Telemetry(env)
 
     consumer_lib = AquaLib(server.gpus[0], server, coordinator)
     producer_lib = AquaLib(server.gpus[1], server, coordinator, informer=BatchInformer())
@@ -40,7 +41,7 @@ def main() -> None:
         use_aqua=True,
         aqua_lib=consumer_lib,
         slice_tokens=5,
-        tracer=tracer,
+        telemetry=tm,
         name="aqua-cfs",
     )
     producer.start()
@@ -51,6 +52,7 @@ def main() -> None:
     submit_all(env, engine, requests)
     env.run(until=DURATION)
 
+    tracer = tm.tracer
     track = engine.name
     rows = []
     for activity in ("prefill", "slice", "context-switch"):

@@ -29,7 +29,6 @@ from repro.hardware.dma import GpuFailedError, TransferStalled
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.gpu import GPU
     from repro.hardware.server import Server
-    from repro.trace import Tracer
 
 #: Pool reservation tag for memory a producer has donated to AQUA.
 AQUA_OFFER_TAG = "aqua-offer"
@@ -56,14 +55,13 @@ class AquaLib:
     retry_policy:
         Backoff used when a transfer hits a stalled DMA engine
         (default: :class:`~repro.faults.RetryPolicy` defaults).
-    tracer:
-        Optional tracer; retries land as ``"aqua-retry"`` instants on
-        this GPU's track, making fault handling visible in the trace.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set,
         allocations/migrations/fetch/flush traffic land in the metrics
-        registry, and data-plane moves carrying a request trace ID
-        (``ctx``) get spans and flow steps on the ``aqua:<gpu>`` track.
+        registry, data-plane moves carrying a request trace ID
+        (``ctx``) get spans and flow steps on the ``aqua:<gpu>`` track,
+        and retries land as ``"aqua-retry"`` instants on this GPU's
+        track in the hub's tracer.
     """
 
     def __init__(
@@ -74,7 +72,6 @@ class AquaLib:
         informer=None,
         gather_enabled: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        tracer: Optional["Tracer"] = None,
         telemetry=None,
     ) -> None:
         self.gpu = gpu
@@ -85,9 +82,7 @@ class AquaLib:
         self.gather_enabled = gather_enabled
         self.retry_policy = retry_policy or RetryPolicy()
         self.telemetry = telemetry
-        if tracer is None and telemetry is not None:
-            tracer = telemetry.tracer
-        self.tracer = tracer
+        self.tracer = telemetry.tracer if telemetry is not None else None
         self.name = gpu.name
         self.donated_bytes = 0
         self.reclaim_pending = False
@@ -381,7 +376,6 @@ class AquaLib:
                 self.retries += 1
                 if self.telemetry is not None:
                     self.telemetry.transfer_retries.labels(gpu=self.name).inc()
-                if self.tracer is not None:
                     self.tracer.add_instant(
                         "aqua-retry",
                         self.name,

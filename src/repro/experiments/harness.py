@@ -125,8 +125,10 @@ def build_consumer_rig(
         Build a :class:`~repro.telemetry.Telemetry` hub and wire it into
         the server (DMA hooks + pool/link gauges), coordinator, engines
         and AQUA-LIB instances.  Available as ``rig.telemetry``; see
-        ``docs/observability.md``.  Off by default — a disabled rig has
-        bit-identical behaviour (audit digests are unchanged).
+        ``docs/observability.md``.  Always on inside
+        :func:`~repro.telemetry.observing`; otherwise off by default —
+        a disabled rig has bit-identical behaviour (audit digests are
+        unchanged).
     scrape_interval:
         When set, attach the time-resolved observability layer (metric
         scraper, optional SLO tracker, flight recorder) via
@@ -158,7 +160,7 @@ def build_consumer_rig(
 
     # Explicit observability settings win; otherwise an active
     # observing() context applies to every rig built inside it, which
-    # registers with it below.
+    # gets a hub (the rig's only tracer) and registers with it below.
     frame = observation_frame()
     if scrape_interval is None and frame is not None:
         scrape_interval = frame.settings.scrape_interval
@@ -166,7 +168,7 @@ def build_consumer_rig(
             slo_policy = default_slo_policy()
 
     tm = None
-    if telemetry or scrape_interval is not None:
+    if telemetry or scrape_interval is not None or frame is not None:
         tm = Telemetry(env)
         tm.attach_server(server)
         coordinator.telemetry = tm

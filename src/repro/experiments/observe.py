@@ -34,12 +34,18 @@ from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
 from repro.workloads.sharegpt import sharegpt_requests
 
+#: Arrival time of the long-prompt request (the producer donates its
+#: spare memory first).
+WORKLOAD_START = 3.0
+
+#: Decode budget of the long-prompt request — bounded, so the request
+#: *finishes* and its latency attribution is complete.
+MAX_NEW_TOKENS = 60
+
 
 def observe_experiment(
     duration: float = 45.0,
     faults: bool = True,
-    workload_start: float = 3.0,
-    max_new_tokens: int = 60,
     postmortem_dir: Optional[str] = None,
 ) -> dict:
     """One fully telemetered run of the FlexGen/NVLink offloading rig.
@@ -52,12 +58,6 @@ def observe_experiment(
         Inject a short (2 s) DMA stall on the fetch link at t=12 so the
         fault/retry metric families have samples.  ``False`` gives a
         clean run.
-    workload_start:
-        Arrival time of the long-prompt request (the producer donates
-        its spare memory first).
-    max_new_tokens:
-        Decode budget of the long-prompt request — bounded, so the
-        request *finishes* and its latency attribution is complete.
     postmortem_dir:
         Directory for flight-recorder post-mortem bundles (when scraped).
     """
@@ -82,12 +82,10 @@ def observe_experiment(
 
     rig.start()
 
-    consumer_requests = long_prompt_requests(
-        start=workload_start, max_new_tokens=max_new_tokens
-    )
+    consumer_requests = long_prompt_requests(start=WORKLOAD_START, max_new_tokens=MAX_NEW_TOKENS)
     submit_all(env, rig.consumer_engine, consumer_requests)
 
-    producer_requests = sharegpt_requests(rate=1.0, count=10, start=workload_start)
+    producer_requests = sharegpt_requests(rate=1.0, count=10, start=WORKLOAD_START)
     submit_all(env, rig.producer_engine, producer_requests)
 
     env.run(until=duration)

@@ -18,7 +18,7 @@ Because a FlexGen consumer's goodput naturally declines as its context
 grows (every token re-reads the whole KV cache), "recovered" is judged
 against a *fault-free control run* of the identical rig, not against
 the raw pre-fault level: recovery is the first time after all faults
-clear where goodput is back within ``recovery_threshold`` of the
+clear where goodput is back within ``RECOVERY_THRESHOLD`` of the
 control's goodput over the same window.  Everything is deterministic:
 same schedule, same numbers.
 """
@@ -31,9 +31,25 @@ from repro.experiments.harness import build_consumer_rig
 from repro.experiments.pool import RunSpec, run_specs
 from repro.faults import DmaStall, FaultInjector, FaultSchedule, GpuFailure, LinkDegradation
 from repro.models import LLAMA2_13B, OPT_30B
-from repro.trace import Tracer
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
+
+#: When the long-prompt request arrives (after the producer has donated
+#: its spare memory).
+WORKLOAD_START = 2.0
+
+#: Goodput sampling interval (simulated seconds).
+SAMPLE_DT = 1.0
+
+#: Seconds immediately before the first fault (and at the end of the
+#: run) used for the pre/post goodput levels.
+PRE_WINDOW = 8.0
+
+#: Recovery is the first time after the last fault clears where the
+#: faulted run's mean goodput over ``RECOVERY_WINDOW`` seconds reaches
+#: ``RECOVERY_THRESHOLD`` of the control's over the same window.
+RECOVERY_WINDOW = 8.0
+RECOVERY_THRESHOLD = 0.95
 
 
 def default_fault_schedule() -> FaultSchedule:
@@ -66,15 +82,12 @@ def _window_mean(series: list[tuple[float, float]], start: float, end: float) ->
 def _run_rig(
     schedule: FaultSchedule,
     duration: float,
-    workload_start: float,
-    sample_dt: float,
     audit: bool = False,
     scrape_interval: Optional[float] = None,
     slo_policy: Optional[dict] = None,
     postmortem_dir: Optional[str] = None,
 ) -> dict:
     """One rig run under ``schedule``; returns raw series and counters."""
-    tracer = Tracer()
     observability = scrape_interval is not None
     policy = None
     if observability:
@@ -87,20 +100,14 @@ def _run_rig(
         )
     rig = build_consumer_rig(
         "flexgen", OPT_30B, producer_model=LLAMA2_13B, use_aqua=True, audit=audit,
-        telemetry=observability,
         scrape_interval=scrape_interval,
         slo_policy=policy,
         postmortem_dir=postmortem_dir,
     )
     env = rig.env
     consumer = rig.consumer_engine
-    consumer.tracer = tracer
-    rig.consumer_lib.tracer = tracer
 
-    injector = FaultInjector(
-        rig.server, coordinator=rig.coordinator, tracer=tracer,
-        telemetry=rig.telemetry,
-    )
+    injector = FaultInjector(rig.server, coordinator=rig.coordinator, telemetry=rig.telemetry)
     injector.install(schedule)
     rig.start()
 
@@ -110,13 +117,13 @@ def _run_rig(
         last = 0
         while True:
             tokens = consumer.metrics.tokens_generated
-            goodput.append((env.now, (tokens - last) / sample_dt))
+            goodput.append((env.now, (tokens - last) / SAMPLE_DT))
             last = tokens
-            yield env.timeout(sample_dt)
+            yield env.timeout(SAMPLE_DT)
 
     env.process(sampler(env))
 
-    requests = long_prompt_requests(start=workload_start)
+    requests = long_prompt_requests(start=WORKLOAD_START)
     submit_all(env, consumer, requests)
     env.run(until=duration)
 
@@ -138,7 +145,6 @@ def _run_rig(
         "dropped": len(dropped),
         "tokens_total": consumer.metrics.tokens_generated,
         "fault_log": injector.log,
-        "tracer": tracer,
         "audit": audit_report,
     }
     if observability:
@@ -150,8 +156,6 @@ def _run_rig(
 def _rig_cell(
     schedule: list[dict],
     duration: float,
-    workload_start: float,
-    sample_dt: float,
     audit: bool,
     scrape_interval: Optional[float] = None,
     slo_policy: Optional[dict] = None,
@@ -160,15 +164,13 @@ def _rig_cell(
     """Pool-safe wrapper around :func:`_run_rig`.
 
     The schedule travels as its plain-dict JSON form (the SLO policy
-    likewise) and the result — goodput series, counters, tracer, audit
-    report, observability exports — pickles back to the parent, so the
+    likewise) and the result — goodput series, counters, audit report,
+    observability exports — pickles back to the parent, so the
     faulted and control runs can occupy two cores.
     """
     return _run_rig(
         FaultSchedule.from_dicts(schedule),
         duration,
-        workload_start,
-        sample_dt,
         audit=audit,
         scrape_interval=scrape_interval,
         slo_policy=slo_policy,
@@ -179,11 +181,6 @@ def _rig_cell(
 def resilience_experiment(
     schedule: Optional[FaultSchedule] = None,
     duration: float = 160.0,
-    workload_start: float = 2.0,
-    sample_dt: float = 1.0,
-    pre_window: float = 8.0,
-    recovery_window: float = 8.0,
-    recovery_threshold: float = 0.95,
     audit: bool = False,
     jobs: Optional[int] = 1,
     scrape_interval: Optional[float] = None,
@@ -194,7 +191,9 @@ def resilience_experiment(
 
     Two identical rigs run the same workload — one under ``schedule``
     (default: :func:`default_fault_schedule`), one fault-free as the
-    control — and their goodput series are compared.
+    control — and their goodput series are compared.  Traced under
+    :func:`~repro.telemetry.observing`, each rig shows its retries and
+    faults as instants.
 
     Parameters
     ----------
@@ -202,19 +201,6 @@ def resilience_experiment(
         Faults to inject into the faulted run.
     duration:
         Total simulated seconds (per run).
-    workload_start:
-        When the long-prompt request arrives (after the producer has
-        donated its spare memory).
-    sample_dt:
-        Goodput sampling interval.
-    pre_window:
-        Seconds immediately before the first fault (and at the end of
-        the run) used for the pre/post goodput levels.
-    recovery_window, recovery_threshold:
-        Recovery is declared at the first time after the last fault
-        clears where the faulted run's mean goodput over
-        ``recovery_window`` seconds reaches ``recovery_threshold`` of
-        the control's over the same window.
     audit:
         Run both rigs under a :class:`~repro.audit.ConservationAuditor`
         and include the reports (and determinism digests) in the result
@@ -255,8 +241,6 @@ def resilience_experiment(
             kwargs={
                 "schedule": sched.to_dicts(),
                 "duration": duration,
-                "workload_start": workload_start,
-                "sample_dt": sample_dt,
                 "audit": audit,
                 "scrape_interval": scrape_interval,
                 "slo_policy": slo_policy,
@@ -275,25 +259,21 @@ def resilience_experiment(
     baseline = control["goodput"]
     first_fault = min((f.at for f in schedule), default=duration)
     all_clear = schedule.horizon  # 0.0 for an empty schedule
-    pre = _window_mean(goodput, first_fault - pre_window, first_fault)
-    post = _window_mean(goodput, duration - pre_window, duration)
-    post_control = _window_mean(baseline, duration - pre_window, duration)
+    pre = _window_mean(goodput, first_fault - PRE_WINDOW, first_fault)
+    post = _window_mean(goodput, duration - PRE_WINDOW, duration)
+    post_control = _window_mean(baseline, duration - PRE_WINDOW, duration)
 
     recovery_time = None
     t = all_clear
-    while t + recovery_window <= duration:
-        reference = _window_mean(baseline, t, t + recovery_window)
+    while t + RECOVERY_WINDOW <= duration:
+        reference = _window_mean(baseline, t, t + RECOVERY_WINDOW)
         if reference > 0 and (
-            _window_mean(goodput, t, t + recovery_window)
-            >= recovery_threshold * reference
+            _window_mean(goodput, t, t + RECOVERY_WINDOW)
+            >= RECOVERY_THRESHOLD * reference
         ):
             recovery_time = t - all_clear
             break
-        t += sample_dt
-
-    retry_instants = [
-        ev for ev in faulted["tracer"].instants if ev.name == "aqua-retry"
-    ]
+        t += SAMPLE_DT
 
     return {
         "goodput_tokens_per_s": goodput,
@@ -305,14 +285,12 @@ def resilience_experiment(
         "first_fault_at": first_fault,
         "all_faults_cleared_at": all_clear,
         "retries": faulted["retries"],
-        "retries_in_trace": len(retry_instants),
         "requeues": faulted["requeues"],
         "lost_tensors": faulted["lost_tensors"],
         "dropped_requests": faulted["dropped"],
         "tokens_total": faulted["tokens_total"],
         "control_tokens_total": control["tokens_total"],
         "fault_log": faulted["fault_log"],
-        "tracer": faulted["tracer"],
         "observability": faulted.get("observability"),
         "control_observability": control.get("observability"),
         "audit": (

@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.gpu import GPU
     from repro.hardware.interconnect import Channel
     from repro.hardware.server import Server
-    from repro.trace import Tracer
 
 
 class FaultInjector:
@@ -44,12 +43,11 @@ class FaultInjector:
         Optional AQUA coordinator to notify of health transitions
         (``/gpu_failed``, ``/gpu_recovered``, ``/link_degraded``,
         ``/link_restored``).  Without one, only hardware state flips.
-    tracer:
-        Optional :class:`~repro.trace.Tracer`; every apply/clear lands
-        as an instant event on the ``"faults"`` track.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub; every
-        apply/clear increments ``aqua_faults_total{kind, phase}``.
+        apply/clear increments ``aqua_faults_total{kind, phase}`` and
+        lands as an instant event on the hub tracer's ``"faults"``
+        track.
 
     Attributes
     ----------
@@ -62,16 +60,12 @@ class FaultInjector:
         self,
         server: "Server",
         coordinator: Optional["Coordinator"] = None,
-        tracer: Optional["Tracer"] = None,
         telemetry=None,
     ) -> None:
         self.server = server
         self.env = server.env
         self.coordinator = coordinator
         self.telemetry = telemetry
-        if tracer is None and telemetry is not None:
-            tracer = telemetry.tracer
-        self.tracer = tracer
         self.log: list[dict] = []
         self._processes: list[Process] = []
 
@@ -225,7 +219,6 @@ class FaultInjector:
         )
         if self.telemetry is not None:
             self.telemetry.record_fault(fault.kind, phase, targets=names)
-        if self.tracer is not None:
-            self.tracer.add_instant(
+            self.telemetry.tracer.add_instant(
                 f"{fault.kind}:{phase}", "faults", time=self.env.now, targets=names
             )

@@ -61,9 +61,10 @@ class LLMEngineBase:
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
         engine reports request/completion/requeue counters, latency
-        attribution marks and flow events, and the hub reads its token
-        count from :attr:`metrics`; when ``None`` (the default) every
-        hook is a single ``None`` check.
+        attribution marks, flow events and spans (into the hub's
+        tracer), and the hub reads its token count from
+        :attr:`metrics`; when ``None`` (the default) every hook is a
+        single ``None`` check.
     """
 
     def __init__(
@@ -77,7 +78,6 @@ class LLMEngineBase:
         aqua_lib: Optional["AquaLib"] = None,
         inform_every: int = 8,
         name: str = "llm-engine",
-        tracer=None,
         telemetry=None,
         decode_coarsen: int = 1,
     ) -> None:
@@ -94,9 +94,7 @@ class LLMEngineBase:
         self.inform_every = inform_every
         self.name = name
         self.telemetry = telemetry
-        if tracer is None and telemetry is not None:
-            tracer = telemetry.tracer
-        self.tracer = tracer
+        self.tracer = telemetry.tracer if telemetry is not None else None
         self.metrics = MetricsCollector(name)
         if telemetry is not None:
             telemetry.attach_engine(self)

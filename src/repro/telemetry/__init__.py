@@ -9,8 +9,8 @@ three pillars, all reachable from one :class:`Telemetry` hub:
 * :mod:`repro.telemetry.attribution` — per-request latency
   decomposition into queueing / prefill / decode / offload-fetch /
   link-contention components with exact (telescoping) sums;
-* request-scoped flow events recorded through the shared
-  :class:`~repro.trace.Tracer`, linking one request's spans across
+* request-scoped flow events recorded through the hub's
+  :class:`~repro.trace.Tracer` (the only one a rig records into), linking one request's spans across
   engine, AQUA and DMA tracks.
 
 On top of those sits the time-resolved layer (opt-in via

@@ -56,22 +56,28 @@ _TPOT_BUCKETS = (
     0.005, 0.01, 0.025, 0.05, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
+#: Samples each scraped series (and the SLO tracker's history) keeps.
+SCRAPE_CAPACITY = 4096
+
+#: Entries the flight recorder's ring keeps.
+RECORDER_CAPACITY = 512
+
 
 class Telemetry:
     """Per-run telemetry context shared by every instrumented subsystem.
+
+    Its :attr:`tracer` is the only one a rig records into: engines,
+    AQUA-LIB and the fault injector trace iff they hold a hub.
 
     Parameters
     ----------
     env:
         The simulation environment (provides the clock).
-    tracer:
-        Optional pre-existing tracer to record into; by default a fresh
-        one bound to ``env``'s clock.
     """
 
-    def __init__(self, env, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, env) -> None:
         self.env = env
-        self.tracer = tracer or Tracer(clock=lambda: env.now)
+        self.tracer = Tracer(clock=lambda: env.now)
         self.registry = Registry()
         self.attribution = LatencyAttributor()
         self._flow_started: set[int] = set()
@@ -224,21 +230,19 @@ class Telemetry:
         scrape_interval: float = 1.0,
         slo_policy=None,
         postmortem_dir: Optional[str] = None,
-        capacity: int = 4096,
-        recorder_capacity: int = 512,
-        start: bool = True,
     ) -> "Telemetry":
         """Enable the time-resolved layer: scraper + SLO tracker + recorder.
 
-        Spawns a :class:`~repro.telemetry.timeseries.MetricScraper` at
-        ``scrape_interval`` simulated seconds, a
-        :class:`~repro.telemetry.recorder.FlightRecorder` (dumping
-        post-mortem bundles under ``postmortem_dir`` when given) and —
-        when ``slo_policy`` is provided — an
-        :class:`~repro.telemetry.slo.SLOTracker` whose burn-rate alerts
-        trigger recorder captures.  Everything attached here is
-        observation-only: audit digests are identical with this layer
-        on or off (``tests/test_determinism_golden.py``).
+        Starts a :class:`~repro.telemetry.timeseries.MetricScraper` at
+        ``scrape_interval`` simulated seconds keeping
+        :data:`SCRAPE_CAPACITY` samples per series, a
+        :class:`~repro.telemetry.recorder.FlightRecorder` of
+        :data:`RECORDER_CAPACITY` entries (dumping post-mortem bundles
+        under ``postmortem_dir`` when given) and — when ``slo_policy``
+        is provided — an :class:`~repro.telemetry.slo.SLOTracker` whose
+        burn-rate alerts trigger recorder captures.  Everything attached
+        here is observation-only: audit digests are identical with this
+        layer on or off (``tests/test_determinism_golden.py``).
 
         Idempotent per hub: calling again returns the existing layer.
         """
@@ -248,25 +252,24 @@ class Telemetry:
         from repro.telemetry.timeseries import MetricScraper
 
         self.scraper = MetricScraper(
-            self.env, self.registry, interval=scrape_interval, capacity=capacity
+            self.env, self.registry, interval=scrape_interval, capacity=SCRAPE_CAPACITY
         )
         self.recorder = FlightRecorder(
             self.env, telemetry=self,
-            capacity=recorder_capacity, dump_dir=postmortem_dir,
+            capacity=RECORDER_CAPACITY, dump_dir=postmortem_dir,
         )
         if slo_policy is not None:
             from repro.telemetry.slo import SLOTracker
 
             self.slo = SLOTracker(
-                self.env, slo_policy, telemetry=self, capacity=capacity
+                self.env, slo_policy, telemetry=self, capacity=SCRAPE_CAPACITY
             )
             self.slo.on_alert.append(self.recorder.on_alert)
             # SLO evaluation runs before the recorder's delta pass so a
             # tick's alert and its metric movement land in ring order.
             self.scraper.observers.append(self.slo.on_scrape)
         self.scraper.observers.append(self.recorder.on_scrape)
-        if start:
-            self.scraper.start()
+        self.scraper.start()
         return self
 
     def observability_report(self) -> dict:

@@ -4,9 +4,11 @@ The CLI turns ``--trace``, ``--scrape-interval`` and ``--dashboard``
 into an :class:`Observation` and runs the command inside
 :func:`observing`.  Every rig
 :func:`~repro.experiments.harness.build_consumer_rig` builds in the
-context registers with it, and is exported as plain data when the
-context closes: its Chrome trace events and, when scraped, its
-dashboard data (which carries the observability report).
+context gets a :class:`~repro.telemetry.Telemetry` hub, registers with
+the context, and is exported as plain data when the context closes:
+its hub's Chrome trace events and, when scraped, its dashboard data
+(which carries the observability report).  The trace is the same
+whether or not the context scrapes.
 
 :func:`~repro.experiments.pool.run_specs` is the only process boundary:
 each cell runs inside its own :func:`observing` context with the
@@ -22,8 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.trace import Tracer
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -38,12 +38,6 @@ class Observation:
         return self.trace or self.scrape_interval is not None
 
 
-def _traceable(rig) -> list:
-    """The rig's engines and libs (a ``BatchEngine`` has no tracer)."""
-    components = (rig.consumer_engine, rig.producer_engine, rig.consumer_lib, rig.producer_lib)
-    return [c for c in components if hasattr(c, "tracer")]
-
-
 class ObservationFrame:
     """One :func:`observing` context: its settings and what it has seen."""
 
@@ -53,13 +47,7 @@ class ObservationFrame:
         self._entries: list = []  # live rigs, and exports merged from cells
 
     def adopt(self, rig) -> None:
-        """Register ``rig``; when tracing, its tracer-less engines and
-        libs share one fresh tracer (an explicit tracer is kept)."""
-        if self.settings.trace:
-            tracer = Tracer(clock=lambda env=rig.env: env.now)
-            for component in _traceable(rig):
-                if component.tracer is None:
-                    component.tracer = tracer
+        """Register ``rig``, built with a hub, for export."""
         self._entries.append(rig)
 
     def merge(self, exports: list[dict]) -> None:
@@ -78,23 +66,12 @@ class ObservationFrame:
     def _export_rig(self, rig) -> dict:
         name = rig.consumer_engine.name
         export = {"name": f"{self.label}/{name}" if self.label else name}
-        hub = rig.telemetry
         if self.settings.trace:
-            # Every distinct tracer the rig holds now, not the one handed
-            # out at build time: a tracer swapped in later is kept.
-            held = {id(c.tracer): c.tracer for c in _traceable(rig) if c.tracer is not None}
-            if hub is not None:
-                held.setdefault(id(hub.tracer), hub.tracer)
-            merged = Tracer()
-            for tracer in held.values():
-                merged.spans += tracer.spans
-                merged.instants += tracer.instants
-                merged.flows += tracer.flows
-            export["trace"] = merged.to_chrome_events()
-        if self.settings.scrape_interval is not None and hub is not None:
+            export["trace"] = rig.telemetry.tracer.to_chrome_events()
+        if self.settings.scrape_interval is not None:
             from repro.telemetry.dashboard import dashboard_data
 
-            export["dashboard"] = dashboard_data(hub, title=export["name"])
+            export["dashboard"] = dashboard_data(rig.telemetry, title=export["name"])
         return export
 
 

@@ -3,8 +3,9 @@
 A :class:`Tracer` collects timestamped spans (engine iterations,
 transfers, context switches, reclaims) and exports them in the Chrome
 trace-event JSON format, viewable in ``chrome://tracing`` or Perfetto.
-Engines accept an optional tracer; the overhead when absent is a single
-``None`` check.
+A simulation records into the tracer of its
+:class:`~repro.telemetry.Telemetry` hub; without a hub the overhead is
+a single ``None`` check.
 
 Example
 -------

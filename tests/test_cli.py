@@ -134,6 +134,26 @@ def test_ambient_trace_flag_on_figure_command(tmp_path, capsys):
     assert any(e["ph"] == "X" for e in events)
 
 
+def test_trace_does_not_depend_on_scraping(tmp_path, capsys):
+    """--trace records the offload path (flows, AQUA spans) whether or
+    not the run also scrapes: both write the same bytes."""
+    import json
+
+    traces = []
+    for extra in ([], ["--scrape-interval", "1"]):
+        trace = tmp_path / f"fig07-{len(extra)}.json"
+        assert main(["fig07", "--duration", "10", "--trace", str(trace), *extra]) == 0
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+
+    events = json.loads(traces[0])["traceEvents"]
+    assert any(e["ph"] in ("s", "t", "f") for e in events)
+    assert any(
+        e["name"] == "thread_name" and e["args"]["name"].startswith("aqua:")
+        for e in events
+    )
+
+
 def test_trace_flag_registered_uniformly():
     """The shared --trace option is present on every command that builds
     a simulated rig, and absent where it could only write an empty file."""

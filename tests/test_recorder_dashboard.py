@@ -137,6 +137,7 @@ def observe_result():
 
 def test_observe_result_carries_observability(observe_result):
     obs = observe_result
+    assert obs["scrape"]["interval"] == 0.5  # the observing() cadence
     assert obs["scrape"]["scrapes"] >= 39  # 20s at 0.5s intervals
     assert obs["scrape"]["series"]  # non-empty store
     assert "slo" in obs and "recorder" in obs

@@ -10,11 +10,22 @@ import pytest
 
 from repro.experiments.resilience import default_fault_schedule, resilience_experiment
 from repro.faults import FaultSchedule
+from repro.telemetry import Observation, observing
 
 
 @pytest.fixture(scope="module")
-def result():
-    return resilience_experiment()
+def traced():
+    """The default scenario, traced: its result and the faulted rig's
+    exported trace events."""
+    with observing(Observation(trace=True)) as exports:
+        result = resilience_experiment()
+    (faulted,) = [e for e in exports if e["name"].startswith("faulted/")]
+    return result, faulted["trace"]
+
+
+@pytest.fixture(scope="module")
+def result(traced):
+    return traced[0]
 
 
 @pytest.mark.slow
@@ -24,13 +35,14 @@ def test_no_request_is_dropped(result):
 
 
 @pytest.mark.slow
-def test_retries_are_visible_in_the_trace(result):
+def test_retries_are_visible_in_the_trace(traced):
+    result, events = traced
     assert result["retries"] > 0
-    assert result["retries_in_trace"] == result["retries"]
+    instants = [e for e in events if e["ph"] == "i"]
+    assert sum(e["name"] == "aqua-retry" for e in instants) == result["retries"]
     # The injector's apply/clear markers are on the trace too.
-    fault_instants = [
-        ev for ev in result["tracer"].instants if ev.track == "faults"
-    ]
+    tracks = {e["tid"]: e["args"]["name"] for e in events if e["name"] == "thread_name"}
+    fault_instants = [e for e in instants if tracks[e["tid"]] == "faults"]
     assert len(fault_instants) >= 2 * len(default_fault_schedule())
 
 

@@ -240,46 +240,16 @@ def test_observing_adopts_tracerless_engines():
         rig = build_consumer_rig(
             "flexgen", OPT_30B, producer_model=LLAMA2_13B, use_aqua=True
         ).start()
-        tracer = rig.consumer_engine.tracer
-        assert tracer is not None
-        assert rig.producer_engine.tracer is tracer
+        tracer = rig.telemetry.tracer
+        for component in (rig.consumer_engine, rig.producer_engine,
+                          rig.consumer_lib, rig.producer_lib):
+            assert component.tracer is tracer
         submit_all(rig.env, rig.consumer_engine, long_prompt_requests(start=1.0))
         rig.env.run(until=8.0)
     assert len(tracer.spans) >= 1
     (export,) = exports
     assert export["name"] == "cell/flexgen-OPT-30B"
     assert any(e["ph"] == "X" for e in export["trace"])
-
-
-def test_observing_does_not_override_explicit_tracer():
-    from repro.trace import Tracer
-
-    own = Tracer(clock=lambda: 0.0)
-    own.add_span("mine", "own-track", 0.0, 1.0)
-    with observing(Observation(trace=True)) as exports:
-        rig = build_consumer_rig(
-            "vllm", LLAMA2_13B, consumer_kwargs={"tracer": own}
-        )
-        assert rig.consumer_engine.tracer is own
-    # The tracer the engine holds at the end is the one exported.
-    assert [e["name"] for e in exports[0]["trace"] if e["ph"] == "X"] == ["mine"]
-
-
-def test_observing_exports_held_tracers_not_handed_out_ones():
-    """A tracer swapped in after the build (as the resilience rig does)
-    is exported; the hub's tracer is exported even when it shadows."""
-    from repro.trace import Tracer
-
-    swapped = Tracer()
-    swapped.add_span("swapped", "faults", 0.0, 1.0)
-    with observing(Observation(trace=True, scrape_interval=1.0)) as exports:
-        rig = build_consumer_rig("flexgen", OPT_30B, producer_model=LLAMA2_13B)
-        assert rig.consumer_engine.tracer is rig.telemetry.tracer
-        rig.consumer_engine.tracer = swapped
-        rig.telemetry.tracer.add_span("hub", "hub-track", 0.0, 1.0)
-    names = {e["name"] for e in exports[0]["trace"] if e["ph"] == "X"}
-    assert names == {"swapped", "hub"}
-    assert exports[0]["dashboard"]["scrape"]["interval"] == 1.0
 
 
 def test_observing_exports_even_on_error():

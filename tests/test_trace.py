@@ -8,6 +8,7 @@ from repro.hardware import Server
 from repro.models import CODELLAMA_34B, MISTRAL_7B
 from repro.serving import CFSEngine, Request, VLLMEngine
 from repro.sim import Environment
+from repro.telemetry import Telemetry
 from repro.trace import Tracer
 from repro.workloads.arrivals import submit_all
 
@@ -238,8 +239,9 @@ def test_critical_path_orders_same_time_events_by_phase():
 def test_vllm_records_prefill_and_decode_spans():
     env = Environment()
     server = Server(env, n_gpus=1)
-    tracer = Tracer(clock=lambda: env.now)
-    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B, tracer=tracer)
+    tm = Telemetry(env)
+    tracer = tm.tracer
+    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B, telemetry=tm)
     engine.start()
     engine.submit(Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=20))
     env.run(until=30)
@@ -251,9 +253,10 @@ def test_vllm_records_prefill_and_decode_spans():
 def test_cfs_records_slices_and_switches():
     env = Environment()
     server = Server(env, n_gpus=1)
-    tracer = Tracer(clock=lambda: env.now)
+    tm = Telemetry(env)
+    tracer = tm.tracer
     engine = CFSEngine(
-        server.gpus[0], server, CODELLAMA_34B, slice_tokens=5, tracer=tracer
+        server.gpus[0], server, CODELLAMA_34B, slice_tokens=5, telemetry=tm
     )
     engine.start()
     requests = [
