@@ -361,7 +361,7 @@ class AquaLib:
         the copy returns ``False`` and the caller decides what the loss
         means (usually :class:`~repro.aqua.tensor.TensorLostError`).
         """
-        delays = self.retry_policy.delays()
+        delays = None  # the backoff schedule, built at the first stall
         attempt = 1
         while True:
             try:
@@ -370,6 +370,8 @@ class AquaLib:
             except GpuFailedError:
                 return False
             except TransferStalled:
+                if delays is None:
+                    delays = self.retry_policy.delays()
                 delay = next(delays, None)
                 if delay is None:
                     raise

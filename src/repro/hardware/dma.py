@@ -197,14 +197,16 @@ class Transfer:
         route = self.interconnect.route(self.src, self.dst)
         endpoints = self._endpoints()
         self._check_health(route, endpoints)
-        # Deadlock-free acquisition: all requests issued together, granted
-        # in each channel's FIFO order, and awaited in turn, so we proceed
-        # once all are held.
+        # Deadlock-free acquisition: all claims issued together, in
+        # sorted channel order, each decided at once in its channel's
+        # FIFO order.  Free channels are held with no event; only the
+        # claims that queued are awaited, so we proceed once all are held.
         ordered = route.sorted_channels
-        requests = [ch.engine.request() for ch in ordered]
+        requests = [ch.engine.acquire() for ch in ordered]
         try:
             for request in requests:
-                yield request
+                if request.callbacks is not None:
+                    yield request
             self.acquired_at = self.env.now
             duration = self.wire_time(route)
             for gpu in endpoints:
@@ -224,8 +226,7 @@ class Transfer:
                 channel.record(self.nbytes)
             self.finished_at = self.env.now
             if self.stats is not None:
-                route_name = f"{getattr(self.src, 'name', self.src)}->" f"{getattr(self.dst, 'name', self.dst)}"
-                self.stats.record(route_name, self.nbytes, duration, channels=ordered)
+                self.stats.record(route.label, self.nbytes, duration, channels=ordered)
             if self.telemetry is not None:
                 self.telemetry.record_transfer(self, ordered)
         finally:

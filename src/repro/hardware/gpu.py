@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.specs import GPUSpec
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Event, Resource
+from repro.sim.core import URGENT
+from repro.sim.events import TRIGGERED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.server import Server
@@ -113,6 +115,8 @@ class GPU:
         self.index = index
         self.spec = spec
         self.server = server
+        prefix = server.name if server is not None else "gpu"
+        self.name = f"{prefix}/gpu{index}"
         self.hbm = MemoryPool(capacity=spec.hbm_bytes)
         self.compute = Resource(env, capacity=1)
         self.active_copies = 0
@@ -136,11 +140,6 @@ class GPU:
     def recover(self) -> None:
         """Bring the GPU back (empty — lost data does not return)."""
         self.failed = False
-
-    @property
-    def name(self) -> str:
-        prefix = self.server.name if self.server is not None else "gpu"
-        return f"{prefix}/gpu{self.index}"
 
     @property
     def free_hbm(self) -> int:
@@ -170,11 +169,66 @@ class GPU:
             # without allocating a Timeout per compute kernel.
             yield dilated
 
+    def launch(self, duration: float) -> Event:
+        """Start an exclusive compute kernel of ``duration`` seconds
+        alongside the calling process, without a process of its own.
+
+        Returns an event that fires at the kernel's end, valued with the
+        end time.  The kernel behaves as ``env.process(...)`` over
+        :meth:`compute_op` would, at the same point in the event order:
+        it starts in an URGENT event at this instant (where a child's
+        initialisation would sit), so the caller reaches its next yield
+        first; it then takes the stream and reads :meth:`dilation`.  The
+        stream is released before anything waiting on the end resumes.
+        """
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        return _Kernel(self, duration)
+
     def __repr__(self) -> str:
         return f"<GPU {self.name} free={self.free_hbm / 2**30:.1f}GiB>"
 
     # GPUs are used as dict keys / route endpoints: identity semantics.
     __hash__ = object.__hash__
+
+
+class _Kernel(Event):
+    """A compute kernel started by :meth:`GPU.launch`; fires at its end."""
+
+    __slots__ = ("gpu", "duration", "request")
+
+    def __init__(self, gpu: GPU, duration: float) -> None:
+        super().__init__(gpu.env)
+        # The stream is handed back before any waiter resumes.
+        self.callbacks.append(self._release)
+        self.gpu = gpu
+        self.duration = duration
+        self.request = None
+        start = Event(gpu.env)
+        start._ok = True
+        start._state = TRIGGERED
+        start.callbacks = [self._start]
+        gpu.env._schedule(start, priority=URGENT)
+
+    def _start(self, _event: Event) -> None:
+        self.request = request = self.gpu.compute.acquire()
+        if request.callbacks is None:
+            self._run(request)
+        else:
+            request.callbacks.append(self._run)
+
+    def _run(self, _event: Event) -> None:
+        gpu = self.gpu
+        dilated = self.duration * gpu.dilation()
+        gpu.busy_time += dilated
+        env = self.env
+        self._ok = True
+        self._value = env.now + dilated
+        self._state = TRIGGERED
+        env._schedule(self, delay=dilated)
+
+    def _release(self, _event: Event) -> None:
+        self.gpu.compute.release(self.request)
 
 
 class HostDRAM:

@@ -110,9 +110,14 @@ class Channel:
 
 @dataclass
 class Route:
-    """An ordered list of channels a transfer must traverse."""
+    """An ordered list of channels a transfer must traverse.
+
+    ``label`` names the route ``src->dst`` in transfer statistics; it is
+    built once, when :meth:`Interconnect.route` first resolves the pair.
+    """
 
     channels: list[Channel]
+    label: str
 
     @cached_property
     def sorted_channels(self) -> list[Channel]:
@@ -151,7 +156,16 @@ class Route:
             raise ValueError(f"negative transfer size {nbytes}")
         if nbytes == 0:
             return 0.0
-        return self.latency + nbytes / self.bottleneck_bandwidth
+        # One pass over the hops: latencies add up, the slowest live
+        # (degraded) bandwidth bounds the payload.
+        latency = 0.0
+        bandwidth = float("inf")
+        for ch in self.channels:
+            latency += ch.spec.latency
+            hop = ch.effective_bandwidth
+            if hop < bandwidth:
+                bandwidth = hop
+        return latency + nbytes / bandwidth
 
     def effective_bandwidth(self, nbytes: float) -> float:
         if nbytes <= 0:
@@ -222,7 +236,8 @@ class Interconnect:
         except KeyError:
             raise RoutingError(f"no route from {src!r} to {dst!r}") from None
         route = self._route_cache[key] = Route(
-            [self.channels[name] for name in names]
+            [self.channels[name] for name in names],
+            label=f"{getattr(src, 'name', src)}->{getattr(dst, 'name', dst)}",
         )
         return route
 

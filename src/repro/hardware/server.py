@@ -130,7 +130,7 @@ class Server:
         ``ctx`` is the trace ID of the request the copy serves, if any —
         it ties the DMA hop into the request's causal trace.
         """
-        t = Transfer(
+        return Transfer(
             self.env,
             self.interconnect,
             src,
@@ -140,8 +140,7 @@ class Server:
             stats=self.transfer_stats,
             telemetry=self.telemetry,
             ctx=ctx,
-        )
-        return (yield from t.run())
+        ).run()
 
     def transfer_time(self, src: Hashable, dst: Hashable, nbytes: float, pieces: int = 1) -> float:
         """Uncontended time for such a copy (no simulation side effects)."""

@@ -59,18 +59,20 @@ class FlexGenEngine(LLMEngineBase):
         """FlexGen stores per-layer K and V tensors: 2 per layer."""
         return 2 * self.model.n_layers
 
-    # A decode step overlaps two legs.  The compute leg runs as a child
-    # process, spawned first; the io leg runs inline in the engine
-    # process, which then waits for the child.  Each leg returns its
-    # finish time, so the step can be attributed to whichever bound it.
+    # A decode step overlaps two legs.  The compute leg is a kernel
+    # launched first (``GPU.launch``, no process); the io leg runs
+    # inline in the engine process, which then waits for the kernel's
+    # end.  Each leg yields its finish time, so the step can be
+    # attributed to whichever bound it.  Streaming the weights through
+    # HBM dominates single-sequence decode compute; attention math runs
+    # against the KV window that is being DMA'd in concurrently.
     def _io_step(self, tensor, nbytes: int) -> Generator:
         yield from tensor.fetch(nbytes=nbytes, pieces=self._stream_pieces())
         return self.env.now
 
     def _compute_step(self, duration: float) -> Generator:
-        # Streaming the weights through HBM dominates single-sequence
-        # decode compute; attention math runs against the KV window that
-        # is being DMA'd in concurrently.
+        # The compute leg run inline, for engines that do not overlap
+        # it with the fetch (DeepSpeed).
         yield from self.gpu.compute_op(duration)
         return self.env.now
 
@@ -114,7 +116,7 @@ class FlexGenEngine(LLMEngineBase):
             step = self.model.decode_step_time(self.gpu.spec, 1, 0)
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
-                compute = self.env.process(self._compute_step(step))
+                compute = self.gpu.launch(step)
                 io_done = yield from self._io_step(tensor, io_bytes)
                 compute_done = yield compute
                 self._mark_bound(request, io_done, compute_done)

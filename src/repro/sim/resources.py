@@ -3,20 +3,29 @@
 These model contention: a :class:`Resource` is a pool of identical slots
 granted first come, first served (e.g. a DMA copy engine with one
 channel, or a GPU's compute stream).
+
+Two calls claim a slot, and both decide the grant the same way, at the
+call, in FIFO order.  :meth:`Resource.request` always hands the slot
+over with a grant event, so its holder resumes later in the same
+instant.  :meth:`Resource.acquire` holds a free slot at once, with no
+heap entry, and falls back to the evented grant only when it queues;
+the hot DMA and FlexGen kernel paths use it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.events import Event
+from repro.sim.events import PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+    """A claim on a :class:`Resource` slot: an event that triggers when
+    the slot is granted, or one already processed when
+    :meth:`Resource.acquire` held the slot at once.
 
     Usable as a context manager inside a process::
 
@@ -30,7 +39,6 @@ class Request(Event):
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        resource._request(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -61,7 +69,27 @@ class Resource:
 
     def request(self) -> Request:
         """Claim a slot.  The returned event triggers when granted."""
-        return Request(self)
+        request = Request(self)
+        if self._claim(request):
+            request.succeed()
+        return request
+
+    def acquire(self) -> Request:
+        """Claim a slot, holding it at once when one is free.
+
+        With a free slot and nobody queued, the returned request is
+        already held and processed: no grant event is scheduled, and
+        ``yield``-ing it continues at once.  Otherwise it queues FIFO
+        behind every earlier :meth:`request` or :meth:`acquire` and
+        :meth:`release` grants it with an event, exactly as for
+        :meth:`request`.
+        """
+        request = Request(self)
+        if self._claim(request):
+            request.callbacks = None
+            request._ok = True
+            request._state = PROCESSED
+        return request
 
     def release(self, request: Request) -> None:
         """Return a slot previously granted to ``request``.
@@ -77,12 +105,14 @@ class Resource:
             self._cancel(request)
 
     # ------------------------------------------------------------------
-    def _request(self, request: Request) -> None:
+    def _claim(self, request: Request) -> bool:
+        """Hold a slot for ``request`` if one is free and nobody is
+        queued, else queue it; return whether it is held."""
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(request)
-            request.succeed()
-        else:
-            self.queue.append(request)
+            return True
+        self.queue.append(request)
+        return False
 
     def _cancel(self, request: Request) -> None:
         try:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.aqua import AquaLib, BatchInformer, Coordinator
+from repro.experiments.harness import build_consumer_rig
 from repro.hardware import Server
 from repro.models import OPT_30B, SD_15
 from repro.serving import BatchEngine, FlexGenEngine, Request
@@ -108,3 +109,29 @@ def test_flexgen_migration_to_producer_mid_request():
     # The second window, on NVLink, generates far more tokens.
     assert nvlink_tokens > 2 * slow_tokens
     assert engine.aqua_lib.offloaded_fast_bytes > 0
+
+
+@pytest.mark.parametrize("use_aqua", [False, True])
+def test_flexgen_decode_kernel_sees_its_own_fetch(use_aqua):
+    """The decode kernel reads its copy dilation after the step's fetch
+    has started, not at the launch call.
+
+    Without gather staging (the DRAM baseline) the fetch is on the wire
+    when the kernel takes the GPU, so every decode kernel is dilated by
+    ``copy_interference``.  AQUA's gather staging runs first, so its
+    kernels see no copy and run at their roofline time.
+    """
+    rig = build_consumer_rig(
+        "flexgen", OPT_30B, producer_model=SD_15 if use_aqua else None, use_aqua=use_aqua
+    ).start()
+    engine, gpu = rig.consumer_engine, rig.consumer_engine.gpu
+    req = Request(arrival_time=0.0, prompt_tokens=2000, max_new_tokens=20)
+    submit_all(rig.env, engine, [req])
+    rig.env.run(until=300)
+    assert req.done and req.generated_tokens == 20
+
+    prefill = OPT_30B.prefill_time(gpu.spec, 2000)
+    step = OPT_30B.decode_step_time(gpu.spec, 1, 0)
+    dilation = 1.0 if use_aqua else 1.0 + gpu.spec.copy_interference
+    # The prefill kernel emits the first token; each decode kernel one more.
+    assert gpu.busy_time == pytest.approx(prefill + 19 * step * dilation, rel=1e-12)

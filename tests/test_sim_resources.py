@@ -95,6 +95,91 @@ def test_cancel_queued_request():
     assert not queued.triggered
 
 
+def test_acquire_holds_a_free_slot_without_an_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    before = env.events_processed
+    req = res.acquire()
+    assert res.users == [req]
+    assert req.processed and req.ok
+    assert env.peek() == float("inf")  # no grant event on the heap
+    env.run()
+    assert env.events_processed == before
+
+
+def test_acquire_queues_fifo_behind_an_earlier_request():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def user(env, name, claim):
+        req = claim()
+        yield req
+        order.append((name, env.now))
+        yield env.timeout(10)
+        res.release(req)
+
+    env.process(user(env, "request", res.request))
+    env.process(user(env, "acquire", res.acquire))
+    env.run(until=1)
+    # The request holds the slot; the acquire queued behind it.
+    queued = res.queue[0]
+    assert not queued.triggered
+    env.run()
+    assert order == [("request", 0), ("acquire", 10)]
+    assert queued.processed
+
+
+def test_acquire_granted_by_release_with_an_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    held = res.acquire()
+    queued = res.acquire()
+    assert not queued.triggered and res.queue == [queued]
+    res.release(held)
+    assert res.users == [queued]
+    assert queued.triggered and not queued.processed  # the grant is an event
+    before = env.events_processed
+    env.run()
+    assert queued.processed
+    assert env.events_processed == before + 1
+
+
+def test_queued_acquire_released_before_grant_is_cancelled():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    held = res.acquire()
+    queued = res.acquire()
+    res.release(queued)
+    assert res.queue == []
+    res.release(held)
+    env.run()
+    assert res.count == 0
+    assert not queued.triggered
+
+
+def test_fifo_hand_over_across_request_and_acquire():
+    """Slots pass in claim order whichever call made each claim."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def user(env, name, claim, start):
+        yield env.timeout(start)
+        req = claim()
+        yield req
+        order.append(name)
+        yield env.timeout(5)
+        res.release(req)
+
+    claims = [res.acquire, res.request, res.acquire, res.request, res.acquire]
+    for i, claim in enumerate(claims):
+        env.process(user(env, i, claim, 0.5 * i))
+    env.run()
+    assert order == [0, 1, 2, 3, 4]
+    assert res.count == 0 and res.queue == []
+
+
 @given(
     holds=st.lists(st.floats(min_value=0.01, max_value=10), min_size=1, max_size=20),
     capacity=st.integers(min_value=1, max_value=5),
