@@ -84,6 +84,12 @@ class AquaLib:
         self.telemetry = telemetry
         self.tracer = telemetry.tracer if telemetry is not None else None
         self.name = gpu.name
+        #: This GPU's ``aqua_offload_bytes_total`` children, by op.
+        self._offload_bytes = None
+        if telemetry is not None:
+            from repro.telemetry.registry import LabelIndex
+
+            self._offload_bytes = LabelIndex(telemetry.offload_bytes, gpu=self.name)
         self.donated_bytes = 0
         self.reclaim_pending = False
         self.tensors: dict[int, AquaTensor] = {}
@@ -439,7 +445,7 @@ class AquaLib:
             raise TensorLostError(tensor)
         if self.telemetry is not None:
             op = "flush" if src is self.gpu else "fetch"
-            self.telemetry.offload_bytes.labels(gpu=self.name, op=op).inc(payload)
+            self._offload_bytes[op].inc(payload)
             if tensor.ctx is not None:
                 track = f"aqua:{self.name}"
                 self.telemetry.tracer.add_span(

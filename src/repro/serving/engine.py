@@ -62,9 +62,9 @@ class LLMEngineBase:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
         engine reports request/completion/requeue counters, latency
         attribution marks, flow events and spans (into the hub's
-        tracer), and the hub reads its token count from
-        :attr:`metrics`; when ``None`` (the default) every hook is a
-        single ``None`` check.
+        tracer), seats its running requests in its decode step log,
+        and the hub reads its token count from :attr:`metrics`; when
+        ``None`` (the default) every hook is a single ``None`` check.
     """
 
     def __init__(
@@ -96,8 +96,13 @@ class LLMEngineBase:
         self.telemetry = telemetry
         self.tracer = telemetry.tracer if telemetry is not None else None
         self.metrics = MetricsCollector(name)
+        #: Decode step ends, appended without visiting the batch; the
+        #: requests seated in it fold them into their attribution when
+        #: touched (:class:`~repro.telemetry.attribution.StepLog`).
+        self._step_ends = None
         if telemetry is not None:
             telemetry.attach_engine(self)
+            self._step_ends = telemetry.attribution.step_log()
 
         pre_reserved = gpu.hbm.used  # e.g. a LoRA cache region
         gpu.hbm.reserve(f"{name}:weights", model.weight_bytes)
@@ -207,12 +212,17 @@ class LLMEngineBase:
         clock = self.kv.clock
         request.clock_in(clock, seat)
         self.running.append(request)
+        if self.telemetry is not None:
+            self.telemetry.attribution.join(request, self._step_ends)
         self._context += request.total_tokens
         finish = clock.steps + request.max_new_tokens - request.generated_tokens
         heappush(self._finishes, (finish, seat, request))
 
     def _leave(self, request: Request) -> None:
-        """Take ``request`` out of the running batch, keeping its count."""
+        """Take ``request`` out of the running batch, keeping its count
+        and the decode steps it was seated for."""
+        if self.telemetry is not None:
+            self.telemetry.attribution.leave(request)
         self.running.remove(request)
         self._context -= request.total_tokens
         request.clock_out()

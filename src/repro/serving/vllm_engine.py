@@ -140,7 +140,7 @@ class VLLMEngine(LLMEngineBase):
         self.trace_span("decode", ends[-2] if len(ends) > 1 else started, batch=n)
         if self.telemetry is not None:
             self.telemetry.decode_batch(self.name, n)
-            self.attr_mark(running, "decode_hbm")
+            self._step_ends.append(env.now)
         self._decode_bookkeeping()
 
     def _window(self, n, context, dilation, horizon, first):
@@ -196,9 +196,9 @@ class VLLMEngine(LLMEngineBase):
         Nothing else acts or looks before ``t_{k-1}`` (the horizon), so
         nothing can tell: the step clock counts every sequence's tokens
         at once, the KV cache visits only the sequences crossing a
-        block boundary, and each step's stamps, spans and attribution
-        marks carry that step's times.  One ``mark_steps`` call covers
-        the window, and the occupancy gauge is set once: no scrape can
+        block boundary, and each step's stamps and spans carry that
+        step's times.  The window's ends join the decode step log in
+        one call, and the occupancy gauge is set once: no scrape can
         read it before ``t_k``.
         """
         quiet = len(ends) - 1
@@ -218,7 +218,7 @@ class VLLMEngine(LLMEngineBase):
                 tracer.add_span("decode", self.name, start, end, batch=n)
         if telemetry is not None:
             telemetry.decode_batch(self.name, n)
-            telemetry.attribution.mark_steps(batch, "decode_hbm", ends[:quiet])
+            self._step_ends.extend(ends[:quiet])
 
     def _decode_bookkeeping(self) -> None:
         """Account one generated token for every running sequence.

@@ -21,6 +21,17 @@ order, as a walk over every segment would.  This relies on engines
 stamping a token after that step's mark: a ``finish_time`` earlier than
 a segment already summed unclipped makes :meth:`breakdown` raise.
 
+Decode steps are not marked one by one.  An engine keeps one
+:class:`StepLog` of its decode step ends and appends to it without
+visiting the batch.  A request seated in the batch
+(:meth:`LatencyAttributor.join`) holds its place in the log and *folds*
+the steps since into its sums as ``decode_hbm`` marks when it is next
+touched: when it leaves the batch, before any other mark on it, and
+before any read.  The fold adds the same ``now - last_mark`` terms in
+the same order, so the sums are those of marking every step.  Engines
+take a request out of the batch before stamping its finish, so a fold
+that finds ``finish_time`` already set raises rather than clip.
+
 Link contention is handled as a carve-out rather than its own mark:
 the DMA layer reports, per request, how long a transfer sat waiting
 for a channel grant (:meth:`note_contention`); the next
@@ -48,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 COMPONENTS = (
@@ -108,6 +120,67 @@ def _add(timeline, start: float, end: float, component: str, finish) -> None:
         timeline.early.append((start, end, component))
 
 
+def _mark(timeline, component: str, now: float) -> None:
+    """Attribute ``[last_mark, now]`` of ``timeline`` to ``component``."""
+    start = timeline.last_mark
+    if now <= start:
+        return
+    request = timeline.request
+    if timeline.early is not None:
+        first = request.first_token_time
+        if first is not None and start >= first:
+            # No later segment reaches back before the first token:
+            # fold and drop the list.
+            timeline.to_first = _sums(timeline.early, first)
+            timeline.early = None
+    finish = request.finish_time
+    if finish is not None and timeline.unclipped_to is None:
+        timeline.unclipped_to = start
+    if component == "offload_fetch" and timeline.pending_contention > 0.0:
+        # Split the fetch segment: the reported channel-wait portion
+        # goes to link_contention, the remainder stays offload_fetch.
+        contended = min(timeline.pending_contention, now - start)
+        _add(timeline, start, start + contended, "link_contention", finish)
+        timeline.pending_contention -= contended
+        start += contended
+    if now > start:
+        _add(timeline, start, now, component, finish)
+    timeline.last_mark = now
+
+
+class StepLog(list):
+    """One engine's decode step ends, shared by its seated requests.
+
+    The engine appends each step's end and never visits the batch.
+    ``base`` is the step number of the first kept end; ``members`` maps
+    each seated request's id to its timeline in the order of their
+    ``step`` (the first step each has not folded), which only grows:
+    joins and folds both move a timeline to the end.  The first
+    member's place is therefore the prefix nobody needs, and it is
+    dropped once it is more than half the log, so the log holds the
+    steps of the longest unfolded stay, not of the whole run.
+    """
+
+    __slots__ = ("base", "members")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.base = 0
+        self.members: dict[int, _Timeline] = {}
+
+    def trim(self) -> None:
+        """Drop the ends every member has folded."""
+        members = self.members
+        if not members:
+            self.base += len(self)
+            self.clear()
+            return
+        head = next(iter(members.values())).step - self.base
+        if 2 * head > len(self):
+            del self[:head]
+            self.base += head
+
+
 @dataclass(slots=True)
 class _Timeline:
     """One request's attribution state: fixed-size after its first token.
@@ -116,7 +189,9 @@ class _Timeline:
     ``finish_time`` once it is stamped.  The few segments before the
     first token are kept in ``early`` until a mark starts at or after
     ``first_token_time``; they are then folded into ``to_first`` and
-    dropped.
+    dropped.  While the request is seated, ``log`` is its engine's
+    step log and ``step`` the number of the first step it has not
+    folded.
     """
 
     request: object
@@ -130,6 +205,8 @@ class _Timeline:
     #: End of the last segment summed before ``finish_time`` was seen
     #: (``None`` while that is still ``last_mark``).
     unclipped_to: Optional[float] = None
+    log: Optional[StepLog] = None
+    step: int = 0
 
 
 class LatencyAttributor:
@@ -149,51 +226,88 @@ class LatencyAttributor:
                 request=request, last_mark=request.arrival_time
             )
 
+    def _timeline(self, request) -> _Timeline:
+        timeline = self._timelines.get(request.req_id)
+        if timeline is None:
+            self.observe(request)
+            timeline = self._timelines[request.req_id]
+        return timeline
+
     def mark(self, requests, component: str, now: float) -> None:
         """Attribute ``[last_mark, now]`` of each of ``requests`` to
         ``component``: one call per scheduling boundary, whatever the
-        batch size."""
-        self.mark_steps(requests, component, (now,))
-
-    def mark_steps(self, requests, component: str, ends) -> None:
-        """``mark(requests, component, end)`` for each of the ascending
-        ``ends`` in turn, looping request by request: one call covers a
-        whole decode window, and each request's own sums still grow in
-        time order."""
+        batch size.  A seated request folds its pending steps first."""
         if component not in COMPONENTS:
             raise ValueError(f"unknown component {component!r}")
-        timelines = self._timelines
-        fetch = component == "offload_fetch"
         for request in requests:
-            timeline = timelines.get(request.req_id)
-            if timeline is None:
-                self.observe(request)
-                timeline = timelines[request.req_id]
-            for now in ends:
-                start = timeline.last_mark
-                if now <= start:
-                    continue
-                if timeline.early is not None:
-                    first = request.first_token_time
-                    if first is not None and start >= first:
-                        # No later segment reaches back before the
-                        # first token: fold and drop the list.
-                        timeline.to_first = _sums(timeline.early, first)
-                        timeline.early = None
-                finish = request.finish_time
-                if finish is not None and timeline.unclipped_to is None:
-                    timeline.unclipped_to = start
-                if fetch and timeline.pending_contention > 0.0:
-                    # Split the fetch segment: the reported channel-wait
-                    # portion goes to link_contention, the remainder
-                    # stays offload_fetch.
-                    contended = min(timeline.pending_contention, now - start)
-                    _add(timeline, start, start + contended, "link_contention", finish)
-                    timeline.pending_contention -= contended
-                    start += contended
-                if now > start:
-                    _add(timeline, start, now, component, finish)
-                timeline.last_mark = now
+            timeline = self._timeline(request)
+            if timeline.log is not None:
+                self._fold(timeline)
+            _mark(timeline, component, now)
+
+    @staticmethod
+    def step_log() -> StepLog:
+        """A new, empty decode step log for one engine."""
+        return StepLog()
+
+    def join(self, request, log: StepLog) -> None:
+        """Seat ``request`` in ``log``: every step appended from now on
+        is a ``decode_hbm`` mark of it, summed when it is touched."""
+        timeline = self._timeline(request)
+        if timeline.log is not None:
+            raise ValueError(f"request {request.req_id} is already seated")
+        timeline.log = log
+        timeline.step = log.base + len(log)
+        log.members[request.req_id] = timeline
+
+    def leave(self, request) -> None:
+        """Fold ``request``'s pending steps and unseat it.  Engines call
+        this before stamping the request's finish."""
+        timeline = self._timelines[request.req_id]
+        self._fold(timeline)
+        log = timeline.log
+        del log.members[request.req_id]
+        timeline.log = None
+        log.trim()
+
+    def _fold(self, timeline: _Timeline) -> None:
+        """Mark each step ``timeline`` has not folded, in order."""
+        log = timeline.log
+        pending = log[timeline.step - log.base:]
+        if not pending:
+            return
+        request = timeline.request
+        if request.finish_time is not None:
+            raise ValueError(
+                f"request {request.req_id} finished at t={request.finish_time} "
+                f"with decode steps from t={pending[0]} not yet summed"
+            )
+        i = 0
+        while timeline.early is not None and i < len(pending):
+            _mark(timeline, "decode_hbm", pending[i])
+            i += 1
+        if i < len(pending):
+            # The generic mark reduced to what it does once the early
+            # segments are gone and no finish is known.
+            totals = timeline.to_finish
+            total = totals["decode_hbm"]
+            last = timeline.last_mark
+            for end in islice(pending, i, None):
+                if end > last:
+                    total += end - last
+                    last = end
+            totals["decode_hbm"] = total
+            timeline.last_mark = last
+        timeline.step = log.base + len(log)
+        log.members[request.req_id] = log.members.pop(request.req_id)
+        log.trim()
+
+    def _touch(self, request) -> Optional[_Timeline]:
+        """``request``'s timeline with its pending steps folded."""
+        timeline = self._timelines.get(request.req_id)
+        if timeline is not None and timeline.log is not None:
+            self._fold(timeline)
+        return timeline
 
     def note_contention(self, req_id: Optional[int], seconds: float) -> None:
         """Record channel-wait time to carve from the next fetch mark."""
@@ -209,7 +323,7 @@ class LatencyAttributor:
     def components_of(self, request) -> dict[str, float]:
         """Component totals for ``request`` so far, clipped at its
         ``finish_time`` once that is stamped."""
-        timeline = self._timelines.get(request.req_id)
+        timeline = self._touch(request)
         if timeline is None:
             return dict.fromkeys(COMPONENTS, 0.0)
         return dict(timeline.to_finish)
@@ -224,7 +338,7 @@ class LatencyAttributor:
         finish = request.finish_time
         if finish is None:
             raise ValueError(f"request {request.req_id} has not finished")
-        timeline = self._timelines.get(request.req_id)
+        timeline = self._touch(request)
         if timeline is not None:
             summed_to = timeline.unclipped_to
             if summed_to is None:
@@ -242,7 +356,7 @@ class LatencyAttributor:
 
     def _ttft_components(self, request) -> dict[str, float]:
         """Component totals clipped at ``request.first_token_time``."""
-        timeline = self._timelines.get(request.req_id)
+        timeline = self._touch(request)
         if timeline is None:
             return dict.fromkeys(COMPONENTS, 0.0)
         if timeline.early is None:
@@ -250,6 +364,10 @@ class LatencyAttributor:
         return _sums(timeline.early, request.first_token_time)
 
     def finished_requests(self) -> list:
+        """Finished requests, after folding every seated timeline once."""
+        for timeline in self._timelines.values():
+            if timeline.log is not None:
+                self._fold(timeline)
         return [
             t.request
             for t in self._timelines.values()

@@ -81,7 +81,8 @@ class FlightRecorder:
         self.dropped = 0
         self.suppressed = 0
         self._last_capture: Optional[float] = None
-        self._last_snapshot: dict[str, float] = {}
+        #: The previous tick's snapshot (``None`` before the first tick).
+        self._last_snapshot: Optional[dict[str, float]] = None
 
     # ------------------------------------------------------------------
     # Ring ingestion
@@ -117,11 +118,12 @@ class FlightRecorder:
         where something actually moved (quiet ticks stay out of the
         ring so the bounded history covers more wall time)."""
         snapshot = self._snapshot()
-        if self._last_snapshot:
+        last = self._last_snapshot
+        if last is not None:
             deltas = {
-                key: value - self._last_snapshot.get(key, 0.0)
+                key: value - last.get(key, 0.0)
                 for key, value in snapshot.items()
-                if value != self._last_snapshot.get(key, 0.0)
+                if value != last.get(key, 0.0)
             }
             if deltas:
                 self.record("metrics", deltas=deltas)
@@ -169,19 +171,18 @@ class FlightRecorder:
 
     def _snapshot(self) -> dict[str, float]:
         """Current values of the headline families, keyed by rendered
-        sample name (empty when no telemetry hub is attached)."""
+        sample name in exposition order (empty when no telemetry hub is
+        attached).  Keys come rendered from
+        :meth:`~repro.telemetry.registry.Family.keyed_children`."""
         if self.telemetry is None:
             return {}
-        from repro.telemetry.timeseries import sample_key
-
         snapshot: dict[str, float] = {}
         for family in self.telemetry.registry.collect():
             if family.name not in _SNAPSHOT_FAMILIES:
                 continue
-            for name, labels, value in family.samples():
-                if name.endswith("_bucket"):
-                    continue
-                snapshot[sample_key(name, labels)] = value
+            for _, child, keys in family.keyed_children():
+                for key, value in zip(keys, child.scalar_values()):
+                    snapshot[key] = value
         return snapshot
 
     # ------------------------------------------------------------------

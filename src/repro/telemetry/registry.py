@@ -44,6 +44,21 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def sample_key(name: str, labels: Iterable[tuple[str, str]]) -> str:
+    """Canonical series key: the Prometheus sample notation.
+
+    ``aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}`` —
+    the rendering the text exposition format uses for a sample's name
+    and labels (values escaped), so scraped series line up 1:1 with
+    exported samples.
+    """
+    labels = tuple(labels)
+    if not labels:
+        return name
+    rendered = ",".join(f'{k}="{_escape_label_value(str(v))}"' for k, v in labels)
+    return f"{name}{{{rendered}}}"
+
+
 def _escape_help(text: str) -> str:
     # Per the exposition format, HELP text escapes backslash and
     # newline only (quotes stay literal).
@@ -231,6 +246,7 @@ class Family:
         self.kind = metric_cls.kind
         self._metric_kwargs = metric_kwargs
         self._children: dict[tuple, object] = {}
+        self._keyed: list[tuple[tuple, object, tuple[str, ...]]] = []
 
     def labels(self, **labelvalues) -> object:
         if set(labelvalues) != set(self.labelnames):
@@ -278,6 +294,21 @@ class Family:
             for key in sorted(self._children)
         ]
 
+    def keyed_children(self) -> list[tuple[tuple, object, tuple[str, ...]]]:
+        """``(label values, child, sample keys)`` per child, in exposition
+        order.  The keys are the :func:`sample_key` of each sample a
+        scrape keeps (the child's ``suffixes``), rendered when the
+        family gains a child rather than at every read."""
+        if len(self._keyed) != len(self._children):
+            names = [self.name + suffix for suffix in self.metric_cls.suffixes]
+            self._keyed = [
+                (key, child, tuple(
+                    sample_key(name, tuple(zip(self.labelnames, key))) for name in names
+                ))
+                for key, child in sorted(self._children.items())
+            ]
+        return self._keyed
+
     def samples(self) -> Iterable[tuple]:
         """``(sample_name, ((label, value), ...), value)`` triples."""
         for labels, child in self.children():
@@ -295,25 +326,33 @@ class Family:
 
 
 class LabelIndex(dict):
-    """A single-label family's children, keyed by raw label value.
+    """A family's children along one label, keyed by its raw value.
 
     Hot-path hooks index this instead of calling :meth:`Family.labels`.
-    A missing value is bound through ``labels()`` — validation, key
+    Every other label of the family is fixed by ``fixed`` (for example
+    ``LabelIndex(offload_bytes, gpu="gpu0")`` is indexed by ``op``).  A
+    missing value is bound through ``labels()`` — validation, key
     building and all — the first time it is indexed, which is when a
     ``labels()`` call would have created the child; every later lookup
     is a plain dict hit.
     """
 
-    __slots__ = ("family",)
+    __slots__ = ("family", "fixed", "label")
 
-    def __init__(self, family: Family) -> None:
+    def __init__(self, family: Family, **fixed) -> None:
         super().__init__()
-        if len(family.labelnames) != 1:
-            raise ValueError(f"{family.name} has labels {family.labelnames}, not one")
+        free = [name for name in family.labelnames if name not in fixed]
+        if len(free) != 1 or len(fixed) + 1 != len(family.labelnames):
+            raise ValueError(
+                f"{family.name} has labels {family.labelnames}, not one "
+                f"besides {tuple(fixed)}"
+            )
         self.family = family
+        self.fixed = fixed
+        self.label = free[0]
 
     def __missing__(self, value):
-        child = self[value] = self.family.labels(**{self.family.labelnames[0]: value})
+        child = self[value] = self.family.labels(**self.fixed, **{self.label: value})
         return child
 
 
@@ -373,13 +412,7 @@ class Registry:
             lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
             lines.append(f"# TYPE {family.name} {family.kind}")
             for sample_name, labels, value in family.samples():
-                if labels:
-                    rendered = ",".join(
-                        f'{k}="{_escape_label_value(str(v))}"' for k, v in labels
-                    )
-                    lines.append(f"{sample_name}{{{rendered}}} {_format_value(value)}")
-                else:
-                    lines.append(f"{sample_name} {_format_value(value)}")
+                lines.append(f"{sample_key(sample_name, labels)} {_format_value(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_dict(self) -> dict:

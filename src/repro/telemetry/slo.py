@@ -33,6 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from repro.telemetry.registry import LabelIndex
 from repro.telemetry.timeseries import RingSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -245,6 +246,16 @@ def default_slo_policy(
     )
 
 
+def _by_engine(family) -> dict[str, float]:
+    """``{engine: value}`` over the samples of an engine family (whose
+    one label is ``engine``), in exposition order."""
+    return {
+        engine: value
+        for (engine,), child, _ in family.keyed_children()
+        for value in child.scalar_values()
+    }
+
+
 @dataclass
 class _ObjectiveState:
     """Rolling outcomes and alert state for one objective."""
@@ -260,6 +271,9 @@ class _ObjectiveState:
     good_before: list = field(default_factory=list)
     head: int = 0
     attainment: Optional[RingSeries] = None
+    #: The objective's outcome counter children, by verdict (``None``
+    #: without a telemetry hub).
+    outcomes: Optional[LabelIndex] = None
     #: severity -> currently-firing flag (alerts fire on rising edges).
     active: dict = field(default_factory=dict)
     good_total: int = 0
@@ -309,14 +323,18 @@ class SLOTracker:
         #: tick (goodput objectives measure the delta).
         self._last_tokens: dict[str, float] = {}
         self._last_tick: Optional[float] = None
+        #: The attainment gauge's children, by objective name (``None``
+        #: without a telemetry hub).
+        self._attainment: Optional[LabelIndex] = None
+        self._alerts_counter = None
         if telemetry is not None:
             r = telemetry.registry
-            self._attainment_gauge = r.gauge(
+            self._attainment = LabelIndex(r.gauge(
                 "aqua_slo_attainment",
                 "Rolling SLO attainment over the longest alert window.",
                 ["slo"],
-            )
-            self._outcomes_counter = r.counter(
+            ))
+            outcomes = r.counter(
                 "aqua_slo_outcomes_total",
                 "SLO outcomes by objective and verdict.",
                 ["slo", "verdict"],
@@ -326,10 +344,8 @@ class SLOTracker:
                 "Burn-rate alerts fired, by objective and severity.",
                 ["slo", "severity"],
             )
-        else:
-            self._attainment_gauge = None
-            self._outcomes_counter = None
-            self._alerts_counter = None
+            for name, state in self._states.items():
+                state.outcomes = LabelIndex(outcomes, slo=name)
 
     # ------------------------------------------------------------------
     # Outcome ingestion
@@ -379,11 +395,8 @@ class SLOTracker:
             state.good_total += 1
         else:
             state.bad_total += 1
-        if self._outcomes_counter is not None:
-            verdict = "good" if good else "bad"
-            self._outcomes_counter.labels(
-                slo=state.objective.name, verdict=verdict
-            ).inc()
+        if state.outcomes is not None:
+            state.outcomes["good" if good else "bad"].inc()
 
     # ------------------------------------------------------------------
     # Scrape-tick evaluation
@@ -400,12 +413,10 @@ class SLOTracker:
         tokens_now: dict[str, float] = {}
         in_flight: dict[str, float] = {}
         if self.telemetry is not None:
-            for _, labels, value in self.telemetry.tokens_generated.samples():
-                tokens_now[dict(labels)["engine"]] = value
-            for _, labels, value in self.telemetry.requests_submitted.samples():
-                in_flight[dict(labels)["engine"]] = value
-            for _, labels, value in self.telemetry.requests_completed.samples():
-                engine = dict(labels)["engine"]
+            tm = self.telemetry
+            tokens_now = _by_engine(tm.tokens_generated)
+            in_flight = _by_engine(tm.requests_submitted)
+            for engine, value in _by_engine(tm.requests_completed).items():
                 in_flight[engine] = in_flight.get(engine, 0.0) - value
         last_tick = self._last_tick
         for state in self._states.values():
@@ -462,8 +473,8 @@ class SLOTracker:
         objective = state.objective
         attainment = self.attainment(objective.name, self._horizon, now)
         state.attainment.append(now, attainment if attainment is not None else 1.0)
-        if self._attainment_gauge is not None:
-            self._attainment_gauge.labels(slo=objective.name).set(
+        if self._attainment is not None:
+            self._attainment[objective.name].set(
                 attainment if attainment is not None else 1.0
             )
         budget = 1.0 - objective.target

@@ -20,7 +20,8 @@ the recent window is what dashboards, SLO burn rates and the flight
 recorder need.  Histogram ``_bucket`` samples are not scraped (only
 ``_sum``/``_count`` are); full distributions stay available from the
 end-of-run registry export.  The scraper binds each child to its series
-once, so a scrape costs one value read and one append per series.
+once, into one flat handle list, so a scrape costs one value read per
+child and one append per series.
 
 Derived views (:func:`rate_series`, :func:`interval_mean_series`) turn
 cumulative counter scrapes into per-interval rates and interval means —
@@ -30,9 +31,10 @@ the form the dashboard plots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.telemetry.registry import Registry
+# ``sample_key`` is re-exported: series keys are its rendering.
+from repro.telemetry.registry import Registry, sample_key  # noqa: F401
 
 
 class RingSeries:
@@ -92,20 +94,6 @@ class RingSeries:
         return {"times": self.times, "values": self.values}
 
 
-def sample_key(name: str, labels: Iterable[tuple[str, str]]) -> str:
-    """Canonical series key: the Prometheus sample notation.
-
-    ``aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}`` —
-    the same rendering the text exposition format uses, so scraped
-    series line up 1:1 with exported samples.
-    """
-    labels = tuple(labels)
-    if not labels:
-        return name
-    rendered = ",".join(f'{k}="{v}"' for k, v in labels)
-    return f"{name}{{{rendered}}}"
-
-
 class MetricScraper:
     """Periodic simulated-clock scrape of a metrics registry.
 
@@ -151,9 +139,13 @@ class MetricScraper:
         self.observers: list[Callable[[float], None]] = []
         self.scrapes = 0
         self._started = False
-        #: Per family: ``{labels: (child, [series per scraped sample])}``
-        #: for every child that has had a sample.
-        self._handles: dict[str, dict[tuple, tuple]] = {}
+        self._last_scrape: Optional[float] = None
+        #: ``(child, [sample deque per scraped sample])`` for every child
+        #: that has had a sample, in the order they were bound.
+        self._handles: list[tuple] = []
+        #: Per family: the label values of its bound children.
+        self._bound: dict[str, set] = {}
+        self._rings = 0
 
     # ------------------------------------------------------------------
     def start(self) -> "MetricScraper":
@@ -175,26 +167,31 @@ class MetricScraper:
 
     # ------------------------------------------------------------------
     def scrape(self, now: Optional[float] = None) -> int:
-        """Snapshot every family now; returns the samples appended."""
+        """Snapshot every family now; returns the samples appended.
+
+        Raises ``ValueError`` when ``now`` precedes the last scrape: the
+        rings are appended to directly, past :meth:`RingSeries.append`'s
+        own check.
+        """
         if now is None:
             now = self.env.now
-        appended = 0
+        last = self._last_scrape
+        if last is not None and now < last:
+            raise ValueError(f"scrape at t={now} precedes the last scrape at t={last}")
+        self._last_scrape = now
+        bound = self._bound
         for family in self.registry.collect():
-            handles = self._handles.get(family.name)
-            if handles is None:
-                handles = self._handles[family.name] = {}
-            if len(handles) < family.child_count:
-                self._bind(family, handles)
-            for child, series in handles.values():
-                for ring, value in zip(series, child.scalar_values()):
-                    ring.append(now, value)
-                appended += len(series)
+            if len(bound.get(family.name, ())) < family.child_count:
+                self._bind(family)
+        for child, rings in self._handles:
+            for ring, value in zip(rings, child.scalar_values()):
+                ring.append((now, value))
         self.scrapes += 1
         for observer in self.observers:
             observer(now)
-        return appended
+        return self._rings
 
-    def _bind(self, family, handles: dict) -> None:
+    def _bind(self, family) -> None:
         """Give each child of ``family`` that now has samples its series.
 
         Children are walked in exposition order, so series are created
@@ -202,14 +199,17 @@ class MetricScraper:
         Histogram buckets get no series: distributions stay in the
         registry export.
         """
-        for labels, child in family.children():
-            if labels in handles or not child.scalar_values():
+        bound = self._bound.setdefault(family.name, set())
+        for labels, child, keys in family.keyed_children():
+            if labels in bound or not child.scalar_values():
                 continue
-            series = []
-            for suffix in child.suffixes:
-                key = sample_key(family.name + suffix, labels)
-                series.append(self.series.setdefault(key, RingSeries(key, self.capacity)))
-            handles[labels] = (child, series)
+            bound.add(labels)
+            rings = [
+                self.series.setdefault(key, RingSeries(key, self.capacity))._samples
+                for key in keys
+            ]
+            self._handles.append((child, rings))
+            self._rings += len(rings)
 
     # ------------------------------------------------------------------
     def matching(self, prefix: str) -> dict[str, RingSeries]:

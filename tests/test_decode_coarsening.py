@@ -24,6 +24,7 @@ import pytest
 
 import repro.memory
 import repro.serving
+import repro.telemetry
 from repro.aqua import AquaLib, Coordinator, LlmInformer
 from repro.audit import ConservationAuditor
 from repro.experiments.harness import build_consumer_rig
@@ -32,6 +33,7 @@ from repro.models import CODELLAMA_34B, MISTRAL_7B, SD_15
 from repro.models.llm import LLMSpec
 from repro.serving import BatchEngine, Request, VLLMEngine
 from repro.sim import Environment
+from repro.telemetry import Telemetry
 from repro.workloads.arrivals import submit_all
 from repro.workloads.sharegpt import sharegpt_requests
 from tests.test_vllm_oracle import (
@@ -359,10 +361,12 @@ PACED = FixedPace(
 COUNTED = tuple(
     str(Path(package.__file__).parent) for package in (repro.serving, repro.memory)
 )
+#: With telemetry on, the hub's code is counted too.
+COUNTED_TELEMETRY = COUNTED + (str(Path(repro.telemetry.__file__).parent),)
 
 
-def traced_lines(run) -> int:
-    """Python line events ``run()`` executes in ``COUNTED`` code."""
+def traced_lines(run, counted=COUNTED) -> int:
+    """Python line events ``run()`` executes in ``counted`` code."""
     lines = 0
 
     def local(frame, event, arg):
@@ -371,7 +375,7 @@ def traced_lines(run) -> int:
         return local
 
     def called(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(COUNTED) else None
+        return local if frame.f_code.co_filename.startswith(counted) else None
 
     sys.settrace(called)
     try:
@@ -381,13 +385,15 @@ def traced_lines(run) -> int:
     return lines
 
 
-def window_lines(engine_cls, batch):
+def window_lines(engine_cls, batch, telemetry=False):
     """Lines one decode step plus one window cost for a ``batch``-sized
     batch whose prompts all sit one token past a block boundary (the
-    next crossing is 15 steps away) and whose outputs are far off."""
+    next crossing is 15 steps away) and whose outputs are far off.
+    With ``telemetry`` the engine reports to a hub, whose lines count."""
     env = Environment()
     server = Server(env, n_gpus=1)
-    engine = engine_cls(server.gpus[0], server, PACED, max_batch=batch)
+    hub = Telemetry(env) if telemetry else None
+    engine = engine_cls(server.gpus[0], server, PACED, max_batch=batch, telemetry=hub)
     engine.start()
     for _ in range(batch):
         engine.submit(Request(arrival_time=0.0, prompt_tokens=161, max_new_tokens=200))
@@ -396,16 +402,30 @@ def window_lines(engine_cls, batch):
     # window at 0.11 whose steps run to the stop at 0.205.
     env.run(until=0.105)
     assert len(engine.running) == batch and not engine.windows
-    lines = traced_lines(lambda: env.run(until=0.205))
+    counted = COUNTED_TELEMETRY if telemetry else COUNTED
+    lines = traced_lines(lambda: env.run(until=0.205), counted)
     assert [k for _, k in engine.windows] == [10]
     assert engine.metrics.tokens_generated == batch * 11
     return lines
 
 
-@pytest.mark.parametrize("engine_cls", [RecordingEngine, RecordingOrca], ids=["vllm", "orca"])
-def test_window_cost_does_not_grow_with_the_batch(engine_cls):
+@pytest.mark.parametrize(
+    "engine_cls, telemetry",
+    [
+        (RecordingEngine, False),
+        (RecordingOrca, False),
+        (RecordingEngine, True),
+        (RecordingOrca, True),
+    ],
+    ids=["vllm", "orca", "vllm-telemetry", "orca-telemetry"],
+)
+def test_window_cost_does_not_grow_with_the_batch(engine_cls, telemetry):
     """A window that neither completes nor crosses a block executes as
     many lines in the serving and memory layers at batch 8 as at batch
     128: per-sequence work cannot creep back into the decode path.
-    Orca's reservations never cross a block; it opens the same window."""
-    assert window_lines(engine_cls, 8) == window_lines(engine_cls, 128)
+    Orca's reservations never cross a block; it opens the same window.
+    With telemetry on, the hub's lines count too: decode attribution
+    appends to the engine's step log and visits no sequence."""
+    assert window_lines(engine_cls, 8, telemetry) == window_lines(
+        engine_cls, 128, telemetry
+    )

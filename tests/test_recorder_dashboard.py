@@ -10,6 +10,7 @@ script tags, nothing the CI self-containment check would flag.
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,6 +112,24 @@ def test_scrape_deltas_skip_quiet_ticks():
     assert len(metric_entries) == 1
     (key, delta), = metric_entries[0]["deltas"].items()
     assert "tokens_generated" in key and delta == 5.0
+
+
+def test_scrape_deltas_after_an_empty_baseline():
+    """A first tick with no headline sample is still a baseline: the
+    next tick records what moved since, from zero."""
+    env = Environment()
+    tm = Telemetry(env)
+    rec = FlightRecorder(env, telemetry=tm)
+    # An engine's token counter has no sample before its first token.
+    engine = SimpleNamespace(name="eng", metrics=SimpleNamespace(tokens_generated=0))
+    tm.attach_engine(engine)
+    rec.on_scrape(0.0)  # baseline: no sample at all
+    engine.metrics.tokens_generated = 5
+    rec.on_scrape(1.0)
+    metric_entries = [e for e in rec.ring if e["kind"] == "metrics"]
+    assert [e["deltas"] for e in metric_entries] == [
+        {'aqua_engine_tokens_generated_total{engine="eng"}': 5.0}
+    ]
 
 
 def test_to_dict_is_json_safe():

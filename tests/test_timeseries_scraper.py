@@ -77,6 +77,23 @@ def test_sample_key_matches_prometheus_notation():
     assert key == 'aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}'
 
 
+def test_series_key_is_the_exposition_sample():
+    """Label values are escaped as the text exposition escapes them:
+    a scraped series key is the sample part of its exposition line."""
+    registry = Registry()
+    value = 'a\\b"c\nd'
+    registry.counter("toy_total", "toy", ["name"]).labels(name=value).inc(3.0)
+    scraper = MetricScraper(Environment(), registry)
+    scraper.scrape()
+    (key,) = scraper.series
+    (line,) = [
+        line for line in registry.to_prometheus_text().splitlines()
+        if not line.startswith("#")
+    ]
+    assert line == f"{key} 3.0"
+    assert key == 'toy_total{name="a\\\\b\\"c\\nd"}'
+
+
 # ---------------------------------------------------------------------------
 # MetricScraper
 # ---------------------------------------------------------------------------
@@ -155,6 +172,16 @@ def test_scraper_observers_and_matching():
         'toy_tokens_total{engine="a"}'
     }
     assert scraper.matching("nope") == {}
+
+
+def test_scraper_rejects_a_scrape_behind_the_last():
+    registry = Registry()
+    registry.gauge("toy_depth", "depth").set(1.0)
+    scraper = MetricScraper(Environment(), registry)
+    scraper.scrape(5.0)
+    with pytest.raises(ValueError, match=r"t=4\.0 precedes the last scrape at t=5\.0"):
+        scraper.scrape(4.0)
+    assert scraper.series["toy_depth"].times == [5.0]
 
 
 def test_scraper_validates_interval():
