@@ -17,6 +17,7 @@ vLLM and for Orca, which runs the same windowed step.
 """
 
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -288,27 +289,80 @@ def test_compute_waiter_ends_the_window():
 AUDIT_DIGEST = "a7b1d4cc44c0b7d6ecbc0ea48813dc2edfaa7c7a7ea369672a91605c7d486674"
 
 
+#: What the per-event audited run produces, one record per simulated
+#: instant.  It pins behaviour, not cost: how many events an instant
+#: takes to reach its state does not enter it.
+INSTANT_DIGEST = "79f430378988edc66a2db2d629e4acbeecb566fdbdd2c5777f1288b4c8de6355"
+INSTANTS = 495
+
+
+class InstantDigest:
+    """A per-event monitor that folds, for each distinct simulated
+    instant, the state after that instant's last event: the auditor's
+    violation count, the GPU's HBM reservations and busy time, the
+    allocator's free blocks, and every request's progress."""
+
+    def __init__(self, env, auditor, engine, requests):
+        self.auditor = auditor
+        self.engine = engine
+        self.requests = requests
+        self.instants = 0
+        self._sha = hashlib.sha256()
+        self._time = None
+        self._state = None
+        env.add_monitor(self._on_event)
+
+    def _on_event(self, now):
+        if self._state is not None and now != self._time:
+            self._fold()
+        self._time = now
+        gpu = self.engine.gpu
+        self._state = repr((
+            now,
+            len(self.auditor.violations),
+            sorted(gpu.hbm.reservations.items()),
+            gpu.busy_time,
+            self.engine.allocator._free,
+            [(r.generated_tokens, r.first_token_time, r.finish_time) for r in self.requests],
+        ))
+
+    def _fold(self):
+        self._sha.update(self._state.encode() + b"\n")
+        self._state = None
+        self.instants += 1
+
+    @property
+    def digest(self):
+        if self._state is not None:
+            self._fold()
+        return self._sha.hexdigest()
+
+
 def audited_run(per_event):
     env = Environment()
     server = Server(env, n_gpus=1)
     auditor = ConservationAuditor(env).attach_server(server)
+    engine = RecordingEngine(server.gpus[0], server, MISTRAL_7B, utilization=0.2)
+    requests = sharegpt_requests(rate=8.0, count=16, seed=5)
+    instants = None
     if per_event:
         auditor.watch(interval=None)
-    engine = RecordingEngine(server.gpus[0], server, MISTRAL_7B, utilization=0.2)
+        instants = InstantDigest(env, auditor, engine, requests)
     engine.start()
-    submit_all(env, engine, sharegpt_requests(rate=8.0, count=16, seed=5))
+    submit_all(env, engine, requests)
     env.run(until=15.0)
-    return env, engine, auditor
+    return env, engine, auditor, instants
 
 
 def test_per_event_audit_sees_every_step():
-    env, engine, auditor = audited_run(per_event=True)
+    env, engine, auditor, instants = audited_run(per_event=True)
     assert not engine.windows
     assert auditor.checks == env.events_processed
     assert auditor.digest == AUDIT_DIGEST
+    assert (instants.digest, instants.instants) == (INSTANT_DIGEST, INSTANTS)
     assert engine.preemptions == 0
     # The same run without the monitor does fuse.
-    bare_env, bare, _ = audited_run(per_event=False)
+    bare_env, bare, _, _ = audited_run(per_event=False)
     assert bare.windows and bare_env.events_processed < env.events_processed
 
 
