@@ -202,10 +202,10 @@ class Transfer:
         # FIFO order.  Free channels are held with no event; only the
         # claims that queued are awaited, so we proceed once all are held.
         ordered = route.sorted_channels
-        requests = [ch.engine.acquire() for ch in ordered]
+        requests = [ch.engine.request() for ch in ordered]
         try:
             for request in requests:
-                if request.callbacks is not None:
+                if not request.processed:
                     yield request
             self.acquired_at = self.env.now
             duration = self.wire_time(route)

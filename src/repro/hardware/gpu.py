@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.hardware.specs import GPUSpec
 from repro.sim import Environment, Event, Resource
@@ -152,34 +152,21 @@ class GPU:
             return 1.0 + self.spec.copy_interference
         return 1.0
 
-    def compute_op(self, duration: float) -> Generator:
-        """Run an exclusive compute kernel of ``duration`` seconds.
+    def launch(self, duration: float) -> Event:
+        """Start an exclusive compute kernel of ``duration`` seconds.
 
         Usage (inside a simulation process)::
 
-            yield from gpu.compute_op(0.016)
-        """
-        if duration < 0:
-            raise ValueError(f"negative duration {duration}")
-        with self.compute.request() as req:
-            yield req
-            dilated = duration * self.dilation()
-            self.busy_time += dilated
-            # Bare-delay yield: identical ordering to env.timeout(dilated)
-            # without allocating a Timeout per compute kernel.
-            yield dilated
-
-    def launch(self, duration: float) -> Event:
-        """Start an exclusive compute kernel of ``duration`` seconds
-        alongside the calling process, without a process of its own.
+            yield gpu.launch(0.016)
 
         Returns an event that fires at the kernel's end, valued with the
-        end time.  The kernel behaves as ``env.process(...)`` over
-        :meth:`compute_op` would, at the same point in the event order:
-        it starts in an URGENT event at this instant (where a child's
-        initialisation would sit), so the caller reaches its next yield
-        first; it then takes the stream and reads :meth:`dilation`.  The
-        stream is released before anything waiting on the end resumes.
+        end time.  The kernel starts in an URGENT event at this instant,
+        so the caller reaches its next yield first; it then takes the
+        stream (queueing FIFO behind a running kernel) and reads
+        :meth:`dilation`.  The stream is released before anything
+        waiting on the end resumes.  The kernel has no process of its
+        own: it runs to its end even if the process waiting on it is
+        interrupted.
         """
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
@@ -211,8 +198,8 @@ class _Kernel(Event):
         gpu.env._schedule(start, priority=URGENT)
 
     def _start(self, _event: Event) -> None:
-        self.request = request = self.gpu.compute.acquire()
-        if request.callbacks is None:
+        self.request = request = self.gpu.compute.request()
+        if request.processed:
             self._run(request)
         else:
             request.callbacks.append(self._run)

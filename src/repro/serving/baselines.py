@@ -50,7 +50,7 @@ class DeepSpeedEngine(FlexGenEngine):
         )
         try:
             prefill = self.model.prefill_time(self.gpu.spec, request.prompt_tokens)
-            yield from self.gpu.compute_op(prefill)
+            yield self.gpu.launch(prefill)
             yield from tensor.flush(
                 nbytes=self.model.kv_bytes(request.prompt_tokens),
                 pieces=self._stream_pieces(),
@@ -60,7 +60,7 @@ class DeepSpeedEngine(FlexGenEngine):
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
                 yield from self._io_step(tensor, io_bytes)
-                yield from self._compute_step(step)
+                yield self.gpu.launch(step)
                 self._finish_tokens([request])
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()

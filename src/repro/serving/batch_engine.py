@@ -120,7 +120,7 @@ class BatchEngine:
                 for _ in range(min(self.batch_size, len(self.waiting)))
             ]
             duration = self.model.batch_time(self.gpu.spec, len(batch))
-            yield from self.gpu.compute_op(duration)
+            yield self.gpu.launch(duration)
             self._complete_batch(batch)
 
     def _complete_batch(self, batch: list[Request]) -> None:

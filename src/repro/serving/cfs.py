@@ -198,7 +198,7 @@ class CFSEngine(LLMEngineBase):
                     restored = yield from self.context_cache.restore(request.user)
             prefill_tokens += request.total_tokens - restored
         started = self.env.now
-        yield from self.gpu.compute_op(
+        yield self.gpu.launch(
             self.model.prefill_time(self.gpu.spec, prefill_tokens)
         )
         self.trace_span(
@@ -267,7 +267,7 @@ class CFSEngine(LLMEngineBase):
                 step = self.model.decode_step_time(
                     self.gpu.spec, len(self.running), self._context
                 )
-                yield from self.gpu.compute_op(step)
+                yield self.gpu.launch(step)
                 yield from self._step_tokens()
         finally:
             if batch and self.env.now > slice_started:

@@ -335,7 +335,7 @@ class LLMEngineBase:
             moved = min(self.kv_used_bytes, blocks * self.allocator.block_bytes)
             if moved > 0:
                 compaction = 2 * moved / self.gpu.spec.effective_hbm_bandwidth
-                yield from self.gpu.compute_op(compaction)
+                yield self.gpu.launch(compaction)
             removed = self.allocator.shrink_any(blocks)
             if removed > 0:
                 accepted = self.aqua_lib.complete_offer(

@@ -70,12 +70,6 @@ class FlexGenEngine(LLMEngineBase):
         yield from tensor.fetch(nbytes=nbytes, pieces=self._stream_pieces())
         return self.env.now
 
-    def _compute_step(self, duration: float) -> Generator:
-        # The compute leg run inline, for engines that do not overlap
-        # it with the fetch (DeepSpeed).
-        yield from self.gpu.compute_op(duration)
-        return self.env.now
-
     def _mark_bound(self, request: Request, io_done: float, compute_done: float) -> None:
         """Attribute the overlapped step to whichever leg finished last:
         the fetch stream, or the GPU."""
@@ -100,7 +94,7 @@ class FlexGenEngine(LLMEngineBase):
             context_tokens = min(request.total_tokens, max_total - 1)
             prefill = self.model.prefill_time(self.gpu.spec, context_tokens)
             started = self.env.now
-            yield from self.gpu.compute_op(prefill)
+            yield self.gpu.launch(prefill)
             self.trace_span("prefill", started, tokens=context_tokens)
             self.attr_mark([request], "prefill_compute")
             self.flow_step([request], time=started)

@@ -85,7 +85,7 @@ class VLLMEngine(LLMEngineBase):
                     yield from self.lora_cache.ensure(request.adapter)
         tokens = sum(r.total_tokens for r in admitted)
         started = self.env.now
-        yield from self.gpu.compute_op(self.model.prefill_time(self.gpu.spec, tokens))
+        yield self.gpu.launch(self.model.prefill_time(self.gpu.spec, tokens))
         self.trace_span("prefill", started, requests=len(admitted), tokens=tokens)
         self.attr_mark(admitted, "prefill_compute")
         self.flow_step(admitted, time=started)
@@ -117,10 +117,10 @@ class VLLMEngine(LLMEngineBase):
         context = self._context
         started = env.now
         horizon = env.horizon()
-        # A window only opens when the GPU is free and nothing else is
-        # due now: the grant is then the very next event.
-        alone = horizon > started and not gpu.compute.users
         with gpu.compute.request() as grant:
+            # A window only opens when the GPU was free, so the grant is
+            # held at once, and nothing else is due now.
+            alone = grant.processed and horizon > started
             yield grant
             dilation = gpu.dilation()
             first = self.model.decode_step_time(gpu.spec, n, context) * dilation

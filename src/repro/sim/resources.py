@@ -4,12 +4,10 @@ These model contention: a :class:`Resource` is a pool of identical slots
 granted first come, first served (e.g. a DMA copy engine with one
 channel, or a GPU's compute stream).
 
-Two calls claim a slot, and both decide the grant the same way, at the
-call, in FIFO order.  :meth:`Resource.request` always hands the slot
-over with a grant event, so its holder resumes later in the same
-instant.  :meth:`Resource.acquire` holds a free slot at once, with no
-heap entry, and falls back to the evented grant only when it queues;
-the hot DMA and FlexGen kernel paths use it.
+One call claims a slot, :meth:`Resource.request`, and it decides the
+grant at the call, in FIFO order.  A free slot is held at once, with no
+heap entry; a claim that queues is granted by :meth:`Resource.release`
+with an event, so its holder resumes later in that instant.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class Request(Event):
     """A claim on a :class:`Resource` slot: an event that triggers when
-    the slot is granted, or one already processed when
-    :meth:`Resource.acquire` held the slot at once.
+    the slot is granted, or one already processed when the slot was
+    free at the claim.
 
     Usable as a context manager inside a process::
 
@@ -68,27 +66,22 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        """Claim a slot.  The returned event triggers when granted."""
-        request = Request(self)
-        if self._claim(request):
-            request.succeed()
-        return request
-
-    def acquire(self) -> Request:
         """Claim a slot, holding it at once when one is free.
 
         With a free slot and nobody queued, the returned request is
         already held and processed: no grant event is scheduled, and
         ``yield``-ing it continues at once.  Otherwise it queues FIFO
-        behind every earlier :meth:`request` or :meth:`acquire` and
-        :meth:`release` grants it with an event, exactly as for
-        :meth:`request`.
+        behind every earlier claim, and :meth:`release` grants it with
+        an event.
         """
         request = Request(self)
-        if self._claim(request):
+        if len(self.users) < self.capacity and not self.queue:
+            self.users.append(request)
             request.callbacks = None
             request._ok = True
             request._state = PROCESSED
+        else:
+            self.queue.append(request)
         return request
 
     def release(self, request: Request) -> None:
@@ -105,15 +98,6 @@ class Resource:
             self._cancel(request)
 
     # ------------------------------------------------------------------
-    def _claim(self, request: Request) -> bool:
-        """Hold a slot for ``request`` if one is free and nobody is
-        queued, else queue it; return whether it is held."""
-        if len(self.users) < self.capacity and not self.queue:
-            self.users.append(request)
-            return True
-        self.queue.append(request)
-        return False
-
     def _cancel(self, request: Request) -> None:
         try:
             self.queue.remove(request)

@@ -284,9 +284,14 @@ def test_compute_waiter_ends_the_window():
     assert token_times(fused.metrics) == token_times(stepped.metrics)
 
 
-#: Per-event audit of a vLLM run, recorded on the per-step engine before
-#: windows existed.  The run never preempts.
-AUDIT_DIGEST = "a7b1d4cc44c0b7d6ecbc0ea48813dc2edfaa7c7a7ea369672a91605c7d486674"
+#: Per-event audit of a vLLM run: one record per event, so it pins how
+#: many events the run takes as well as what it produces.  Recorded
+#: with free compute slots held at once (no grant event), with
+#: INSTANT_DIGEST unchanged.  The run never preempts.
+AUDIT_DIGEST = "c875ab548186c0445fb9254077b75f44391421a803017f00afb703362d7f0cfa"
+#: Events the per-event audited run may process: each decode step and
+#: each kernel costs its end, not a grant as well.
+AUDIT_EVENT_BUDGET = 585
 
 
 #: What the per-event audited run produces, one record per simulated
@@ -360,6 +365,7 @@ def test_per_event_audit_sees_every_step():
     assert auditor.checks == env.events_processed
     assert auditor.digest == AUDIT_DIGEST
     assert (instants.digest, instants.instants) == (INSTANT_DIGEST, INSTANTS)
+    assert env.events_processed <= AUDIT_EVENT_BUDGET
     assert engine.preemptions == 0
     # The same run without the monitor does fuse.
     bare_env, bare, _, _ = audited_run(per_event=False)

@@ -1,13 +1,15 @@
 """Differential oracle for DMA channel grants.
 
-``Transfer.run`` holds every free channel of its route at once
-(``Resource.acquire``) and waits only for the channels that queued.
-The reference below is the evented form it replaced: it requests every
-channel and yields every grant, free or not.  Grant decisions are the
-same in both (made at the claim, FIFO per channel); only when an
-uncontended holder resumes moves, and only within the same instant.
-So every copy must start, hold its route and finish at exactly the
-same simulated times, and every ledger must agree.
+``Transfer.run`` claims every channel of its route with
+``Resource.request``, which holds a free channel at once, and waits
+only for the channels that queued.  The reference below is the evented
+form it replaced: a test-local claim that grants even a free channel
+with an event (``Request`` + ``succeed()``), and a copy that yields
+every grant.  Grant decisions are the same in both (made at the claim,
+FIFO per channel); only when an uncontended holder resumes moves, and
+only within the same instant.  So every copy must start, hold its route
+and finish at exactly the same simulated times, and every ledger must
+agree, while the reference processes more events.
 
 Hypothesis draws copy schedules on the 8-GPU NVSwitch server: starts
 on a coarse grid, so several copies claim the same egress or ingress
@@ -23,10 +25,23 @@ from hypothesis import strategies as st
 from repro.hardware import Server
 from repro.hardware.dma import Transfer
 from repro.sim import Environment
+from repro.sim.resources import Request
 
 N_GPUS = 8
 #: Device index ``N_GPUS`` is host DRAM (a PCIe route).
 DEVICES = N_GPUS + 1
+
+
+def evented_claim(resource):
+    """Claim a slot of ``resource``, granting even a free one with an
+    event: FIFO like ``Resource.request``, but never held at once."""
+    request = Request(resource)
+    if len(resource.users) < resource.capacity and not resource.queue:
+        resource.users.append(request)
+        request.succeed()
+    else:
+        resource.queue.append(request)
+    return request
 
 
 class ReferenceTransfer(Transfer):
@@ -41,7 +56,7 @@ class ReferenceTransfer(Transfer):
         endpoints = self._endpoints()
         self._check_health(route, endpoints)
         ordered = sorted(route.channels, key=lambda ch: ch.name)
-        requests = [ch.engine.request() for ch in ordered]
+        requests = [evented_claim(ch.engine) for ch in ordered]
         try:
             for request in requests:
                 yield request
@@ -72,7 +87,7 @@ def _device(server, index):
 
 def _run(schedule, reference):
     """Run every copy of ``schedule``; return each copy's times and
-    the server's ledgers."""
+    the server's ledgers, and the number of events processed."""
     env = Environment()
     server = Server(env, n_gpus=N_GPUS, topology="nvswitch")
     times = {}
@@ -103,7 +118,7 @@ def _run(schedule, reference):
     }
     stats = server.transfer_stats
     totals = (stats.count, stats.bytes_total, stats.busy_time, stats.per_route)
-    return times, channels, totals
+    return (times, channels, totals), env.events_processed
 
 
 @st.composite
@@ -123,15 +138,25 @@ def copies(draw):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(schedule=st.lists(copies(), min_size=1, max_size=40))
 def test_channel_grants_match_the_evented_reference(schedule):
-    assert _run(schedule, reference=False) == _run(schedule, reference=True)
+    fast, fast_events = _run(schedule, reference=False)
+    evented, evented_events = _run(schedule, reference=True)
+    assert fast == evented
+    # Every copy that moves bytes claims at least one channel, and the
+    # reference grants each claim with an event.
+    if any(nbytes for *_, nbytes, _ in schedule):
+        assert evented_events > fast_events
+    else:
+        assert evented_events == fast_events
 
 
 def test_same_instant_claims_on_one_port_queue_in_order():
     """Three copies out of GPU 0 in one instant share its egress port:
     each holds it after the one before finishes."""
     schedule = [(0.0, 0, dst, 2**28, 1) for dst in (1, 2, 3)]
-    times, channels, _ = _run(schedule, reference=False)
-    assert times == _run(schedule, reference=True)[0]
+    (times, channels, _), events = _run(schedule, reference=False)
+    (evented_times, _, _), evented_events = _run(schedule, reference=True)
+    assert times == evented_times
+    assert evented_events > events
     assert times[0][1] == 0.0
     assert times[1][1] == times[0][2] and times[2][1] == times[1][2]
     assert channels["server0:nvswitch-egress:gpu0"][1] == 3

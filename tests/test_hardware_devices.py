@@ -93,17 +93,20 @@ def test_pool_accounting_invariant(ops):
 # ---------------------------------------------------------------------------
 # GPU
 # ---------------------------------------------------------------------------
-def test_gpu_compute_op_takes_time():
+def test_gpu_launch_takes_time():
     env = Environment()
     gpu = GPU(env, 0, A100_80G)
+    ends = []
 
     def work(env):
-        yield from gpu.compute_op(0.5)
+        ends.append((yield gpu.launch(0.5)))
 
     env.process(work(env))
     env.run()
     assert env.now == pytest.approx(0.5)
+    assert ends == [env.now]
     assert gpu.busy_time == pytest.approx(0.5)
+    assert gpu.compute.count == 0
 
 
 def test_gpu_compute_serializes():
@@ -111,7 +114,7 @@ def test_gpu_compute_serializes():
     gpu = GPU(env, 0, A100_80G)
 
     def work(env):
-        yield from gpu.compute_op(1.0)
+        yield gpu.launch(1.0)
 
     env.process(work(env))
     env.process(work(env))
@@ -125,7 +128,7 @@ def test_gpu_compute_dilated_by_copies():
     gpu.active_copies = 1
 
     def work(env):
-        yield from gpu.compute_op(1.0)
+        yield gpu.launch(1.0)
 
     env.process(work(env))
     env.run()
@@ -136,7 +139,8 @@ def test_gpu_negative_duration_rejected():
     env = Environment()
     gpu = GPU(env, 0, A100_80G)
     with pytest.raises(ValueError):
-        list(gpu.compute_op(-1))
+        gpu.launch(-1)
+    assert env.peek() == float("inf")  # rejected at the call: nothing scheduled
 
 
 # ---------------------------------------------------------------------------

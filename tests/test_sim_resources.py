@@ -95,11 +95,11 @@ def test_cancel_queued_request():
     assert not queued.triggered
 
 
-def test_acquire_holds_a_free_slot_without_an_event():
+def test_request_holds_a_free_slot_without_an_event():
     env = Environment()
     res = Resource(env, capacity=1)
     before = env.events_processed
-    req = res.acquire()
+    req = res.request()
     assert res.users == [req]
     assert req.processed and req.ok
     assert env.peek() == float("inf")  # no grant event on the heap
@@ -107,34 +107,34 @@ def test_acquire_holds_a_free_slot_without_an_event():
     assert env.events_processed == before
 
 
-def test_acquire_queues_fifo_behind_an_earlier_request():
+def test_request_queues_fifo_behind_a_holder():
     env = Environment()
     res = Resource(env, capacity=1)
     order = []
 
-    def user(env, name, claim):
-        req = claim()
+    def user(env, name):
+        req = res.request()
         yield req
         order.append((name, env.now))
         yield env.timeout(10)
         res.release(req)
 
-    env.process(user(env, "request", res.request))
-    env.process(user(env, "acquire", res.acquire))
+    env.process(user(env, "first"))
+    env.process(user(env, "second"))
     env.run(until=1)
-    # The request holds the slot; the acquire queued behind it.
+    # The first claim holds the slot; the second queued behind it.
     queued = res.queue[0]
     assert not queued.triggered
     env.run()
-    assert order == [("request", 0), ("acquire", 10)]
+    assert order == [("first", 0), ("second", 10)]
     assert queued.processed
 
 
-def test_acquire_granted_by_release_with_an_event():
+def test_request_granted_by_release_with_one_event():
     env = Environment()
     res = Resource(env, capacity=1)
-    held = res.acquire()
-    queued = res.acquire()
+    held = res.request()
+    queued = res.request()
     assert not queued.triggered and res.queue == [queued]
     res.release(held)
     assert res.users == [queued]
@@ -145,11 +145,11 @@ def test_acquire_granted_by_release_with_an_event():
     assert env.events_processed == before + 1
 
 
-def test_queued_acquire_released_before_grant_is_cancelled():
+def test_queued_request_released_before_grant_is_cancelled():
     env = Environment()
     res = Resource(env, capacity=1)
-    held = res.acquire()
-    queued = res.acquire()
+    held = res.request()
+    queued = res.request()
     res.release(queued)
     assert res.queue == []
     res.release(held)
@@ -158,23 +158,23 @@ def test_queued_acquire_released_before_grant_is_cancelled():
     assert not queued.triggered
 
 
-def test_fifo_hand_over_across_request_and_acquire():
-    """Slots pass in claim order whichever call made each claim."""
+def test_fifo_hand_over_across_staggered_claims():
+    """Slots pass in claim order when each claim comes while the one
+    before still holds or waits."""
     env = Environment()
     res = Resource(env, capacity=1)
     order = []
 
-    def user(env, name, claim, start):
+    def user(env, name, start):
         yield env.timeout(start)
-        req = claim()
+        req = res.request()
         yield req
         order.append(name)
         yield env.timeout(5)
         res.release(req)
 
-    claims = [res.acquire, res.request, res.acquire, res.request, res.acquire]
-    for i, claim in enumerate(claims):
-        env.process(user(env, i, claim, 0.5 * i))
+    for i in range(5):
+        env.process(user(env, i, 0.5 * i))
     env.run()
     assert order == [0, 1, 2, 3, 4]
     assert res.count == 0 and res.queue == []
