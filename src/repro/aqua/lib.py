@@ -286,8 +286,7 @@ class AquaLib:
         else:
             producer_gpu = self.coordinator.devices[location]
             # The bytes come out of the producer's standing donation.
-            producer_gpu.hbm.release(AQUA_OFFER_TAG, tensor.nbytes)
-            producer_gpu.hbm.reserve(tensor.tag, tensor.nbytes)
+            producer_gpu.hbm.retag(AQUA_OFFER_TAG, tensor.tag, tensor.nbytes)
             tensor.location = Location.PRODUCER
             tensor._device = producer_gpu
 
@@ -295,9 +294,7 @@ class AquaLib:
         if tensor.location is Location.DRAM:
             self.server.dram.pool.release(tensor.tag)
         elif tensor.location is Location.PRODUCER:
-            producer_gpu = tensor._device
-            producer_gpu.hbm.release(tensor.tag)
-            producer_gpu.hbm.reserve(AQUA_OFFER_TAG, tensor.nbytes)
+            tensor._device.hbm.retag(tensor.tag, AQUA_OFFER_TAG, tensor.nbytes)
 
     def _free_tensor(self, tensor: AquaTensor) -> None:
         self._release_placement(tensor)

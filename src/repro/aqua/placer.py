@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.hardware.specs import GiB
 
 
@@ -229,6 +227,7 @@ class AquaPlacer:
     def _solve_milp(
         self, instances: Sequence[ModelInstance]
     ) -> tuple[dict[str, int], float]:
+        import numpy as np
         from scipy.optimize import Bounds, LinearConstraint, milp
 
         M, S = len(instances), self.n_servers

@@ -32,6 +32,11 @@ class MemoryPool:
     #: High-water mark of :attr:`used` over the pool's lifetime —
     #: exported as ``aqua_pool_peak_bytes`` by the telemetry layer.
     peak: int = 0
+    #: Called after every :meth:`release`, the only call that raises
+    #: :attr:`free`.  An idle producer whose decision only more free
+    #: memory could change sleeps on it (see
+    #: :class:`~repro.serving.BatchEngine`).
+    on_release: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -78,7 +83,30 @@ class MemoryPool:
             self.reservations[tag] = remaining
         else:
             self.reservations.pop(tag, None)
+        for callback in self.on_release:
+            callback()
         return nbytes
+
+    def retag(self, src: str, dst: str, nbytes: int) -> None:
+        """Move ``nbytes`` held under ``src`` to ``dst``.
+
+        The table ends as ``release(src, nbytes)`` then ``reserve(dst,
+        nbytes)`` would leave it, but :attr:`free` never moves, so no
+        :attr:`on_release` callback runs.
+        """
+        held = self.reservations.get(src, 0)
+        if nbytes < 0:
+            raise ValueError(f"negative retag {nbytes}")
+        if nbytes > held:
+            raise ValueError(
+                f"cannot retag {nbytes} bytes from {src!r}: only {held} held"
+            )
+        remaining = held - nbytes
+        if remaining:
+            self.reservations[src] = remaining
+        else:
+            self.reservations.pop(src, None)
+        self.reservations[dst] = self.reservations.get(dst, 0) + nbytes
 
     def held(self, tag: str) -> int:
         """Bytes currently held under ``tag``."""

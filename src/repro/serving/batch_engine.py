@@ -7,6 +7,15 @@ they are the natural AQUA memory *producers* of Table 3.  After each
 batch the ``batch-informer`` donates whatever HBM is free; donating
 costs them almost nothing because transfers barely touch their compute
 (Figure 3b).
+
+An idle engine informs every :data:`INFORM_PERIOD` seconds, but only
+while that inform could change something.  Once its last one held and
+the next would provably hold again, it sleeps until a request arrives
+or a release of its GPU's memory could turn the hold into an offer;
+then it rejoins the poll at the tick where the loop would have seen the
+change.  The order of events at every instant stays the loop's, and
+where the engine cannot prove that order it raises
+:class:`UnplaceableWake` instead of guessing.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator, Optional, Union
 
-from repro.aqua.informers import EngineStats
+from repro.aqua.informers import Action, BatchInformer, EngineStats
 from repro.models.audio import AudioModelSpec
 from repro.models.diffusion import DiffusionSpec
 from repro.serving.metrics import MetricsCollector
@@ -22,6 +31,15 @@ from repro.serving.request import Request
 from repro.sim import AnyOf
 
 ProducerModel = Union[DiffusionSpec, AudioModelSpec]
+
+#: Seconds between the informs of an idle engine that is not asleep.
+INFORM_PERIOD = 0.25
+
+
+class UnplaceableWake(RuntimeError):
+    """A sleeping engine cannot tell where its poll's timer would sort
+    among the other events due at a tick (see
+    :meth:`BatchEngine._check_tick_order`)."""
 
 
 class BatchEngine:
@@ -73,6 +91,15 @@ class BatchEngine:
         self.batches_run = 0
         self._arrival_event = self.env.event()
         self._process = None
+        #: While asleep: the instant it fell asleep, the event counter
+        #: then, the first poll tick not yet passed, and the event that
+        #: wakes it at a tick once triggered.
+        self._asleep_since: Optional[float] = None
+        self._asleep_scheduled = 0
+        self._tick = 0.0
+        self._wake = None
+        if aqua_lib is not None:
+            gpu.hbm.on_release.append(self._memory_released)
 
     def _activation_bytes_per_sample(self) -> int:
         if isinstance(self.model, DiffusionSpec):
@@ -83,6 +110,13 @@ class BatchEngine:
     def submit(self, request: Request) -> None:
         self.waiting.append(request)
         if not self._arrival_event.triggered:
+            now = self.env.now
+            if (
+                self._asleep_since is not None
+                and not self._wake.triggered
+                and self._next_tick(now) == now
+            ):
+                self._check_tick_order(now)
             self._arrival_event.succeed()
 
     def start(self) -> None:
@@ -105,14 +139,86 @@ class BatchEngine:
             # The memory is genuinely free HBM: lease it immediately.
             self.aqua_lib.complete_offer(-delta)
 
+    def _holds(self) -> bool:
+        """Whether an inform now would hold.
+
+        Only called for a :class:`BatchInformer`, whose decision is a
+        pure function of the GPU's free memory.
+        """
+        stats = EngineStats(now=self.env.now, offerable_bytes=self.gpu.hbm.free)
+        decision = self.aqua_lib.informer.decide(stats, self.aqua_lib.donated_bytes)
+        return decision.action is Action.HOLD
+
+    def _settled(self) -> bool:
+        """Whether the next idle inform would provably repeat a hold.
+
+        A plain :class:`BatchInformer` decides from the GPU's free
+        memory alone, and only a release raises it.  The donation and a
+        pending reclaim change only inside this engine's own inform.
+        Any other informer keeps the poll.
+        """
+        lib = self.aqua_lib
+        if lib is None:
+            return True
+        return (
+            type(lib.informer) is BatchInformer
+            and not lib.reclaim_pending
+            and self._holds()
+        )
+
+    def _next_tick(self, when: float) -> float:
+        """The first poll tick at or after ``when``.  Ticks are summed
+        one period at a time, as the loop's timers are."""
+        tick = self._tick
+        while tick < when:
+            tick += INFORM_PERIOD
+        self._tick = tick
+        return tick
+
+    def _check_tick_order(self, tick: float) -> None:
+        """Raise unless a wake scheduled now sorts where the poll's
+        timer for ``tick`` would.
+
+        The loop creates that timer one tick earlier, after everything
+        scheduled before this engine fell asleep, so events due at
+        ``tick`` and scheduled since then may sort either side of it.
+        On the tick itself the timer may already have fired: only an
+        event due now and scheduled before the sleep, still pending,
+        proves it has not.
+        """
+        since = self._asleep_scheduled
+        pending = self.env.scheduled_at(tick)
+        before = any(eid <= since for eid in pending)
+        if any(eid > since for eid in pending) or (tick == self.env.now and not before):
+            raise UnplaceableWake(
+                f"{self.name} asleep since t={self._asleep_since} cannot place "
+                f"its poll tick at t={tick} among the events due then"
+            )
+
+    def _memory_released(self) -> None:
+        """GPU memory was released: rejoin the poll if an inform would
+        no longer hold."""
+        if self._asleep_since is None or self._wake.triggered or self._holds():
+            return
+        tick = self._next_tick(self.env.now)
+        self._check_tick_order(tick)
+        self.env.succeed_at(self._wake, tick)
+
     def _serve(self) -> Generator:
+        env = self.env
         while True:
             if not self.waiting:
                 if self._arrival_event.triggered:
-                    self._arrival_event = self.env.event()
-                yield AnyOf(
-                    self.env, [self._arrival_event, self.env.timeout(0.25)]
-                )
+                    self._arrival_event = env.event()
+                if self._settled():
+                    self._asleep_since = env.now
+                    self._asleep_scheduled = env.scheduled
+                    self._tick = env.now + INFORM_PERIOD
+                    self._wake = env.event()
+                    yield AnyOf(env, [self._arrival_event, self._wake])
+                    self._asleep_since = None
+                else:
+                    yield AnyOf(env, [self._arrival_event, env.timeout(INFORM_PERIOD)])
                 self._inform()
                 continue
             batch = [

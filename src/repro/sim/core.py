@@ -43,7 +43,9 @@ from types import MethodType
 from typing import Any, Callable, Optional
 
 from repro.sim.events import (
+    PENDING,
     PROCESSED,
+    TRIGGERED,
     Event,
     Process,
     SimulationError,
@@ -175,6 +177,37 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else _INF
+
+    @property
+    def scheduled(self) -> int:
+        """Events scheduled so far: the insertion counter whose order
+        breaks ties between events due at the same instant."""
+        return self._eid
+
+    def scheduled_at(self, when: float) -> list[int]:
+        """Insertion counters of the NORMAL events due at exactly
+        ``when`` and not yet processed.  Scans the whole schedule."""
+        return [
+            seq - _SEQ_STRIDE
+            for time, seq, _ in self._queue
+            if time == when and seq >= _SEQ_STRIDE
+        ]
+
+    def succeed_at(self, event: Event, when: float) -> None:
+        """Succeed a pending ``event`` now, to be processed at ``when``.
+
+        The event sorts among the NORMAL events due at ``when`` by when
+        it was scheduled, as a ``timeout`` created now would, but it
+        lands on ``when`` exactly instead of on ``now + delay``.
+        """
+        if event._state != PENDING:
+            raise SimulationError(f"{event!r} has already been triggered")
+        if when < self._now:
+            raise ValueError(f"when ({when}) must not be before now ({self._now})")
+        event._ok = True
+        event._state = TRIGGERED
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (when, NORMAL * _SEQ_STRIDE + eid, event))
 
     def horizon(self) -> float:
         """Earliest time anything but the running process can act or look.

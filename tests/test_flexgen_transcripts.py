@@ -58,7 +58,8 @@ P2P_JOBS = dict(count=3, max_new_tokens=70)
 
 #: Ceiling on simulation events per generated token on the NVSwitch rig
 #: (a bound on the decode step's event budget, not a pinned count).
-MAX_EVENTS_PER_TOKEN = 5.0
+#: The rig measures 4.03: idle producers sleep instead of polling.
+MAX_EVENTS_PER_TOKEN = 4.1
 
 
 @pytest.fixture(autouse=True)

@@ -34,6 +34,22 @@ def test_pool_reserve_release_roundtrip():
     assert pool.free == 100
 
 
+def test_pool_retag_moves_bytes_without_a_release():
+    pool = MemoryPool(capacity=100)
+    released = []
+    pool.on_release.append(lambda: released.append(pool.free))
+    pool.reserve("offer", 60)
+    pool.retag("offer", "tensor", 25)
+    assert pool.reservations == {"offer": 35, "tensor": 25}
+    assert pool.free == 40 and released == []
+    pool.retag("offer", "tensor", 35)
+    assert pool.reservations == {"tensor": 60}
+    with pytest.raises(ValueError):
+        pool.retag("tensor", "offer", 61)
+    pool.release("tensor", 10)
+    assert released == [50]
+
+
 def test_pool_over_reserve_raises():
     pool = MemoryPool(capacity=100)
     pool.reserve("a", 80)

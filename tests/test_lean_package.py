@@ -9,8 +9,9 @@
   tests rather than allowlist it.
 * Every name a workflow's inline script imports from ``repro`` exists,
   so deleting a definition cannot leave CI calling it.
-* ``import repro`` and ``import repro.sim`` stay light: neither loads
-  numpy, which every CLI call and spawned ``--jobs`` worker would pay.
+* ``import repro``, ``import repro.sim`` and ``import repro.serving``
+  stay light: none loads numpy, which every CLI call and spawned
+  ``--jobs`` worker would pay.
 """
 
 import ast
@@ -111,7 +112,7 @@ def test_workflow_imports_resolve():
     assert not missing, "workflows import missing names:\n" + "\n".join(missing)
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.sim"])
+@pytest.mark.parametrize("module", ["repro", "repro.sim", "repro.serving"])
 def test_import_does_not_load_numpy(module):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
     out = subprocess.run(

@@ -440,6 +440,43 @@ def test_horizon_is_the_next_point_anyone_else_can_act():
     assert seen[-1] == 28  # a per-event monitor looks at every event
 
 
+def test_succeed_at_sorts_among_its_instant_by_insertion():
+    """``succeed_at`` lands on its time exactly, after the events
+    already due then and before those scheduled later, as a timeout
+    created at the call would."""
+    env = Environment()
+    order = []
+    first = env.timeout(1.0)
+    wake = env.event()
+    before = env.scheduled
+    env.succeed_at(wake, 1.0)
+    assert env.scheduled == before + 1
+    last = env.timeout(1.0)
+    assert env.scheduled_at(1.0) == [before, before + 1, before + 2]
+    for name, event in (("last", last), ("wake", wake), ("first", first)):
+        event.callbacks.append(lambda _, name=name: order.append(name))
+    env.run()
+    assert order == ["first", "wake", "last"]
+    assert env.now == 1.0
+    with pytest.raises(SimulationError):
+        env.succeed_at(wake, 2.0)
+    with pytest.raises(ValueError):
+        env.succeed_at(env.event(), 0.5)
+
+
+def test_scheduled_at_lists_only_normal_events_due_then():
+    env = Environment()
+    env.timeout(2)
+    env.timeout(3)
+    env.process(_sleep_zero(env))  # its URGENT start is due now, not listed
+    assert env.scheduled_at(2) == [1]
+    assert env.scheduled_at(0) == []
+
+
+def _sleep_zero(env):
+    yield env.timeout(0)
+
+
 def test_run_until_event_that_never_fires_raises():
     env = Environment()
     gate = env.event()
