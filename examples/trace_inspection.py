@@ -1,9 +1,9 @@
 """Observability: trace an engine's schedule and export a Chrome trace.
 
-Gives an AQUA CFS engine a :class:`repro.telemetry.Telemetry` hub
-under a bursty code-summary workload, then reads the hub's tracer to
-report where the time went — prefill, decode slices, context switches
-— and writes ``aqua_trace.json`` for chrome://tracing or
+Attaches a :class:`repro.telemetry.Telemetry` hub to the server an AQUA
+CFS engine runs on, under a bursty code-summary workload, then reads
+the hub's tracer to report where the time went — prefill, decode
+slices, context switches — and writes ``aqua_trace.json`` for chrome://tracing or
 https://ui.perfetto.dev.
 
 Run:  python examples/trace_inspection.py
@@ -28,6 +28,7 @@ def main() -> None:
     server = Server(env, n_gpus=2)
     coordinator = Coordinator()
     tm = Telemetry(env)
+    tm.attach_server(server)
 
     consumer_lib = AquaLib(server.gpus[0], server, coordinator)
     producer_lib = AquaLib(server.gpus[1], server, coordinator, informer=BatchInformer())
@@ -41,7 +42,6 @@ def main() -> None:
         use_aqua=True,
         aqua_lib=consumer_lib,
         slice_tokens=5,
-        telemetry=tm,
         name="aqua-cfs",
     )
     producer.start()

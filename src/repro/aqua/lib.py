@@ -43,6 +43,7 @@ class AquaLib:
         The GPU this instance manages.
     server:
         The multi-GPU server (provides the interconnect and host DRAM).
+        Its hub, if any, gets this GPU's AQUA metrics, spans and retries.
     coordinator:
         The central coordinator shared by all instances.
     informer:
@@ -55,13 +56,6 @@ class AquaLib:
     retry_policy:
         Backoff used when a transfer hits a stalled DMA engine
         (default: :class:`~repro.faults.RetryPolicy` defaults).
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` hub.  When set,
-        allocations/migrations/fetch/flush traffic land in the metrics
-        registry, data-plane moves carrying a request trace ID
-        (``ctx``) get spans and flow steps on the ``aqua:<gpu>`` track,
-        and retries land as ``"aqua-retry"`` instants on this GPU's
-        track in the hub's tracer.
     """
 
     def __init__(
@@ -72,7 +66,6 @@ class AquaLib:
         informer=None,
         gather_enabled: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        telemetry=None,
     ) -> None:
         self.gpu = gpu
         self.server = server
@@ -81,9 +74,9 @@ class AquaLib:
         self.informer = informer
         self.gather_enabled = gather_enabled
         self.retry_policy = retry_policy or RetryPolicy()
-        self.telemetry = telemetry
-        self.tracer = telemetry.tracer if telemetry is not None else None
         self.name = gpu.name
+        self.telemetry = telemetry = server.hub_for(f"AQUA-LIB {self.name}")
+        self.tracer = telemetry.tracer if telemetry is not None else None
         #: This GPU's ``aqua_offload_bytes_total`` children, by op.
         self._offload_bytes = None
         if telemetry is not None:

@@ -63,17 +63,10 @@ def _producer_informer(model: ProducerSpec):
     return BatchInformer()
 
 
-def _make_producer(
-    server, gpu, model: ProducerSpec, coordinator, name: str, telemetry=None
-):
-    lib = AquaLib(
-        gpu, server, coordinator, informer=_producer_informer(model), telemetry=telemetry
-    )
+def _make_producer(server, gpu, model: ProducerSpec, coordinator, name: str):
+    lib = AquaLib(gpu, server, coordinator, informer=_producer_informer(model))
     if isinstance(model, LLMSpec):
-        engine = VLLMEngine(
-            gpu, server, model, aqua_lib=lib, inform_every=4, name=name,
-            telemetry=telemetry,
-        )
+        engine = VLLMEngine(gpu, server, model, aqua_lib=lib, inform_every=4, name=name)
     else:
         engine = BatchEngine(gpu, server, model, aqua_lib=lib, name=name)
     return engine, lib
@@ -122,9 +115,9 @@ def build_consumer_rig(
         call ``rig.auditor.check()`` for a final checkpoint and
         ``rig.auditor.report()`` for the outcome.
     telemetry:
-        Build a :class:`~repro.telemetry.Telemetry` hub and wire it into
-        the server (DMA hooks + pool/link gauges), coordinator, engines
-        and AQUA-LIB instances.  Available as ``rig.telemetry``; see
+        Give the server a :class:`~repro.telemetry.Telemetry` hub if it
+        has none; the rig's components and coordinator report to it.
+        Rigs on one server share its hub, ``rig.telemetry``; see
         ``docs/observability.md``.  Always on inside
         :func:`~repro.telemetry.observing`; otherwise off by default —
         a disabled rig has bit-identical behaviour (audit digests are
@@ -167,10 +160,13 @@ def build_consumer_rig(
         if scrape_interval is not None and slo_policy is None:
             slo_policy = default_slo_policy()
 
-    tm = None
-    if telemetry or scrape_interval is not None or frame is not None:
+    tm = server.telemetry
+    if tm is None and (telemetry or scrape_interval is not None or frame is not None):
         tm = Telemetry(env)
         tm.attach_server(server)
+    if tm is not None:
+        if coordinator.telemetry not in (None, tm):
+            raise ValueError("the coordinator already reports to another hub")
         coordinator.telemetry = tm
         if scrape_interval is not None:
             tm.attach_observability(
@@ -188,7 +184,6 @@ def build_consumer_rig(
             server,
             coordinator,
             gather_enabled=use_aqua,
-            telemetry=tm,
         )
 
     producer_engine = producer_lib = None
@@ -199,7 +194,6 @@ def build_consumer_rig(
             producer_model,
             coordinator,
             name=f"{name_prefix}producer-{producer_model.name}",
-            telemetry=tm,
         )
         if use_aqua and consumer_lib is not None:
             coordinator.pair(consumer_lib.name, producer_lib.name)
@@ -219,8 +213,7 @@ def build_consumer_rig(
     name = f"{name_prefix}{consumer_kind}-{consumer_model.name}"
     if consumer_kind == "vllm":
         consumer_engine = VLLMEngine(
-            gpu, server, consumer_model, lora_cache=lora_cache, name=name,
-            telemetry=tm, **kwargs
+            gpu, server, consumer_model, lora_cache=lora_cache, name=name, **kwargs
         )
     elif consumer_kind == "cfs":
         consumer_engine = CFSEngine(
@@ -231,14 +224,12 @@ def build_consumer_rig(
             aqua_lib=consumer_lib if use_aqua else None,
             lora_cache=lora_cache,
             name=name,
-            telemetry=tm,
             **kwargs,
         )
     else:  # flexgen
         kwargs.setdefault("workspace_tokens", 8000)
         consumer_engine = FlexGenEngine(
-            gpu, server, consumer_model, aqua_lib=consumer_lib, name=name,
-            telemetry=tm, **kwargs
+            gpu, server, consumer_model, aqua_lib=consumer_lib, name=name, **kwargs
         )
 
     auditor = None

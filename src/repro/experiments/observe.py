@@ -74,7 +74,7 @@ def observe_experiment(
 
     fault_log: list[dict] = []
     if faults:
-        injector = FaultInjector(rig.server, coordinator=rig.coordinator, telemetry=tm)
+        injector = FaultInjector(rig.server, coordinator=rig.coordinator)
         injector.install(
             FaultSchedule([DmaStall(at=12.0, channel="nvlink:gpu1->gpu0", duration=2.0)])
         )

@@ -107,7 +107,7 @@ def _run_rig(
     env = rig.env
     consumer = rig.consumer_engine
 
-    injector = FaultInjector(rig.server, coordinator=rig.coordinator, telemetry=rig.telemetry)
+    injector = FaultInjector(rig.server, coordinator=rig.coordinator)
     injector.install(schedule)
     rig.start()
 

@@ -38,16 +38,15 @@ class FaultInjector:
     Parameters
     ----------
     server:
-        The server whose channels and GPUs the schedule targets.
+        The server whose channels and GPUs the schedule targets.  Its
+        hub, if any, counts and traces every apply/clear.
     coordinator:
         Optional AQUA coordinator to notify of health transitions
         (``/gpu_failed``, ``/gpu_recovered``, ``/link_degraded``,
         ``/link_restored``).  Without one, only hardware state flips.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` hub; every
-        apply/clear increments ``aqua_faults_total{kind, phase}`` and
-        lands as an instant event on the hub tracer's ``"faults"``
-        track.
+        ``None`` or the server's hub.  Kept only for the benchmark,
+        whose next change deletes it (ROADMAP item 7).
 
     Attributes
     ----------
@@ -62,10 +61,12 @@ class FaultInjector:
         coordinator: Optional["Coordinator"] = None,
         telemetry=None,
     ) -> None:
+        if telemetry not in (None, server.telemetry):
+            raise ValueError(f"telemetry must be None or server {server.name}'s hub")
         self.server = server
         self.env = server.env
         self.coordinator = coordinator
-        self.telemetry = telemetry
+        self.telemetry = server.hub_for("fault-injector")
         self.log: list[dict] = []
         self._processes: list[Process] = []
 

@@ -70,10 +70,11 @@ class Server:
         self.dram = HostDRAM(env, dram_bytes, server=self)
         self.interconnect = Interconnect(env)
         self.transfer_stats = TransferStats()
-        #: Optional :class:`~repro.telemetry.Telemetry` hub; installed by
-        #: ``Telemetry.attach_server``.  When set, every completed DMA
-        #: copy reports per-channel metrics (and request-scoped spans).
+        #: Optional :class:`~repro.telemetry.Telemetry` hub of every DMA
+        #: copy and component on this server; ``Telemetry.attach_server``
+        #: installs it before anything is built here.
         self.telemetry = None
+        self.hub_readers: list[str] = []  # components built (hub_for)
         self._wire()
 
     # ------------------------------------------------------------------
@@ -141,6 +142,11 @@ class Server:
             telemetry=self.telemetry,
             ctx=ctx,
         ).run()
+
+    def hub_for(self, component: str):
+        """The hub ``component``, being built here, keeps for its life."""
+        self.hub_readers.append(component)
+        return self.telemetry
 
     def transfer_time(self, src: Hashable, dst: Hashable, nbytes: float, pieces: int = 1) -> float:
         """Uncontended time for such a copy (no simulation side effects)."""

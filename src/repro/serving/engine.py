@@ -38,7 +38,8 @@ class LLMEngineBase:
     Parameters
     ----------
     gpu, server:
-        Where the engine runs.
+        Where the engine runs.  It reports to the server's hub, if
+        any; without one every hook is a single ``None`` check.
     model:
         The hosted LLM.
     block_tokens:
@@ -58,13 +59,6 @@ class LLMEngineBase:
         Must be 1.  Decode steps are never fused lossily; the vLLM
         engine fuses only steps nothing could observe (see
         ``VLLMEngine._decode_step``).
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
-        engine reports request/completion/requeue counters, latency
-        attribution marks, flow events and spans (into the hub's
-        tracer), seats its running requests in its decode step log,
-        and the hub reads its token count from :attr:`metrics`; when
-        ``None`` (the default) every hook is a single ``None`` check.
     """
 
     def __init__(
@@ -78,7 +72,6 @@ class LLMEngineBase:
         aqua_lib: Optional["AquaLib"] = None,
         inform_every: int = 8,
         name: str = "llm-engine",
-        telemetry=None,
         decode_coarsen: int = 1,
     ) -> None:
         if not 0 < utilization <= 1:
@@ -93,7 +86,7 @@ class LLMEngineBase:
         self.aqua_lib = aqua_lib
         self.inform_every = inform_every
         self.name = name
-        self.telemetry = telemetry
+        self.telemetry = telemetry = server.hub_for(name)
         self.tracer = telemetry.tracer if telemetry is not None else None
         self.metrics = MetricsCollector(name)
         #: Decode step ends, appended without visiting the batch; the

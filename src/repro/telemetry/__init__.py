@@ -10,8 +10,8 @@ three pillars, all reachable from one :class:`Telemetry` hub:
   decomposition into queueing / prefill / decode / offload-fetch /
   link-contention components with exact (telescoping) sums;
 * request-scoped flow events recorded through the hub's
-  :class:`~repro.trace.Tracer` (the only one a rig records into), linking one request's spans across
-  engine, AQUA and DMA tracks.
+  :class:`~repro.trace.Tracer` (the only one a server records into),
+  linking one request's spans across engine, AQUA and DMA tracks.
 
 On top of those sits the time-resolved layer (opt-in via
 :meth:`Telemetry.attach_observability`):
@@ -27,10 +27,10 @@ On top of those sits the time-resolved layer (opt-in via
 * :mod:`repro.telemetry.dashboard` — a self-contained HTML dashboard
   (inline SVG, no external JS or network dependencies).
 
-Enable per rig with ``build_consumer_rig(..., telemetry=True)``, for
-every rig of a run with :func:`observing`, or run ``aqua-repro
-observe``.  Disabled telemetry costs one ``None`` check per hook and
-changes nothing else.
+A hub belongs to a server and sees everything on it.  Enable it with
+``build_consumer_rig(..., telemetry=True)``, for every rig of a run
+with :func:`observing`, or run ``aqua-repro observe``.  Disabled
+telemetry costs one ``None`` check per hook and changes nothing else.
 """
 
 from repro.telemetry.attribution import COMPONENTS, LatencyAttributor

@@ -64,10 +64,10 @@ RECORDER_CAPACITY = 512
 
 
 class Telemetry:
-    """Per-run telemetry context shared by every instrumented subsystem.
+    """One server's telemetry, shared by every instrumented subsystem on it.
 
-    Its :attr:`tracer` is the only one a rig records into: engines,
-    AQUA-LIB and the fault injector trace iff they hold a hub.
+    Its :attr:`tracer` is the only one the server records into: engines,
+    AQUA-LIB and the fault injector trace iff their server has a hub.
 
     Parameters
     ----------
@@ -85,6 +85,7 @@ class Telemetry:
         self.scraper = None
         self.slo = None
         self.recorder = None
+        self._observability = None  # the settings it was attached with
 
         r = self.registry
         # -- engine family ------------------------------------------------
@@ -189,7 +190,13 @@ class Telemetry:
     # Wiring
     # ------------------------------------------------------------------
     def attach_server(self, server: "Server") -> None:
-        """Instrument a server: DMA hooks plus live pool/link gauges."""
+        """Make this the server's one hub: DMA hooks plus live pool/link
+        gauges.  Refused once the server has a hub or components."""
+        if server.telemetry is not None:
+            raise ValueError(f"server {server.name} already has a hub")
+        if server.hub_readers:
+            readers = ", ".join(server.hub_readers)
+            raise ValueError(f"server {server.name} already runs {readers} without a hub")
         server.telemetry = self
         for channel in server.interconnect.channels.values():
             self.link_queue_depth.labels(channel=channel.name).set_function(
@@ -244,10 +251,15 @@ class Telemetry:
         here is observation-only: audit digests are identical with this
         layer on or off (``tests/test_determinism_golden.py``).
 
-        Idempotent per hub: calling again returns the existing layer.
+        Calling again with the same settings (the SLO policy compared by
+        ``to_dict()``) returns the layer; other settings are refused.
         """
+        settings = (scrape_interval, slo_policy and slo_policy.to_dict(), postmortem_dir)
         if self.scraper is not None:
+            if settings != self._observability:
+                raise ValueError(f"hub already observed with {self._observability}")
             return self
+        self._observability = settings
         from repro.telemetry.recorder import FlightRecorder
         from repro.telemetry.timeseries import MetricScraper
 

@@ -4,11 +4,11 @@ The CLI turns ``--trace``, ``--scrape-interval`` and ``--dashboard``
 into an :class:`Observation` and runs the command inside
 :func:`observing`.  Every rig
 :func:`~repro.experiments.harness.build_consumer_rig` builds in the
-context gets a :class:`~repro.telemetry.Telemetry` hub, registers with
-the context, and is exported as plain data when the context closes:
-its hub's Chrome trace events and, when scraped, its dashboard data
-(which carries the observability report).  The trace is the same
-whether or not the context scrapes.
+context gets its server's :class:`~repro.telemetry.Telemetry` hub, and
+each hub is exported once as plain data when the context closes, named
+after its server's first rig: its Chrome trace events and, when scraped,
+its dashboard data (which carries the observability report).  The trace
+is the same whether or not the context scrapes.
 
 :func:`~repro.experiments.pool.run_specs` is the only process boundary:
 each cell runs inside its own :func:`observing` context with the
@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 @dataclass(frozen=True)
 class Observation:
-    """What to observe: a Chrome trace of every rig, and metric scrapes
+    """What to observe: a Chrome trace of every server, and metric scrapes
     every ``scrape_interval`` simulated seconds (with the flight recorder
     and the :func:`~repro.telemetry.default_slo_policy` SLO tracker)."""
 
@@ -44,11 +44,14 @@ class ObservationFrame:
     def __init__(self, settings: Observation, label: Optional[str]) -> None:
         self.settings = settings
         self.label = label
-        self._entries: list = []  # live rigs, and exports merged from cells
+        self._entries: list = []  # one rig per hub, and exports merged from cells
+        self._hubs: set = set()
 
     def adopt(self, rig) -> None:
-        """Register ``rig``, built with a hub, for export."""
-        self._entries.append(rig)
+        """Register ``rig``'s hub for export, through the first rig on it."""
+        if rig.telemetry not in self._hubs:
+            self._hubs.add(rig.telemetry)
+            self._entries.append(rig)
 
     def merge(self, exports: list[dict]) -> None:
         self._entries.extend(exports)
@@ -87,7 +90,7 @@ def observation_frame() -> Optional[ObservationFrame]:
 def observing(
     settings: Optional[Observation], label: Optional[str] = None
 ) -> Iterator[list[dict]]:
-    """Observe every rig built in the body, per ``settings``.
+    """Observe the server of every rig built in the body, per ``settings``.
 
     Yields a list that receives the rigs' exports when the context
     closes, also when the body raises.  Falsy ``settings`` observe

@@ -282,7 +282,8 @@ def _attributed_run(rig, trace, wakes=None):
     server = Server(Environment(), n_gpus=1)
     env = server.env
     hub = Telemetry(env)
-    engine = SeatClock(server.gpus[0], server, MISTRAL_7B, telemetry=hub, **rig)
+    hub.attach_server(server)
+    engine = SeatClock(server.gpus[0], server, MISTRAL_7B, **rig)
     engine.start()
     requests = [Request(a, p, m) for a, p, m in trace]
     for i, request in enumerate(requests):

@@ -452,8 +452,9 @@ def window_lines(engine_cls, batch, telemetry=False):
     With ``telemetry`` the engine reports to a hub, whose lines count."""
     env = Environment()
     server = Server(env, n_gpus=1)
-    hub = Telemetry(env) if telemetry else None
-    engine = engine_cls(server.gpus[0], server, PACED, max_batch=batch, telemetry=hub)
+    if telemetry:
+        Telemetry(env).attach_server(server)
+    engine = engine_cls(server.gpus[0], server, PACED, max_batch=batch)
     engine.start()
     for _ in range(batch):
         engine.submit(Request(arrival_time=0.0, prompt_tokens=161, max_new_tokens=200))

@@ -13,11 +13,15 @@ Each rig is hashed three ways: the per-token transcript (each engine's
 token times, one entry per token, and each request's token count, first
 token and finish time), the conservation auditor's transfer digest (every
 transfer's time, route, size and duration) and the latency-attribution
-report.  The constants were recorded before the decode step was cut
-to one child process, and are unedited since the decode kernel
-became a ``GPU.launch`` with no process at all and free DMA channels
-stopped costing a grant event.  They must never be updated to make an
-engine change pass: a mismatch means simulated behaviour moved.
+report of the server's hub.  The constants were recorded before the
+decode step was cut to one child process, and are unedited since the
+decode kernel became a ``GPU.launch`` with no process at all and free
+DMA channels stopped costing a grant event.  The one exception is the
+NVSwitch attribution digest, re-recorded when the four pairs came to
+share their server's hub instead of hashing four per-rig reports: its
+request rows are theirs merged by request id.  They must never be
+updated to make an engine change pass: a mismatch means simulated
+behaviour moved.
 """
 
 import hashlib
@@ -103,7 +107,7 @@ def nvswitch_rig():
         requests += job
     env.run(until=WARM_UP + HORIZON)
     engines = [rig.consumer_engine for rig in rigs]
-    attribution = [rig.telemetry.attribution_report() for rig in rigs]
+    attribution = server.telemetry.attribution_report()
     return env, engines, requests, auditor, attribution
 
 
@@ -117,13 +121,9 @@ def p2p_rig(engine_cls):
     tm = Telemetry(env)
     tm.attach_server(server)
     coordinator.telemetry = tm
-    lib = AquaLib(server.gpus[0], server, coordinator, telemetry=tm)
-    engine = engine_cls(
-        server.gpus[0], server, OPT_30B, aqua_lib=lib, workspace_tokens=8000, telemetry=tm
-    )
-    producer_lib = AquaLib(
-        server.gpus[1], server, coordinator, informer=BatchInformer(), telemetry=tm
-    )
+    lib = AquaLib(server.gpus[0], server, coordinator)
+    engine = engine_cls(server.gpus[0], server, OPT_30B, aqua_lib=lib, workspace_tokens=8000)
+    producer_lib = AquaLib(server.gpus[1], server, coordinator, informer=BatchInformer())
     producer = BatchEngine(server.gpus[1], server, SD_15, aqua_lib=producer_lib)
     coordinator.pair(lib.name, producer_lib.name)
     producer.start()
@@ -147,7 +147,7 @@ TRANSCRIPT_DIGESTS = {
     "nvswitch-flexgen-k1": (
         "6224e1563d8fae37570cc055d75dc1438dadedd49b903b91bb9d8cca3aa6c8fb",
         "f836debf07a6c09aec3bde387698002d4c26796f069b90874036dcb772e77402",
-        "ec1c5018f44370f01a666ef736c3000a023a694474e47b9647afebca1c3fe527",
+        "9b8a46c39ec316bf857d0d038147d22e1e8e3ef8ce27c99b3b9f87a9e0399a60",
     ),
     "p2p-deepspeed": (
         "33715d58487efbc6e0753fef18ed76b61630a202f3f5c0e04b089a7f169fa2f3",

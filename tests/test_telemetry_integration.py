@@ -165,10 +165,10 @@ def test_scraped_token_counter_equals_engine_metrics_at_every_tick():
 def test_engines_sharing_a_name_on_one_hub_are_refused():
     env = Environment()
     server = Server(env, n_gpus=2)
-    tm = Telemetry(env)
-    VLLMEngine(server.gpus[0], server, MISTRAL_7B, name="twin", telemetry=tm)
+    Telemetry(env).attach_server(server)
+    VLLMEngine(server.gpus[0], server, MISTRAL_7B, name="twin")
     with pytest.raises(ValueError, match="'twin' is already attached"):
-        VLLMEngine(server.gpus[1], server, MISTRAL_7B, name="twin", telemetry=tm)
+        VLLMEngine(server.gpus[1], server, MISTRAL_7B, name="twin")
 
 
 # ---------------------------------------------------------------------------

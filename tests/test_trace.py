@@ -240,8 +240,9 @@ def test_vllm_records_prefill_and_decode_spans():
     env = Environment()
     server = Server(env, n_gpus=1)
     tm = Telemetry(env)
+    tm.attach_server(server)
     tracer = tm.tracer
-    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B, telemetry=tm)
+    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B)
     engine.start()
     engine.submit(Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=20))
     env.run(until=30)
@@ -254,10 +255,9 @@ def test_cfs_records_slices_and_switches():
     env = Environment()
     server = Server(env, n_gpus=1)
     tm = Telemetry(env)
+    tm.attach_server(server)
     tracer = tm.tracer
-    engine = CFSEngine(
-        server.gpus[0], server, CODELLAMA_34B, slice_tokens=5, telemetry=tm
-    )
+    engine = CFSEngine(server.gpus[0], server, CODELLAMA_34B, slice_tokens=5)
     engine.start()
     requests = [
         Request(arrival_time=0.0, prompt_tokens=3000, max_new_tokens=30)
