@@ -111,6 +111,36 @@ def nvswitch_rig():
     return env, engines, requests, auditor, attribution
 
 
+def unobserved_nvswitch_rig():
+    """The NVSwitch rig with no auditor and no hub: nothing watches it
+    step by step."""
+    env = Environment()
+    server = Server(env, n_gpus=8, topology="nvswitch")
+    coordinator = Coordinator()
+    rigs = [
+        build_consumer_rig(
+            "flexgen",
+            OPT_30B,
+            producer_model=producer,
+            use_aqua=True,
+            env=env,
+            server=server,
+            consumer_gpu=i,
+            producer_gpu=4 + i,
+            coordinator=coordinator,
+            name_prefix=f"pair{i}-",
+        ).start()
+        for i, producer in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN))
+    ]
+    requests = []
+    for rig in rigs:
+        job = long_prompt_requests(start=WARM_UP, **NVSWITCH_JOBS)
+        submit_all(env, rig.consumer_engine, job)
+        requests += job
+    env.run(until=WARM_UP + HORIZON)
+    return env, server, [rig.consumer_engine for rig in rigs], requests
+
+
 def p2p_rig(engine_cls):
     """One offloading engine paired with a diffusion producer over p2p
     NVLink."""
@@ -187,6 +217,40 @@ def test_transcript_digest_is_pinned(rig):
         assert digest == golden, (
             f"{rig}: {name} diverged\n  got      {digest}\n  expected {golden}"
         )
+
+
+#: SHA-256 of the unobserved NVSwitch rig's transcript, transfer
+#: statistics, channel ledgers and GPU busy times, recorded while every
+#: decode step still retired its own events.
+UNOBSERVED_DIGEST = (
+    "c67c2513fa0d36553151b17bb8e3c7c23e067ab66f4b61dfbb9db414601050de"
+)
+
+
+def _ledgers(server, engines, requests):
+    stats = server.transfer_stats
+    return {
+        "token_times": [[repr(t) for t in token_times(e.metrics)] for e in engines],
+        "requests": [
+            [r.generated_tokens, repr(r.first_token_time), repr(r.finish_time)]
+            for r in requests
+        ],
+        "transfer_stats": [
+            stats.count, repr(stats.bytes_total), repr(stats.busy_time),
+            [[route, repr(nbytes)] for route, nbytes in stats.per_route.items()],
+        ],
+        "channels": [
+            [name, repr(ch.bytes_moved), ch.transfer_count]
+            for name, ch in server.interconnect.channels.items()
+        ],
+        "gpu_busy": [repr(gpu.busy_time) for gpu in server.gpus],
+    }
+
+
+def test_unobserved_nvswitch_rig_is_pinned():
+    env, server, engines, requests = unobserved_nvswitch_rig()
+    assert sum(r.finish_time is not None for r in requests) >= 2 * len(engines)
+    assert _sha(_ledgers(server, engines, requests)) == UNOBSERVED_DIGEST
 
 
 def test_nvswitch_decode_step_event_budget():
