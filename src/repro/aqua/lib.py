@@ -384,6 +384,15 @@ class AquaLib:
                 yield self.env.timeout(delay)
                 attempt += 1
 
+    def staging_time(self, payload: int, pieces: int) -> float:
+        """Seconds the gather/scatter staging of a ``payload``-byte move
+        of ``pieces`` buffers takes before its copy starts: one read and
+        one write through this GPU's HBM (the custom CUDA kernels of
+        §5), or nothing when the move is not gathered."""
+        if not self.gather_enabled or pieces <= 1:
+            return 0.0
+        return 2 * payload / self.gpu.spec.effective_hbm_bandwidth
+
     def _move_payload(
         self,
         tensor: AquaTensor,
@@ -417,12 +426,10 @@ class AquaLib:
         started = self.env.now
         scatter = tensor.pieces if pieces is None else pieces
         effective_pieces = 1 if self.gather_enabled else scatter
-        if self.gather_enabled and scatter > 1:
-            # Gather/scatter staging: one read + one write of the payload
-            # through the consumer GPU's HBM (the custom CUDA kernels of §5).
+        staging = self.staging_time(payload, scatter)
+        if staging:
             # Bare-delay yield: same ordering as env.timeout(staging)
             # without a Timeout allocation per move.
-            staging = 2 * payload / self.gpu.spec.effective_hbm_bandwidth
             yield staging
         moved = yield from self._resilient_copy(
             src, dst, payload, pieces=effective_pieces, ctx=tensor.ctx

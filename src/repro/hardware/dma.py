@@ -12,12 +12,12 @@ dilates concurrent compute kernels by ``GPUSpec.copy_interference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Hashable, Optional, Sequence
 
 from repro.hardware.gpu import GPU
 from repro.hardware.interconnect import Channel, Interconnect, Route
 from repro.sim import Environment
+from repro.sim.resources import ensure_unheld
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -56,7 +56,6 @@ class GpuFailedError(TransferError):
     """
 
 
-@dataclass
 class TransferStats:
     """Aggregate statistics of completed transfers (for reports).
 
@@ -66,13 +65,28 @@ class TransferStats:
     every completed transfer together with the channels it traversed,
     which is how the conservation audit (:mod:`repro.audit`) keeps an
     independent shadow ledger to reconcile both views against.
+
+    The statistics are sums in completion order, and one object serves
+    every engine on a server.  A FlexGen decode window accounts its
+    copies ahead of time, so it hands their records over with their end
+    times (:meth:`defer`).  They are merged in time order, ties in the
+    order handed over, before every live :meth:`record` (a tie goes
+    first), every read and every :meth:`settle`: each sum is added in
+    the order the copies would have ended one event at a time.
     """
 
-    count: int = 0
-    bytes_total: float = 0.0
-    busy_time: float = 0.0
-    per_route: dict[str, float] = field(default_factory=dict)
-    listeners: list[TransferListener] = field(default_factory=list)
+    def __init__(self) -> None:
+        self._count = 0
+        self._bytes_total = 0.0
+        self._busy_time = 0.0
+        self._per_route: dict[str, float] = {}
+        self.listeners: list[TransferListener] = []
+        #: Deferred records, each ``(end, window, index, route_name,
+        #: nbytes, duration, channels)``, and the clock that says which
+        #: are due.
+        self._deferred: list = []
+        self._seq = 0
+        self._env: Optional[Environment] = None
 
     def record(
         self,
@@ -81,12 +95,69 @@ class TransferStats:
         duration: float,
         channels: Sequence[Channel] = (),
     ) -> None:
-        self.count += 1
-        self.bytes_total += nbytes
-        self.busy_time += duration
-        self.per_route[route_name] = self.per_route.get(route_name, 0.0) + nbytes
-        for listener in self.listeners:
-            listener(route_name, channels, nbytes, duration)
+        if self._deferred:
+            self.settle()
+        self._add(((route_name, nbytes, duration, channels),))
+
+    def _add(self, records) -> None:
+        """Add ``records``, each ``(route_name, nbytes, duration,
+        channels)``, one after another."""
+        per_route = self._per_route
+        for route_name, nbytes, duration, channels in records:
+            self._count += 1
+            self._bytes_total += nbytes
+            self._busy_time += duration
+            per_route[route_name] = per_route.get(route_name, 0.0) + nbytes
+            for listener in self.listeners:
+                listener(route_name, channels, nbytes, duration)
+
+    def defer(self, env: Environment, records) -> None:
+        """Hold ``records``, each ``(end, route_name, nbytes, duration,
+        channels)``, until ``env``'s clock reaches its ``end``."""
+        self._env = env
+        self._seq += 1
+        self._deferred.extend(
+            (end, self._seq, i, *record) for i, (end, *record) in enumerate(records)
+        )
+
+    def settle(self) -> None:
+        """Merge the deferred records that have ended by now."""
+        deferred = self._deferred
+        if not deferred:
+            return
+        now = self._env.now
+        due = [record for record in deferred if record[0] <= now]
+        if len(due) < len(deferred):
+            self._deferred = [record for record in deferred if record[0] > now]
+        else:
+            self._deferred = []
+        due.sort()
+        self._add(record[3:] for record in due)
+
+    @property
+    def count(self) -> int:
+        self.settle()
+        return self._count
+
+    @count.setter
+    def count(self, value: int) -> None:
+        self.settle()
+        self._count = value
+
+    @property
+    def bytes_total(self) -> float:
+        self.settle()
+        return self._bytes_total
+
+    @property
+    def busy_time(self) -> float:
+        self.settle()
+        return self._busy_time
+
+    @property
+    def per_route(self) -> dict[str, float]:
+        self.settle()
+        return self._per_route
 
 
 class Transfer:
@@ -157,11 +228,8 @@ class Transfer:
         return [dev for dev in (self.src, self.dst) if isinstance(dev, GPU)]
 
     def wire_time(self, route: Route) -> float:
-        """Uncontended on-the-wire time, accounting for scatter pieces."""
-        if self.nbytes == 0:
-            return 0.0
-        piece = self.nbytes / self.pieces
-        return self.pieces * route.transfer_time(piece)
+        """Uncontended on-the-wire time of this copy on ``route``."""
+        return route.wire_time(self.nbytes, self.pieces)
 
     def _check_health(self, route: Route, endpoints: list[GPU]) -> None:
         """Raise if a fault blocks this copy.
@@ -175,6 +243,8 @@ class Transfer:
         for gpu in endpoints:
             if gpu.failed:
                 raise GpuFailedError(f"endpoint {gpu.name} has failed")
+            # A copy changes its endpoints' dilation() while it runs.
+            ensure_unheld(gpu.compute, f"a copy to or from {gpu.name}")
         stalled = [ch.name for ch in route.channels if ch.stalled]
         if stalled:
             raise TransferStalled(f"stalled channel(s): {', '.join(stalled)}")

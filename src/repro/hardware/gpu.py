@@ -9,6 +9,7 @@ from repro.hardware.specs import GPUSpec
 from repro.sim import Environment, Event, Resource
 from repro.sim.core import URGENT
 from repro.sim.events import TRIGGERED
+from repro.sim.resources import ensure_unheld
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.server import Server
@@ -163,10 +164,12 @@ class GPU:
         transfer raises and release their reservations themselves,
         mirroring how a real driver reports ECC/Xid errors lazily.
         """
+        ensure_unheld(self.compute, f"failing {self.name}")
         self.failed = True
 
     def recover(self) -> None:
         """Bring the GPU back (empty — lost data does not return)."""
+        ensure_unheld(self.compute, f"recovering {self.name}")
         self.failed = False
 
     @property
@@ -175,7 +178,13 @@ class GPU:
         return self.hbm.free
 
     def dilation(self) -> float:
-        """Current compute slow-down factor due to active copies."""
+        """Current compute slow-down factor due to active copies.
+
+        Inside a decode window on this GPU the factor is not kept
+        current, so reading it raises.
+        """
+        if self.compute.window is not None:
+            ensure_unheld(self.compute, f"reading the dilation of {self.name}")
         if self.active_copies > 0:
             return 1.0 + self.spec.copy_interference
         return 1.0

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Hashable
 
 from repro.hardware.specs import LinkSpec
 from repro.sim import Environment, Resource
+from repro.sim.resources import ensure_unheld
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -90,18 +91,22 @@ class Channel:
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"degradation factor must be in (0, 1], got {factor}")
+        ensure_unheld(self.engine, f"degrading {self.name}")
         self.degradation = factor
 
     def restore(self) -> None:
         """Return the channel to full bandwidth."""
+        ensure_unheld(self.engine, f"restoring {self.name}")
         self.degradation = 1.0
 
     def stall(self) -> None:
         """Freeze the channel's copy engine (a DMA stall fault)."""
+        ensure_unheld(self.engine, f"stalling {self.name}")
         self.stalled = True
 
     def unstall(self) -> None:
         """Release a DMA stall; queued retries can proceed again."""
+        ensure_unheld(self.engine, f"unstalling {self.name}")
         self.stalled = False
 
     def __repr__(self) -> str:
@@ -166,6 +171,20 @@ class Route:
             if hop < bandwidth:
                 bandwidth = hop
         return latency + nbytes / bandwidth
+
+    def wire_time(self, nbytes: float, pieces: int = 1) -> float:
+        """Uncontended seconds to move ``nbytes`` scattered across
+        ``pieces`` buffers: each piece pays the route's setup latency.
+
+        The one formula for a copy's time on the wire: a
+        :class:`~repro.hardware.dma.Transfer` holds its channels this
+        long, and a FlexGen decode window accounts its copies with it.
+        """
+        if pieces < 1:
+            raise ValueError(f"pieces must be >= 1, got {pieces}")
+        if nbytes == 0:
+            return 0.0
+        return pieces * self.transfer_time(nbytes / pieces)
 
     def effective_bandwidth(self, nbytes: float) -> float:
         if nbytes <= 0:

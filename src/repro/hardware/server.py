@@ -150,10 +150,7 @@ class Server:
 
     def transfer_time(self, src: Hashable, dst: Hashable, nbytes: float, pieces: int = 1) -> float:
         """Uncontended time for such a copy (no simulation side effects)."""
-        t = Transfer(self.env, self.interconnect, src, dst, nbytes, pieces=pieces)
-        if nbytes == 0:
-            return 0.0
-        return t.wire_time(self.interconnect.route(src, dst))
+        return self.interconnect.route(src, dst).wire_time(nbytes, pieces)
 
     @property
     def devices(self) -> list[Hashable]:

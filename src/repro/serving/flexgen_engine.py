@@ -12,15 +12,39 @@ Figure 7.
 The engine always allocates its context through AQUA-LIB; without a
 paired producer the library falls back to DRAM, which *is* the FlexGen
 baseline ("just like previous work", §3).
+
+The decode steps up to the next ``respond()`` that nothing else could
+touch or see run as one window with one wake (see
+:meth:`FlexGenEngine._window`).
 """
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Generator
 
-from repro.aqua.tensor import TensorLostError
+from repro.aqua.tensor import Location, TensorLostError
+from repro.hardware.gpu import _Kernel
 from repro.serving.engine import LLMEngineBase
 from repro.serving.request import Request
+from repro.sim import Event, Process
+
+
+class _Wake(Event):
+    """The one wake of a decode window."""
+
+    __slots__ = ()
+
+
+class _Decoder(Process):
+    """A FlexGen engine's process, which names its engine: a peer's
+    decode window can then tell the events that only resume it."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: "FlexGenEngine") -> None:
+        self.engine = engine
+        super().__init__(engine.env, engine._serve())
 
 
 class FlexGenEngine(LLMEngineBase):
@@ -53,6 +77,21 @@ class FlexGenEngine(LLMEngineBase):
         #: (FlexGen pre-allocates per-layer KV buffers of bounded length);
         #: open-ended duration-measured jobs stop here.
         self.alloc_horizon_tokens = alloc_horizon_tokens
+        #: The running request's context tensor.
+        self._tensor = None
+        #: Decode windows need FlexGen's own io leg, gathered so that
+        #: each step's copy starts after its kernel has read dilation().
+        self._windowed = (
+            type(self)._io_step is FlexGenEngine._io_step
+            and self.aqua_lib.gather_enabled
+            and self._stream_pieces() > 1
+        )
+
+    def start(self) -> None:
+        """Begin serving (spawns the engine's simulation process)."""
+        if self._process is not None:
+            raise RuntimeError(f"{self.name} already started")
+        self._process = _Decoder(self)
 
     # ------------------------------------------------------------------
     def _stream_pieces(self) -> int:
@@ -80,7 +119,7 @@ class FlexGenEngine(LLMEngineBase):
         budget = min(request.max_new_tokens, self.alloc_horizon_tokens)
         max_total = request.prompt_tokens + budget
         self.attr_mark([request], "queueing")
-        tensor = self.aqua_lib.to_responsive_tensor(
+        tensor = self._tensor = self.aqua_lib.to_responsive_tensor(
             self.model.kv_bytes(max_total),
             pieces=self._stream_pieces(),
             tag=f"flexgen-ctx-{request.req_id}",
@@ -109,17 +148,194 @@ class FlexGenEngine(LLMEngineBase):
             # one token of fresh KV, folded into the same stream).
             step = self.model.decode_step_time(self.gpu.spec, 1, 0)
             while not request.done and request.total_tokens < max_total:
-                io_bytes = self.model.kv_bytes(request.total_tokens + 1)
-                compute = self.gpu.launch(step)
-                io_done = yield from self._io_step(tensor, io_bytes)
-                compute_done = yield compute
-                self._mark_bound(request, io_done, compute_done)
+                windowed = self._windowed and (
+                    yield from self._window(request, tensor, step, max_total)
+                )
+                if not windowed:
+                    io_bytes = self.model.kv_bytes(request.total_tokens + 1)
+                    compute = self.gpu.launch(step)
+                    io_done = yield from self._io_step(tensor, io_bytes)
+                    compute_done = yield compute
+                    self._mark_bound(request, io_done, compute_done)
                 self._finish_tokens([request])
                 if request.generated_tokens % self.respond_every == 0:
                     yield from self.aqua_lib.respond()
                     self.attr_mark([request], "offload_fetch")
         finally:
+            self._tensor = None
             tensor.free()
+
+    # ------------------------------------------------------------------
+    # Decode windows
+    # ------------------------------------------------------------------
+    def _window(self, request: Request, tensor, step: float, max_total: int) -> Generator:
+        """Run decode steps ``1 … k`` as one window with one wake at
+        ``t_k``, leaving step ``k``'s token to the caller; return
+        whether it did (``k >= 2``).
+
+        Step ``s`` starts at ``t_{s-1}``, as on the per-step path: its
+        kernel ends at ``t_{s-1} + step·dilation``, its copy starts
+        after the gather staging and ends ``Route.wire_time`` later,
+        and the step ends at the later of the two.  Step ``k`` is the
+        first of:
+
+        * the step at the next ``respond()`` boundary;
+        * the step that completes the request or reaches ``max_total``;
+        * the last step that ends strictly before the horizon: the stop
+          time of the current ``run(until=...)``, now under a per-event
+          monitor, or else the next scheduled event that could do more
+          than resume other FlexGen engines on GPUs and channels this
+          window does not hold (:meth:`_harmless`);
+        * the last step before one whose copy start, copy end or kernel
+          end ties with a pending event of such an engine's single
+          step.  That engine resumed first at the instant both steps
+          began, so its copies come first among those ending with this
+          window's; a deferred record at a tie goes first.
+
+        A window opens only where nothing could tell it from stepping:
+        the context sits on a producer GPU, both GPUs' streams and the
+        fetch route's channels are free and unqueued, no copy runs on
+        this GPU, no channel is stalled, and the server has no hub and
+        no transfer listener (their span order and chained digest
+        record how the engines' steps interleave).  Each step's kernel
+        busy time, channel ledgers, ``fetch_count`` and token stamp
+        (but step ``k``'s) are accounted at once, at their own times;
+        the transfer records are deferred to their end times
+        (:meth:`TransferStats.defer`).  Until the wake the window holds
+        its GPUs and channels: anyone else who touches them raises
+        :class:`~repro.sim.WindowConflict`.
+        """
+        server = self.server
+        stats = server.transfer_stats
+        gpu, device = self.gpu, tensor.device
+        if (
+            server.telemetry is not None
+            or stats.listeners
+            or tensor.location is not Location.PRODUCER
+            or tensor.lost
+            or gpu.failed
+            or device.failed
+        ):
+            return False
+        generated = request.generated_tokens
+        every = self.respond_every
+        limit = min(
+            every - generated % every,
+            request.max_new_tokens - generated,
+            max_total - request.total_tokens,
+        )
+        if limit < 2:
+            return False
+        route = server.interconnect.route(device, gpu)
+        held = [gpu.compute, device.compute, *(ch.engine for ch in route.channels)]
+        if gpu.active_copies or any(ch.stalled for ch in route.channels) or any(
+            r.users or r.queue or r.window is not None for r in held
+        ):
+            return False
+
+        env = self.env
+        footprint = {gpu, device, *(ch.engine for ch in route.channels)}
+        steps_due = set()  # when other engines' steps have events due
+
+        def harmless(time, entry) -> bool:
+            if not self._harmless(footprint, entry):
+                return False
+            if entry.__class__ is not _Wake:
+                steps_due.add(time)
+            return True
+
+        horizon = env.horizon_past(harmless)
+        kernel = step * gpu.dilation()
+        kv_bytes, staging_time = self.model.kv_bytes, self.aqua_lib.staging_time
+        label, channels = route.label, route.sorted_channels
+        pieces = self._stream_pieces()
+        total = request.total_tokens
+        t = env.now
+        ends, copies = [], []
+        for s in range(1, limit + 1):
+            payload = kv_bytes(total + s)
+            nbytes = float(payload)
+            wire = route.wire_time(nbytes)
+            copy_start = t + staging_time(payload, pieces)
+            copy_end = copy_start + wire
+            kernel_end = t + kernel
+            t = copy_end if copy_end > kernel_end else kernel_end
+            if t >= horizon or (
+                steps_due and not steps_due.isdisjoint((copy_start, copy_end, kernel_end))
+            ):
+                break
+            ends.append(t)
+            copies.append((copy_end, label, nbytes, wire, channels))
+        if len(ends) < 2:
+            return False
+
+        for copy in copies:
+            gpu.busy_time += kernel
+            for channel in channels:
+                channel.record(copy[2])
+        stats.defer(env, copies)
+        tensor.fetch_count += len(copies)
+        record_token = self.metrics.record_token
+        for end in ends[:-1]:
+            request.record_token(end)
+            record_token(end)
+        for resource in held:
+            resource.window = self
+        wake = _Wake(env)
+        env.succeed_at(wake, ends[-1])
+        yield wake
+        for resource in held:
+            resource.window = None
+        stats.settle()
+        return True
+
+    def _harmless(self, held: set, entry) -> bool:
+        """Whether processing schedule entry ``entry`` can do no more
+        than resume other FlexGen engines whose footprints miss
+        ``held`` and who notify no one of a finish, or end a kernel on
+        a GPU outside ``held`` with no claim queued behind it."""
+        if entry.__class__ is MethodType:  # a bare-delay sleep's resume
+            owners = (entry.__self__,)
+        else:
+            # An event nobody waits on may still be what run(until=) stops at.
+            callbacks = entry.callbacks or [None]
+            owners = [getattr(callback, "__self__", None) for callback in callbacks]
+        for owner in owners:
+            if owner.__class__ is _Kernel:
+                gpu = owner.gpu
+                if owner is not entry or gpu in held or gpu.compute.queue:
+                    return False
+            elif owner.__class__ is _Decoder:
+                peer = owner.engine
+                if not held.isdisjoint(peer._footprint()) or not peer._unwatched():
+                    return False
+            else:
+                return False
+        return True
+
+    def _footprint(self) -> set:
+        """The devices and channel engines this engine's process
+        touches next: its GPU, its paired producer, and its context's
+        device and fetch route."""
+        lib = self.aqua_lib
+        coordinator = lib.coordinator
+        footprint = {self.gpu}
+        producer = coordinator.pairings.get(lib.name)
+        if producer is not None:
+            footprint.add(coordinator.devices[producer])
+        tensor = self._tensor
+        if tensor is not None and not tensor.freed:
+            route = self.server.interconnect.route(tensor.device, self.gpu)
+            footprint.add(tensor.device)
+            footprint.update(ch.engine for ch in route.channels)
+        return footprint
+
+    def _unwatched(self) -> bool:
+        """Whether no one waits on a finish of this engine's requests,
+        so finishing one sets nothing else off."""
+        return all(r.on_finish is None for r in self.running) and all(
+            r.on_finish is None for r in self.waiting
+        )
 
     def _serve(self) -> Generator:
         while True:

@@ -33,7 +33,7 @@ from repro.sim.events import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, WindowConflict
 
 __all__ = [
     "AllOf",
@@ -45,4 +45,5 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Timeout",
+    "WindowConflict",
 ]

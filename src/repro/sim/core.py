@@ -223,6 +223,24 @@ class Environment:
         head = self._queue[0][0] if self._queue else _INF
         return head if head < self._until else self._until
 
+    def horizon_past(self, harmless: Callable[[float, Any], bool]) -> float:
+        """:meth:`horizon`, not counting the scheduled entries that
+        ``harmless`` accepts.
+
+        ``harmless`` gets an entry's time and the entry (an event, or
+        the resume callback of a bare-delay sleep), and says whether
+        processing it could only act on things the caller neither holds
+        nor reads.  It is asked about every entry due before the
+        horizon found so far.
+        """
+        if self._monitors:
+            return self._now
+        head = self._until
+        for time, _, entry in self._queue:
+            if time < head and not harmless(time, entry):
+                head = time
+        return head
+
     def step(self) -> None:
         """Process the next scheduled event.
 

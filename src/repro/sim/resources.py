@@ -8,6 +8,12 @@ One call claims a slot, :meth:`Resource.request`, and it decides the
 grant at the call, in FIFO order.  A free slot is held at once, with no
 heap entry; a claim that queues is granted by :meth:`Resource.release`
 with an event, so its holder resumes later in that instant.
+
+A decode window (:class:`~repro.serving.FlexGenEngine`) that accounts
+its steps ahead of time holds its GPU streams and DMA channels by
+naming itself their :attr:`Resource.window`.  Until it ends, a claim on
+such a resource, or a change to the device behind it, raises
+:class:`WindowConflict`: the window's accounts would be wrong.
 """
 
 from __future__ import annotations
@@ -18,6 +24,16 @@ from repro.sim.events import PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
+
+
+class WindowConflict(RuntimeError):
+    """Something touched a resource an open decode window holds."""
+
+
+def ensure_unheld(resource: "Resource", action: str) -> None:
+    """Raise :class:`WindowConflict` if a window holds ``resource``."""
+    if resource.window is not None:
+        raise WindowConflict(f"{action} inside the decode window of {resource.window}")
 
 
 class Request(Event):
@@ -59,6 +75,8 @@ class Resource:
         self.capacity = capacity
         self.users: list[Request] = []
         self.queue: list[Request] = []
+        #: The decode window holding this resource, or ``None``.
+        self.window = None
 
     @property
     def count(self) -> int:
@@ -74,6 +92,8 @@ class Resource:
         behind every earlier claim, and :meth:`release` grants it with
         an event.
         """
+        if self.window is not None:
+            ensure_unheld(self, "a claim")
         request = Request(self)
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(request)

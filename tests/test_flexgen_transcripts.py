@@ -22,6 +22,11 @@ share their server's hub instead of hashing four per-rig reports: its
 request rows are theirs merged by request id.  They must never be
 updated to make an engine change pass: a mismatch means simulated
 behaviour moved.
+
+The NVSwitch rig runs once more with no auditor and no hub, where
+FlexGen decodes in windows.  ``UNOBSERVED_DIGEST`` hashes its
+transcript, transfer statistics, channel ledgers and GPU busy times; it
+was recorded while every decode step still retired its own events.
 """
 
 import hashlib
@@ -62,8 +67,15 @@ P2P_JOBS = dict(count=3, max_new_tokens=70)
 
 #: Ceiling on simulation events per generated token on the NVSwitch rig
 #: (a bound on the decode step's event budget, not a pinned count).
-#: The rig measures 4.03: idle producers sleep instead of polling.
+#: The rig measures 4.03: idle producers sleep instead of polling, and
+#: its auditor and hub keep every decode window closed, so each step
+#: still retires its own events.
 MAX_EVENTS_PER_TOKEN = 4.1
+
+#: The same ceiling without auditor or hub, where decode steps run in
+#: windows of up to ``respond_every`` steps with one wake: the rig
+#: measures 0.10.
+MAX_UNOBSERVED_EVENTS_PER_TOKEN = 0.25
 
 
 @pytest.fixture(autouse=True)
@@ -251,6 +263,9 @@ def test_unobserved_nvswitch_rig_is_pinned():
     env, server, engines, requests = unobserved_nvswitch_rig()
     assert sum(r.finish_time is not None for r in requests) >= 2 * len(engines)
     assert _sha(_ledgers(server, engines, requests)) == UNOBSERVED_DIGEST
+    tokens = sum(engine.metrics.tokens_generated for engine in engines)
+    per_token = env.events_processed / tokens
+    assert per_token <= MAX_UNOBSERVED_EVENTS_PER_TOKEN, f"{per_token:.2f} events per token"
 
 
 def test_nvswitch_decode_step_event_budget():
