@@ -243,8 +243,9 @@ class Transfer:
         for gpu in endpoints:
             if gpu.failed:
                 raise GpuFailedError(f"endpoint {gpu.name} has failed")
-            # A copy changes its endpoints' dilation() while it runs.
-            ensure_unheld(gpu.compute, f"a copy to or from {gpu.name}")
+            if gpu.compute.window is not None:
+                # A copy changes its endpoints' dilation() while it runs.
+                ensure_unheld(gpu.compute, f"a copy to or from {gpu.name}")
         stalled = [ch.name for ch in route.channels if ch.stalled]
         if stalled:
             raise TransferStalled(f"stalled channel(s): {', '.join(stalled)}")

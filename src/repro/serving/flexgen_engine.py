@@ -333,9 +333,7 @@ class FlexGenEngine(LLMEngineBase):
     def _unwatched(self) -> bool:
         """Whether no one waits on a finish of this engine's requests,
         so finishing one sets nothing else off."""
-        return all(r.on_finish is None for r in self.running) and all(
-            r.on_finish is None for r in self.waiting
-        )
+        return all(r.on_finish is None for r in (*self.running, *self.waiting))
 
     def _serve(self) -> Generator:
         while True:
