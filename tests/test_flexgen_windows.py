@@ -28,7 +28,9 @@ and, for the whole server:
 Consumer 0 always decodes for seconds and nothing is aimed at its pair,
 so some of its steps run in windows: only the events above cut them.
 Each schedule runs on two fresh identical rigs.  Drawn times sit 3.7 ms
-off a 10 ms grid, so they never tie with each other.
+off a 10 ms grid, so none lands on the 0.25 s poll ticks of a producer
+that has run no batch, where a sleeping producer raises
+``UnplaceableWake``.
 """
 
 import itertools
@@ -194,6 +196,7 @@ def _claim(env, resource, at, hold):
 #: A time 3.7 ms off the 10 ms grid.
 times = st.integers(0, HORIZON * 100 - 1).map(lambda k: k / 100 + 0.0037)
 holds = st.integers(1, 150).map(lambda k: k / 100 + 0.0037)
+
 
 def job(earliest=0, min_new=2):
     """One job: ``(arrival, prompt tokens, max new tokens)``."""
