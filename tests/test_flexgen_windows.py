@@ -36,6 +36,7 @@ that has run no batch, where a sleeping producer raises
 import itertools
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -43,9 +44,10 @@ import repro.aqua.tensor
 from repro.aqua import AquaLib, BatchInformer, Coordinator
 from repro.faults import DmaStall, FaultInjector, FaultSchedule, GpuFailure, LinkDegradation
 from repro.hardware import Server
+from repro.hardware.specs import MB
 from repro.models import OPT_30B, SD_15
 from repro.serving import BatchEngine, FlexGenEngine, Request
-from repro.sim import Environment
+from repro.sim import Environment, WindowConflict
 from tests.token_times import token_times
 
 #: Simulated seconds each rig runs.
@@ -292,3 +294,29 @@ def test_a_lockstep_peer_that_steps_keeps_its_place():
     stepped, stepped_events = _run(rig, PerStepFlexGen)
     assert windowed == stepped
     assert stepped_events > windowed_events
+
+
+def test_a_window_refuses_every_touch_of_its_resources():
+    """While a window holds its GPUs and fetch route, a claim, a
+    dilation() read, a fault or a copy with a held GPU as an endpoint
+    raises instead of invalidating the window's accounts."""
+    server = Server(Environment(), n_gpus=8, topology="nvswitch")
+    gpu, producer = server.gpus[0], server.gpus[4]
+    channels = server.interconnect.route(producer, gpu).channels
+    for resource in (gpu.compute, producer.compute, *(ch.engine for ch in channels)):
+        resource.window = "flexgen0"
+    touches = [gpu.compute.request, gpu.dilation, gpu.fail, gpu.recover]
+    touches += [producer.compute.request, producer.dilation, producer.fail]
+    for ch in channels:
+        touches += [ch.engine.request, ch.stall, ch.unstall, ch.restore]
+        touches.append(lambda ch=ch: ch.degrade(0.5))
+    for touch in touches:
+        with pytest.raises(WindowConflict):
+            touch()
+
+    def copy():
+        yield from server.transfer(gpu, server.dram, MB)
+
+    server.env.process(copy())
+    with pytest.raises(WindowConflict):
+        server.env.run()

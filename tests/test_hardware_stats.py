@@ -130,6 +130,25 @@ def test_stats_record_manual():
     assert stats.busy_time == pytest.approx(0.7)
 
 
+def test_deferred_records_merge_in_time_order():
+    """A window's records wait for the clock; they join the sums in end
+    order, ahead of a live record ending at the same instant."""
+    env = Environment()
+    stats = TransferStats()
+    seen = []
+    stats.listeners.append(lambda route, channels, nbytes, duration: seen.append(route))
+    stats.defer(env, [(1.0, "a", 1.0, 0.1, ()), (3.0, "a", 2.0, 0.2, ())])
+    stats.defer(env, [(2.0, "b", 4.0, 0.4, ()), (3.0, "b", 8.0, 0.8, ())])
+    assert stats.count == 0  # nothing has ended at t=0
+    env.run(until=3.0)
+    stats.record("c", 16.0, 1.6)
+    assert seen == ["a", "b", "a", "b", "c"]
+    assert stats.count == 5
+    assert stats.bytes_total == 31.0
+    assert stats.busy_time == 0.1 + 0.4 + 0.2 + 0.8 + 1.6
+    assert list(stats.per_route) == ["a", "b", "c"]
+
+
 def test_gpu_dilation_restored_after_transfer():
     env = Environment()
     server = Server(env, n_gpus=2)
