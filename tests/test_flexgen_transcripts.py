@@ -90,12 +90,11 @@ def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def nvswitch_rig():
-    """Four FlexGen consumers offloading over an 8-GPU NVSwitch."""
-    env = Environment()
-    server = Server(env, n_gpus=8, topology="nvswitch")
+def _run_four_pairs(env, server, telemetry):
+    """Four FlexGen consumers on GPUs 0-3, each paired with a producer
+    on GPU ``4 + i``, run through their jobs; returns the consumer
+    engines and the jobs."""
     coordinator = Coordinator()
-    auditor = ConservationAuditor(env).attach_server(server)
     rigs = [
         build_consumer_rig(
             "flexgen",
@@ -108,7 +107,7 @@ def nvswitch_rig():
             producer_gpu=4 + i,
             coordinator=coordinator,
             name_prefix=f"pair{i}-",
-            telemetry=True,
+            telemetry=telemetry,
         ).start()
         for i, producer in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN))
     ]
@@ -118,7 +117,15 @@ def nvswitch_rig():
         submit_all(env, rig.consumer_engine, job)
         requests += job
     env.run(until=WARM_UP + HORIZON)
-    engines = [rig.consumer_engine for rig in rigs]
+    return [rig.consumer_engine for rig in rigs], requests
+
+
+def nvswitch_rig():
+    """Four FlexGen consumers offloading over an 8-GPU NVSwitch."""
+    env = Environment()
+    server = Server(env, n_gpus=8, topology="nvswitch")
+    auditor = ConservationAuditor(env).attach_server(server)
+    engines, requests = _run_four_pairs(env, server, telemetry=True)
     attribution = server.telemetry.attribution_report()
     return env, engines, requests, auditor, attribution
 
@@ -128,29 +135,8 @@ def unobserved_nvswitch_rig():
     step by step."""
     env = Environment()
     server = Server(env, n_gpus=8, topology="nvswitch")
-    coordinator = Coordinator()
-    rigs = [
-        build_consumer_rig(
-            "flexgen",
-            OPT_30B,
-            producer_model=producer,
-            use_aqua=True,
-            env=env,
-            server=server,
-            consumer_gpu=i,
-            producer_gpu=4 + i,
-            coordinator=coordinator,
-            name_prefix=f"pair{i}-",
-        ).start()
-        for i, producer in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN))
-    ]
-    requests = []
-    for rig in rigs:
-        job = long_prompt_requests(start=WARM_UP, **NVSWITCH_JOBS)
-        submit_all(env, rig.consumer_engine, job)
-        requests += job
-    env.run(until=WARM_UP + HORIZON)
-    return env, server, [rig.consumer_engine for rig in rigs], requests
+    engines, requests = _run_four_pairs(env, server, telemetry=False)
+    return env, server, engines, requests
 
 
 def p2p_rig(engine_cls):
