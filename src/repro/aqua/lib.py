@@ -384,14 +384,20 @@ class AquaLib:
                 yield self.env.timeout(delay)
                 attempt += 1
 
+    @property
+    def staging_rate(self) -> float:
+        """Bytes per second the gather/scatter staging gets through: each
+        byte is read and written once through this GPU's HBM (the custom
+        CUDA kernels of §5)."""
+        return self.gpu.spec.effective_hbm_bandwidth / 2
+
     def staging_time(self, payload: int, pieces: int) -> float:
         """Seconds the gather/scatter staging of a ``payload``-byte move
-        of ``pieces`` buffers takes before its copy starts: one read and
-        one write through this GPU's HBM (the custom CUDA kernels of
-        §5), or nothing when the move is not gathered."""
+        of ``pieces`` buffers takes before its copy starts at
+        :attr:`staging_rate`, or nothing when the move is not gathered."""
         if not self.gather_enabled or pieces <= 1:
             return 0.0
-        return 2 * payload / self.gpu.spec.effective_hbm_bandwidth
+        return payload / self.staging_rate
 
     def _move_payload(
         self,

@@ -12,6 +12,7 @@ dilates concurrent compute kernels by ``GPUSpec.copy_interference``.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Callable, Generator, Hashable, Optional, Sequence
 
 from repro.hardware.gpu import GPU
@@ -68,11 +69,12 @@ class TransferStats:
 
     The statistics are sums in completion order, and one object serves
     every engine on a server.  A FlexGen decode window accounts its
-    copies ahead of time, so it hands their records over with their end
-    times (:meth:`defer`).  They are merged in time order, ties in the
-    order handed over, before every live :meth:`record` (a tie goes
-    first), every read and every :meth:`settle`: each sum is added in
-    the order the copies would have ended one event at a time.
+    copies ahead of time, so it hands them over as one entry: their end
+    times and a way to rebuild each record (:meth:`defer`).  The due
+    records of all windows are merged in (time, window, index) order
+    before every live :meth:`record` (a tie goes first), every read and
+    every :meth:`settle`: each sum is added in the order the copies
+    would have ended one event at a time.
     """
 
     def __init__(self) -> None:
@@ -81,10 +83,10 @@ class TransferStats:
         self._busy_time = 0.0
         self._per_route: dict[str, float] = {}
         self.listeners: list[TransferListener] = []
-        #: Deferred records, each ``(end, window, index, route_name,
-        #: nbytes, duration, channels)``, and the clock that says which
-        #: are due.
-        self._deferred: list = []
+        #: A heap with one entry per window that still holds records:
+        #: ``(end, window, index, ends, rebuild)``, its next record's
+        #: end and position; and the clock that says which are due.
+        self._windows: list = []
         self._seq = 0
         self._env: Optional[Environment] = None
 
@@ -95,44 +97,52 @@ class TransferStats:
         duration: float,
         channels: Sequence[Channel] = (),
     ) -> None:
-        if self._deferred:
+        if self._windows:
             self.settle()
-        self._add(((route_name, nbytes, duration, channels),))
+        self._add(route_name, nbytes, duration, channels)
 
-    def _add(self, records) -> None:
-        """Add ``records``, each ``(route_name, nbytes, duration,
-        channels)``, one after another."""
+    def _add(self, route_name: str, nbytes: float, duration: float, channels) -> None:
+        self._count += 1
+        self._bytes_total += nbytes
+        self._busy_time += duration
         per_route = self._per_route
-        for route_name, nbytes, duration, channels in records:
-            self._count += 1
-            self._bytes_total += nbytes
-            self._busy_time += duration
-            per_route[route_name] = per_route.get(route_name, 0.0) + nbytes
-            for listener in self.listeners:
-                listener(route_name, channels, nbytes, duration)
+        per_route[route_name] = per_route.get(route_name, 0.0) + nbytes
+        for listener in self.listeners:
+            listener(route_name, channels, nbytes, duration)
 
-    def defer(self, env: Environment, records) -> None:
-        """Hold ``records``, each ``(end, route_name, nbytes, duration,
-        channels)``, until ``env``'s clock reaches its ``end``."""
+    def defer(
+        self,
+        env: Environment,
+        ends: Sequence[float],
+        rebuild: Callable[[int], tuple],
+    ) -> None:
+        """Hold one window's records until ``env``'s clock reaches their
+        ends: record ``i`` ends at ``ends[i]`` (ascending), and
+        ``rebuild(i)`` returns it as ``(route_name, nbytes, duration,
+        channels)`` when it is due."""
         self._env = env
         self._seq += 1
-        self._deferred.extend(
-            (end, self._seq, i, *record) for i, (end, *record) in enumerate(records)
-        )
+        if len(ends):
+            heappush(self._windows, (ends[0], self._seq, 0, ends, rebuild))
 
     def settle(self) -> None:
-        """Merge the deferred records that have ended by now."""
-        deferred = self._deferred
-        if not deferred:
+        """Merge the deferred records that have ended by now.
+
+        Each due record is rebuilt once and costs one heap step over
+        the windows, whatever the number of records still held.
+        """
+        windows = self._windows
+        if not windows:
             return
         now = self._env.now
-        due = [record for record in deferred if record[0] <= now]
-        if len(due) < len(deferred):
-            self._deferred = [record for record in deferred if record[0] > now]
-        else:
-            self._deferred = []
-        due.sort()
-        self._add(record[3:] for record in due)
+        add = self._add
+        while windows and windows[0][0] <= now:
+            _, window, index, ends, rebuild = windows[0]
+            if index + 1 < len(ends):
+                heapreplace(windows, (ends[index + 1], window, index + 1, ends, rebuild))
+            else:
+                heappop(windows)
+            add(*rebuild(index))
 
     @property
     def count(self) -> int:

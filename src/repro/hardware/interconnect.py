@@ -21,7 +21,8 @@ Host DRAM is reachable from every GPU over that GPU's PCIe channel pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import TYPE_CHECKING, Hashable
 
 from repro.hardware.specs import LinkSpec
@@ -72,6 +73,11 @@ class Channel:
     def record(self, nbytes: float) -> None:
         self.bytes_moved += nbytes
         self.transfer_count += 1
+
+    def record_all(self, sizes) -> None:
+        """:meth:`record` each of ``sizes``, in order."""
+        self.bytes_moved = reduce(add, sizes, self.bytes_moved)
+        self.transfer_count += len(sizes)
 
     @property
     def effective_bandwidth(self) -> float:
@@ -134,10 +140,24 @@ class Route:
         """
         return sorted(self.channels, key=lambda ch: ch.name)
 
+    def wire_terms(self) -> tuple[float, float]:
+        """``(latency, bandwidth)``: the setup latency summed over the
+        hops, which are paid in series, and the live (degraded)
+        bandwidth of the slowest hop.  A payload of ``nbytes`` takes
+        ``latency + nbytes / bandwidth`` on the wire."""
+        latency = 0.0
+        bandwidth = float("inf")
+        for ch in self.channels:
+            latency += ch.spec.latency
+            hop = ch.effective_bandwidth
+            if hop < bandwidth:
+                bandwidth = hop
+        return latency, bandwidth
+
     @property
     def latency(self) -> float:
         """Total setup latency: the per-hop latencies are paid in series."""
-        return sum(ch.spec.latency for ch in self.channels)
+        return self.wire_terms()[0]
 
     @property
     def bottleneck_bandwidth(self) -> float:
@@ -148,7 +168,7 @@ class Route:
         spec — the signal the AQUA coordinator uses to fail over to
         the PCIe path.
         """
-        return min(ch.effective_bandwidth for ch in self.channels)
+        return self.wire_terms()[1]
 
     @property
     def healthy(self) -> bool:
@@ -161,15 +181,7 @@ class Route:
             raise ValueError(f"negative transfer size {nbytes}")
         if nbytes == 0:
             return 0.0
-        # One pass over the hops: latencies add up, the slowest live
-        # (degraded) bandwidth bounds the payload.
-        latency = 0.0
-        bandwidth = float("inf")
-        for ch in self.channels:
-            latency += ch.spec.latency
-            hop = ch.effective_bandwidth
-            if hop < bandwidth:
-                bandwidth = hop
+        latency, bandwidth = self.wire_terms()
         return latency + nbytes / bandwidth
 
     def wire_time(self, nbytes: float, pieces: int = 1) -> float:
@@ -178,7 +190,8 @@ class Route:
 
         The one formula for a copy's time on the wire: a
         :class:`~repro.hardware.dma.Transfer` holds its channels this
-        long, and a FlexGen decode window accounts its copies with it.
+        long.  A FlexGen decode window, whose copies are gathered into
+        one piece, adds the same terms from :meth:`wire_terms`.
         """
         if pieces < 1:
             raise ValueError(f"pieces must be >= 1, got {pieces}")

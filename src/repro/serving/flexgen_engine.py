@@ -20,6 +20,10 @@ touch or see run as one window with one wake (see
 
 from __future__ import annotations
 
+from array import array
+from functools import reduce
+from itertools import repeat
+from operator import add
 from types import MethodType
 from typing import Generator
 
@@ -179,7 +183,13 @@ class FlexGenEngine(LLMEngineBase):
         and the step ends at the later of the two.  Step ``k`` is the
         first of:
 
-        * the step at the next ``respond()`` boundary;
+        * the step at the next ``respond()`` boundary, if the
+          coordinator owes this engine a move now (or counts its REST
+          calls).  Otherwise no boundary before the horizon owes one:
+          what could change the answer (a producer's reclaim or lease,
+          a fault report, a peer paired to the same producer) is an
+          event the horizon stops before, so those ``respond()`` calls
+          would move and record nothing;
         * the step that completes the request or reaches ``max_total``;
         * the last step that ends strictly before the horizon: the stop
           time of the current ``run(until=...)``, now under a per-event
@@ -199,15 +209,15 @@ class FlexGenEngine(LLMEngineBase):
         no transfer listener (their span order and chained digest
         record how the engines' steps interleave).  Each step's kernel
         busy time, channel ledgers, ``fetch_count`` and token stamp
-        (but step ``k``'s) are accounted at once, at their own times;
-        the transfer records are deferred to their end times
-        (:meth:`TransferStats.defer`).  Until the wake the window holds
-        its GPUs and channels: anyone else who touches them raises
-        :class:`~repro.sim.WindowConflict`.
+        (but step ``k``'s) are accounted at once, at their own times
+        and in step order; the transfer records are deferred to their
+        end times as one ledger entry (:meth:`TransferStats.defer`).
+        Until the wake the window holds its GPUs and channels: anyone
+        else who touches them raises :class:`~repro.sim.WindowConflict`.
         """
         server = self.server
         stats = server.transfer_stats
-        gpu, device = self.gpu, tensor.device
+        gpu, device, lib = self.gpu, tensor.device, self.aqua_lib
         if (
             server.telemetry is not None
             or stats.listeners
@@ -218,12 +228,16 @@ class FlexGenEngine(LLMEngineBase):
         ):
             return False
         generated = request.generated_tokens
-        every = self.respond_every
         limit = min(
-            every - generated % every,
             request.max_new_tokens - generated,
             max_total - request.total_tokens,
         )
+        every = self.respond_every
+        boundary = every - generated % every
+        if boundary < limit and (
+            lib.coordinator.telemetry is not None or lib.get_tensors_to_move()
+        ):
+            limit = boundary
         if limit < 2:
             return False
         route = server.interconnect.route(device, gpu)
@@ -245,44 +259,57 @@ class FlexGenEngine(LLMEngineBase):
             return True
 
         horizon = env.horizon_past(harmless)
+        # No step starting after the last of those events can tie one.
+        due_until = max(steps_due, default=-1.0)
+        # The terms every step shares: a copy of ``payload`` bytes, one
+        # gathered piece, starts after ``payload / rate`` of staging and
+        # takes ``latency + payload / bandwidth`` on the wire.
         kernel = step * gpu.dilation()
-        kv_bytes, staging_time = self.model.kv_bytes, self.aqua_lib.staging_time
-        label, channels = route.label, route.sorted_channels
-        pieces = self._stream_pieces()
-        total = request.total_tokens
+        latency, bandwidth = route.wire_terms()
+        rate = lib.staging_rate
+        per_token = self.model.kv_bytes_per_token
+        first = payload = self.model.kv_bytes(request.total_tokens)
         t = env.now
-        ends, copies = [], []
-        for s in range(1, limit + 1):
-            payload = kv_bytes(total + s)
-            nbytes = float(payload)
-            wire = route.wire_time(nbytes)
-            copy_start = t + staging_time(payload, pieces)
-            copy_end = copy_start + wire
+        ends, copy_ends = [], array("d")
+        for _ in range(limit):
+            payload += per_token
+            copy_start = t + payload / rate
+            copy_end = copy_start + (latency + payload / bandwidth)
             kernel_end = t + kernel
-            t = copy_end if copy_end > kernel_end else kernel_end
-            if t >= horizon or (
-                steps_due and not steps_due.isdisjoint((copy_start, copy_end, kernel_end))
+            end = copy_end if copy_end > kernel_end else kernel_end
+            if end >= horizon or (
+                t <= due_until
+                and not steps_due.isdisjoint((copy_start, copy_end, kernel_end))
             ):
                 break
-            ends.append(t)
-            copies.append((copy_end, label, nbytes, wire, channels))
-        if len(ends) < 2:
+            ends.append(end)
+            copy_ends.append(copy_end)
+            t = end
+        n = len(ends)
+        if n < 2:
             return False
 
-        for copy in copies:
-            gpu.busy_time += kernel
-            for channel in channels:
-                channel.record(copy[2])
-        stats.defer(env, copies)
-        tensor.fetch_count += len(copies)
-        record_token = self.metrics.record_token
-        for end in ends[:-1]:
-            request.record_token(end)
-            record_token(end)
+        # The ledgers, summed in step order as the steps would have.
+        gpu.busy_time = reduce(add, repeat(kernel, n), gpu.busy_time)
+        payloads = range(first + per_token, first + per_token * (n + 1), per_token)
+        label, channels = route.label, route.sorted_channels
+        for channel in channels:
+            channel.record_all(payloads)
+
+        def rebuild(i: int) -> tuple:
+            nbytes = float(payloads[i])
+            return label, nbytes, latency + nbytes / bandwidth, channels
+
+        stats.defer(env, copy_ends, rebuild)
+        tensor.fetch_count += n
+        last = ends.pop()
+        request.record_tokens(ends)
+        self.metrics.record_tokens(ends)
+        del ends  # the metrics hold the stamps; a long window need not
         for resource in held:
             resource.window = self
         wake = _Wake(env)
-        env.succeed_at(wake, ends[-1])
+        env.succeed_at(wake, last)
         yield wake
         for resource in held:
             resource.window = None

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from itertools import chain
+from operator import gt
 from typing import Sequence
 
 from repro.serving.request import Request
@@ -73,6 +75,22 @@ class MetricsCollector:
         self.tokens_generated += n
         times.append(now)
         self.step_totals.append(self.tokens_generated)
+
+    def record_tokens(self, times) -> None:
+        """Count one token at each of ``times``, as one
+        :meth:`record_token` call per time would; a time before the one
+        preceding it raises."""
+        if not len(times):
+            return
+        last = self.step_times[-1] if self.step_times else times[0]
+        if any(map(gt, chain((last,), times), times)):
+            raise ValueError(
+                f"non-monotonic token times for {self.name!r} after t={last}"
+            )
+        total = self.tokens_generated
+        self.tokens_generated = total + len(times)
+        self.step_times.extend(times)
+        self.step_totals.extend(range(total + 1, self.tokens_generated + 1))
 
     def record_completion(self, request: Request) -> None:
         self.completed.append(request)

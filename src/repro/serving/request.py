@@ -145,6 +145,22 @@ class Request:
         self.finish(now)
         return True
 
+    def record_tokens(self, times) -> None:
+        """Account one generated token at each of ``times``, none of
+        which may complete the request (a decode window stamps its last
+        token one at a time)."""
+        n = len(times)
+        if not n:
+            return
+        if self.finish_time is None and self.generated_tokens + n >= self.max_new_tokens:
+            raise ValueError(
+                f"request {self.req_id}: {n} tokens from {self.generated_tokens} "
+                f"would complete it at or before t={times[-1]}"
+            )
+        if self.first_token_time is None:
+            self.first_token_time = times[0]
+        self._generated += n
+
     def finish(self, now: float) -> None:
         """Complete the request at ``now``, its last token's time."""
         self.finish_time = now

@@ -292,7 +292,12 @@ def _attributed_run(rig, trace, wakes=None):
 
     def reader():
         for wake in sorted(wakes):
-            yield env.timeout(wake - env.now)
+            # Land on the wake itself: ``env.now + (wake - env.now)`` can
+            # round one ulp past it, and an equal next wake would then
+            # ask for a negative delay.
+            woken = env.event()
+            env.succeed_at(woken, wake)
+            yield woken
             for r in engine.running:
                 reached = max(engine.seated_at[r.req_id], engine.last_step)
                 total = sum(hub.attribution.components_of(r).values())

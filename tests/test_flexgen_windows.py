@@ -10,27 +10,33 @@ processes more events.
 
 Hypothesis draws rigs of one to four FlexGen consumers on an 8-GPU
 NVSwitch server, consumer ``i`` on GPU ``i`` offloading to a producer
-``BatchEngine`` on GPU ``4 + i``.  Prompt and output lengths differ per
-consumer, so their steps take different times and their transfer
-records interleave.  The draws add, all aimed at pairs 1 to 3:
+``BatchEngine`` on GPU ``4 + i``, all calling ``respond()`` every 2, 3
+or 16 tokens.  Prompt and output lengths differ per consumer, so their
+steps take different times and their transfer records interleave.  The
+draws add, all aimed at pairs 1 to 3:
 
 * producer request arrivals;
 * a co-resident process that holds a GPU stream or a DMA channel;
 * a GPU failure, a DMA stall and a link degradation through
   ``FaultInjector``;
+* consumers left unpaired, whose contexts stay in host DRAM, so their
+  copies are recorded live between the deferred records of long
+  windows;
 
 and, for the whole server:
 
 * a sampler that reads every ledger;
 * the stop of a first ``run(until=...)``, a time or a timeout nobody
-  waits on, after which the run goes on to the end.
+  waits on, after which the run goes on to the end;
+* a reclaim by consumer 0's producer while it decodes: the
+  coordinator then owes consumer 0 a move at a ``respond()`` boundary
+  inside what would otherwise be one window.
 
-Consumer 0 always decodes for seconds and nothing is aimed at its pair,
-so some of its steps run in windows: only the events above cut them.
-Each schedule runs on two fresh identical rigs.  Drawn times sit 3.7 ms
-off a 10 ms grid, so none lands on the 0.25 s poll ticks of a producer
-that has run no batch, where a sleeping producer raises
-``UnplaceableWake``.
+Consumer 0 always decodes for seconds, so some of its steps run in
+windows: only the events above cut them.  Each schedule runs on two
+fresh identical rigs.  Drawn times sit 3.7 ms off a 10 ms grid, so none
+lands on the 0.25 s poll ticks of a producer that has run no batch,
+where a sleeping producer raises ``UnplaceableWake``.
 """
 
 import itertools
@@ -42,6 +48,7 @@ from hypothesis import strategies as st
 
 import repro.aqua.tensor
 from repro.aqua import AquaLib, BatchInformer, Coordinator
+from repro.aqua.informers import Decision
 from repro.faults import DmaStall, FaultInjector, FaultSchedule, GpuFailure, LinkDegradation
 from repro.hardware import Server
 from repro.hardware.specs import MB
@@ -104,6 +111,23 @@ class PerStepFlexGen(FlexGenEngine):
             tensor.free()
 
 
+class ReclaimOnce(BatchInformer):
+    """Donates as a ``BatchInformer`` does, but asks for the donation
+    back once, at its first inform at or after ``at``.  It is not a
+    plain ``BatchInformer``, so its idle producer polls every 0.25 s."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+        self.reclaimed = False
+
+    def decide(self, stats, donated_bytes):
+        if not self.reclaimed and stats.now >= self.at and donated_bytes > 0:
+            self.reclaimed = True
+            return Decision.reclaim()
+        return super().decide(stats, donated_bytes)
+
+
 def _ledgers(server, engines, requests):
     """Everything the oracle compares, read through public attributes."""
     stats = server.transfer_stats
@@ -134,9 +158,9 @@ def _run_rig(rig, engine_cls):
     coordinator = Coordinator()
     engines, requests, producers = [], [], []
     for i in range(4):
-        producer_lib = AquaLib(
-            server.gpus[4 + i], server, coordinator, informer=BatchInformer()
-        )
+        reclaim = rig["reclaim"] if i == 0 else None
+        informer = BatchInformer() if reclaim is None else ReclaimOnce(reclaim)
+        producer_lib = AquaLib(server.gpus[4 + i], server, coordinator, informer=informer)
         producer = BatchEngine(
             server.gpus[4 + i], server, SD_15, aqua_lib=producer_lib, name=f"producer{i}"
         )
@@ -144,10 +168,12 @@ def _run_rig(rig, engine_cls):
         producers.append(producer)
     for i, jobs in enumerate(rig["consumers"]):
         lib = AquaLib(server.gpus[i], server, coordinator)
-        coordinator.pair(lib.name, producers[i].aqua_lib.name)
+        if i not in rig["unpaired"]:
+            coordinator.pair(lib.name, producers[i].aqua_lib.name)
         engine = engine_cls(
             server.gpus[i], server, OPT_30B, aqua_lib=lib,
             workspace_tokens=8000, name=f"flexgen{i}",
+            respond_every=rig["respond_every"],
         )
         engine.start()
         engines.append(engine)
@@ -248,7 +274,21 @@ def rigs(draw):
         "faults": draw(st.lists(faults, max_size=3)),
         "samples": draw(st.lists(times, max_size=6, unique=True)),
         "stop": (draw(times), draw(st.booleans())),
+        "respond_every": draw(st.sampled_from([2, 3, 16])),
+        # After consumer 0's first job has arrived.
+        "reclaim": draw(st.none() | st.integers(300, 1000).map(lambda k: k / 100 + 0.0037)),
+        "unpaired": draw(st.frozensets(st.integers(1, 3))),
     }
+
+
+def fixed_rig(**fields):
+    """A rig with nothing drawn but ``fields``."""
+    rig = {
+        "arrivals": [], "claims": [], "faults": [], "samples": [],
+        "respond_every": 16, "reclaim": None, "unpaired": frozenset(),
+    }
+    rig.update(fields)
+    return rig
 
 
 @settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -265,11 +305,7 @@ def test_a_quiet_rig_decodes_in_windows():
     others' steps due at its own instants, and all open windows.  The
     jobs arrive after the producers' first donations, so every context
     sits on a producer from its first step."""
-    rig = {
-        "consumers": [[(0.5037, 2000, 100)]] * 4,
-        "arrivals": [], "claims": [], "faults": [], "samples": [],
-        "stop": (HORIZON - 0.0063, False),
-    }
+    rig = fixed_rig(consumers=[[(0.5037, 2000, 100)]] * 4, stop=(HORIZON - 0.0063, False))
     windowed, windowed_events = _run(rig, FlexGenEngine)
     stepped, stepped_events = _run(rig, PerStepFlexGen)
     assert windowed == stepped
@@ -285,11 +321,11 @@ def test_a_lockstep_peer_that_steps_keeps_its_place():
     at the same instants as the second one's and come first there, so
     the second one may not account them ahead in a window: that would
     reorder the server's transfer records."""
-    rig = {
-        "consumers": [[(0.5037, 200, 100)], [(0.5037, 200, 3)]],
-        "arrivals": [(0.0037, 0, 3)], "claims": [], "faults": [], "samples": [],
-        "stop": (0.0037, False),
-    }
+    rig = fixed_rig(
+        consumers=[[(0.5037, 200, 100)], [(0.5037, 200, 3)]],
+        arrivals=[(0.0037, 0, 3)],
+        stop=(0.0037, False),
+    )
     windowed, windowed_events = _run(rig, FlexGenEngine)
     stepped, stepped_events = _run(rig, PerStepFlexGen)
     assert windowed == stepped
@@ -320,3 +356,19 @@ def test_a_window_refuses_every_touch_of_its_resources():
     server.env.process(copy())
     with pytest.raises(WindowConflict):
         server.env.run()
+
+
+def test_a_reclaim_mid_decode_moves_at_the_next_boundary():
+    """Consumer 0's producer asks for its donation back while consumer
+    0 decodes.  The coordinator then owes consumer 0 a move, so its
+    window stops at the next ``respond()`` boundary, where the context
+    leaves for DRAM and its fetches cross PCIe."""
+    rig = fixed_rig(
+        consumers=[[(0.5037, 2000, 400)]], reclaim=3.0037, respond_every=2, stop=(HORIZON, False)
+    )
+    windowed, windowed_events = _run(rig, FlexGenEngine)
+    stepped, stepped_events = _run(rig, PerStepFlexGen)
+    assert windowed == stepped
+    channels = dict((name, moved) for name, moved, _ in windowed[2][3])
+    assert channels["server0:pcie-down:gpu0"] > 0
+    assert stepped_events > windowed_events

@@ -137,8 +137,10 @@ def test_deferred_records_merge_in_time_order():
     stats = TransferStats()
     seen = []
     stats.listeners.append(lambda route, channels, nbytes, duration: seen.append(route))
-    stats.defer(env, [(1.0, "a", 1.0, 0.1, ()), (3.0, "a", 2.0, 0.2, ())])
-    stats.defer(env, [(2.0, "b", 4.0, 0.4, ()), (3.0, "b", 8.0, 0.8, ())])
+    a = [("a", 1.0, 0.1, ()), ("a", 2.0, 0.2, ())]
+    b = [("b", 4.0, 0.4, ()), ("b", 8.0, 0.8, ())]
+    stats.defer(env, [1.0, 3.0], a.__getitem__)
+    stats.defer(env, [2.0, 3.0], b.__getitem__)
     assert stats.count == 0  # nothing has ended at t=0
     env.run(until=3.0)
     stats.record("c", 16.0, 1.6)

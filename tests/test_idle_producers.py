@@ -30,7 +30,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.aqua.tensor
@@ -50,7 +50,10 @@ KEYS = 3
 
 class PollingBatchEngine(BatchEngine):
     """The engine before idle sleep: with nothing queued it informs
-    every 0.25 s, whatever the last inform decided."""
+    every 0.25 s, whatever the last inform decided.  ``idle_informs``
+    counts the informs its timer woke it for, not an arrival."""
+
+    idle_informs = 0
 
     def _serve(self):
         while True:
@@ -58,6 +61,8 @@ class PollingBatchEngine(BatchEngine):
                 if self._arrival_event.triggered:
                     self._arrival_event = self.env.event()
                 yield AnyOf(self.env, [self._arrival_event, self.env.timeout(0.25)])
+                if not self._arrival_event.triggered:
+                    self.idle_informs += 1
                 self._inform()
                 continue
             batch = [
@@ -113,7 +118,7 @@ def _op(env, rig, kind, at, arg):
 def _run(schedule, engine_cls, informer_cls=BatchInformer, faults=(), horizon=HORIZON):
     """Run ``schedule`` on a fresh rig; return the state changes, one
     ``(instant, state)`` per instant whose end state differs from the
-    one before, and the number of events processed."""
+    one before, the number of events processed and the engine."""
     # Tensor ids name pool reservations: number each run's from zero.
     with mock.patch.object(repro.aqua.tensor, "_AQUA_TENSOR_IDS", itertools.count()):
         return _run_rig(schedule, engine_cls, informer_cls, faults, horizon)
@@ -164,7 +169,7 @@ def _run_rig(schedule, engine_cls, informer_cls, faults, horizon):
     for now, end_state in instants:
         if not changes or changes[-1][1] != end_state:
             changes.append((now, end_state))
-    return changes, env.events_processed
+    return changes, env.events_processed, engine
 
 
 #: A time 3 ms off the 10 ms grid: never exactly a poll tick.
@@ -204,14 +209,22 @@ faults = st.lists(st.tuples(times, st.sampled_from([0.5, 2.0])), max_size=1)
     fault_windows=faults,
     informer=st.sampled_from([BatchInformer, BatchInformer, LlmInformer]),
 )
+@example(  # busy from 0.003 s to the horizon: neither engine takes a tick
+    schedule=[("arrive", 0.003, k) for k in (1, 1, 1, 3, 4, 7, 10, 12, 12)],
+    fault_windows=[],
+    informer=BatchInformer,
+)
 def test_sleeping_producer_matches_the_polling_reference(schedule, fault_windows, informer):
-    sleeping, sleeping_events = _run(schedule, BatchEngine, informer, fault_windows)
-    polling, polling_events = _run(schedule, PollingBatchEngine, informer, fault_windows)
+    sleeping, sleeping_events, _ = _run(schedule, BatchEngine, informer, fault_windows)
+    polling, polling_events, reference = _run(
+        schedule, PollingBatchEngine, informer, fault_windows
+    )
     assert sleeping == polling
-    if informer is BatchInformer:
+    if informer is BatchInformer and reference.idle_informs:
         assert polling_events > sleeping_events
     else:
-        # An informer with memory keeps its engine polling.
+        # An informer with memory keeps its engine polling, and a
+        # producer kept busy from before its first tick never polls.
         assert polling_events == sleeping_events
 
 
@@ -240,8 +253,8 @@ def test_release_on_a_poll_tick_is_seen_there():
     release, and the sleeping engine offers at the same tick."""
     witness = ("alloc", TICK, (0, 4))
     schedule = _release_at(TICK) + [witness]
-    sleeping, sleeping_events = _run(schedule, BatchEngine)
-    polling, polling_events = _run(schedule, PollingBatchEngine)
+    sleeping, sleeping_events, _ = _run(schedule, BatchEngine)
+    polling, polling_events, _ = _run(schedule, PollingBatchEngine)
     assert sleeping == polling
     assert polling_events > sleeping_events
     donated = dict(_donations(sleeping))
@@ -250,8 +263,8 @@ def test_release_on_a_poll_tick_is_seen_there():
 
 def test_release_between_ticks_offers_at_the_next_tick():
     schedule = _release_at(TICK + 0.1)
-    sleeping, _ = _run(schedule, BatchEngine)
-    polling, _ = _run(schedule, PollingBatchEngine)
+    sleeping, _, _ = _run(schedule, BatchEngine)
+    polling, _, _ = _run(schedule, PollingBatchEngine)
     assert sleeping == polling
     donated = dict(_donations(sleeping))
     assert donated[TICK + 0.1] == donated[0.25] < donated[TICK + 0.25]
@@ -276,8 +289,8 @@ def _arrive_at(tick):
 
 def test_arrival_on_a_poll_tick_with_a_witness_matches():
     schedule = [_arrive_at(TICK), ("alloc", TICK, (0, 4))]
-    sleeping, _ = _run(schedule, BatchEngine)
-    polling, _ = _run(schedule, PollingBatchEngine)
+    sleeping, _, _ = _run(schedule, BatchEngine)
+    polling, _, _ = _run(schedule, PollingBatchEngine)
     assert sleeping == polling
     assert sleeping[-1][1][4] == 1
 
@@ -292,7 +305,7 @@ def test_idle_producer_retires_a_handful_of_events():
     """600 s idle after its first donation: the polling loop retires
     two events for each of its 2,400 ticks; the sleeping engine retires
     its start, the first tick's timer and wake, and nothing after."""
-    _, events = _run([], BatchEngine, horizon=600.0)
-    _, polling_events = _run([], PollingBatchEngine, horizon=600.0)
+    _, events, _ = _run([], BatchEngine, horizon=600.0)
+    _, polling_events, _ = _run([], PollingBatchEngine, horizon=600.0)
     assert events <= 5
     assert polling_events > 4000

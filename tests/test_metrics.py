@@ -114,6 +114,34 @@ def test_collector_token_times_must_not_go_backwards():
     assert m.tokens_in_window(0.0, 2.0) == 0
 
 
+def test_bulk_token_stamps_match_one_call_per_token():
+    """A decode window stamps its tokens in one call; it leaves what
+    one ``record_token`` per token would, and raises on a time that
+    goes backwards or on a token that would complete the request."""
+    times = [1.0, 1.5, 1.5, 2.0]
+    bulk, single = MetricsCollector("bulk"), MetricsCollector("single")
+    bulk.record_token(0.5)
+    single.record_token(0.5)
+    bulk.record_tokens(times)
+    for t in times:
+        single.record_token(t)
+    assert bulk.tokens_generated == single.tokens_generated == 5
+    assert bulk.step_times == single.step_times
+    assert list(bulk.step_totals) == list(single.step_totals)
+    for backwards in ([1.9], [2.5, 2.4]):
+        with pytest.raises(ValueError, match="non-monotonic"):
+            bulk.record_tokens(backwards)
+    assert bulk.tokens_generated == 5
+
+    request = Request(arrival_time=0.0, prompt_tokens=4, max_new_tokens=5)
+    request.record_tokens(times)
+    assert (request.generated_tokens, request.first_token_time) == (4, 1.0)
+    assert request.finish_time is None
+    with pytest.raises(ValueError, match="would complete it"):
+        request.record_tokens([2.5])
+    assert request.generated_tokens == 4
+
+
 def test_collector_summary():
     m = MetricsCollector("summary")
     m.record_completion(finished_request(0, 1, 2))
