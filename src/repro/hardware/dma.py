@@ -12,11 +12,12 @@ dilates concurrent compute kernels by ``GPUSpec.copy_interference``.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Generator, Hashable, Optional, Sequence
 
 from repro.hardware.gpu import GPU
-from repro.hardware.interconnect import Channel, Interconnect, Route
+from repro.hardware.interconnect import Channel, Interconnect, Route, add_in_order
 from repro.sim import Environment
 from repro.sim.resources import ensure_unheld
 
@@ -28,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: listener that sums ``nbytes`` once per channel reconstructs the
 #: per-channel ledger exactly (see :mod:`repro.audit`).
 TransferListener = Callable[[str, Sequence[Channel], float, float], None]
+
+#: The most records of one window :meth:`TransferStats.settle` merges
+#: at a time.
+_SLICE = 1024
 
 
 class TransferError(RuntimeError):
@@ -69,12 +74,11 @@ class TransferStats:
 
     The statistics are sums in completion order, and one object serves
     every engine on a server.  A FlexGen decode window accounts its
-    copies ahead of time, so it hands them over as one entry: their end
-    times and a way to rebuild each record (:meth:`defer`).  The due
-    records of all windows are merged in (time, window, index) order
-    before every live :meth:`record` (a tie goes first), every read and
-    every :meth:`settle`: each sum is added in the order the copies
-    would have ended one event at a time.
+    copies ahead of time, so it hands them over as one entry of columns
+    (:meth:`defer`).  The due records of all windows are merged in
+    (time, window, index) order before every live :meth:`record` (a tie
+    goes first), every read and every :meth:`settle`: each sum is added
+    in the order the copies would have ended one event at a time.
     """
 
     def __init__(self) -> None:
@@ -84,8 +88,9 @@ class TransferStats:
         self._per_route: dict[str, float] = {}
         self.listeners: list[TransferListener] = []
         #: A heap with one entry per window that still holds records:
-        #: ``(end, window, index, ends, rebuild)``, its next record's
-        #: end and position; and the clock that says which are due.
+        #: ``(end, window, index, columns)``, its next record's end and
+        #: position and its :meth:`defer` arguments; and the clock that
+        #: says which are due.
         self._windows: list = []
         self._seq = 0
         self._env: Optional[Environment] = None
@@ -99,9 +104,6 @@ class TransferStats:
     ) -> None:
         if self._windows:
             self.settle()
-        self._add(route_name, nbytes, duration, channels)
-
-    def _add(self, route_name: str, nbytes: float, duration: float, channels) -> None:
         self._count += 1
         self._bytes_total += nbytes
         self._busy_time += duration
@@ -114,35 +116,110 @@ class TransferStats:
         self,
         env: Environment,
         ends: Sequence[float],
-        rebuild: Callable[[int], tuple],
+        latency: float,
+        bandwidth: float,
+        sizes: range,
+        route_name: str,
+        channels: Sequence[Channel],
     ) -> None:
         """Hold one window's records until ``env``'s clock reaches their
-        ends: record ``i`` ends at ``ends[i]`` (ascending), and
-        ``rebuild(i)`` returns it as ``(route_name, nbytes, duration,
-        channels)`` when it is due."""
+        ends: record ``i`` moves ``sizes[i]`` bytes over ``channels`` of
+        route ``route_name``, took ``latency + sizes[i] / bandwidth`` on
+        the wire and ends at ``ends[i]`` (ascending)."""
+        import numpy as np
+
         self._env = env
         self._seq += 1
+        ends = np.asarray(ends, dtype=float)
         if len(ends):
-            heappush(self._windows, (ends[0], self._seq, 0, ends, rebuild))
+            columns = (ends, latency, bandwidth, sizes, route_name, channels)
+            heappush(self._windows, (float(ends[0]), self._seq, 0, columns))
 
     def settle(self) -> None:
         """Merge the deferred records that have ended by now.
 
-        Each due record is rebuilt once and costs one heap step over
-        the windows, whatever the number of records still held.
+        The due windows leave the heap together and are merged in
+        slices of at most ``_SLICE`` records each, which bounds the
+        merge's scratch arrays.  Where a slice leaves due records
+        behind, every slice stops before the first of them in (end,
+        window) order, so what is merged is always the earliest of what
+        is due.
         """
         windows = self._windows
         if not windows:
             return
         now = self._env.now
-        add = self._add
         while windows and windows[0][0] <= now:
-            _, window, index, ends, rebuild = windows[0]
-            if index + 1 < len(ends):
-                heapreplace(windows, (ends[index + 1], window, index + 1, ends, rebuild))
-            else:
-                heappop(windows)
-            add(*rebuild(index))
+            due = []
+            while windows and windows[0][0] <= now:
+                _, window, index, columns = heappop(windows)
+                due.append((window, index, columns))
+            due.sort(key=itemgetter(0))
+            stops, cut = [], None
+            for window, index, columns in due:
+                ends = columns[0]
+                due_stop = int(ends.searchsorted(now, "right"))
+                stop = min(index + _SLICE, due_stop)
+                if stop < due_stop:
+                    first_left = (float(ends[stop]), window)
+                    cut = first_left if cut is None else min(cut, first_left)
+                stops.append(stop)
+            if cut is not None:
+                cut_end, cut_window = cut
+                stops = [
+                    index + int(columns[0][index:stop].searchsorted(
+                        cut_end, "right" if window <= cut_window else "left"
+                    ))
+                    for (window, index, columns), stop in zip(due, stops)
+                ]
+            self._merge([
+                (window, columns, index, stop)
+                for (window, index, columns), stop in zip(due, stops)
+                if stop > index
+            ])
+            for (window, index, columns), stop in zip(due, stops):
+                ends = columns[0]
+                if stop < len(ends):
+                    heappush(windows, (float(ends[stop]), window, stop, columns))
+
+    def _merge(self, slices: list) -> None:
+        """Add records ``index … stop - 1`` of each ``(window, columns,
+        index, stop)`` of ``slices``, which come in window order, in
+        (end, window, index) order: a stable sort on the end times
+        keeps a tie in window order."""
+        import numpy as np
+
+        ends, sizes, durations, owners = [], [], [], []
+        for k, (_, columns, index, stop) in enumerate(slices):
+            window_ends, latency, bandwidth, window_sizes = columns[:4]
+            part = window_sizes[index:stop]
+            nbytes = np.arange(part.start, part.stop, part.step).astype(float)
+            ends.append(window_ends[index:stop])
+            sizes.append(nbytes)
+            durations.append(latency + nbytes / bandwidth)
+            owners.append(np.full(stop - index, k))
+        order = np.concatenate(ends).argsort(kind="stable")
+        sizes = np.concatenate(sizes)[order]
+        durations = np.concatenate(durations)[order]
+        owners = np.concatenate(owners)[order]
+        self._count += len(order)
+        self._bytes_total = add_in_order(self._bytes_total, sizes)
+        self._busy_time = add_in_order(self._busy_time, durations)
+        # Each route's bytes in merged order; a new route joins
+        # ``per_route`` where its first record ends.
+        labels = [columns[4] for _, columns, _, _ in slices]
+        routes = []
+        for label in dict.fromkeys(labels):
+            mine = np.array([other == label for other in labels])[owners]
+            routes.append((int(mine.argmax()), label, sizes[mine]))
+        per_route = self._per_route
+        for _, label, nbytes in sorted(routes, key=itemgetter(0)):
+            per_route[label] = add_in_order(per_route.get(label, 0.0), nbytes)
+        if self.listeners:
+            for k, nbytes, duration in zip(owners.tolist(), sizes.tolist(), durations.tolist()):
+                columns = slices[k][1]
+                for listener in self.listeners:
+                    listener(columns[4], columns[5], nbytes, duration)
 
     @property
     def count(self) -> int:

@@ -21,8 +21,7 @@ Host DRAM is reachable from every GPU over that GPU's PCIe channel pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 from typing import TYPE_CHECKING, Hashable
 
 from repro.hardware.specs import LinkSpec
@@ -35,6 +34,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class RoutingError(LookupError):
     """Raised when no route exists between two devices."""
+
+
+def add_in_order(total: float, terms) -> float:
+    """``total`` plus each of ``terms`` in turn, as a loop of ``+=``
+    adds them, as a Python float.
+
+    ``np.add.accumulate`` adds left to right and IEEE addition is the
+    same in numpy and Python, so the sum is bit for bit the loop's; a
+    ``range`` of ints is widened to float64 exactly, as ``+=`` widens
+    each.  numpy is imported here, not at module level, so importing
+    the simulator does not load it.
+    """
+    import numpy as np
+
+    if isinstance(terms, range):
+        terms = np.arange(terms.start, terms.stop, terms.step)
+    column = np.empty(len(terms) + 1)
+    column[0] = total
+    column[1:] = terms
+    return float(np.add.accumulate(column)[-1])
 
 
 @dataclass
@@ -76,7 +95,7 @@ class Channel:
 
     def record_all(self, sizes) -> None:
         """:meth:`record` each of ``sizes``, in order."""
-        self.bytes_moved = reduce(add, sizes, self.bytes_moved)
+        self.bytes_moved = add_in_order(self.bytes_moved, sizes)
         self.transfer_count += len(sizes)
 
     @property

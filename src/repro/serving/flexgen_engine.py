@@ -20,18 +20,103 @@ touch or see run as one window with one wake (see
 
 from __future__ import annotations
 
-from array import array
-from functools import reduce
-from itertools import repeat
-from operator import add
 from types import MethodType
 from typing import Generator
 
 from repro.aqua.tensor import Location, TensorLostError
 from repro.hardware.gpu import _Kernel
+from repro.hardware.interconnect import add_in_order
 from repro.serving.engine import LLMEngineBase
 from repro.serving.request import Request
 from repro.sim import Event, Process
+
+
+#: The most steps :func:`_steps` computes in one run.  Runs start at
+#: ``_FIRST_RUN`` steps and double up to it, so a near horizon wastes
+#: little and a long window's scratch arrays stay small.
+_RUN_CAP = 1024
+_FIRST_RUN = 16
+
+
+def _steps(
+    t: float,
+    payloads: range,
+    kernel: float,
+    rate: float,
+    latency: float,
+    bandwidth: float,
+    horizon: float,
+    steps_due: set,
+    due_until: float,
+) -> tuple:
+    """The end times, as a list of Python floats, and the copy end
+    times, as a float64 array, of the decode steps of a window from
+    ``t``: step ``s`` copies ``payloads[s]`` bytes and the window stops
+    before the first step that ends at or after ``horizon`` or, if it
+    starts at or before ``due_until``, has a copy start, copy end or
+    kernel end in ``steps_due``.
+
+    A step ends at its copy end if that is strictly later than its
+    kernel end, else at its kernel end; the next step starts there.
+    The steps are computed in runs in which the same leg binds, each by
+    one ``np.add.accumulate``: over ``[t, staging, wire, staging, wire,
+    …]`` when the copy binds (each element is a copy start or a copy
+    end), over ``[t, kernel, kernel, …]`` when the kernel does.
+    numpy adds left to right with the same IEEE additions as a scalar
+    loop over the steps, so every time is bit for bit that loop's.  A
+    run stops at the first step that fails the leg it assumed, which
+    the next run recomputes with the other leg.
+    """
+    import numpy as np
+
+    ends, copy_ends = [], []
+    done, size = 0, _FIRST_RUN
+    while done < len(payloads):
+        part = payloads[done : done + size]
+        size = min(2 * size, _RUN_CAP)
+        nbytes = np.arange(part.start, part.stop, part.step)
+        staging = nbytes / rate
+        wire = latency + nbytes / bandwidth
+        if t + staging[0] + wire[0] > t + kernel:
+            column = np.empty(2 * len(part) + 1)
+            column[0] = t
+            column[1::2] = staging
+            column[2::2] = wire
+            column = np.add.accumulate(column)
+            starts, copy_starts = column[0:-1:2], column[1::2]
+            run_copy_ends = run_ends = column[2::2]
+            kernel_ends = starts + kernel
+            bound = run_copy_ends > kernel_ends
+        else:
+            column = np.full(len(part) + 1, kernel)
+            column[0] = t
+            column = np.add.accumulate(column)
+            starts, run_ends = column[:-1], column[1:]
+            copy_starts = starts + staging
+            run_copy_ends = copy_starts + wire
+            kernel_ends = run_ends
+            bound = ~(run_copy_ends > kernel_ends)
+        # The steps the run's leg binds, then those before the horizon.
+        legs = len(part) if bound.all() else int(bound.argmin())
+        k = min(legs, int(run_ends.searchsorted(horizon, "left")))
+        if t <= due_until:
+            due = min(k, int(starts.searchsorted(due_until, "right")))
+            for i, times in enumerate(zip(
+                copy_starts[:due].tolist(),
+                run_copy_ends[:due].tolist(),
+                kernel_ends[:due].tolist(),
+            )):
+                if not steps_due.isdisjoint(times):
+                    k = i
+                    break
+        if k:
+            ends += run_ends[:k].tolist()
+            copy_ends.append(run_copy_ends[:k])
+            t = ends[-1]
+            done += k
+        if k < legs:
+            break
+    return ends, np.concatenate(copy_ends) if copy_ends else np.empty(0)
 
 
 class _Wake(Event):
@@ -266,41 +351,27 @@ class FlexGenEngine(LLMEngineBase):
         # takes ``latency + payload / bandwidth`` on the wire.
         kernel = step * gpu.dilation()
         latency, bandwidth = route.wire_terms()
-        rate = lib.staging_rate
         per_token = self.model.kv_bytes_per_token
-        first = payload = self.model.kv_bytes(request.total_tokens)
-        t = env.now
-        ends, copy_ends = [], array("d")
-        for _ in range(limit):
-            payload += per_token
-            copy_start = t + payload / rate
-            copy_end = copy_start + (latency + payload / bandwidth)
-            kernel_end = t + kernel
-            end = copy_end if copy_end > kernel_end else kernel_end
-            if end >= horizon or (
-                t <= due_until
-                and not steps_due.isdisjoint((copy_start, copy_end, kernel_end))
-            ):
-                break
-            ends.append(end)
-            copy_ends.append(copy_end)
-            t = end
+        payloads = range(
+            self.model.kv_bytes(request.total_tokens) + per_token,
+            self.model.kv_bytes(request.total_tokens + limit) + per_token,
+            per_token,
+        )
+        ends, copy_ends = _steps(
+            env.now, payloads, kernel, lib.staging_rate, latency, bandwidth,
+            horizon, steps_due, due_until,
+        )
         n = len(ends)
         if n < 2:
             return False
 
         # The ledgers, summed in step order as the steps would have.
-        gpu.busy_time = reduce(add, repeat(kernel, n), gpu.busy_time)
-        payloads = range(first + per_token, first + per_token * (n + 1), per_token)
-        label, channels = route.label, route.sorted_channels
+        gpu.busy_time = add_in_order(gpu.busy_time, [kernel] * n)
+        payloads = payloads[:n]
+        channels = route.sorted_channels
         for channel in channels:
             channel.record_all(payloads)
-
-        def rebuild(i: int) -> tuple:
-            nbytes = float(payloads[i])
-            return label, nbytes, latency + nbytes / bandwidth, channels
-
-        stats.defer(env, copy_ends, rebuild)
+        stats.defer(env, copy_ends, latency, bandwidth, payloads, route.label, channels)
         tensor.fetch_count += n
         last = ends.pop()
         request.record_tokens(ends)

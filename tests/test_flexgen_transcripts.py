@@ -32,7 +32,6 @@ was recorded while every decode step still retired its own events.
 import hashlib
 import itertools
 import json
-from collections import Counter
 
 import pytest
 
@@ -258,25 +257,28 @@ def test_unobserved_nvswitch_rig_is_pinned():
     assert per_token <= MAX_UNOBSERVED_EVENTS_PER_TOKEN, f"{per_token:.2f} events per token"
 
 
-def test_scale_out_rig_keeps_the_budget_and_rebuilds_each_record_once(monkeypatch):
+def test_scale_out_rig_keeps_the_budget_and_merges_each_record_in_one_slice(monkeypatch):
     """Four unobserved NVSwitch servers, 16 consumers, in one
-    environment.  Every deferred transfer record is rebuilt exactly
-    once however many windows hold records, so settling costs what is
-    due, not what is held."""
-    rebuilt, sizes = Counter(), []
-    defer = TransferStats.defer
+    environment.  Every deferred transfer record is merged in exactly
+    one slice: each window's slices follow on from each other and their
+    lengths sum to its size, so settling costs what is due, not what is
+    held."""
+    sizes, merged = {}, {}
+    defer, merge = TransferStats.defer, TransferStats._merge
 
-    def counting_defer(self, env, ends, rebuild):
-        window = len(sizes)
-        sizes.append(len(ends))
+    def counting_defer(self, env, ends, *columns):
+        defer(self, env, ends, *columns)
+        sizes[id(self), self._seq] = len(ends)
 
-        def counted(i):
-            rebuilt[window, i] += 1
-            return rebuild(i)
-
-        defer(self, env, ends, counted)
+    def counting_merge(self, slices):
+        for window, _, index, stop in slices:
+            key = id(self), window
+            assert merged.get(key, 0) == index < stop
+            merged[key] = stop
+        merge(self, slices)
 
     monkeypatch.setattr(TransferStats, "defer", counting_defer)
+    monkeypatch.setattr(TransferStats, "_merge", counting_merge)
     env = Environment()
     servers = [
         Server(env, n_gpus=8, topology="nvswitch", name=f"server{k}") for k in range(4)
@@ -285,10 +287,38 @@ def test_scale_out_rig_keeps_the_budget_and_rebuilds_each_record_once(monkeypatc
     assert sum(r.finish_time is not None for r in requests) >= 2 * len(engines) == 32
     tokens = sum(engine.metrics.tokens_generated for engine in engines)
     assert sum(server.transfer_stats.count for server in servers) == tokens
-    assert sum(sizes) > 0.9 * tokens
-    assert rebuilt == {(w, i): 1 for w, n in enumerate(sizes) for i in range(n)}
+    assert sum(sizes.values()) > 0.9 * tokens
+    assert merged == sizes
     per_token = env.events_processed / tokens
     assert per_token <= MAX_UNOBSERVED_EVENTS_PER_TOKEN, f"{per_token:.3f} events per token"
+
+
+@pytest.mark.parametrize("n_servers", [1, 4])
+def test_windows_leave_plain_python_floats(n_servers):
+    """numpy computes a window's steps and merges its deferred records,
+    but the clock, the token stamps and every ledger stay Python
+    floats: a numpy scalar there would leak into every later sum and
+    change how the values print."""
+    env = Environment()
+    servers = [
+        Server(env, n_gpus=8, topology="nvswitch", name=f"server{k}")
+        for k in range(n_servers)
+    ]
+    engines, _ = _run_four_pairs(env, servers, telemetry=False)
+    assert env.events_processed < sum(e.metrics.tokens_generated for e in engines)
+    values = {"env.now": [env.now]}
+    values["step_times"] = [t for e in engines for t in e.metrics.step_times]
+    for server in servers:
+        stats = server.transfer_stats
+        values.setdefault("transfer_stats", []).extend(
+            [stats.busy_time, stats.bytes_total, *stats.per_route.values()]
+        )
+        values.setdefault("bytes_moved", []).extend(
+            ch.bytes_moved for ch in server.interconnect.channels.values()
+        )
+        values.setdefault("gpu.busy_time", []).extend(gpu.busy_time for gpu in server.gpus)
+    for name, column in values.items():
+        assert column and {type(value) for value in column} == {float}, name
 
 
 def test_nvswitch_decode_step_event_budget():

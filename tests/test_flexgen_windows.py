@@ -34,7 +34,10 @@ and, for the whole server:
 
 Consumer 0 always decodes for seconds, so some of its steps run in
 windows: only the events above cut them.  Each schedule runs on two
-fresh identical rigs.  Drawn times sit 3.7 ms off a 10 ms grid, so none
+fresh identical rigs.  An explicit example and a fixed case grow a
+context past the point where its copy starts to outlast its kernel
+inside one window, where the window's kernel-bound run of steps gives
+way to a copy-bound one.  Drawn times sit 3.7 ms off a 10 ms grid, so none
 lands on the 0.25 s poll ticks of a producer that has run no batch,
 where a sleeping producer raises ``UnplaceableWake``.
 """
@@ -43,10 +46,11 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.aqua.tensor
+import repro.serving.flexgen_engine
 from repro.aqua import AquaLib, BatchInformer, Coordinator
 from repro.aqua.informers import Decision
 from repro.faults import DmaStall, FaultInjector, FaultSchedule, GpuFailure, LinkDegradation
@@ -291,8 +295,17 @@ def fixed_rig(**fields):
     return rig
 
 
+#: An OPT-30B step on this rig is kernel-bound up to a context of about
+#: 5,706 tokens and copy-bound beyond it: a 5,600-token prompt crosses
+#: that point at its 106th decode step, inside one window.
+CROSSING_JOB = (0.5037, 5600, 160)
+
+
 @settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rig=rigs())
+@example(rig=fixed_rig(
+    consumers=[[CROSSING_JOB], [(0.6037, 5650, 120)]], stop=(3.0037, True), respond_every=3,
+))
 def test_windows_match_the_per_step_reference(rig):
     windowed, windowed_events = _run(rig, FlexGenEngine)
     stepped, stepped_events = _run(rig, PerStepFlexGen)
@@ -372,3 +385,30 @@ def test_a_reclaim_mid_decode_moves_at_the_next_boundary():
     channels = dict((name, moved) for name, moved, _ in windowed[2][3])
     assert channels["server0:pcie-down:gpu0"] > 0
     assert stepped_events > windowed_events
+
+
+def test_a_window_crosses_from_kernel_bound_to_copy_bound_steps():
+    """One consumer's context grows past the point where its copy
+    starts to outlast its kernel.  Its window computes the kernel-bound
+    steps and the copy-bound ones in separate runs, with the same times
+    as the per-step loop."""
+    rig = fixed_rig(consumers=[[CROSSING_JOB]], stop=(HORIZON, False))
+    windows, original = [], repro.serving.flexgen_engine._steps
+
+    def steps(*args):
+        ends, copy_ends = original(*args)
+        windows.append(ends)
+        return ends, copy_ends
+
+    with mock.patch.object(repro.serving.flexgen_engine, "_steps", steps):
+        windowed, windowed_events = _run(rig, FlexGenEngine)
+    stepped, stepped_events = _run(rig, PerStepFlexGen)
+    assert windowed == stepped
+    assert stepped_events > windowed_events
+    times = windowed[2][0][0][1]
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    flat = [gap - min(gaps) < 1e-12 for gap in gaps]
+    crossing = flat.index(False)
+    assert 50 < crossing < 150 and not any(flat[crossing:])
+    # One window holds steps of both kinds.
+    assert any(times[crossing - 10] in ends and times[crossing + 10] in ends for ends in windows)

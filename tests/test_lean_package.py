@@ -9,9 +9,10 @@
   tests rather than allowlist it.
 * Every name a workflow's inline script imports from ``repro`` exists,
   so deleting a definition cannot leave CI calling it.
-* ``import repro``, ``import repro.sim`` and ``import repro.serving``
-  stay light: none loads numpy, which every CLI call and spawned
-  ``--jobs`` worker would pay.
+* ``import repro``, ``import repro.sim``, ``import repro.hardware``
+  and ``import repro.serving`` stay light: none loads numpy, which
+  every CLI call and spawned ``--jobs`` worker would pay.  The FlexGen
+  window and the transfer ledger import it where they use it.
 """
 
 import ast
@@ -112,7 +113,7 @@ def test_workflow_imports_resolve():
     assert not missing, "workflows import missing names:\n" + "\n".join(missing)
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.sim", "repro.serving"])
+@pytest.mark.parametrize("module", ["repro", "repro.sim", "repro.hardware", "repro.serving"])
 def test_import_does_not_load_numpy(module):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
     out = subprocess.run(
