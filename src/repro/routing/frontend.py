@@ -9,20 +9,38 @@ FIFO queue.  Service times come from the same
 use — a compute-bound prefill followed by memory-bound decode steps
 whose pace degrades with the number of co-resident sequences — so the
 cluster frontier inherits the paper's single-GPU cost model without
-paying for per-token event simulation.  (Decode is one aggregate
-timeout per request, an approximation the engines do not make: their
-decode windows are exact.  The frontier sweeps need it to make
-millions-of-users offered loads tractable.)
+paying for per-token event simulation.
+
+A dispatched request is served by two timed callbacks, not a process:
+
+* **prefill end**, scheduled at dispatch ``prefill_time`` ahead, stamps
+  the first token and reads :attr:`~ServerFrontend.active` *then* to
+  fix the decode pace;
+* **decode end**, scheduled at prefill end, completes the request and
+  dispatches the next queued one.
+
+Decode is one aggregate delay per request, an approximation the
+engines do not make: their decode windows are exact.  The frontier
+sweeps need it to make millions-of-users offered loads tractable.  A
+request with ``max_new_tokens == 1`` completes inside its prefill-end
+callback.
+
+**Tie order.**  The prefill end takes its heap position when the
+request is dispatched.  When another event is due at exactly the same
+instant and was scheduled later in the dispatching event — the drive
+loop's next arrival sleep — the prefill end is processed first.
 
 Frontends never shed: admission is the router's job
 (:mod:`repro.routing.admission`), so every request that reaches
-:meth:`enqueue` is eventually served.  That split is what makes the
-conservation law ``offered == routed + shed`` checkable at one place.
+:meth:`~ServerFrontend.enqueue` is eventually served.  That split is
+what makes the conservation law ``offered == routed + shed`` checkable
+at one place.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.models.llm import LLMSpec
@@ -42,6 +60,10 @@ class ServerFrontend:
         Requests waiting for a decode slot (FIFO).
     active:
         Requests currently holding a slot.
+    depth:
+        Backlog the router's queue-depth shedding compares against,
+        ``len(queue) + active``, kept as a counter: :meth:`enqueue`
+        adds one and each completion subtracts one.
     completed:
         Finished requests, completion order.
     tokens:
@@ -71,48 +93,48 @@ class ServerFrontend:
         self.name = name or server.name
         self.queue: deque = deque()
         self.active = 0
+        self.depth = 0
         self.completed: list = []
         self.tokens = 0
         self.on_complete: list[Callable] = []
 
-    @property
-    def depth(self) -> int:
-        """Backlog the router's queue-depth shedding compares against."""
-        return len(self.queue) + self.active
-
     def enqueue(self, request: "Request") -> None:
         """Accept a routed request; serve it as soon as a slot frees."""
         self.queue.append(request)
+        self.depth += 1
         if self.active < self.concurrency:
             self._dispatch()
 
     def _dispatch(self) -> None:
+        # Moves a request from the queue to a slot: ``depth`` stays.
         request = self.queue.popleft()
         self.active += 1
-        self.env.process(self._serve(request))
+        prefill = self.spec.prefill_time(self.gpu_spec, request.prompt_tokens)
+        self.env.timeout(prefill).callbacks.append(partial(self._prefilled, request))
 
-    def _serve(self, request: "Request"):
-        # Bare-delay sleeps: nothing interrupts a serving process, and
-        # the kernel orders ``yield d`` exactly like ``env.timeout(d)``.
-        spec, gpu = self.spec, self.gpu_spec
-        yield spec.prefill_time(gpu, request.prompt_tokens)
+    def _prefilled(self, request: "Request", _event) -> None:
         request.first_token_time = self.env.now
         request.generated_tokens = 1
         steps = request.max_new_tokens - 1
-        if steps > 0:
-            # Decode pace at the *current* co-residency: more live
-            # sequences stream more KV per step, so a loaded server
-            # decodes slower — the graceful-degradation half of the
-            # overload story (shedding is the other half).
-            batch = self.active
-            context = request.prompt_tokens + steps // 2
-            step = spec.decode_step_time(gpu, batch, batch * context)
-            yield steps * step
+        if steps <= 0:
+            self._decoded(request, None)
+            return
+        # Decode pace at the *current* co-residency: more live
+        # sequences stream more KV per step, so a loaded server
+        # decodes slower — the graceful-degradation half of the
+        # overload story (shedding is the other half).
+        batch = self.active
+        context = request.prompt_tokens + steps // 2
+        step = self.spec.decode_step_time(self.gpu_spec, batch, batch * context)
+        self.env.timeout(steps * step).callbacks.append(partial(self._decoded, request))
+
+    def _decoded(self, request: "Request", _event) -> None:
         request.generated_tokens = request.max_new_tokens
         request.finish_time = self.env.now
         if request.on_finish is not None and not request.on_finish.triggered:
             request.on_finish.succeed(request)
         self.active -= 1
+        self.depth -= 1
         self.tokens += request.max_new_tokens
         self.completed.append(request)
         for callback in self.on_complete:

@@ -185,12 +185,17 @@ class SLOAwarePolicy(RoutingPolicy):
         self._scores = scores
 
     def choose(self, request, tenant, frontends):
+        # Highest score, then smallest depth; a later index must beat
+        # the best so far strictly, so ties go to the lowest index.
         scores = self._scores
-        best, best_key = 0, (-scores[0], frontends[0].depth, 0)
+        best, best_score, best_depth = 0, scores[0], frontends[0].depth
         for i in range(1, len(frontends)):
-            key = (-scores[i], frontends[i].depth, i)
-            if key < best_key:
-                best, best_key = i, key
+            score = scores[i]
+            if score < best_score:
+                continue
+            depth = frontends[i].depth
+            if score > best_score or depth < best_depth:
+                best, best_score, best_depth = i, score, depth
         return best
 
 

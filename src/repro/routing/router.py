@@ -250,7 +250,15 @@ class GlobalRouter:
         The decision sequence is fixed: rate limit first (cheapest, and
         a rate-shed request must not consume queue space), then policy
         choice, then queue-depth check with one policy fallback attempt.
+        A ``req_id`` the router routed and has not seen complete is still
+        in flight; offering it again raises ``ValueError`` before
+        anything is booked.
         """
+        if request.req_id in self._tenant_of:
+            raise ValueError(
+                f"request {request.req_id} is already in flight "
+                f"(routed for tenant {self._tenant_of[request.req_id]!r})"
+            )
         ledger = self.ledger
         ledger.record_offered(tenant, request)
         now = self.env.now
@@ -277,7 +285,12 @@ class GlobalRouter:
         return chosen
 
     def _on_complete(self, frontend: "ServerFrontend", request: "Request") -> None:
-        tenant = self._tenant_of.pop(request.req_id, DEFAULT_TENANT)
+        tenant = self._tenant_of.pop(request.req_id, None)
+        if tenant is None:
+            raise RuntimeError(
+                f"{frontend.name} completed request {request.req_id}, "
+                f"which the router did not route or already completed"
+            )
         self.ledger.record_completed(tenant, request, frontend.name)
         if self.tracker is not None:
             self.tracker.observe_request(frontend.name, request)

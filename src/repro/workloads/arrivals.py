@@ -317,6 +317,7 @@ def nhpp_trace(
     # thinning test stays a per-arrival Python call: ``shape.fn`` uses
     # ``math`` functions, which a vectorised ``np`` twin could round
     # differently in the last place.
+    fns = [s.fn for s in shapes]
     trace: list[tuple[str, Request]] = []
     for lo in range(0, n, _THINNING_CHUNK):
         hi = lo + _THINNING_CHUNK
@@ -332,7 +333,7 @@ def nhpp_trace(
             news[lo:hi].tolist(),
             user_ids[lo:hi].tolist(),
         ):
-            if keep * rate_cap >= rate * shapes[which](t):
+            if keep * rate_cap >= rate * fns[which](t):
                 continue
             trace.append(
                 (
