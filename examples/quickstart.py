@@ -27,9 +27,10 @@ def run_long_prompt(use_aqua: bool) -> int:
     coordinator = Coordinator()
 
     # GPU 0: the memory consumer.  FlexGen-style inference always goes
-    # through AQUA-LIB; without a paired producer it falls back to DRAM,
-    # which is exactly the FlexGen baseline.
-    consumer_lib = AquaLib(server.gpus[0], server, coordinator)
+    # through AQUA-LIB; without a paired producer (and without AQUA's
+    # gather kernel) it falls back to DRAM, which is exactly the FlexGen
+    # baseline.
+    consumer_lib = AquaLib(server.gpus[0], server, coordinator, gather_enabled=use_aqua)
     consumer = FlexGenEngine(
         server.gpus[0], server, OPT_30B, aqua_lib=consumer_lib, workspace_tokens=8000
     )

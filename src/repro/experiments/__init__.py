@@ -9,7 +9,7 @@ wraps them as cells, one ``aqua-repro`` command each, that
 ``aqua-repro replicate`` scores; ``EXPERIMENTS.md`` records the outcomes.
 """
 
-from repro.experiments.harness import ConsumerRig, build_consumer_rig, drain
+from repro.experiments.harness import ConsumerRig, Seat, build_consumer_rig, build_rig, drain
 from repro.experiments.observe import observe_experiment
 from repro.experiments.pool import (
     RunCache,
@@ -28,7 +28,9 @@ __all__ = [
     "RunCache",
     "RunResult",
     "RunSpec",
+    "Seat",
     "build_consumer_rig",
+    "build_rig",
     "code_fingerprint",
     "default_fault_schedule",
     "default_jobs",

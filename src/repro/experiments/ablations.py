@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aqua import AquaLib, AquaPlacer, BatchInformer, Coordinator, ModelInstance
+from repro.aqua import AquaLib, AquaPlacer, ModelInstance
 from repro.experiments.harness import (
     DEFAULT_LORA_CACHE_BYTES,
+    Seat,
     build_consumer_rig,
+    build_rig,
     drain,
 )
 from repro.experiments.report import summarize_requests
@@ -46,13 +48,9 @@ from repro.models import (
 )
 from repro.serving import (
     BatchEngine,
-    CFSEngine,
     ChatContextCache,
-    DeepSpeedEngine,
-    FlexGenEngine,
     OrcaEngine,
     Request,
-    UVMEngine,
     VLLMEngine,
     WeightedCFSEngine,
 )
@@ -82,23 +80,21 @@ def _peak_running(env: Environment, engine) -> list[int]:
     return peak
 
 
-def _flexgen_tokens(engine_cls, paired: bool, duration: float = 60.0, **server_kwargs) -> int:
-    """Tokens one OPT-30B long-prompt engine generates in ``duration``,
-    offloading to DRAM or (``paired``) to an SD producer's donation."""
-    env = Environment()
-    server = Server(env, n_gpus=2, **server_kwargs)
-    coord = Coordinator()
-    lib = AquaLib(server.gpus[0], server, coord)
-    engine = engine_cls(server.gpus[0], server, OPT_30B, aqua_lib=lib, workspace_tokens=8000)
-    if paired:
-        producer_lib = AquaLib(server.gpus[1], server, coord, informer=BatchInformer())
-        BatchEngine(server.gpus[1], server, SD_15, aqua_lib=producer_lib).start()
-        coord.pair(lib.name, producer_lib.name)
-    engine.start()
-    env.run(until=1.0)
-    submit_all(env, engine, long_prompt_requests(start=1.0))
-    env.run(until=1.0 + duration)
-    return engine.metrics.tokens_generated
+def _flexgen_tokens(kind: str, paired: bool, duration: float = 60.0, **server_kwargs) -> int:
+    """Tokens one OPT-30B long-prompt engine of ``kind`` generates in
+    ``duration``, offloading to DRAM or (``paired``) to an SD producer's
+    donation."""
+    rig = build_consumer_rig(
+        kind,
+        OPT_30B,
+        producer_model=SD_15 if paired else None,
+        use_aqua=paired,
+        server=Server(Environment(), n_gpus=2, **server_kwargs),
+    ).start()
+    rig.warm_up(1.0)
+    submit_all(rig.env, rig.consumer_engine, long_prompt_requests(start=1.0))
+    rig.env.run(until=1.0 + duration)
+    return rig.consumer_engine.metrics.tokens_generated
 
 
 # ===========================================================================
@@ -188,30 +184,24 @@ def control_frequency() -> dict:
     ``respond_every``: checking AQUA-LIB rarely delays the fast path."""
     out = {}
     for respond_every in (4, 16, 64, 512):
-        env = Environment()
-        server = Server(env, n_gpus=2)
-        coord = Coordinator()
-        lib = AquaLib(server.gpus[0], server, coord)
-        producer_lib = AquaLib(server.gpus[1], server, coord)
-        coord.pair(lib.name, producer_lib.name)
-        engine = FlexGenEngine(
-            server.gpus[0],
-            server,
-            OPT_30B,
-            aqua_lib=lib,
-            workspace_tokens=8000,
-            respond_every=respond_every,
+        rig = build_consumer_rig(
+            "flexgen", OPT_30B, consumer_kwargs={"respond_every": respond_every}
         )
-        engine.start()
-        submit_all(env, engine, long_prompt_requests())
+        # The producer is a scripted AQUA-LIB with no engine, so its one
+        # donation lands at exactly t=10 s and nothing but the
+        # consumer's respond() cadence decides when it is used.
+        producer_lib = AquaLib(rig.server.gpus[1], rig.server, rig.coordinator)
+        rig.coordinator.pair(rig.consumer_lib.name, producer_lib.name)
+        rig.start()
+        submit_all(rig.env, rig.consumer_engine, long_prompt_requests())
 
         def donate_later(env, producer_lib=producer_lib):
             yield env.timeout(10.0)
             producer_lib.complete_offer(40 * GiB)
 
-        env.process(donate_later(env))
-        env.run(until=60.0)
-        out[str(respond_every)] = engine.metrics.tokens_generated
+        rig.env.process(donate_later(rig.env))
+        rig.env.run(until=60.0)
+        out[str(respond_every)] = rig.consumer_engine.metrics.tokens_generated
     return out
 
 
@@ -267,33 +257,22 @@ def shared_producer() -> dict:
     producer vs both offloading to one (which §4's placer forbids)."""
 
     def run(shared: bool) -> list[int]:
-        env = Environment()
-        server = Server(env, n_gpus=4, topology="nvswitch")
-        coord = Coordinator()
-        producers = []
-        for i, model in enumerate((SD_15, SD_XL)):
-            lib = AquaLib(server.gpus[2 + i], server, coord, informer=BatchInformer())
-            BatchEngine(server.gpus[2 + i], server, model, aqua_lib=lib).start()
-            producers.append(lib)
-        consumers = []
-        for i in range(2):
-            lib = AquaLib(server.gpus[i], server, coord)
-            engine = FlexGenEngine(
-                server.gpus[i],
-                server,
-                OPT_30B,
-                aqua_lib=lib,
-                workspace_tokens=8000,
-                name=f"flexgen-{i}",
-            )
-            coord.pair(lib.name, (producers[0] if shared else producers[i]).name)
-            engine.start()
-            consumers.append(engine)
-        env.run(until=1.0)
-        for engine in consumers:
-            submit_all(env, engine, long_prompt_requests(start=1.0))
-        env.run(until=61.0)
-        return [c.metrics.tokens_generated for c in consumers]
+        producers = [
+            Seat(f"producer-{model.name}", "producer", model, gpu=2 + i)
+            for i, model in enumerate((SD_15, SD_XL))
+        ]
+        consumers = [Seat(f"flexgen-{i}", "flexgen", OPT_30B, gpu=i) for i in range(2)]
+        pairs = [
+            (seat.name, producers[0 if shared else i].name) for i, seat in enumerate(consumers)
+        ]
+        server = Server(Environment(), n_gpus=4, topology="nvswitch")
+        rig = build_rig([*producers, *consumers], pairs, server=server).start()
+        rig.warm_up(1.0)
+        engines = [rig.engines[seat.name] for seat in consumers]
+        for engine in engines:
+            submit_all(rig.env, engine, long_prompt_requests(start=1.0))
+        rig.env.run(until=61.0)
+        return [engine.metrics.tokens_generated for engine in engines]
 
     return {"dedicated": run(False), "shared": run(True)}
 
@@ -330,12 +309,12 @@ def offload_baselines() -> dict:
     """Tokens in 60 s of the OPT-30B long-prompt job under every offload
     mechanism §9 discusses, to DRAM and to a producer GPU."""
     return {
-        "uvm/pcie": _flexgen_tokens(UVMEngine, False),
-        "deepspeed/pcie": _flexgen_tokens(DeepSpeedEngine, False),
-        "flexgen/pcie": _flexgen_tokens(FlexGenEngine, False),
-        "uvm/nvlink": _flexgen_tokens(UVMEngine, True),
-        "deepspeed+aqua": _flexgen_tokens(DeepSpeedEngine, True),
-        "aqua": _flexgen_tokens(FlexGenEngine, True),
+        "uvm/pcie": _flexgen_tokens("uvm", False),
+        "deepspeed/pcie": _flexgen_tokens("deepspeed", False),
+        "flexgen/pcie": _flexgen_tokens("flexgen", False),
+        "uvm/nvlink": _flexgen_tokens("uvm", True),
+        "deepspeed+aqua": _flexgen_tokens("deepspeed", True),
+        "aqua": _flexgen_tokens("flexgen", True),
     }
 
 
@@ -374,8 +353,8 @@ def interconnect_sensitivity() -> dict:
     out = {}
     for label, (gpu, nvlink, pcie) in generations.items():
         hw = {"gpu_spec": gpu, "gpu_link": nvlink, "pcie_link": pcie}
-        dram = _flexgen_tokens(FlexGenEngine, False, **hw)
-        aqua = _flexgen_tokens(FlexGenEngine, True, **hw)
+        dram = _flexgen_tokens("flexgen", False, **hw)
+        aqua = _flexgen_tokens("flexgen", True, **hw)
         out[label] = {"dram": dram, "aqua": aqua, "speedup": aqua / dram}
     return out
 
@@ -388,25 +367,13 @@ def context_cache() -> dict:
     finished conversation's KV parked in donated memory between turns."""
 
     def run(with_cache: bool) -> dict:
-        env = Environment()
-        server = Server(env, n_gpus=2)
-        coord = Coordinator()
-        lib = AquaLib(server.gpus[0], server, coord)
-        producer_lib = AquaLib(server.gpus[1], server, coord, informer=BatchInformer())
-        BatchEngine(server.gpus[1], server, KANDINSKY, aqua_lib=producer_lib).start()
-        coord.pair(lib.name, producer_lib.name)
-        cache = ChatContextCache(lib, CODELLAMA_34B) if with_cache else None
-        engine = CFSEngine(
-            server.gpus[0],
-            server,
-            CODELLAMA_34B,
-            use_aqua=True,
-            aqua_lib=lib,
-            slice_tokens=5,
-            context_cache=cache,
+        rig = build_consumer_rig(
+            "cfs", CODELLAMA_34B, producer_model=KANDINSKY, consumer_kwargs={"slice_tokens": 5}
         )
-        engine.start()
-        env.run(until=1.0)
+        engine, env = rig.consumer_engine, rig.env
+        cache = ChatContextCache(rig.consumer_lib, CODELLAMA_34B) if with_cache else None
+        engine.context_cache = cache
+        rig.start().warm_up(1.0)
         users = ChatbotWorkload(n_users=25, turns=4, seed=0).attach(env, engine)
         while env.now < 2400.0 and not all(u.processed for u in users):
             env.run(until=env.now + 5.0)

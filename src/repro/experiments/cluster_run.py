@@ -4,8 +4,9 @@ The paper's end-to-end evaluation (§6.1) hosts 16 models on eight
 2-GPU servers, computes the mapping with AQUA-PLACER, then (on real
 hardware) evaluates each server independently and sequentially.  The
 simulation has no such constraint: this module instantiates an engine
-per placed model — consumers wired to their paired producers through
-one shared coordinator — and runs the whole cluster concurrently.
+per placed model — one rig per server, its consumers paired with its
+producers (a pair never leaves its scale-up domain) — and runs the
+whole cluster concurrently.
 
 Usage::
 
@@ -25,20 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.aqua import AquaLib, AquaPlacer, BatchInformer, Coordinator, LlmInformer, ModelInstance
+from repro.aqua import AquaPlacer, ModelInstance
+from repro.experiments.harness import DEFAULT_LORA_CACHE_BYTES, Seat, build_rig
 from repro.experiments.pool import derive_seed
 from repro.hardware import Cluster
 from repro.hardware.specs import GiB
 from repro.models import get_model
 from repro.models.llm import LLMSpec
 from repro.models import synthesize_adapters
-from repro.serving import (
-    BatchEngine,
-    CFSEngine,
-    FlexGenEngine,
-    LoRACache,
-    VLLMEngine,
-)
 from repro.sim import Environment
 from repro.workloads import (
     code_summary_requests,
@@ -51,6 +46,10 @@ from repro.workloads.arrivals import submit_all
 
 #: Workload kinds a tenant can run (Tables 1-3).
 WORKLOAD_KINDS = ("longprompt", "lora", "codesummary", "sharegpt", "producer")
+
+#: The consumer kind each consumer workload runs on; ShareGPT tenants
+#: (elastic LLMs) and the rest are producers.
+_CONSUMER_KINDS = {"longprompt": "flexgen", "codesummary": "cfs", "lora": "vllm"}
 
 
 @dataclass
@@ -89,7 +88,7 @@ class Tenant:
 
     @property
     def is_consumer_workload(self) -> bool:
-        return self.workload in ("longprompt", "lora", "codesummary")
+        return self.workload in _CONSUMER_KINDS
 
     def placement_memory_bytes(self) -> int:
         """The placer's R_m for this tenant."""
@@ -164,40 +163,35 @@ class ClusterExperiment:
             gpus_per_server=self.gpus_per_server,
             topology=self.topology,
         )
-        coordinator = Coordinator()
-        by_name = {t.name: t for t in tenants}
-
-        engines: dict[str, object] = {}
-        libs: dict[str, AquaLib] = {}
-        requests: dict[str, list] = {}
-
+        seats: dict[int, list[Seat]] = {}
         for tenant in tenants:
             server_idx, gpu_idx = placement.gpu_of[tenant.name]
-            server = cluster.servers[server_idx]
-            gpu = server.gpus[gpu_idx]
-            engines[tenant.name], libs[tenant.name] = self._build_engine(
-                tenant, gpu, server, coordinator
+            seats.setdefault(server_idx, []).append(self._seat(tenant, gpu_idx))
+        rigs = []
+        for server_idx, on_server in sorted(seats.items()):
+            names = {seat.name for seat in on_server}
+            rigs.append(
+                build_rig(
+                    on_server,
+                    [pair for pair in placement.pairs if pair[0] in names],
+                    use_aqua=self.use_aqua,
+                    server=cluster.servers[server_idx],
+                )
             )
-
-        if self.use_aqua:
-            for consumer, producer in placement.pairs:
-                consumer_lib = libs.get(consumer)
-                producer_lib = libs.get(producer)
-                if consumer_lib is not None and producer_lib is not None:
-                    coordinator.pair(consumer_lib.name, producer_lib.name)
-
-        for engine in engines.values():
-            engine.start()
+        engines = {name: e for rig in rigs for name, e in rig.engines.items()}
+        for rig in rigs:
+            rig.start()
         env.run(until=1.0)  # producers donate before client traffic
 
+        requests = {}
         for tenant in tenants:
             requests[tenant.name] = self._make_requests(tenant, duration)
             submit_all(env, engines[tenant.name], requests[tenant.name])
         env.run(until=1.0 + duration)
 
         results = [
-            self._summarize(by_name[name], engines[name], requests[name])
-            for name in engines
+            self._summarize(tenant, engines[tenant.name], requests[tenant.name])
+            for tenant in tenants
         ]
         return {
             "placement": placement,
@@ -206,62 +200,14 @@ class ClusterExperiment:
         }
 
     # ------------------------------------------------------------------
-    def _build_engine(self, tenant: Tenant, gpu, server, coordinator):
-        spec = get_model(tenant.model)
-        name = f"{tenant.name}"
-        if tenant.workload == "producer":
-            lib = None
-            if self.use_aqua:
-                lib = AquaLib(gpu, server, coordinator, informer=BatchInformer())
-            engine = BatchEngine(gpu, server, spec, aqua_lib=lib, name=name)
-            return engine, lib
-
-        if not isinstance(spec, LLMSpec):
-            raise ValueError(
-                f"{tenant.model} cannot run LLM workload {tenant.workload!r}"
-            )
-
-        if tenant.workload == "sharegpt":
-            lib = None
-            if self.use_aqua:
-                lib = AquaLib(gpu, server, coordinator, informer=LlmInformer())
-            engine = VLLMEngine(
-                gpu, server, spec, aqua_lib=lib, inform_every=4, name=name
-            )
-            return engine, lib
-
-        lib = AquaLib(gpu, server, coordinator, gather_enabled=self.use_aqua)
-        if tenant.workload == "longprompt":
-            engine = FlexGenEngine(
-                gpu, server, spec, aqua_lib=lib, workspace_tokens=8000, name=name
-            )
-        elif tenant.workload == "codesummary":
-            engine = CFSEngine(
-                gpu,
-                server,
-                spec,
-                use_aqua=self.use_aqua,
-                aqua_lib=lib if self.use_aqua else None,
-                slice_tokens=5,
-                name=name,
-            )
-            if not self.use_aqua:
-                lib = None
-        else:  # lora
-            cache = LoRACache(
-                gpu,
-                server,
-                capacity_bytes=10 * 320 * 10**6,
-                aqua_lib=lib if self.use_aqua else None,
-                whole_copy=self.use_aqua,
-                name=f"{name}-lora",
-            )
-            engine = VLLMEngine(
-                gpu, server, spec, lora_cache=cache, name=name
-            )
-            if not self.use_aqua:
-                lib = None
-        return engine, lib
+    @staticmethod
+    def _seat(tenant: Tenant, gpu: int) -> Seat:
+        if tenant.workload != "producer" and not isinstance(get_model(tenant.model), LLMSpec):
+            raise ValueError(f"{tenant.model} cannot run LLM workload {tenant.workload!r}")
+        kind = _CONSUMER_KINDS.get(tenant.workload, "producer")
+        lora = DEFAULT_LORA_CACHE_BYTES if kind == "vllm" else None
+        kwargs = {"slice_tokens": 5} if kind == "cfs" else {}
+        return Seat(tenant.name, kind, tenant.model, gpu, lora, kwargs)
 
     def _make_requests(self, tenant: Tenant, duration: float) -> list:
         seed = derive_seed(self.seed, tenant.name)

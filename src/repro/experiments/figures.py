@@ -33,13 +33,12 @@ from repro.models import (
 from repro.experiments.harness import (
     DEFAULT_LORA_CACHE_BYTES,
     FIG12_LORA_CACHE_BYTES,
-    ConsumerRig,
     build_consumer_rig,
     drain,
 )
 from repro.experiments.pool import RunSpec, run_specs
 from repro.experiments.report import summarize_requests
-from repro.serving import Request
+from repro.serving import BatchEngine, Request, VLLMEngine
 from repro.sim import Environment
 from repro.workloads import (
     ChatbotWorkload,
@@ -201,25 +200,17 @@ def fig03b_sharing_impact(duration: float = 60.0, producer_model=SD_15) -> dict:
     """Producer throughput isolated vs while serving NVLink offloads."""
 
     def run(shared: bool) -> float:
-        env = Environment()
-        server = Server(env, n_gpus=2, topology="p2p")
-        rig = build_consumer_rig(
-            "flexgen",
-            OPT_30B,
-            producer_model=producer_model if shared else None,
-            use_aqua=shared,
-            env=env,
-            server=server,
-        )
-        if not shared:
-            # Isolated: producer runs alone with no consumer traffic.
-            from repro.serving import BatchEngine
-
-            rig.producer_engine = BatchEngine(
+        if shared:
+            rig = build_consumer_rig("flexgen", OPT_30B, producer_model=producer_model).start()
+            env, producer = rig.env, rig.producer_engine
+        else:
+            # Isolated: the producer alone on its GPU, no consumer at all.
+            env = Environment()
+            server = Server(env, n_gpus=2, topology="p2p")
+            producer = BatchEngine(
                 server.gpus[1], server, producer_model, name="isolated-producer"
             )
-        rig.start()
-        producer = rig.producer_engine
+            producer.start()
         # Saturating load: throughput measures the GPU's capacity, so a
         # compute dilation from offload traffic becomes visible.
         submit_all(env, producer, producer_requests(rate=50.0, count=10_000, seed=1))
@@ -532,8 +523,6 @@ def fig11_producer_overhead(
         else:
             env = Environment()
             server = Server(env, n_gpus=2)
-            from repro.serving import VLLMEngine
-
             producer = VLLMEngine(server.gpus[0], server, LLAMA2_13B, name="baseline")
             producer.start()
         low = sharegpt_requests(low_rate, low_count, seed=3, start=phase1_start)
@@ -741,12 +730,8 @@ def fig18_nvswitch_stress(duration: float = 60.0) -> dict:
     """Four long-prompt consumers, each paired over one NVSwitch fabric."""
     env = Environment()
     server = Server(env, n_gpus=8, topology="nvswitch")
-    from repro.aqua import Coordinator
-
-    coordinator = Coordinator()
-    producers = [SD_15, SD_XL, KANDINSKY, AUDIOGEN]
     rigs = []
-    for i, producer_model in enumerate(producers):
+    for i, producer_model in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN)):
         rig = build_consumer_rig(
             "flexgen",
             OPT_30B,
@@ -756,7 +741,7 @@ def fig18_nvswitch_stress(duration: float = 60.0) -> dict:
             server=server,
             consumer_gpu=i,
             producer_gpu=4 + i,
-            coordinator=coordinator,
+            coordinator=rigs[0].coordinator if rigs else None,
             name_prefix=f"pair{i}-",
         ).start()
         rigs.append(rig)

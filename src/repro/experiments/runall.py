@@ -460,7 +460,6 @@ EXPERIMENTS: dict[str, Experiment] = {
     "e2e": Experiment(e2e, _render_e2e, "cluster placement (balanced vs LLM-heavy)", rigs=False),
     "cluster-concurrent": Experiment(
         A.concurrent_cluster, _render_cluster, "16-model cluster, all tenants live",
-        rigs=False,
     ),
     "frontier": Experiment(frontier, _render_frontier, "cluster serving frontier", rigs=False),
     "sweep": Experiment(sweep, _render_sweep, "scheduler trade-offs across request rates"),
@@ -496,7 +495,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         A.control_frequency,
         _flat("Ablation: reaction to a late donation", "respond_every", "tokens_in_60s"),
         "control-plane check frequency",
-        rigs=False,
     ),
     "ablation-scaleup-domain": Experiment(
         A.scaleup_domain,
@@ -508,7 +506,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         A.shared_producer,
         _flat("Ablation: dedicated vs shared producer", "variant", "consumer_tokens"),
         "dedicated vs shared producer",
-        rigs=False,
     ),
     "ablation-weighted-cfs": Experiment(
         A.weighted_cfs,
@@ -520,7 +517,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         A.offload_baselines,
         _flat("Offload mechanisms, OPT-30B 8000-token prompt, 60s", "mechanism", "tokens"),
         "offload mechanisms compared",
-        rigs=False,
     ),
     "baseline-orca": Experiment(
         A.orca_vs_vllm,
@@ -534,14 +530,12 @@ EXPERIMENTS: dict[str, Experiment] = {
         _by_key("Chatbot on AQUA CFS +/- chat-context caching", "system",
                 ("completed", "rct_mean", "finish", "cache_hits")),
         "chat contexts cached in donated memory",
-        rigs=False,
     ),
     "sensitivity-hardware": Experiment(
         A.interconnect_sensitivity,
         _by_key("AQUA speedup across interconnect generations", "generation",
                 ("dram", "aqua", "speedup")),
         "AQUA across GPU/link generations",
-        rigs=False,
     ),
     "seed-robustness": Experiment(
         A.seed_robustness, _render_seeds, "headline effects across workload seeds"

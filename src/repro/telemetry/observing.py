@@ -58,7 +58,8 @@ class ObservationFrame:
 
     def export(self) -> list[dict]:
         """Every entry as plain data, in order, named
-        ``<label>/<consumer engine>`` (a repeated name gets ``#2``...)."""
+        ``<label>/<consumer engine>`` (the first engine of a rig with no
+        consumer; a repeated name gets ``#2``...)."""
         exports, seen = [], {}
         for entry in self._entries:
             export = entry if isinstance(entry, dict) else self._export_rig(entry)
@@ -67,7 +68,7 @@ class ObservationFrame:
         return exports
 
     def _export_rig(self, rig) -> dict:
-        name = rig.consumer_engine.name
+        name = (rig.consumer_engine or next(iter(rig.engines.values()))).name
         export = {"name": f"{self.label}/{name}" if self.label else name}
         if self.settings.trace:
             export["trace"] = rig.telemetry.tracer.to_chrome_events()

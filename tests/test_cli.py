@@ -158,7 +158,11 @@ def test_trace_flag_registered_uniformly():
     """The shared --trace option is present on every command that builds
     a simulated rig, and absent where it could only write an empty file."""
     parser = build_parser()
-    for name in ("fig01", "fig07", "fig13", "sweep", "resilience", "observe"):
+    for name in (
+        "fig01", "fig07", "fig13", "sweep", "resilience", "observe",
+        "baseline-offload", "sensitivity-hardware", "context-cache",
+        "ablation-shared-producer", "ablation-control-frequency", "cluster-concurrent",
+    ):
         args = parser.parse_args([name, "--trace", "out.json"])
         assert args.trace == "out.json"
     for name in ("fig02", "fig14", "e2e"):
@@ -191,6 +195,29 @@ def test_fig07_trace_and_dashboard_identical_in_every_mode(
     assert list(names.values()) == [
         f"{label}/flexgen-OPT-30B"
         for label in ("flexgen-dram", "aqua+sd", "aqua+audiogen", "aqua+llama")
+    ]
+    for pid in names:
+        assert any(e["pid"] == pid and e["ph"] == "X" for e in events)
+
+
+def test_shared_producer_trace_has_one_pid_per_server(tmp_path, capsys):
+    """The shared-producer ablation's rigs are observable: one named pid
+    per server (one per variant), each holding spans, and the value
+    printed is the unobserved run's."""
+    import json
+
+    assert main(["ablation-shared-producer"]) == 0
+    plain = capsys.readouterr().out
+    trace = tmp_path / "t.json"
+    assert main(["ablation-shared-producer", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.startswith(plain)
+
+    events = json.loads(trace.read_text())["traceEvents"]
+    names = {
+        e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"
+    }
+    assert list(names.values()) == [
+        "ablation-shared-producer/flexgen-0", "ablation-shared-producer/flexgen-0#2"
     ]
     for pid in names:
         assert any(e["pid"] == pid and e["ph"] == "X" for e in events)

@@ -2,41 +2,25 @@
 
 import pytest
 
-from repro.aqua import AquaLib, BatchInformer, Coordinator
-from repro.hardware import Server
+from repro.experiments.harness import build_consumer_rig
 from repro.hardware.specs import GiB
 from repro.models import CODELLAMA_34B, KANDINSKY
-from repro.serving import BatchEngine, CFSEngine, ChatContextCache, Request
-from repro.sim import Environment
+from repro.serving import ChatContextCache, Request
 from repro.workloads import ChatbotWorkload
 
 
 def make_rig(with_cache=True, cache_bytes=20 * GiB):
-    env = Environment()
-    server = Server(env, n_gpus=2)
-    coord = Coordinator()
-    lib = AquaLib(server.gpus[0], server, coord)
-    producer_lib = AquaLib(server.gpus[1], server, coord, informer=BatchInformer())
-    producer = BatchEngine(server.gpus[1], server, KANDINSKY, aqua_lib=producer_lib)
-    producer.start()
-    coord.pair(lib.name, producer_lib.name)
+    rig = build_consumer_rig(
+        "cfs", CODELLAMA_34B, producer_model=KANDINSKY, consumer_kwargs={"slice_tokens": 5}
+    )
     cache = (
-        ChatContextCache(lib, CODELLAMA_34B, max_bytes=cache_bytes)
+        ChatContextCache(rig.consumer_lib, CODELLAMA_34B, max_bytes=cache_bytes)
         if with_cache
         else None
     )
-    engine = CFSEngine(
-        server.gpus[0],
-        server,
-        CODELLAMA_34B,
-        use_aqua=True,
-        aqua_lib=lib,
-        slice_tokens=5,
-        context_cache=cache,
-    )
-    engine.start()
-    env.run(until=1.0)
-    return env, engine, cache
+    rig.consumer_engine.context_cache = cache
+    rig.start().warm_up(1.0)
+    return rig.env, rig.consumer_engine, cache
 
 
 def run_process(env, gen):

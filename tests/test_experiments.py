@@ -7,11 +7,16 @@ down runs; the full-scale regenerations are the experiment cells that
 
 import pytest
 
+from repro.experiments import ablations as A
 from repro.experiments import build_consumer_rig, drain, format_table
 from repro.experiments import figures as F
+from repro.experiments.harness import Seat, build_rig
 from repro.experiments.report import summarize_requests
-from repro.models import CODELLAMA_34B, MISTRAL_7B, OPT_30B, SD_15
-from repro.serving import Request
+from repro.hardware import Server
+from repro.models import CODELLAMA_34B, MISTRAL_7B, OPT_30B, SD_15, SD_XL
+from repro.serving import DeepSpeedEngine, Request, UVMEngine
+from repro.sim import Environment
+from repro.workloads import long_prompt_requests
 from repro.workloads.arrivals import submit_all
 
 
@@ -81,6 +86,53 @@ def test_build_rig_unknown_kind():
 def test_flexgen_rig_has_lib_even_without_aqua():
     rig = build_consumer_rig("flexgen", OPT_30B, use_aqua=False)
     assert rig.consumer_lib is not None  # DRAM fallback path
+
+
+@pytest.mark.parametrize("kind, cls", [("uvm", UVMEngine), ("deepspeed", DeepSpeedEngine)])
+def test_flexgen_baseline_kinds_build(kind, cls):
+    rig = build_consumer_rig(kind, OPT_30B, producer_model=SD_15).start()
+    assert type(rig.consumer_engine) is cls
+    assert rig.consumer_engine.aqua_lib is rig.consumer_lib
+
+
+def test_two_consumers_paired_with_one_producer():
+    """Explicit pairs put both consumers on one producer, next to an
+    unpaired one: the shared-producer ablation's value."""
+    consumers = [Seat(f"flexgen-{i}", "flexgen", OPT_30B, gpu=i) for i in range(2)]
+    producers = [
+        Seat("sd", "producer", SD_15, gpu=2), Seat("sdxl", "producer", SD_XL, gpu=3)
+    ]
+    server = Server(Environment(), n_gpus=4, topology="nvswitch")
+    rig = build_rig(
+        [*producers, *consumers], [(c.name, "sd") for c in consumers], server=server
+    ).start()
+    gpus = [gpu.name for gpu in server.gpus]
+    assert rig.coordinator.pairings == {gpus[0]: gpus[2], gpus[1]: gpus[2]}
+    rig.warm_up(1.0)
+    for c in consumers:
+        submit_all(rig.env, rig.engines[c.name], long_prompt_requests(start=1.0))
+    rig.env.run(until=61.0)
+    tokens = [rig.engines[c.name].metrics.tokens_generated for c in consumers]
+    assert tokens == A.shared_producer()["shared"] == [663, 663]
+
+
+def test_producer_only_rig_has_no_consumer():
+    rig = build_rig([Seat("sd", "producer", SD_15, gpu=1)]).start()
+    assert rig.consumer_engine is None and rig.producer_engine is rig.engines["sd"]
+    assert rig.producer_lib.informer is not None
+
+
+def test_a_consumer_needs_an_llm():
+    with pytest.raises(ValueError, match="cannot run"):
+        build_rig([Seat("sd", "cfs", SD_15, gpu=0)])
+
+
+def test_offload_baselines_match_fig07():
+    """The offload baselines and Figure 7 measure one FlexGen: over DRAM
+    with AQUA's gather kernel off, and paired with an SD producer."""
+    tokens = A.offload_baselines()
+    assert tokens["flexgen/pcie"] == F._fig07_cell(None, 60.0)["tokens"] == 126
+    assert tokens["aqua"] == F._fig07_cell("StableDiffusion-1.5", 60.0)["tokens"] == 921
 
 
 def test_drain_returns_when_done():

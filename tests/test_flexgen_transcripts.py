@@ -37,14 +37,11 @@ import pytest
 
 import repro.aqua.tensor
 import repro.serving.request
-from repro.aqua import AquaLib, BatchInformer, Coordinator
 from repro.audit import ConservationAuditor
 from repro.experiments.harness import build_consumer_rig
 from repro.hardware import Server, TransferStats
 from repro.models import AUDIOGEN, KANDINSKY, OPT_30B, SD_15, SD_XL
-from repro.serving import BatchEngine, DeepSpeedEngine, UVMEngine
 from repro.sim import Environment
-from repro.telemetry import Telemetry
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
 from tests.token_times import token_times
@@ -97,23 +94,24 @@ def _run_four_pairs(env, servers, telemetry):
     returns the consumer engines and the jobs."""
     rigs = []
     for server in servers:
-        coordinator = Coordinator()
-        rigs += [
-            build_consumer_rig(
-                "flexgen",
-                OPT_30B,
-                producer_model=producer,
-                use_aqua=True,
-                env=env,
-                server=server,
-                consumer_gpu=i,
-                producer_gpu=4 + i,
-                coordinator=coordinator,
-                name_prefix=f"pair{i}-",
-                telemetry=telemetry,
-            ).start()
-            for i, producer in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN))
-        ]
+        on_server = []
+        for i, producer in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN)):
+            on_server.append(
+                build_consumer_rig(
+                    "flexgen",
+                    OPT_30B,
+                    producer_model=producer,
+                    use_aqua=True,
+                    env=env,
+                    server=server,
+                    consumer_gpu=i,
+                    producer_gpu=4 + i,
+                    coordinator=on_server[0].coordinator if on_server else None,
+                    name_prefix=f"pair{i}-",
+                    telemetry=telemetry,
+                ).start()
+            )
+        rigs += on_server
     requests = []
     for rig in rigs:
         job = long_prompt_requests(start=WARM_UP, **NVSWITCH_JOBS)
@@ -142,34 +140,26 @@ def unobserved_nvswitch_rig():
     return env, server, engines, requests
 
 
-def p2p_rig(engine_cls):
+def p2p_rig(kind):
     """One offloading engine paired with a diffusion producer over p2p
     NVLink."""
     env = Environment()
     server = Server(env, n_gpus=2)
-    coordinator = Coordinator()
     auditor = ConservationAuditor(env).attach_server(server)
-    tm = Telemetry(env)
-    tm.attach_server(server)
-    coordinator.telemetry = tm
-    lib = AquaLib(server.gpus[0], server, coordinator)
-    engine = engine_cls(server.gpus[0], server, OPT_30B, aqua_lib=lib, workspace_tokens=8000)
-    producer_lib = AquaLib(server.gpus[1], server, coordinator, informer=BatchInformer())
-    producer = BatchEngine(server.gpus[1], server, SD_15, aqua_lib=producer_lib)
-    coordinator.pair(lib.name, producer_lib.name)
-    producer.start()
-    engine.start()
+    rig = build_consumer_rig(
+        kind, OPT_30B, producer_model=SD_15, server=server, telemetry=True
+    ).start()
     requests = long_prompt_requests(start=WARM_UP, **P2P_JOBS)
-    submit_all(env, engine, requests)
+    submit_all(env, rig.consumer_engine, requests)
     env.run(until=WARM_UP + HORIZON)
-    return env, [engine], requests, auditor, tm.attribution_report()
+    return env, [rig.consumer_engine], requests, auditor, rig.telemetry.attribution_report()
 
 
 #: ``-k1`` names the per-step decode path the rig was recorded on.
 RIGS = {
     "nvswitch-flexgen-k1": nvswitch_rig,
-    "p2p-deepspeed": lambda: p2p_rig(DeepSpeedEngine),
-    "p2p-uvm": lambda: p2p_rig(UVMEngine),
+    "p2p-deepspeed": lambda: p2p_rig("deepspeed"),
+    "p2p-uvm": lambda: p2p_rig("uvm"),
 }
 
 #: SHA-256 of (transcript, auditor transfer digest, attribution report)
