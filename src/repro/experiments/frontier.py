@@ -45,7 +45,7 @@ from repro.workloads.arrivals import (
     diurnal_shape,
     flash_crowd_shape,
     multi_region_tenants,
-    nhpp_trace,
+    nhpp_stream,
     steady_shape,
 )
 
@@ -101,8 +101,11 @@ def _slo_policy(server_names: Sequence[str], ttft_slo: float) -> SLOPolicy:
 def _drive(env, router, trace):
     """Submit an open-loop trace through the router, in arrival order.
 
-    Sleeps are bare delays (nothing interrupts this process), which the
-    kernel orders exactly like ``env.timeout``.
+    ``trace`` is any iterable of ``(tenant, request)`` pairs in arrival
+    order: a list, or an :func:`~repro.workloads.arrivals.nhpp_stream`
+    that builds each request only when this loop reaches it.  Sleeps
+    are bare delays (nothing interrupts this process), which the kernel
+    orders exactly like ``env.timeout``.
     """
     for tenant, request in trace:
         delay = request.arrival_time - env.now
@@ -137,7 +140,7 @@ def frontier_cell(
     from repro.sim import Environment
 
     shape, tenants = _workload(workload, duration)
-    trace = nhpp_trace(
+    trace = nhpp_stream(
         rate,
         duration,
         seed=seed,
@@ -168,6 +171,16 @@ def frontier_cell(
         max_queue_depth=max_queue_depth,
     )
     router = GlobalRouter(env, frontends, routing, admission, tracker=tracker)
+    # Goodput is counted as requests finish; the frontends drop them.
+    good = 0
+
+    def count_good(_frontend, request) -> None:
+        nonlocal good
+        if request.ttft is not None and request.ttft <= ttft_slo:
+            good += 1
+
+    for frontend in frontends:
+        frontend.on_complete.append(count_good)
     env.process(_drive(env, router, trace))
     env.process(router.scrape_loop(1.0))
     # Stop offering at ``duration``; drain lets queued work finish so
@@ -176,8 +189,7 @@ def frontier_cell(
 
     violations = router.check()
     ledger = router.ledger
-    completions = [r for f in frontends for r in f.completed]
-    good = sum(1 for r in completions if r.ttft is not None and r.ttft <= ttft_slo)
+    completed = sum(f.completed for f in frontends)
     tokens = sum(f.tokens for f in frontends)
     return {
         "policy": routing.name,
@@ -193,7 +205,7 @@ def frontier_cell(
         "shed_total": ledger.shed_total,
         "shed_rate": ledger.shed_total / ledger.offered if ledger.offered else 0.0,
         "goodput": good / duration,
-        "attainment": good / len(completions) if completions else None,
+        "attainment": good / completed if completed else None,
         "tokens_per_s": tokens / duration,
         "per_tenant": {
             tenant: {
@@ -204,7 +216,7 @@ def frontier_cell(
             }
             for tenant, books in ledger.per_tenant.items()
         },
-        "per_server_completed": [len(f.completed) for f in frontends],
+        "per_server_completed": [f.completed for f in frontends],
         "ledger_digest": ledger.digest,
         "ledger_ok": not violations,
         "violations": [str(v) for v in violations],

@@ -30,6 +30,11 @@ request is dispatched.  When another event is due at exactly the same
 instant and was scheduled later in the dispatching event — the drive
 loop's next arrival sleep — the prefill end is processed first.
 
+A frontend keeps only what is in flight: its queue, its slot count and
+running totals (``completed``, ``tokens``).  A finished request is
+handed to the :attr:`~ServerFrontend.on_complete` hooks and dropped, so
+a frontier cell's memory follows its in-flight requests, not its trace.
+
 Frontends never shed: admission is the router's job
 (:mod:`repro.routing.admission`), so every request that reaches
 :meth:`~ServerFrontend.enqueue` is eventually served.  That split is
@@ -65,7 +70,8 @@ class ServerFrontend:
         ``len(queue) + active``, kept as a counter: :meth:`enqueue`
         adds one and each completion subtracts one.
     completed:
-        Finished requests, completion order.
+        Number of finished requests.  The requests themselves are not
+        kept: a hook on :attr:`on_complete` sees each one as it finishes.
     tokens:
         Total tokens generated (prompt ingestion excluded).
     on_complete:
@@ -94,7 +100,7 @@ class ServerFrontend:
         self.queue: deque = deque()
         self.active = 0
         self.depth = 0
-        self.completed: list = []
+        self.completed = 0
         self.tokens = 0
         self.on_complete: list[Callable] = []
 
@@ -136,7 +142,7 @@ class ServerFrontend:
         self.active -= 1
         self.depth -= 1
         self.tokens += request.max_new_tokens
-        self.completed.append(request)
+        self.completed += 1
         for callback in self.on_complete:
             callback(self, request)
         if self.queue and self.active < self.concurrency:
@@ -145,5 +151,5 @@ class ServerFrontend:
     def __repr__(self) -> str:
         return (
             f"<ServerFrontend {self.name} depth={self.depth} "
-            f"active={self.active}/{self.concurrency} done={len(self.completed)}>"
+            f"active={self.active}/{self.concurrency} done={self.completed}>"
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -87,7 +87,10 @@ def closed_loop_user(
         engine.submit(request)
         yield request.on_finish
         if turn < turns - 1:
-            yield env.timeout(max(0.0, think_time()))
+            think = think_time()
+            if not think >= 0:  # NaN too
+                raise ValueError(f"think time must be >= 0, got {think}")
+            yield env.timeout(think)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +224,30 @@ def multi_region_tenants(
     ]
 
 
-#: Master arrivals :func:`nhpp_trace` converts to Python lists at a time.
+#: Master arrivals the stream turns into Python objects at a time.
 _THINNING_CHUNK = 4096
 
 
 def _master_arrival_times(
     rng: np.random.Generator, rate_cap: float, duration: float
-) -> list[float]:
+) -> np.ndarray:
     """Homogeneous master-process arrival times in ``[0, duration]``.
 
     Chunked exponential draws; the realised sequence depends only on
     the generator state and ``(rate_cap, duration)`` — never on the
     thinned target rate, which is what keeps traces nested.
     """
-    times: list[float] = []
+    chunks = []
     last = 0.0
     while last <= duration:
         gaps = rng.exponential(scale=1.0 / rate_cap, size=512)
-        cum = last + np.cumsum(gaps)
-        times.extend(cum.tolist())
-        last = times[-1]
-    return [t for t in times if t <= duration]
+        chunks.append(last + np.cumsum(gaps))
+        last = float(chunks[-1][-1])
+    times = np.concatenate(chunks)
+    return times[: np.searchsorted(times, duration, side="right")]
 
 
-def nhpp_trace(
+def nhpp_stream(
     rate: float,
     duration: float,
     *,
@@ -256,8 +259,8 @@ def nhpp_trace(
     prompt_tokens: tuple[int, int] = (16, 256),
     max_new_tokens: tuple[int, int] = (16, 160),
     users: int = 512,
-) -> list[tuple[str, Request]]:
-    """A seeded open-loop trace of ``(tenant, request)`` pairs.
+) -> Iterator[tuple[str, Request]]:
+    """A seeded open-loop stream of ``(tenant, request)`` pairs.
 
     Thinning over a shared master process (see the module docstring):
     arrival ``i`` of the master stream is kept iff its pre-drawn
@@ -277,6 +280,11 @@ def nhpp_trace(
     counts are uniform over the inclusive ranges given; users are drawn
     from ``range(users)`` so session-affinity policies see repeat
     visitors.
+
+    The arguments are checked and every master column is drawn at the
+    call (48 bytes per master arrival); the pairs are built only as the
+    consumer reaches them, so a drive loop whose requests are dropped
+    once served holds only the requests in flight.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
@@ -311,32 +319,33 @@ def nhpp_trace(
     boundaries = np.cumsum([p.weight / total_weight for p in profiles])
     last_tenant = len(profiles) - 1
     names = [p.name for p in profiles]
-    # The loop reads plain Python numbers, one chunk of master arrivals
-    # at a time so that only one chunk's lists are alive at once; each
-    # chunk picks its tenants with one vectorised lookup.  The
-    # thinning test stays a per-arrival Python call: ``shape.fn`` uses
-    # ``math`` functions, which a vectorised ``np`` twin could round
-    # differently in the last place.
     fns = [s.fn for s in shapes]
-    trace: list[tuple[str, Request]] = []
-    for lo in range(0, n, _THINNING_CHUNK):
-        hi = lo + _THINNING_CHUNK
-        tenant_ix = np.minimum(
-            np.searchsorted(boundaries, tenant_u[lo:hi], side="right"), last_tenant
-        )
-        for i, t, keep, which, prompt, new, user in zip(
-            range(lo, min(hi, n)),
-            times[lo:hi],
-            keep_u[lo:hi].tolist(),
-            tenant_ix.tolist(),
-            prompts[lo:hi].tolist(),
-            news[lo:hi].tolist(),
-            user_ids[lo:hi].tolist(),
-        ):
-            if keep * rate_cap >= rate * fns[which](t):
-                continue
-            trace.append(
-                (
+
+    def pairs() -> Iterator[tuple[str, Request]]:
+        # The loop reads plain Python numbers, one chunk of master
+        # arrivals at a time so that only one chunk's lists are alive
+        # at once; each chunk picks its tenants with one vectorised
+        # lookup.  The thinning test stays a per-arrival Python call:
+        # ``shape.fn`` uses ``math`` functions, which a vectorised
+        # ``np`` twin could round differently in the last place.
+        for lo in range(0, n, _THINNING_CHUNK):
+            hi = lo + _THINNING_CHUNK
+            tenant_ix = np.minimum(
+                np.searchsorted(boundaries, tenant_u[lo:hi], side="right"),
+                last_tenant,
+            )
+            for i, t, keep, which, prompt, new, user in zip(
+                range(lo, min(hi, n)),
+                times[lo:hi].tolist(),
+                keep_u[lo:hi].tolist(),
+                tenant_ix.tolist(),
+                prompts[lo:hi].tolist(),
+                news[lo:hi].tolist(),
+                user_ids[lo:hi].tolist(),
+            ):
+                if keep * rate_cap >= rate * fns[which](t):
+                    continue
+                yield (
                     names[which],
                     Request(
                         arrival_time=start + t,
@@ -346,5 +355,10 @@ def nhpp_trace(
                         req_id=i,
                     ),
                 )
-            )
-    return trace
+
+    return pairs()
+
+
+def nhpp_trace(rate: float, duration: float, **kwargs) -> list[tuple[str, Request]]:
+    """The whole of :func:`nhpp_stream` as a list; same arguments."""
+    return list(nhpp_stream(rate, duration, **kwargs))

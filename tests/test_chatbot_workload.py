@@ -97,6 +97,26 @@ def test_closed_loop_user_validation():
         env.run()
 
 
+@pytest.mark.parametrize("think", [-0.5, float("nan")])
+def test_closed_loop_user_rejects_a_bad_think_time(think):
+    """A negative or NaN think time raises, naming the value, instead
+    of becoming no pause at all."""
+    env = Environment()
+    engine = InstantEngine(env)
+    env.process(
+        closed_loop_user(
+            env,
+            engine,
+            lambda turn: Request(0.0, 10, 10),
+            turns=2,
+            think_time=lambda: think,
+        )
+    )
+    with pytest.raises(ValueError, match=f"got {think}"):
+        env.run()
+    assert len(engine.received) == 1
+
+
 def test_workload_deterministic_by_seed():
     def trace(seed):
         env = Environment()

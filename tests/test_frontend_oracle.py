@@ -18,10 +18,11 @@ fewer per request still being served when the run stops (its process's
 frontier cell opens no windows, so a monitor changes nothing here.
 
 The fixed cases pin the tie order the frontend documents and the
-frontier cell's event budget.
+frontier cell's event and memory budgets.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,7 +86,7 @@ class ProcessFrontend(ServerFrontend):
             request.on_finish.succeed(request)
         self.active -= 1
         self.tokens += request.max_new_tokens
-        self.completed.append(request)
+        self.completed += 1
         for callback in self.on_complete:
             callback(self, request)
         if self.queue and self.active < self.concurrency:
@@ -146,6 +147,9 @@ def _run(cell, reference):
         max_queue_depth=cell["max_queue_depth"],
     )
     router = GlobalRouter(env, frontends, policy, admission, tracker=tracker)
+    order = {f.name: [] for f in frontends}
+    for frontend in frontends:
+        frontend.on_complete.append(lambda f, r: order[f.name].append(r.req_id))
     if not reference:
         env.add_monitor(_depth_monitor(frontends))
     env.process(_drive(env, router, trace))
@@ -158,7 +162,7 @@ def _run(cell, reference):
         "routed": ledger.routed,
         "shed": dict(ledger.shed),
         "completed": ledger.completed,
-        "order": [[r.req_id for r in f.completed] for f in frontends],
+        "order": [order[f.name] for f in frontends],
         "tokens": [f.tokens for f in frontends],
         "stamps": [
             (
@@ -286,6 +290,34 @@ def test_slo_aware_cell_keeps_its_event_budget(monkeypatch):
     budget = cell["offered"] + 2 * cell["routed"] + math.ceil((duration + drain) / 1.0) + 3
     assert env.events_processed <= budget
     assert type(env.now) is float
+
+
+def _peak_growth(duration):
+    """tracemalloc's peak growth over one steady ``slo-aware`` cell, and
+    the cell's offered count."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cell = frontier_cell(
+            policy="slo-aware", rate=64.0, duration=duration, workload="steady", seed=0
+        )
+        return tracemalloc.get_traced_memory()[1] - base, cell["offered"]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frontier_cell_memory_follows_in_flight_requests():
+    """A cell holds the NHPP master columns (48 B per master arrival; at
+    a steady load every master arrival is offered) and the requests in
+    flight, not every request it offered.  Between a 50 s cell and a
+    200 s one the peak grows by about 67 B per extra offered request; a
+    cell that builds its whole trace up front and keeps each finished
+    request grows by about 325 B."""
+    _peak_growth(2.0)  # one-off allocations: lazy imports and caches
+    short, short_offered = _peak_growth(50.0)
+    long, long_offered = _peak_growth(200.0)
+    per_request = (long - short) / (long_offered - short_offered)
+    assert per_request <= 96, f"{per_request:.0f} B per extra offered request"
 
 
 @pytest.fixture

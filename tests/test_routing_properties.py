@@ -43,6 +43,7 @@ from repro.workloads.arrivals import (
     diurnal_shape,
     flash_crowd_shape,
     multi_region_tenants,
+    nhpp_stream,
     nhpp_trace,
     steady_shape,
 )
@@ -383,6 +384,23 @@ def test_nhpp_rejects_insufficient_rate_cap():
         nhpp_trace(
             10.0, 5.0, seed=0, rate_cap=12.0, shape=flash_crowd_shape(at=2.0)
         )
+
+
+@pytest.mark.parametrize("make", [nhpp_trace, nhpp_stream])
+@pytest.mark.parametrize(
+    "rate, duration, rate_cap, match",
+    [
+        (0.0, 5.0, None, "rate"),
+        (-1.0, 5.0, None, "rate"),
+        (10.0, 0.0, None, "duration"),
+        (10.0, -5.0, None, "duration"),
+        (10.0, 5.0, 14.0, "rate_cap"),
+    ],
+)
+def test_nhpp_validates_at_the_call(make, rate, duration, rate_cap, match):
+    """The stream raises when it is made, not at its first ``next()``."""
+    with pytest.raises(ValueError, match=match):
+        make(rate, duration, rate_cap=rate_cap, shape=diurnal_shape(amplitude=0.5))
 
 
 def test_multi_region_mix_phases_are_staggered():
