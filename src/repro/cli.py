@@ -174,8 +174,7 @@ def cmd_replicate(args) -> int:
     from repro import evals
 
     if args.list:
-        for claim in evals.get_claims():
-            print(f"{claim.id:32s} {claim.figure:18s} cells: {', '.join(claim.experiments)}")
+        print(evals.render_catalog(evals.get_claims()))
         return 0
 
     doc = evals.replicate(
@@ -501,7 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recompute every experiment cell, bypassing the run cache",
     )
-    p.add_argument("--list", action="store_true", help="list claims and exit")
+    p.add_argument(
+        "--list",
+        action="store_true",
+        help="print the claim catalog as docs/replication.md's table and exit",
+    )
     _add_jobs_argument(p)
 
     p = sub.add_parser(

@@ -12,12 +12,18 @@ from repro.evals.checks import (
     FAIL,
     PASS,
     SKIP,
+    Band,
     CheckResult,
     MissingMetric,
 )
 from repro.evals.registry import REGISTRY, Claim, EvalRegistry
 from repro.evals.runner import evaluate_claim, replicate, run_cell
-from repro.evals.report import render_markdown, render_text, write_markdown
+from repro.evals.report import (
+    render_catalog,
+    render_markdown,
+    render_text,
+    write_markdown,
+)
 from repro.evals.schema import (
     REPLICATION_SCHEMA,
     SchemaError,
@@ -39,6 +45,7 @@ __all__ = [
     "PASS",
     "FAIL",
     "SKIP",
+    "Band",
     "CheckResult",
     "MissingMetric",
     "Claim",
@@ -50,6 +57,7 @@ __all__ = [
     "run_cell",
     "evaluate_claim",
     "get_claims",
+    "render_catalog",
     "render_text",
     "render_markdown",
     "write_markdown",

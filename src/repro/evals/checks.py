@@ -17,13 +17,18 @@ so a value landing exactly on a band edge scores deterministically —
 A check that states a strict inequality (``x > lo``) passes
 ``strict=True``, which excludes both edges: then a tie, such as two runs
 of a knob that no longer has any effect, FAILs.
+
+A claim declares each of its bands once, as a :class:`Band`; its check
+scores a value by calling the band, and its expected text and the
+traceability table in ``docs/replication.md`` are generated from the
+declarations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -135,6 +140,45 @@ def check_band(
     )
 
 
+@dataclass(frozen=True)
+class Band:
+    """One declared tolerance band: ``lo <= value <= hi`` (``<`` if strict).
+
+    ``what`` names the quantity for the generated docs.  A band whose
+    edge comes from the results (a pair count of ``GPUs / 2``, a
+    request count of ``submitted``) sets ``equals`` to that quantity's
+    name instead of ``lo``/``hi``, and its check passes the value as
+    ``equal_to``.
+    """
+
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    strict: bool = False
+    what: str = ""
+    equals: str = ""
+
+    def __call__(
+        self,
+        value: float,
+        label: str,
+        measured: object = None,
+        equal_to: Optional[float] = None,
+    ) -> CheckResult:
+        """Score ``value`` (sub-check ``label``) against this band."""
+        if bool(self.equals) != (equal_to is not None):
+            raise TypeError(
+                f"band {self.what!r} takes equal_to iff it declares equals"
+            )
+        lo, hi = (equal_to, equal_to) if self.equals else (self.lo, self.hi)
+        return check_band(value, lo, hi, label, measured=measured, strict=self.strict)
+
+    def describe(self) -> str:
+        """The band as the docs state it, e.g. ``"speedup >= 4"``."""
+        if self.equals:
+            return f"{self.what} = {self.equals}"
+        return _describe_band(self.what, self.lo, self.hi, self.strict)
+
+
 def check_all(results: Sequence[CheckResult]) -> CheckResult:
     """Conjunction of sub-checks: FAIL dominates, then SKIP, then PASS."""
     if not results:
@@ -147,7 +191,6 @@ def check_all(results: Sequence[CheckResult]) -> CheckResult:
         return CheckResult(
             PASS,
             measured=[r.measured for r in results],
-            expected="; ".join(r.expected for r in results if r.expected),
             delta=min(deltas) if deltas else None,
             detail="",
         )
@@ -158,6 +201,8 @@ def _describe_band(
     label: str, lo: Optional[float], hi: Optional[float], strict: bool = False
 ) -> str:
     le, ge = ("<", ">") if strict else ("<=", ">=")
+    if lo is not None and lo == hi:
+        return f"{label} = {lo:g}"
     if lo is not None and hi is not None:
         return f"{lo:g} {le} {label} {le} {hi:g}"
     if lo is not None:

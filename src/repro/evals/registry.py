@@ -2,7 +2,7 @@
 
 Each :class:`Claim` binds one paper claim (a figure/table result stated
 in the Aqua paper's evaluation) to the experiment cell(s) that measure
-it, the check function that scores it, and the tolerance band inside
+it, the check function that scores it, and the tolerance bands inside
 which the reproduction counts as replicating the claim.  The registry
 is the single source of truth consumed by the runner
 (:mod:`repro.evals.runner`), the CLI (``aqua-repro replicate --list``)
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from repro.evals.checks import CheckResult
+from repro.evals.checks import Band, CheckResult
 
 
 @dataclass(frozen=True)
@@ -38,25 +38,31 @@ class Claim:
         exactly once through :mod:`repro.experiments.pool`, so claims
         sharing a cell share its (cached) run.
     check:
-        ``check(results, tolerance) -> CheckResult`` where ``results``
-        maps experiment name → that cell's value.  Checks use
-        :func:`repro.evals.checks.metric` so absent/None/NaN metrics
-        surface as SKIP, never as a crash.
+        ``check(results, tol) -> CheckResult`` where ``results`` maps
+        experiment name → that cell's value and ``tol`` is the claim's
+        ``tolerance``.  Checks compute their values with
+        :func:`repro.evals.checks.metric`, so absent/None/NaN metrics
+        surface as SKIP, never as a crash, and score each one by
+        calling its band: ``tol["min_ttft_gap"](value, label)``.
     tolerance:
-        Named tolerance-band parameters the check reads.  Declared as
-        data (not hardcoded in the check body) so the report and
-        ``docs/replication.md`` can render the band verbatim.
-    expected:
-        Human-readable expected outcome for reports.
+        The claim's bands, name → :class:`~repro.evals.checks.Band`.
+        Each band is stated here and nowhere else: the expected text
+        and the traceability table in ``docs/replication.md`` are
+        generated from it, and the runner scores a check that never
+        consults one of them SKIP.
     """
 
     id: str
     figure: str
     claim: str
     experiments: Tuple[str, ...]
-    check: Callable[[Mapping[str, object], Mapping[str, float]], CheckResult]
-    tolerance: Mapping[str, float] = field(default_factory=dict)
-    expected: str = ""
+    check: Callable[[Mapping[str, object], Mapping[str, Band]], CheckResult]
+    tolerance: Mapping[str, Band] = field(default_factory=dict)
+
+    @property
+    def expected(self) -> str:
+        """The expected outcome, generated from the declared bands."""
+        return "; ".join(band.describe() for band in self.tolerance.values())
 
 
 class EvalRegistry:

@@ -1,9 +1,11 @@
-"""Human-readable rendering of a replication document.
+"""Human-readable rendering of a replication document and the catalog.
 
 Two renderers over the same document: :func:`render_text` for the
 terminal (``aqua-repro replicate``) and :func:`render_markdown` for
 the ``--report out.md`` artifact CI uploads next to
-``REPLICATION.json``.
+``REPLICATION.json``.  :func:`render_catalog` renders the registry as
+the traceability table of ``docs/replication.md``
+(``aqua-repro replicate --list``).
 """
 
 from __future__ import annotations
@@ -96,10 +98,25 @@ def render_markdown(doc: dict) -> str:
             lines.append(f"- **{claim['id']}** ({claim['status']}): {claim['detail']}")
     lines += [
         "",
-        "Claim-by-claim traceability (experiment function, check, tolerance "
-        "band): see `docs/replication.md`.",
+        "Claim-by-claim traceability (experiment cells, check, tolerance "
+        "bands): see `docs/replication.md`.",
         "",
     ]
+    return "\n".join(lines)
+
+
+def render_catalog(claims) -> str:
+    """The claim-by-claim traceability table, one markdown row per claim."""
+    lines = [
+        "| claim id | figure | paper claim | cells | check | tolerance bands |",
+        "|---|---|---|---|---|---|",
+    ]
+    for claim in claims:
+        cells = ", ".join(f"`{name}`" for name in claim.experiments)
+        lines.append(
+            f"| `{claim.id}` | {claim.figure} | {claim.claim} | {cells} "
+            f"| `{claim.check.__name__}` | {claim.expected} |"
+        )
     return "\n".join(lines)
 
 

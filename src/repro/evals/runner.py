@@ -18,15 +18,17 @@
 Cell failures are *contained*: the pool task (:func:`run_cell`) catches
 the experiment's exception and returns an error record, so a broken
 figure scores its claims SKIP (with the error in ``detail``) while
-every other claim still gets a verdict.
+every other claim still gets a verdict.  The verdict is ``PASS`` only
+when every selected claim passes: a SKIP fails it as a FAIL does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.evals.checks import SKIP, CheckResult, MissingMetric
+from repro.evals.checks import PASS, SKIP, CheckResult, MissingMetric
 from repro.evals.registry import REGISTRY, Claim, EvalRegistry
 from repro.evals.schema import REPLICATION_SCHEMA, validate_replication
 from repro.experiments.pool import RunCache, RunSpec, code_fingerprint, run_specs
@@ -51,12 +53,26 @@ def run_cell(name: str) -> dict:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
+class _Consulted(dict):
+    """A claim's bands, recording which ones its check reads."""
+
+    def __init__(self, bands) -> None:
+        super().__init__(bands)
+        self.read: set[str] = set()
+
+    def __getitem__(self, name: str):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
 def evaluate_claim(claim: Claim, cells: dict) -> dict:
     """Score one claim against the (possibly partial) cell results.
 
     ``cells`` maps experiment name → :func:`run_cell` payload.  Missing
     or errored cells, absent/None/NaN metrics and check bugs all score
-    SKIP — a replication report is always produced.
+    SKIP — a replication report is always produced.  So does a check
+    that would pass without consulting every declared band: the docs
+    state each band, so each must be checked.
     """
     errors = []
     results = {}
@@ -71,13 +87,19 @@ def evaluate_claim(claim: Claim, cells: dict) -> dict:
     if errors:
         outcome = CheckResult(SKIP, detail="; ".join(errors))
     else:
+        bands = _Consulted(claim.tolerance)
         try:
-            outcome = claim.check(results, claim.tolerance)
+            outcome = claim.check(results, bands)
         except MissingMetric as exc:
             outcome = CheckResult(SKIP, detail=str(exc))
         except Exception as exc:  # noqa: BLE001 - never crash the report
             outcome = CheckResult(
                 SKIP, detail=f"check raised {type(exc).__name__}: {exc}"
+            )
+        unused = ", ".join(name for name in claim.tolerance if name not in bands.read)
+        if outcome.status == PASS and unused:
+            outcome = dataclasses.replace(
+                outcome, status=SKIP, detail=f"declared bands never checked: {unused}"
             )
     return {
         "id": claim.id,
@@ -85,8 +107,10 @@ def evaluate_claim(claim: Claim, cells: dict) -> dict:
         "claim": claim.claim,
         "experiments": list(claim.experiments),
         "check": claim.check.__name__,
-        "tolerance": dict(claim.tolerance),
-        "expected": claim.expected or outcome.expected,
+        "tolerance": {
+            name: dataclasses.asdict(band) for name, band in claim.tolerance.items()
+        },
+        "expected": claim.expected,
         "status": outcome.status,
         "measured": outcome.measured,
         "delta": outcome.delta,
@@ -151,7 +175,7 @@ def replicate(
         "claims": scored,
         "summary": {
             **counts,
-            "verdict": "FAIL" if counts["fail"] else "PASS",
+            "verdict": "PASS" if counts["pass"] == counts["total"] else "FAIL",
         },
     }
     return validate_replication(doc)

@@ -5,8 +5,9 @@ codebase still reproduce the Aqua paper?".  It is versioned (``schema``
 field), self-consistent (the ``summary`` counts must equal the claim
 statuses), and round-trips through JSON byte-for-byte —
 ``tests/test_evals.py::test_replication_document_round_trips`` pins
-this.  CI's nightly replication job uploads it as an artifact and
-fails when its verdict is ``FAIL``.
+this.  Its verdict is ``PASS`` only when every claim passes.  CI's
+nightly replication job uploads it as an artifact and fails when its
+verdict is ``FAIL``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Union
 from repro.evals.checks import STATUSES
 
 #: Document schema marker; bump on any structural change.
-REPLICATION_SCHEMA = "aqua-repro-replication/v1"
+REPLICATION_SCHEMA = "aqua-repro-replication/v2"
 
 #: Required top-level keys of a replication document.
 _TOP_KEYS = ("schema", "code_fingerprint", "jobs", "cache", "cells", "claims", "summary")
@@ -100,7 +101,8 @@ def validate_replication(doc: dict) -> dict:
                 f"summary[{key!r}] = {summary[key]} disagrees with the "
                 f"claim list ({value})"
             )
-    expected_verdict = "FAIL" if counts["FAIL"] else "PASS"
+    # PASS only when every claim passes: a SKIP is not a pass.
+    expected_verdict = "PASS" if counts["PASS"] == len(doc["claims"]) else "FAIL"
     if summary["verdict"] != expected_verdict:
         raise SchemaError(
             f"summary verdict {summary['verdict']!r} disagrees with the "

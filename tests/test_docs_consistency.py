@@ -3,7 +3,8 @@
 DESIGN.md's per-experiment index and EXPERIMENTS.md's test references
 must point at files that exist, every example mentioned in the README
 must be present, every registered claim must have a row in the
-traceability table, and every documented CLI usage must parse — so the
+traceability table, which is generated from the registry, and every
+documented CLI usage must parse — so the
 documentation can be trusted as a map of the repository.
 """
 
@@ -83,6 +84,18 @@ def test_every_registered_claim_has_a_traceability_row():
     rows = set(re.findall(r"^\| `([a-z0-9-]+)` \|", text, re.M))
     missing = [c.id for c in evals.get_claims() if c.id not in rows]
     assert not missing, f"docs/replication.md has no row for {missing}"
+
+
+def test_traceability_table_is_generated_from_the_registry():
+    """docs/replication.md's table is byte-equal to ``replicate --list``."""
+    from repro import evals
+
+    text = (ROOT / "docs" / "replication.md").read_text()
+    start = text.index("| claim id |")
+    end = text.index("\n\n", start)
+    assert text[start:end] == evals.render_catalog(evals.get_claims()), (
+        "regenerate the table: aqua-repro replicate --list"
+    )
 
 
 def test_every_example_is_smoke_tested():

@@ -180,8 +180,7 @@ def _claim(check):
         claim="test claim",
         experiments=("cellA",),
         check=check,
-        tolerance={"lo": 1.0},
-        expected="whatever",
+        tolerance={"lo": C.Band(lo=1.0, what="value")},
     )
 
 
@@ -201,9 +200,7 @@ def test_missing_cell_scores_skip():
 
 def test_nan_metric_scores_skip():
     def check(results, tol):
-        return C.check_band(
-            C.metric(results, "cellA", "value"), tol["lo"], None, "value"
-        )
+        return tol["lo"](C.metric(results, "cellA", "value"), "value")
 
     scored = evaluate_claim(
         _claim(check), {"cellA": {"ok": True, "value": {"value": float("nan")}}}
@@ -219,6 +216,45 @@ def test_buggy_check_scores_skip_not_crash():
     scored = evaluate_claim(_claim(check), {"cellA": {"ok": True, "value": {}}})
     assert scored["status"] == "SKIP"
     assert "check bug" in scored["detail"]
+
+
+def test_a_declared_band_the_check_never_consults_scores_skip():
+    claim = Claim(
+        id="t-two-bands",
+        figure="Figure T",
+        claim="test claim",
+        experiments=("cellA",),
+        check=lambda r, tol: tol["floor"](r["cellA"]["value"], "value"),
+        tolerance={
+            "floor": C.Band(lo=1.0, what="value"),
+            "ceiling": C.Band(hi=9.0, what="value"),
+        },
+    )
+    assert claim.expected == "value >= 1; value <= 9"
+    scored = evaluate_claim(claim, {"cellA": {"ok": True, "value": {"value": 2.0}}})
+    assert scored["status"] == "SKIP"
+    assert "ceiling" in scored["detail"] and "floor" not in scored["detail"]
+    # A FAIL stays a FAIL: the value is out of a band that was checked.
+    scored = evaluate_claim(claim, {"cellA": {"ok": True, "value": {"value": 0.5}}})
+    assert scored["status"] == "FAIL"
+
+
+def test_a_band_edge_read_from_the_results_is_an_equality():
+    pairs = C.Band(what="pairs", equals="GPUs / 2")
+    assert pairs.describe() == "pairs = GPUs / 2"
+    assert pairs(8.0, "16-GPU pairs", equal_to=8).status == C.PASS
+    assert pairs(7.0, "16-GPU pairs", equal_to=8).status == C.FAIL
+    with pytest.raises(TypeError):
+        pairs(8.0, "16-GPU pairs")
+    with pytest.raises(TypeError):
+        C.Band(lo=1.0, what="x")(2.0, "x", equal_to=2.0)
+
+
+def test_every_claim_states_its_expected_outcome_from_its_bands():
+    for claim in evals.get_claims():
+        assert claim.tolerance, f"{claim.id} declares no band"
+        assert all(isinstance(b, C.Band) and b.what for b in claim.tolerance.values())
+        assert claim.expected == "; ".join(b.describe() for b in claim.tolerance.values())
 
 
 def test_run_cell_contains_experiment_errors():
@@ -246,6 +282,33 @@ def test_replication_document_round_trips(tmp_path):
     assert loaded == json.loads(json.dumps(doc, default=str))
     assert loaded["summary"]["verdict"] in ("PASS", "FAIL")
     assert loaded["summary"]["total"] == len(loaded["claims"]) == 3
+
+
+def test_a_skipped_claim_fails_the_verdict(tmp_path):
+    doc = json.loads(json.dumps(_fast_doc(tmp_path), default=str))
+    doc["claims"][0]["status"] = "SKIP"
+    doc["summary"].update(
+        {"pass": doc["summary"]["pass"] - 1, "skip": doc["summary"]["skip"] + 1}
+    )
+    with pytest.raises(SchemaError):
+        validate_replication(doc)
+    doc["summary"]["verdict"] = "FAIL"
+    assert validate_replication(doc)["summary"]["verdict"] == "FAIL"
+
+
+def test_cli_exits_1_when_a_claim_skips(tmp_path, monkeypatch):
+    import dataclasses
+
+    from repro.cli import main
+
+    # The tables cell comes back empty, so tables-inventory has nothing
+    # to read and scores SKIP.
+    broken = dataclasses.replace(EXPERIMENTS["tables"], cell=lambda: {})
+    monkeypatch.setitem(EXPERIMENTS, "tables", broken)
+    monkeypatch.chdir(tmp_path)
+    assert main(["replicate", "--only", "tables-inventory", "--jobs", "1", "--no-cache"]) == 1
+    doc = validate_replication(json.loads((tmp_path / "REPLICATION.json").read_text()))
+    assert doc["summary"]["skip"] == 1 and doc["summary"]["verdict"] == "FAIL"
 
 
 def test_validator_rejects_malformed_documents(tmp_path):

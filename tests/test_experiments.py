@@ -5,6 +5,9 @@ down runs; the full-scale regenerations are the experiment cells that
 ``aqua-repro replicate`` scores (``repro.evals``).
 """
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import ablations as A
@@ -196,6 +199,37 @@ def test_fig07_shape():
     result = F.fig07_longprompt(duration=30.0)
     assert result["aqua+sd"]["speedup"] > 3
     assert result["aqua+llama"]["speedup"] > 3
+
+
+def _pool_returns(monkeypatch, values):
+    """Make the figures' pool runs return ``values``, in spec order."""
+    runs = [SimpleNamespace(value=value) for value in values]
+    monkeypatch.setattr(F, "run_specs", lambda specs, jobs=None: runs)
+
+
+def test_fig07_without_its_flexgen_row_raises(monkeypatch):
+    # A missing baseline row is a broken cell, not a column of NaN speedups.
+    _pool_returns(monkeypatch, [{"tokens": 921}])
+    with pytest.raises(KeyError, match="flexgen-dram"):
+        F.fig07_longprompt(producers={"aqua+sd": None})
+
+
+def test_fig07_zero_baseline_fails_the_ordering_claim(monkeypatch):
+    from repro.evals import get_claims
+
+    _pool_returns(monkeypatch, [{"tokens": 0}, {"tokens": 921}])
+    out = F.fig07_longprompt(producers={"flexgen-dram": None, "aqua+sd": None})
+    assert math.isnan(out["aqua+sd"]["speedup"])
+    (claim,) = [c for c in get_claims() if c.id == "fig07-ordering"]
+    scored = claim.check({"fig07": out}, claim.tolerance)
+    assert scored.status == "FAIL" and "flexgen-dram tokens" in scored.detail
+
+
+def test_fig12_without_an_rct_mean_raises(monkeypatch):
+    # A system that completed no request has no mean RCT to save.
+    _pool_returns(monkeypatch, [{"summary": {"rct_mean": 6.5}}, {"summary": {}}])
+    with pytest.raises(KeyError, match="rct_mean"):
+        F.fig12_tensor_size(adapter_sizes_mb=(160,))
 
 
 def test_fig08_shape():
