@@ -236,9 +236,12 @@ class Coordinator:
     # Handlers (also callable directly; every one takes the lock)
     # ------------------------------------------------------------------
     def pair(self, consumer: str, producer: str) -> Response:
-        """Record the placer's consumer->producer assignment."""
+        """Record the placer's consumer->producer assignment, which
+        merges the two GPUs' domains (:class:`~repro.sim.Domain`)."""
         with self._lock:
             self.pairings[consumer] = producer
+            if consumer in self.devices and producer in self.devices:
+                self.devices[consumer].domain.merge(self.devices[producer].domain)
             return Response.json({"consumer": consumer, "producer": producer})
 
     def lease(self, producer: str, nbytes: int) -> Response:

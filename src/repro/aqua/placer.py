@@ -16,8 +16,10 @@ paper describes:
    classic Gale-Shapley stable matching — at most one consumer per
    producer by design, so a producer's NVLink bandwidth is never shared.
 
-A greedy heuristic solver is included both as a fallback (no SciPy) and
-as an ablation baseline.
+A greedy heuristic solver is included both as a fallback (when the
+MILP's time budget expires with no incumbent) and as an ablation
+baseline.  :attr:`Placement.solver` names the one that produced the
+placement.
 """
 
 from __future__ import annotations
@@ -212,12 +214,12 @@ class AquaPlacer:
 
         started = time.perf_counter()
         if self.solver == "milp":
-            server_of, objective = self._solve_milp(instances)
+            server_of, objective, solver = self._solve_milp(instances)
         else:
-            server_of, objective = self._solve_greedy(instances)
+            server_of, objective, solver = self._solve_greedy(instances)
         placement = self._finalize(instances, server_of)
         placement.objective = objective
-        placement.solver = self.solver
+        placement.solver = solver
         placement.solve_seconds = time.perf_counter() - started
         return placement
 
@@ -226,7 +228,7 @@ class AquaPlacer:
     # ------------------------------------------------------------------
     def _solve_milp(
         self, instances: Sequence[ModelInstance]
-    ) -> tuple[dict[str, int], float]:
+    ) -> tuple[dict[str, int], float, str]:
         import numpy as np
         from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -315,14 +317,14 @@ class AquaPlacer:
         for m, inst in enumerate(instances):
             row = result.x[m * S : (m + 1) * S]
             server_of[inst.name] = int(np.argmax(row))
-        return server_of, float(result.fun)
+        return server_of, float(result.fun), "milp"
 
     # ------------------------------------------------------------------
     # Step 1b: greedy fallback / ablation baseline
     # ------------------------------------------------------------------
     def _solve_greedy(
         self, instances: Sequence[ModelInstance]
-    ) -> tuple[dict[str, int], float]:
+    ) -> tuple[dict[str, int], float, str]:
         slots = [self.gpus_per_server] * self.n_servers
         mem = [0.0] * self.n_servers
         eq = [0] * self.n_servers
@@ -365,7 +367,7 @@ class AquaPlacer:
             assign(inst, s)
 
         objective = max(mem) + (self.gpu_memory_bytes / GiB) * max(eq)
-        return server_of, objective
+        return server_of, objective, "greedy"
 
     # ------------------------------------------------------------------
     # Step 2: GPU slots and per-server stable matching

@@ -21,7 +21,7 @@ Two determinism properties matter here and are locked down in
   warm-cache runs are byte-identical;
 * all cells of one sweep share a seed and a ``rate_cap``, so their
   arrival traces are **nested** across rates (see
-  :func:`repro.workloads.arrivals.nhpp_trace`) and shed-rate
+  :func:`repro.workloads.arrivals.nhpp_stream`) and shed-rate
   monotonicity in offered load is structural, not statistical.
 """
 

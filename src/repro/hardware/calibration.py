@@ -45,6 +45,11 @@ class BandwidthPoint:
         return self.nbytes / self.bandwidth
 
 
+#: How far below zero, as a fraction of the longest measured transfer, a
+#: fitted latency may round before :func:`fit_link` rejects it.
+_LATENCY_TOLERANCE = 1e-9
+
+
 def fit_link(
     points: Sequence[BandwidthPoint], name: str = "calibrated-link"
 ) -> LinkSpec:
@@ -70,6 +75,12 @@ def fit_link(
         raise CalibrationError(
             "fitted peak bandwidth is not positive; measurements are inconsistent "
             "with a latency+bandwidth model"
+        )
+    # Least squares may round an exact zero latency to just below it.
+    if latency < -_LATENCY_TOLERANCE * times.max():
+        raise CalibrationError(
+            f"fitted latency {latency:.3g} s is negative; measurements are "
+            "inconsistent with a latency+bandwidth model"
         )
     latency = max(0.0, float(latency))
     return LinkSpec(name=name, peak_bandwidth=float(1.0 / inv_peak), latency=latency)

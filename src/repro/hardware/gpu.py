@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.hardware.specs import GPUSpec
-from repro.sim import Environment, Event, Resource
+from repro.sim import Domain, Environment, Event, Resource
 from repro.sim.core import URGENT
 from repro.sim.events import TRIGGERED
 from repro.sim.resources import ensure_unheld
@@ -155,6 +155,9 @@ class GPU:
         #: :class:`~repro.hardware.dma.GpuFailedError` and the memory
         #: it held is considered lost by anyone who offloaded to it.
         self.failed = False
+        #: The scale-up domain this GPU belongs to; pairing it with
+        #: another GPU merges theirs (:class:`~repro.sim.Domain`).
+        self.domain = Domain()
 
     def fail(self) -> None:
         """Mark the GPU failed: its HBM contents are gone.
@@ -217,15 +220,17 @@ class GPU:
 
 
 class _Kernel(Event):
-    """A compute kernel started by :meth:`GPU.launch`; fires at its end."""
+    """A compute kernel started by :meth:`GPU.launch`; fires at its end.
+    It acts in its GPU's domain."""
 
-    __slots__ = ("gpu", "duration", "request")
+    __slots__ = ("gpu", "domain", "duration", "request")
 
     def __init__(self, gpu: GPU, duration: float) -> None:
         super().__init__(gpu.env)
         # The stream is handed back before any waiter resumes.
         self.callbacks.append(self._release)
         self.gpu = gpu
+        self.domain = gpu.domain
         self.duration = duration
         self.request = None
         start = Event(gpu.env)

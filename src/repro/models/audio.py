@@ -68,7 +68,13 @@ class AudioModelSpec:
         return self.weight_bytes + batch_size * self.activation_bytes_per_sample
 
     def free_memory(self, gpu: GPUSpec, batch_size: int) -> int:
-        return max(0, gpu.hbm_bytes - self.memory_used(batch_size))
+        free = gpu.hbm_bytes - self.memory_used(batch_size)
+        if free < 0:
+            raise ValueError(
+                f"{self.name}: a batch of {batch_size} needs {self.memory_used(batch_size)} "
+                f"bytes, more than the {gpu.hbm_bytes} of {gpu.name}"
+            )
+        return free
 
     def peak_throughput_batch(self, gpu: GPUSpec, max_batch: int = 64) -> int:
         """Smallest batch reaching ~97% of the throughput plateau."""

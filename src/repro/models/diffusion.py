@@ -63,7 +63,13 @@ class DiffusionSpec:
 
     def free_memory(self, gpu: GPUSpec, batch_size: int) -> int:
         """HBM left over while running a batch of this size."""
-        return max(0, gpu.hbm_bytes - self.memory_used(batch_size))
+        free = gpu.hbm_bytes - self.memory_used(batch_size)
+        if free < 0:
+            raise ValueError(
+                f"{self.name}: a batch of {batch_size} needs {self.memory_used(batch_size)} "
+                f"bytes, more than the {gpu.hbm_bytes} of {gpu.name}"
+            )
+        return free
 
     def peak_throughput_batch(self, gpu: GPUSpec, max_batch: int = 64) -> int:
         """Smallest batch achieving ~97% of the throughput plateau.

@@ -26,6 +26,7 @@ from typing import Generator, Optional, Union
 from repro.aqua.informers import Action, BatchInformer, EngineStats
 from repro.models.audio import AudioModelSpec
 from repro.models.diffusion import DiffusionSpec
+from repro.serving.engine import watch
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Request
 from repro.sim import AnyOf
@@ -74,6 +75,8 @@ class BatchEngine:
         self.model = model
         self.aqua_lib = aqua_lib
         self.name = name
+        #: As :attr:`LLMEngineBase.domain`.
+        self.domain = gpu.domain
         self.batch_size = (
             batch_size
             if batch_size is not None
@@ -108,6 +111,8 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
+        if request.on_finish is not None:
+            watch(self)
         self.waiting.append(request)
         if not self._arrival_event.triggered:
             now = self.env.now
@@ -123,6 +128,7 @@ class BatchEngine:
         if self._process is not None:
             raise RuntimeError(f"{self.name} already started")
         self._process = self.env.process(self._serve())
+        self._process.domain = self.domain
 
     # ------------------------------------------------------------------
     def _inform(self) -> None:

@@ -32,6 +32,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.server import Server
 
 
+def watch(engine) -> None:
+    """Make ``engine`` and its process global for good: a completion
+    wakes an ``on_finish`` waiter, who may act in any domain."""
+    engine.domain = None
+    if engine._process is not None:
+        engine._process.domain = None
+
+
 class LLMEngineBase:
     """Common state and producer duties for LLM serving engines.
 
@@ -86,6 +94,9 @@ class LLMEngineBase:
         self.aqua_lib = aqua_lib
         self.inform_every = inform_every
         self.name = name
+        #: The domain the engine acts in: its GPU's, or ``None`` (global)
+        #: once it serves a request with an ``on_finish`` waiter.
+        self.domain = gpu.domain
         self.telemetry = telemetry = server.hub_for(name)
         self.tracer = telemetry.tracer if telemetry is not None else None
         self.metrics = MetricsCollector(name)
@@ -108,10 +119,15 @@ class LLMEngineBase:
             )
             - pre_reserved
         )
+        if kv_budget < 0:
+            raise ValueError(
+                f"{name}: {model.name}'s weights and workspace leave no KV "
+                f"budget on {gpu.name} at utilization {utilization} "
+                f"({kv_budget} bytes)"
+            )
         block_bytes = model.kv_bytes_per_token * block_tokens
-        n_blocks = max(0, kv_budget) // block_bytes
         self.allocator = BlockAllocator(
-            n_blocks=int(n_blocks),
+            n_blocks=kv_budget // block_bytes,
             block_bytes=block_bytes,
             pool=gpu.hbm,
             tag=f"{name}:kv-region",
@@ -137,6 +153,8 @@ class LLMEngineBase:
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
         """Enqueue a request for inference."""
+        if request.on_finish is not None:
+            watch(self)
         self.waiting.append(request)
         self.total_submitted += 1
         if self.telemetry is not None:
@@ -149,6 +167,7 @@ class LLMEngineBase:
         if self._process is not None:
             raise RuntimeError(f"{self.name} already started")
         self._process = self.env.process(self._serve())
+        self._process.domain = self.domain
 
     def _serve(self) -> Generator:
         raise NotImplementedError

@@ -20,15 +20,13 @@ touch or see run as one window with one wake (see
 
 from __future__ import annotations
 
-from types import MethodType
-from typing import Generator
+from typing import Generator, Sequence
 
 from repro.aqua.tensor import Location, TensorLostError
-from repro.hardware.gpu import _Kernel
 from repro.hardware.interconnect import add_in_order
 from repro.serving.engine import LLMEngineBase
 from repro.serving.request import Request
-from repro.sim import Event, Process
+from repro.sim import Wake
 
 
 #: The most steps :func:`_steps` computes in one run.  Runs start at
@@ -46,15 +44,14 @@ def _steps(
     latency: float,
     bandwidth: float,
     horizon: float,
-    steps_due: set,
-    due_until: float,
+    steps_due: Sequence[float],
 ) -> tuple:
     """The end times, as a list of Python floats, and the copy end
     times, as a float64 array, of the decode steps of a window from
     ``t``: step ``s`` copies ``payloads[s]`` bytes and the window stops
-    before the first step that ends at or after ``horizon`` or, if it
-    starts at or before ``due_until``, has a copy start, copy end or
-    kernel end in ``steps_due``.
+    before the first step that ends at or after ``horizon`` or has a
+    copy start, copy end or kernel end in ``steps_due`` (ascending
+    times of other domains' entries).
 
     A step ends at its copy end if that is strictly later than its
     kernel end, else at its kernel end; the next step starts there.
@@ -69,6 +66,9 @@ def _steps(
     """
     import numpy as np
 
+    # No step starting after the last of ``steps_due`` can tie one.
+    due_until = steps_due[-1] if steps_due else -1.0
+    steps_due = set(steps_due)
     ends, copy_ends = [], []
     done, size = 0, _FIRST_RUN
     while done < len(payloads):
@@ -119,23 +119,6 @@ def _steps(
     return ends, np.concatenate(copy_ends) if copy_ends else np.empty(0)
 
 
-class _Wake(Event):
-    """The one wake of a decode window."""
-
-    __slots__ = ()
-
-
-class _Decoder(Process):
-    """A FlexGen engine's process, which names its engine: a peer's
-    decode window can then tell the events that only resume it."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: "FlexGenEngine") -> None:
-        self.engine = engine
-        super().__init__(engine.env, engine._serve())
-
-
 class FlexGenEngine(LLMEngineBase):
     """Sequential long-prompt engine with streamed, offloaded KV.
 
@@ -175,12 +158,6 @@ class FlexGenEngine(LLMEngineBase):
             and self.aqua_lib.gather_enabled
             and self._stream_pieces() > 1
         )
-
-    def start(self) -> None:
-        """Begin serving (spawns the engine's simulation process)."""
-        if self._process is not None:
-            raise RuntimeError(f"{self.name} already started")
-        self._process = _Decoder(self)
 
     # ------------------------------------------------------------------
     def _stream_pieces(self) -> int:
@@ -276,16 +253,17 @@ class FlexGenEngine(LLMEngineBase):
           event the horizon stops before, so those ``respond()`` calls
           would move and record nothing;
         * the step that completes the request or reaches ``max_total``;
-        * the last step that ends strictly before the horizon: the stop
-          time of the current ``run(until=...)``, now under a per-event
-          monitor, or else the next scheduled event that could do more
-          than resume other FlexGen engines on GPUs and channels this
-          window does not hold (:meth:`_harmless`);
+        * the last step that ends strictly before the horizon of this
+          engine's domain (:meth:`~repro.sim.Environment.horizon`): the
+          stop time of the current ``run(until=...)``, now under a
+          per-event monitor, or else the next scheduled event of this
+          domain or of a global actor;
         * the last step before one whose copy start, copy end or kernel
-          end ties with a pending event of such an engine's single
-          step.  That engine resumed first at the instant both steps
-          began, so its copies come first among those ending with this
-          window's; a deferred record at a tie goes first.
+          end ties with a pending event of another domain that the
+          horizon skipped, but for a window's wake.  That event's
+          engine resumed first at the instant both steps began, so its
+          copies come first among those ending with this window's; a
+          deferred record at a tie goes first.
 
         A window opens only where nothing could tell it from stepping:
         the context sits on a producer GPU, both GPUs' streams and the
@@ -333,19 +311,7 @@ class FlexGenEngine(LLMEngineBase):
             return False
 
         env = self.env
-        footprint = {gpu, device, *(ch.engine for ch in route.channels)}
-        steps_due = set()  # when other engines' steps have events due
-
-        def harmless(time, entry) -> bool:
-            if not self._harmless(footprint, entry):
-                return False
-            if entry.__class__ is not _Wake:
-                steps_due.add(time)
-            return True
-
-        horizon = env.horizon_past(harmless)
-        # No step starting after the last of those events can tie one.
-        due_until = max(steps_due, default=-1.0)
+        horizon, steps_due = env.horizon(self.domain)
         # The terms every step shares: a copy of ``payload`` bytes, one
         # gathered piece, starts after ``payload / rate`` of staging and
         # takes ``latency + payload / bandwidth`` on the wire.
@@ -359,7 +325,7 @@ class FlexGenEngine(LLMEngineBase):
         )
         ends, copy_ends = _steps(
             env.now, payloads, kernel, lib.staging_rate, latency, bandwidth,
-            horizon, steps_due, due_until,
+            horizon, steps_due,
         )
         n = len(ends)
         if n < 2:
@@ -379,59 +345,13 @@ class FlexGenEngine(LLMEngineBase):
         del ends  # the metrics hold the stamps; a long window need not
         for resource in held:
             resource.window = self
-        wake = _Wake(env)
+        wake = Wake(env)
         env.succeed_at(wake, last)
         yield wake
         for resource in held:
             resource.window = None
         stats.settle()
         return True
-
-    def _harmless(self, held: set, entry) -> bool:
-        """Whether processing schedule entry ``entry`` can do no more
-        than resume other FlexGen engines whose footprints miss
-        ``held`` and who notify no one of a finish, or end a kernel on
-        a GPU outside ``held`` with no claim queued behind it."""
-        if entry.__class__ is MethodType:  # a bare-delay sleep's resume
-            owners = (entry.__self__,)
-        else:
-            # An event nobody waits on may still be what run(until=) stops at.
-            callbacks = entry.callbacks or [None]
-            owners = [getattr(callback, "__self__", None) for callback in callbacks]
-        for owner in owners:
-            if owner.__class__ is _Kernel:
-                gpu = owner.gpu
-                if owner is not entry or gpu in held or gpu.compute.queue:
-                    return False
-            elif owner.__class__ is _Decoder:
-                peer = owner.engine
-                if not held.isdisjoint(peer._footprint()) or not peer._unwatched():
-                    return False
-            else:
-                return False
-        return True
-
-    def _footprint(self) -> set:
-        """The devices and channel engines this engine's process
-        touches next: its GPU, its paired producer, and its context's
-        device and fetch route."""
-        lib = self.aqua_lib
-        coordinator = lib.coordinator
-        footprint = {self.gpu}
-        producer = coordinator.pairings.get(lib.name)
-        if producer is not None:
-            footprint.add(coordinator.devices[producer])
-        tensor = self._tensor
-        if tensor is not None and not tensor.freed:
-            route = self.server.interconnect.route(tensor.device, self.gpu)
-            footprint.add(tensor.device)
-            footprint.update(ch.engine for ch in route.channels)
-        return footprint
-
-    def _unwatched(self) -> bool:
-        """Whether no one waits on a finish of this engine's requests,
-        so finishing one sets nothing else off."""
-        return all(r.on_finish is None for r in (*self.running, *self.waiting))
 
     def _serve(self) -> Generator:
         while True:

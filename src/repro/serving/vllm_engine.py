@@ -116,7 +116,7 @@ class VLLMEngine(LLMEngineBase):
         gpu = self.gpu
         context = self._context
         started = env.now
-        horizon = env.horizon()
+        horizon, _ = env.horizon(self.domain)
         with gpu.compute.request() as grant:
             # A window only opens when the GPU was free, so the grant is
             # held at once, and nothing else is due now.
@@ -152,10 +152,11 @@ class VLLMEngine(LLMEngineBase):
 
         * a sequence completes (that frees blocks and opens admission);
         * a producer inform is due;
-        * the horizon -- the next pending event (an arrival, a scrape,
-          an audit tick, a fault, a DMA completion), the stop time of
-          the current ``run(until=...)``, or now under a per-event
-          monitor -- is at or before it;
+        * the horizon -- the next pending event of this engine's
+          domain or of a global actor (an arrival, a scrape, an audit
+          tick, a fault, a DMA completion), the stop time of the
+          current ``run(until=...)``, or now under a per-event monitor
+          -- is at or before it;
         * the blocks the earlier steps take would not all fit, which
           would preempt.
 

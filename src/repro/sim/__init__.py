@@ -23,7 +23,7 @@ Example
 5.0
 """
 
-from repro.sim.core import Environment
+from repro.sim.core import Domain, Environment
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -32,12 +32,14 @@ from repro.sim.events import (
     Process,
     SimulationError,
     Timeout,
+    Wake,
 )
 from repro.sim.resources import Resource, WindowConflict
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Domain",
     "Environment",
     "Event",
     "Interrupt",
@@ -45,5 +47,6 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Timeout",
+    "Wake",
     "WindowConflict",
 ]

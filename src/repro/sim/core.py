@@ -30,8 +30,10 @@ a bare-sleeping process cannot be interrupted.  The dispatch loops
 recognise these entries by ``type(entry) is MethodType``.
 
 Monitors (:meth:`add_monitor`) cost a single truthiness check per event
-when none are registered.  Event ordering is locked down by
-``tests/test_sim_ordering.py`` and, end to end, by the golden audit
+when none are registered.  Domains (:class:`Domain`) cost scheduling
+and dispatch nothing: :meth:`Environment.horizon` reads an entry's
+domain off its owner when it visits it.  Event ordering is locked down
+by ``tests/test_sim_ordering.py`` and, end to end, by the golden audit
 digest in ``tests/test_determinism_golden.py``.
 """
 
@@ -46,10 +48,12 @@ from repro.sim.events import (
     PENDING,
     PROCESSED,
     TRIGGERED,
+    Condition,
     Event,
     Process,
     SimulationError,
     Timeout,
+    Wake,
     _OK_NONE,
     _timeout_factory,
 )
@@ -68,6 +72,33 @@ _INF = float("inf")
 
 class EmptySchedule(Exception):
     """Internal: raised by :meth:`Environment.step` when no events remain."""
+
+
+class Domain:
+    """A set of GPUs that only its own activity and global actors touch
+    or read: a consumer and the producers it offloads to.
+
+    Each GPU starts in a domain of its own; domains merge (union-find)
+    and never split.  The engine processes on a domain's GPUs, their
+    kernels and the processes that submit to those engines carry it as
+    their ``domain``; every other process and event is global.
+    """
+
+    __slots__ = ("_parent",)
+
+    def __init__(self) -> None:
+        self._parent = self
+
+    def root(self) -> "Domain":
+        """The domain's representative: equal for merged domains."""
+        domain = self
+        while domain._parent is not domain:
+            domain._parent = domain = domain._parent._parent
+        return domain
+
+    def merge(self, other: "Domain") -> None:
+        """Make ``other`` and this one domain."""
+        other.root()._parent = self.root()
 
 
 class Environment:
@@ -107,6 +138,7 @@ class Environment:
         "_active_process",
         "_monitors",
         "_until",
+        "_stop",
         "event",
         "timeout",
         "process",
@@ -126,6 +158,8 @@ class Environment:
         #: last ``run(until=number)``, or the event time of the last
         #: :meth:`step` (see :meth:`horizon`).
         self._until = _INF
+        #: The event a ``run(until=event)`` in progress stops at.
+        self._stop: Optional[Event] = None
         # Event factories (see class docstring): ``partial`` / the
         # timeout closure skip one Python frame per event created,
         # which is material at benchmark rates.
@@ -209,37 +243,73 @@ class Environment:
         self._eid = eid = self._eid + 1
         heappush(self._queue, (when, NORMAL * _SEQ_STRIDE + eid, event))
 
-    def horizon(self) -> float:
-        """Earliest time anything but the running process can act or look.
+    def horizon(self, domain: Optional[Domain] = None) -> tuple[float, list[float]]:
+        """The earliest time anything ``domain`` can see may act or
+        look, and the times of the other domains' entries due before it.
 
-        That is the next scheduled event, the stop time of a
+        The horizon is the earliest of the next scheduled entry of
+        ``domain`` or of a global actor, the stop time of a
         ``run(until=number)`` in progress (its caller reads the world
-        then), or now under a per-event monitor or :meth:`step`.  A
-        process may account work ending before the horizon ahead of
-        time without anyone being able to tell.
+        then), and now under a per-event monitor or :meth:`step`.  A
+        process of ``domain`` may account its work ending before the
+        horizon ahead of time without anyone being able to tell.
+
+        An entry's owners are the objects its callbacks are bound to
+        (for a condition, its waiters), or the sleeping process of a
+        bare-delay sleep.  An entry belongs to another domain when every
+        owner carries a ``domain`` not merged with ``domain``.  It is
+        global when it has no callbacks, when it or an owner is the
+        event a ``run(until=event)`` stops at, or when an owner carries
+        no domain (an untagged process, a condition nobody waits on).
+        With ``domain`` ``None`` every entry counts.
+
+        The entries are visited best first from the heap root, and only
+        those due before the horizon.  The times returned are the
+        skipped entries', in order, but for :class:`Wake` entries.
         """
         if self._monitors:
-            return self._now
-        head = self._queue[0][0] if self._queue else _INF
-        return head if head < self._until else self._until
-
-    def horizon_past(self, harmless: Callable[[float, Any], bool]) -> float:
-        """:meth:`horizon`, not counting the scheduled entries that
-        ``harmless`` accepts.
-
-        ``harmless`` gets an entry's time and the entry (an event, or
-        the resume callback of a bare-delay sleep), and says whether
-        processing it could only act on things the caller neither holds
-        nor reads.  It is asked about every entry due before the
-        horizon found so far.
-        """
-        if self._monitors:
-            return self._now
-        head = self._until
-        for time, _, entry in self._queue:
-            if time < head and not harmless(time, entry):
-                head = time
-        return head
+            return self._now, []
+        until = self._until
+        queue = self._queue
+        if not queue or queue[0][0] >= until:
+            return until, []
+        if domain is None:
+            return queue[0][0], []
+        root = domain.root()
+        stop = self._stop
+        skipped = []
+        size = len(queue)
+        frontier = []  # (time, seq, index) of the entries next in line
+        index = 0
+        while True:
+            time, _, entry = queue[index]
+            if time >= until:
+                break
+            if entry.__class__ is MethodType:  # a bare-delay sleep's resume
+                owners = [entry.__self__]
+            elif entry is stop or not entry.callbacks:
+                return time, skipped
+            else:
+                owners = [getattr(callback, "__self__", None) for callback in entry.callbacks]
+            for owner in owners:
+                if owner is stop:
+                    return time, skipped
+                if isinstance(owner, Condition) and owner.callbacks:
+                    # A condition acts only by waking its waiters.
+                    owners += [getattr(callback, "__self__", None) for callback in owner.callbacks]
+                    continue
+                other = getattr(owner, "domain", None)
+                if other is None or other is root or other.root() is root:
+                    return time, skipped
+            if entry.__class__ is not Wake:
+                skipped.append(time)
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < size:
+                    heappush(frontier, (*queue[child][:2], child))
+            if not frontier:
+                break
+            index = heappop(frontier)[2]
+        return until, skipped
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -306,6 +376,7 @@ class Environment:
                 )
 
         self._until = stop_time
+        self._stop = stop_event
         # The hot loops: one iteration per event, everything localised,
         # specialised per stop condition so the common cases pay no dead
         # checks.  Each must stay behaviourally identical to

@@ -229,6 +229,14 @@ def _timeout_factory(env: "Environment") -> Callable[..., Timeout]:
     return timeout
 
 
+class Wake(Event):
+    """The one wake of a decode window, which accounted its steps when
+    it opened: :meth:`~repro.sim.core.Environment.horizon` does not
+    report it among the other domains' entries it skipped."""
+
+    __slots__ = ()
+
+
 class Initialize(Event):
     """Internal event used to start a freshly created process."""
 
@@ -252,12 +260,15 @@ class Process(Event):
     with the exception).
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb", "_send")
+    __slots__ = ("_generator", "_target", "_resume_cb", "_send", "domain")
 
     def __init__(self, env: "Environment", generator: Generator[Any, Any, Any]) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
+        #: The :class:`~repro.sim.core.Domain` this process acts in, or
+        #: ``None`` (the default) for a global process.
+        self.domain = None
         self._generator = generator
         # Bind once per process, not once per yield: registering a wait
         # is a list append and advancing the generator is a plain call,

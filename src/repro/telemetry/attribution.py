@@ -62,6 +62,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
+#: How far, as a fraction of a request's rct, its summed components may
+#: round past the rct before :meth:`LatencyAttributor.breakdown` raises.
+_ROUNDING = 1e-9
+
 COMPONENTS = (
     "queueing",
     "prefill_compute",
@@ -351,7 +355,14 @@ class LatencyAttributor:
                 )
         totals = self.components_of(request)
         covered = sum(totals.values())
-        totals["other"] += max(0.0, request.rct - covered)
+        other = request.rct - covered
+        if other < -_ROUNDING * request.rct:
+            raise ValueError(
+                f"request {request.req_id}: its components sum to {covered} s, "
+                f"more than its rct of {request.rct} s"
+            )
+        # Summing the segments may round past rct by at most _ROUNDING.
+        totals["other"] += max(0.0, other)
         return totals
 
     def _ttft_components(self, request) -> dict[str, float]:

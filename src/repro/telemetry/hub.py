@@ -198,6 +198,10 @@ class Telemetry:
             readers = ", ".join(server.hub_readers)
             raise ValueError(f"server {server.name} already runs {readers} without a hub")
         server.telemetry = self
+        # The hub sees every engine on the server in one record order:
+        # the server's GPUs are one domain.
+        for gpu in server.gpus[1:]:
+            server.gpus[0].domain.merge(gpu.domain)
         for channel in server.interconnect.channels.values():
             self.link_queue_depth.labels(channel=channel.name).set_function(
                 lambda ch=channel: len(ch.engine.queue)

@@ -13,7 +13,7 @@ from repro.workloads.arrivals import (
     diurnal_shape,
     flash_crowd_shape,
     multi_region_tenants,
-    nhpp_trace,
+    nhpp_stream,
     poisson_arrival_times,
     steady_shape,
 )
@@ -36,7 +36,7 @@ __all__ = [
     "long_prompt_requests",
     "lora_requests",
     "multi_region_tenants",
-    "nhpp_trace",
+    "nhpp_stream",
     "poisson_arrival_times",
     "producer_requests",
     "sharegpt_requests",

@@ -45,7 +45,8 @@ def poisson_arrival_times(
 
 
 def submit_at(env: Environment, engine, request: Request) -> None:
-    """Schedule a request's submission at its arrival time."""
+    """Schedule a request's submission at its arrival time, in the
+    engine's domain (global for an engine without one)."""
 
     def deliver(env):
         delay = request.arrival_time - env.now
@@ -54,7 +55,7 @@ def submit_at(env: Environment, engine, request: Request) -> None:
         request.arrival_time = env.now
         engine.submit(request)
 
-    env.process(deliver(env))
+    env.process(deliver(env)).domain = getattr(engine, "domain", None)
 
 
 def submit_all(env: Environment, engine, requests: list[Request]) -> None:
@@ -357,8 +358,3 @@ def nhpp_stream(
                 )
 
     return pairs()
-
-
-def nhpp_trace(rate: float, duration: float, **kwargs) -> list[tuple[str, Request]]:
-    """The whole of :func:`nhpp_stream` as a list; same arguments."""
-    return list(nhpp_stream(rate, duration, **kwargs))

@@ -116,6 +116,22 @@ def test_solve_time_recorded():
     assert placement.solve_seconds > 0
 
 
+def test_placement_names_the_solver_that_produced_it():
+    """A MILP whose time budget expires with no incumbent falls back to
+    the greedy solver, and the placement says so."""
+    from types import SimpleNamespace
+    from unittest import mock
+
+    instances = [consumer("c0", 10), producer("p0", 20)]
+    placer = AquaPlacer(n_servers=2, gpus_per_server=2)
+    assert placer.place(instances).solver == "milp"
+    expired = SimpleNamespace(success=False, x=None, fun=None, message="Time limit reached")
+    with mock.patch("scipy.optimize.milp", return_value=expired):
+        placement = placer.place(instances)
+    assert placement.solver == "greedy"
+    assert placement.pairs == [("c0", "p0")]
+
+
 # ---------------------------------------------------------------------------
 # Greedy solver
 # ---------------------------------------------------------------------------

@@ -329,6 +329,26 @@ def test_finish_stamped_before_a_summed_mark_raises():
         attr.report()
 
 
+def test_components_past_the_rct_raise():
+    """Components may round past a request's rct by a hair, which
+    ``other`` absorbs; beyond that the breakdown raises."""
+    attr = LatencyAttributor()
+    r = Request(arrival_time=0.0, prompt_tokens=4, max_new_tokens=1)
+    attr.mark([r], "queueing", 0.95)
+    attr.mark([r], "prefill_compute", 3.491)
+    attr.mark([r], "decode_hbm", 6.172)
+    r.record_token(6.172)
+    assert sum(attr.components_of(r).values()) > r.rct  # by 8.9e-16 s
+    assert attr.breakdown(r)["other"] == 0.0
+    late = Request(arrival_time=0.0, prompt_tokens=4, max_new_tokens=1)
+    attr.observe(late)
+    late.arrival_time = 1.0  # its timeline began a second before it
+    attr.mark([late], "prefill_compute", 2.0)
+    late.record_token(2.0)
+    with pytest.raises(ValueError, match="more than its rct"):
+        attr.breakdown(late)
+
+
 def _attribution_bytes() -> int:
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(True, attribution.__file__)]

@@ -86,3 +86,15 @@ def test_fit_roundtrip_property(peak, latency):
     fitted = fit_link(points)
     assert fitted.peak_bandwidth == pytest.approx(peak, rel=1e-4)
     assert fitted.latency == pytest.approx(latency, rel=1e-3, abs=1e-9)
+
+
+def test_negative_fitted_latency_rejected():
+    """Transfer time growing faster than size fits a negative latency,
+    which no link has: the fit raises instead of clamping it to zero."""
+    with pytest.raises(CalibrationError, match="latency"):
+        fit_link(
+            [
+                BandwidthPoint(MB, 1 * GB),  # t = 1 ms
+                BandwidthPoint(2 * MB, GB / 1.5),  # t = 3 ms
+            ]
+        )

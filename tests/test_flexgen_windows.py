@@ -30,7 +30,12 @@ and, for the whole server:
   waits on, after which the run goes on to the end;
 * a reclaim by consumer 0's producer while it decodes: the
   coordinator then owes consumer 0 a move at a ``respond()`` boundary
-  inside what would otherwise be one window.
+  inside what would otherwise be one window;
+* a second, two-GPU server in the same environment, with a consumer
+  paired to its own producer and jobs submitted in its domain.  Each
+  pair is a domain, so a window runs past the other domains' events
+  and only global ones (the sampler, the faults, the run's stop) or
+  its own cut it.
 
 Consumer 0 always decodes for seconds, so some of its steps run in
 windows: only the events above cut them.  Each schedule runs on two
@@ -59,6 +64,7 @@ from repro.hardware.specs import MB
 from repro.models import OPT_30B, SD_15
 from repro.serving import BatchEngine, FlexGenEngine, Request
 from repro.sim import Environment, WindowConflict
+from repro.workloads.arrivals import submit_at
 from tests.token_times import token_times
 
 #: Simulated seconds each rig runs.
@@ -132,15 +138,21 @@ class ReclaimOnce(BatchInformer):
         return super().decide(stats, donated_bytes)
 
 
-def _ledgers(server, engines, requests):
+def _ledgers(servers, engines, requests):
     """Everything the oracle compares, read through public attributes."""
-    stats = server.transfer_stats
     return (
         [(e.metrics.tokens_generated, tuple(token_times(e.metrics))) for e in engines],
         [
             (r.generated_tokens, r.first_token_time, r.finish_time)
             for r in requests
         ],
+        [_server_ledgers(server) for server in servers],
+    )
+
+
+def _server_ledgers(server):
+    stats = server.transfer_stats
+    return (
         (stats.count, stats.bytes_total, stats.busy_time, tuple(stats.per_route.items())),
         [
             (name, ch.bytes_moved, ch.transfer_count)
@@ -195,21 +207,46 @@ def _run_rig(rig, engine_cls):
             resource = server.interconnect.channels[f"server0:{name}"].engine
         env.process(_claim(env, resource, at, hold))
     FaultInjector(server, coordinator=coordinator).install(FaultSchedule(rig["faults"]))
+    servers = [server]
+    if rig["second"]:
+        servers.append(_second_server(env, engine_cls, rig, engines, requests))
 
     samples = []
 
     def sampler():
         for at in sorted(rig["samples"]):
             yield env.timeout(at - env.now)
-            samples.append((env.now, _ledgers(server, engines, requests)))
+            samples.append((env.now, _ledgers(servers, engines, requests)))
 
     env.process(sampler())
     stop, on_event = rig["stop"]
     env.run(until=env.timeout(stop) if on_event else stop)
-    stopped = _ledgers(server, engines, requests)
+    stopped = _ledgers(servers, engines, requests)
     env.run(until=HORIZON)
-    end = _ledgers(server, engines, requests)
+    end = _ledgers(servers, engines, requests)
     return (samples, stopped, end), env.events_processed
+
+
+def _second_server(env, engine_cls, rig, engines, requests):
+    """A two-GPU server in the same environment: one consumer paired
+    with its producer, its jobs submitted in its domain."""
+    server = Server(env, name="server1")
+    coordinator = Coordinator()
+    producer_lib = AquaLib(server.gpus[1], server, coordinator, informer=BatchInformer())
+    BatchEngine(server.gpus[1], server, SD_15, aqua_lib=producer_lib, name="producer-b").start()
+    lib = AquaLib(server.gpus[0], server, coordinator)
+    coordinator.pair(lib.name, producer_lib.name)
+    engine = engine_cls(
+        server.gpus[0], server, OPT_30B, aqua_lib=lib,
+        workspace_tokens=8000, name="flexgen-b", respond_every=rig["respond_every"],
+    )
+    engine.start()
+    engines.append(engine)
+    for at, prompt, new in rig["second"]:
+        request = Request(arrival_time=at, prompt_tokens=prompt, max_new_tokens=new)
+        requests.append(request)
+        submit_at(env, engine, request)
+    return server
 
 
 def _submit(env, engine, request, at):
@@ -282,6 +319,8 @@ def rigs(draw):
         # After consumer 0's first job has arrived.
         "reclaim": draw(st.none() | st.integers(300, 1000).map(lambda k: k / 100 + 0.0037)),
         "unpaired": draw(st.frozensets(st.integers(1, 3))),
+        # A consumer on a second server, in a domain of its own.
+        "second": draw(st.lists(job(), max_size=2)),
     }
 
 
@@ -289,7 +328,7 @@ def fixed_rig(**fields):
     """A rig with nothing drawn but ``fields``."""
     rig = {
         "arrivals": [], "claims": [], "faults": [], "samples": [],
-        "respond_every": 16, "reclaim": None, "unpaired": frozenset(),
+        "respond_every": 16, "reclaim": None, "unpaired": frozenset(), "second": [],
     }
     rig.update(fields)
     return rig
@@ -382,7 +421,7 @@ def test_a_reclaim_mid_decode_moves_at_the_next_boundary():
     windowed, windowed_events = _run(rig, FlexGenEngine)
     stepped, stepped_events = _run(rig, PerStepFlexGen)
     assert windowed == stepped
-    channels = dict((name, moved) for name, moved, _ in windowed[2][3])
+    channels = dict((name, moved) for name, moved, _ in windowed[2][2][0][1])
     assert channels["server0:pcie-down:gpu0"] > 0
     assert stepped_events > windowed_events
 

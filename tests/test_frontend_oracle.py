@@ -46,7 +46,7 @@ from repro.routing.policies import POLICY_NAMES
 from repro.serving.request import Request
 from repro.sim import Environment
 from repro.telemetry.slo import SLOTracker
-from repro.workloads.arrivals import nhpp_trace
+from repro.workloads.arrivals import nhpp_stream
 
 
 class ProcessFrontend(ServerFrontend):
@@ -118,7 +118,7 @@ def _run(cell, reference):
     """One drawn cell through the callback path or the reference."""
     frontend_cls = ProcessFrontend if reference else ServerFrontend
     shape, profiles = _workload(cell["workload"], cell["duration"])
-    trace = nhpp_trace(
+    trace = list(nhpp_stream(
         cell["rate"],
         cell["duration"],
         seed=cell["seed"],
@@ -126,7 +126,7 @@ def _run(cell, reference):
         tenants=profiles,
         prompt_tokens=cell["prompt_range"],
         max_new_tokens=cell["new_range"],
-    )
+    ))
     env = Environment()
     frontends = [
         frontend_cls(env, server, MISTRAL_7B, concurrency=cell["concurrency"])

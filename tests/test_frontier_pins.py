@@ -13,7 +13,7 @@ import pytest
 import repro.experiments.frontier as frontier
 from repro.experiments.frontier import WORKLOADS, _workload, frontier_cell
 from repro.routing import RequestLedger
-from repro.workloads.arrivals import nhpp_trace
+from repro.workloads.arrivals import nhpp_stream
 
 #: ``(workload, seed) -> (requests, digest)`` for a 300 s trace at
 #: 20 req/s with a cap of twice the workload's peak: about 18k master
@@ -34,10 +34,10 @@ def _trace_digest(workload: str, seed: int) -> tuple[int, str]:
     duration, rate = 300.0, 20.0
     shape, tenants = _workload(workload, duration)
     peak, _ = WORKLOADS[workload]
-    trace = nhpp_trace(
+    trace = list(nhpp_stream(
         rate, duration, seed=seed, rate_cap=rate * peak * 2.0,
         shape=shape, tenants=tenants,
-    )
+    ))
     digest = hashlib.sha256()
     for tenant, r in trace:
         fields = (r.arrival_time, r.prompt_tokens, r.max_new_tokens, r.user, r.req_id)

@@ -233,3 +233,10 @@ def test_adapter_validation():
         LoRAAdapter(name="bad", nbytes=100, rank=0)
     with pytest.raises(ValueError):
         synthesize_adapters(-1, 100)
+
+
+@pytest.mark.parametrize("model", [SD_15, AUDIOGEN])
+def test_free_memory_of_a_batch_that_does_not_fit_raises(model):
+    assert model.memory_used(1_000_000) > A100_80G.hbm_bytes
+    with pytest.raises(ValueError, match="more than"):
+        model.free_memory(A100_80G, 1_000_000)

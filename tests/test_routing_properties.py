@@ -44,7 +44,6 @@ from repro.workloads.arrivals import (
     flash_crowd_shape,
     multi_region_tenants,
     nhpp_stream,
-    nhpp_trace,
     steady_shape,
 )
 
@@ -105,12 +104,12 @@ def test_conservation_with_shadow_ledger(seed, rate, policy_name, rate_limit):
             kind if kind != "shed" else "shed", shadow[kind] + 1
         )
     )
-    trace = nhpp_trace(
+    trace = list(nhpp_stream(
         rate,
         10.0,
         seed=seed,
         tenants=multi_region_tenants(n=3, period=10.0),
-    )
+    ))
     _drive(env, router, trace)
     env.run(until=20.0)
 
@@ -137,7 +136,7 @@ def test_ledger_check_reports_audit_violations_when_cooked():
     """Non-vacuity: a corrupted ledger yields AuditViolation entries."""
     env = Environment()
     router = _build(env, LeastLoadedPolicy())
-    trace = nhpp_trace(10.0, 5.0, seed=1)
+    trace = list(nhpp_stream(10.0, 5.0, seed=1))
     _drive(env, router, trace)
     env.run(until=10.0)
     router.ledger.routed += 1  # cook the books
@@ -207,7 +206,7 @@ def test_session_affinity_survives_reroutes(seed):
     policy = SessionAffinityPolicy()
     router = _build(env, policy)
     n = len(router.frontends)
-    trace = nhpp_trace(40.0, 10.0, seed=seed)  # overload: forces overflow
+    trace = list(nhpp_stream(40.0, 10.0, seed=seed))  # overload: forces overflow
 
     routed_to = []  # (user, index, home-at-submit)
 
@@ -239,7 +238,7 @@ def test_session_affinity_prefers_home_when_uncongested():
     env = Environment()
     policy = SessionAffinityPolicy()
     router = _build(env, policy)
-    trace = nhpp_trace(3.0, 10.0, seed=5)  # light load: no overflow
+    trace = list(nhpp_stream(3.0, 10.0, seed=5))  # light load: no overflow
     routed = {}
 
     def proc(env):
@@ -291,8 +290,8 @@ def test_nhpp_traces_nest_across_rates(seed, low, factor):
     high = low * factor
     cap = high * 1.5
     shape = diurnal_shape(period=10.0)
-    trace_low = nhpp_trace(low, 10.0, seed=seed, rate_cap=cap, shape=shape)
-    trace_high = nhpp_trace(high, 10.0, seed=seed, rate_cap=cap, shape=shape)
+    trace_low = list(nhpp_stream(low, 10.0, seed=seed, rate_cap=cap, shape=shape))
+    trace_high = list(nhpp_stream(high, 10.0, seed=seed, rate_cap=cap, shape=shape))
     by_id = {r.req_id: (t, r) for t, r in trace_high}
     assert len(trace_low) <= len(trace_high)
     for tenant, request in trace_low:
@@ -351,7 +350,7 @@ def test_rate_limited_tenant_sheds_with_reason():
         LeastLoadedPolicy(),
         tenants=[TenantClass(name="default", rate_limit=1.0, burst=1.0)],
     )
-    trace = nhpp_trace(30.0, 4.0, seed=9)
+    trace = list(nhpp_stream(30.0, 4.0, seed=9))
     _drive(env, router, trace)
     env.run(until=10.0)
     ledger = router.ledger
@@ -381,12 +380,12 @@ def test_diurnal_mean_is_about_one_over_a_full_period():
 
 def test_nhpp_rejects_insufficient_rate_cap():
     with pytest.raises(ValueError, match="rate_cap"):
-        nhpp_trace(
+        list(nhpp_stream(
             10.0, 5.0, seed=0, rate_cap=12.0, shape=flash_crowd_shape(at=2.0)
-        )
+        ))
 
 
-@pytest.mark.parametrize("make", [nhpp_trace, nhpp_stream])
+@pytest.mark.parametrize("make", [nhpp_stream])
 @pytest.mark.parametrize(
     "rate, duration, rate_cap, match",
     [

@@ -315,3 +315,14 @@ def test_batch_engine_invalid_batch():
     env, server = make_server()
     with pytest.raises(ValueError):
         BatchEngine(server.gpus[0], server, SD_15, batch_size=0)
+
+
+def test_engine_without_kv_budget_raises():
+    """A model whose weights and workspace exceed the engine's HBM
+    budget has no KV cache to serve from: construction raises instead
+    of building an engine with zero blocks."""
+    from repro.sim import Environment
+
+    server = Server(Environment(), n_gpus=1)
+    with pytest.raises(ValueError, match="no KV budget"):
+        VLLMEngine(server.gpus[0], server, MISTRAL_7B, utilization=0.1)

@@ -5,11 +5,13 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
+    Domain,
     Environment,
     Event,
     Interrupt,
     SimulationError,
     Timeout,
+    Wake,
 )
 from repro.sim.core import EmptySchedule
 
@@ -421,12 +423,12 @@ def test_peek_empty_is_inf():
 def test_horizon_is_the_next_point_anyone_else_can_act():
     env = Environment()
     env.timeout(9)
-    assert env.horizon() == 9  # no run in progress: the next event
+    assert env.horizon() == (9, [])  # no run in progress: the next event
     seen = []
 
     def proc(env):
         while True:
-            seen.append(env.horizon())
+            seen.append(env.horizon()[0])
             yield env.timeout(4)
 
     env.process(proc(env))
@@ -434,10 +436,139 @@ def test_horizon_is_the_next_point_anyone_else_can_act():
     env.run(until=20)
     assert seen == [6, 6, 9, 20, 20, 20]
     env.step()  # stepping by hand: the caller looks after every event
-    assert env.horizon() == env.now == 24
+    assert env.horizon() == (env.now, []) == (24, [])
     env.add_monitor(lambda now: None)
     env.run(until=30)
     assert seen[-1] == 28  # a per-event monitor looks at every event
+
+
+def _in(domain, process):
+    process.domain = domain
+    return process
+
+
+def _sleep(env, delay, bare=False):
+    yield delay if bare else env.timeout(delay)
+
+
+def _wait(event):
+    yield event
+
+
+def _horizon_of(env, domain, run=None):
+    """The horizon ``domain`` sees from a process of its own started
+    last at time zero, under ``env.run(until=run)``."""
+    seen = []
+
+    def probe():
+        seen.append(env.horizon(domain))
+        yield env.timeout(0)
+
+    _in(domain, env.process(probe()))
+    env.run(until=run)
+    return seen[0]
+
+
+def test_horizon_skips_other_domains_and_reports_their_times():
+    env = Environment()
+    mine, other = Domain(), Domain()
+    _in(other, env.process(_sleep(env, 1.0)))
+    _in(other, env.process(_sleep(env, 2.0, bare=True)))
+    wake = Wake(env)
+    env.succeed_at(wake, 2.5)
+    _in(other, env.process(_wait(wake)))
+    _in(mine, env.process(_sleep(env, 3.0)))
+    _in(other, env.process(_sleep(env, 4.0)))
+    assert _horizon_of(env, mine) == (3.0, [1.0, 2.0])  # no wake time
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_untagged_processes_bound_every_horizon(bare):
+    env = Environment()
+    mine, other = Domain(), Domain()
+    _in(other, env.process(_sleep(env, 1.0)))
+    env.process(_sleep(env, 1.5, bare=bare))
+    _in(mine, env.process(_sleep(env, 3.0)))
+    assert _horizon_of(env, mine) == (1.5, [1.0])
+
+
+def test_an_event_nobody_waits_on_bounds_the_horizon():
+    env = Environment()
+    mine = Domain()
+    env.timeout(2.0)
+    _in(mine, env.process(_sleep(env, 3.0)))
+    assert _horizon_of(env, mine) == (2.0, [])
+
+
+def test_conditions_bound_the_horizon_unless_only_another_domain_waits():
+    env = Environment()
+    mine, other = Domain(), Domain()
+    foreign = AnyOf(env, [env.timeout(1.0), env.timeout(9.0)])
+    _in(other, env.process(_wait(foreign)))
+    watched = AllOf(env, [env.timeout(2.0)])
+    env.process(_wait(watched))  # a global waiter
+    AnyOf(env, [env.timeout(0.5)])  # nobody waits
+    _in(mine, env.process(_sleep(env, 3.0)))
+    assert _horizon_of(env, mine) == (0.5, [])
+    env = Environment()
+    foreign = AnyOf(env, [env.timeout(1.0)])
+    _in(other, env.process(_wait(foreign)))
+    watched = AllOf(env, [env.timeout(2.0)])
+    env.process(_wait(watched))
+    assert _horizon_of(env, mine) == (2.0, [1.0])
+
+
+def test_the_run_stop_bounds_the_horizon():
+    env = Environment()
+    mine, other = Domain(), Domain()
+    _in(other, env.process(_sleep(env, 1.0)))
+    _in(other, env.process(_sleep(env, 3.0)))
+    assert _horizon_of(env, mine, run=2.0) == (2.0, [1.0])
+    for stop_in_other in (
+        lambda env: _in(other, env.process(_sleep(env, 2.0))),  # its resume
+        lambda env: env.timeout(2.0),  # the stop event itself
+    ):
+        env = Environment()
+        _in(other, env.process(_sleep(env, 1.0)))
+        stop = stop_in_other(env)
+        _in(other, env.process(_wait(stop)))
+        _in(other, env.process(_sleep(env, 3.0)))
+        assert _horizon_of(env, mine, run=stop) == (2.0, [1.0])
+
+
+def test_a_monitor_bounds_the_horizon_at_now():
+    env = Environment()
+    mine = Domain()
+    env.add_monitor(lambda now: None)
+    _in(Domain(), env.process(_sleep(env, 1.0)))
+    assert _horizon_of(env, mine) == (0.0, [])
+
+
+def test_merged_domains_bound_each_others_horizon():
+    env = Environment()
+    mine, other, third = Domain(), Domain(), Domain()
+    third.merge(other)
+    other.merge(mine)
+    assert mine.root() is other.root() is third.root()
+    _in(third, env.process(_sleep(env, 1.0)))
+    assert _horizon_of(env, mine) == (1.0, [])
+
+
+def test_horizon_without_a_domain_counts_every_entry():
+    env = Environment()
+    _in(Domain(), env.process(_sleep(env, 1.0)))
+    assert _horizon_of(env, None) == (1.0, [])
+
+
+def test_a_kernel_acts_in_its_gpus_domain():
+    from repro.hardware import Server
+
+    env = Environment()
+    server = Server(env, n_gpus=2)
+    mine, theirs = server.gpus[0].domain, server.gpus[1].domain
+    _in(theirs, env.process(_wait(server.gpus[1].launch(1.0))))
+    _in(mine, env.process(_wait(server.gpus[0].launch(2.0))))
+    assert _horizon_of(env, mine) == (2.0, [1.0])
 
 
 def test_succeed_at_sorts_among_its_instant_by_insertion():

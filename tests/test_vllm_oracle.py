@@ -103,14 +103,15 @@ class RecordingCFS(CFSEngine):
 ENGINES = {"orca": RecordingOrca, "cfs": RecordingCFS}
 
 
-def build(rig, start=0.0):
-    """An engine on a fresh one-GPU server; ``rig`` holds its keyword
-    arguments (``model`` defaults to Mistral-7B) and ``engine`` names
-    the reference mode of an Orca or CFS engine (default vLLM)."""
+def build(rig, start=0.0, env=None):
+    """An engine on a fresh one-GPU server, in a fresh environment or
+    ``env``; ``rig`` holds its keyword arguments (``model`` defaults to
+    Mistral-7B) and ``engine`` names the reference mode of an Orca or
+    CFS engine (default vLLM)."""
     kwargs = dict(rig)
     model = kwargs.pop("model", MISTRAL_7B)
     cls = ENGINES.get(kwargs.pop("engine", None), RecordingEngine)
-    server = Server(Environment(start), n_gpus=1)
+    server = Server(env or Environment(start), n_gpus=1)
     return cls(server.gpus[0], server, model, **kwargs)
 
 
@@ -139,16 +140,26 @@ def run_reference(rig, trace, start=0.0, horizon=HORIZON):
     }
 
 
-def run_engine(rig, trace, start=0.0, horizon=HORIZON):
-    engine = build(rig, start)
-    env = engine.env
+def start_engine(engine, trace):
+    """Start ``engine`` and submit ``trace``; returns its requests."""
     engine.start()
     requests = [Request(a, p, m) for a, p, m in trace]
     for i, request in enumerate(requests):
         request.req_id = i
-    submit_all(env, engine, requests)
-    env.run(until=start + horizon)
-    return engine, {
+    submit_all(engine.env, engine, requests)
+    return requests
+
+
+def run_engine(rig, trace, start=0.0, horizon=HORIZON):
+    engine = build(rig, start)
+    requests = start_engine(engine, trace)
+    engine.env.run(until=start + horizon)
+    return engine, outcome(engine, requests)
+
+
+def outcome(engine, requests):
+    """What the oracle compares of a finished engine run."""
+    return {
         "requests": [
             (r.generated_tokens, repr(r.first_token_time), repr(r.finish_time))
             for r in requests
@@ -161,13 +172,17 @@ def run_engine(rig, trace, start=0.0, horizon=HORIZON):
     }
 
 
+def assert_same(got, want):
+    for key in want:
+        assert got[key] == want[key], f"{key} diverged from the reference"
+
+
 def assert_matches(rig, trace, start=0.0, horizon=HORIZON):
     """Run both from ``start`` and compare; returns both for further
     checks."""
     ref, want = run_reference(rig, trace, start, horizon)
     engine, got = run_engine(rig, trace, start, horizon)
-    for key in want:
-        assert got[key] == want[key], f"{key} diverged from the reference"
+    assert_same(got, want)
     return ref, engine
 
 
@@ -278,6 +293,29 @@ def test_cfs_matches_reference(data):
     that prefill new prompts, and the evictions of empty rounds."""
     rig = draw_rig(data, engine="cfs", slice_tokens=data.draw(st.integers(1, 8)))
     assert_matches(rig, draw_trace(data, rig))
+
+
+@oracle_settings
+@given(data=st.data())
+def test_engines_sharing_an_environment_match_the_reference(data):
+    """Two to four engines of any mode, each on a server of its own in
+    one environment.  Each server's GPU is a domain of its own, so an
+    engine's windows run past the others' events; each engine must
+    still match the reference run alone."""
+    env = Environment()
+    runs = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        mode = data.draw(st.sampled_from(["recompute", "orca", "cfs"]))
+        extra = {} if mode == "recompute" else {"engine": mode}
+        if mode == "cfs":
+            extra["slice_tokens"] = data.draw(st.integers(1, 8))
+        rig = draw_rig(data, **extra)
+        trace = draw_trace(data, rig)
+        engine = build(rig, env=env)
+        runs.append((rig, trace, engine, start_engine(engine, trace)))
+    env.run(until=HORIZON)
+    for rig, trace, engine, requests in runs:
+        assert_same(outcome(engine, requests), run_reference(rig, trace)[1])
 
 
 @pytest.mark.parametrize("mode", ["recompute", "orca", "cfs"])
