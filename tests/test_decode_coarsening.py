@@ -17,6 +17,7 @@ vLLM and for Orca, which runs the same windowed step.
 """
 
 import dataclasses
+import gc
 import hashlib
 import sys
 from pathlib import Path
@@ -426,7 +427,12 @@ COUNTED_TELEMETRY = COUNTED + (str(Path(repro.telemetry.__file__).parent),)
 
 
 def traced_lines(run, counted=COUNTED) -> int:
-    """Python line events ``run()`` executes in ``counted`` code."""
+    """Python line events ``run()`` executes in ``counted`` code.
+
+    Garbage is collected first and the collector stays off while
+    ``run()`` is traced: closing another test's suspended engine
+    generator would otherwise add its ``with`` exit lines to the
+    count whenever a collection happens to fall inside ``run()``."""
     lines = 0
 
     def local(frame, event, arg):
@@ -437,11 +443,14 @@ def traced_lines(run, counted=COUNTED) -> int:
     def called(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(counted) else None
 
+    gc.collect()
+    gc.disable()
     sys.settrace(called)
     try:
         run()
     finally:
         sys.settrace(None)
+        gc.enable()
     return lines
 
 
