@@ -139,6 +139,10 @@ def frontier_cell(
     from repro.hardware.cluster import Cluster
     from repro.sim import Environment
 
+    if drain < 0:
+        # A negative drain would stop the run before ``duration`` and
+        # silently cut off the offered trace.
+        raise ValueError(f"drain must be >= 0, got {drain}")
     shape, tenants = _workload(workload, duration)
     trace = nhpp_stream(
         rate,
@@ -171,16 +175,6 @@ def frontier_cell(
         max_queue_depth=max_queue_depth,
     )
     router = GlobalRouter(env, frontends, routing, admission, tracker=tracker)
-    # Goodput is counted as requests finish; the frontends drop them.
-    good = 0
-
-    def count_good(_frontend, request) -> None:
-        nonlocal good
-        if request.ttft is not None and request.ttft <= ttft_slo:
-            good += 1
-
-    for frontend in frontends:
-        frontend.on_complete.append(count_good)
     env.process(_drive(env, router, trace))
     env.process(router.scrape_loop(1.0))
     # Stop offering at ``duration``; drain lets queued work finish so
@@ -188,6 +182,9 @@ def frontier_cell(
     env.run(until=duration + drain)
 
     violations = router.check()
+    # Goodput: the completions that met the TTFT deadline, which the
+    # tracker's objective for each server has judged as they finished.
+    good = sum(o["good"] for o in tracker.report()["objectives"].values())
     ledger = router.ledger
     completed = sum(f.completed for f in frontends)
     tokens = sum(f.tokens for f in frontends)

@@ -13,13 +13,34 @@ All numbers come from public datasheets and the paper's own measurements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 GiB = 1024**3
 GB = 10**9
 MB = 10**6
 KB = 10**3
+
+
+def field_hash(spec) -> int:
+    """The hash ``@dataclass(frozen=True)`` generates for ``spec``: that
+    of the tuple of its fields, in declaration order.
+
+    ``GPUSpec`` and :class:`~repro.models.llm.LLMSpec` key the roofline
+    caches, which hash them on every call; they compute this once, in
+    ``__post_init__``, and return it from ``__hash__``.
+    """
+    return hash(tuple(getattr(spec, f.name) for f in fields(spec)))
+
+
+def rebuild(spec) -> tuple:
+    """``__reduce__`` for a spec whose hash is cached: rebuild it from its
+    fields, so the loading process hashes it afresh.
+
+    String hashes are salted per process, so a pickled hash would not
+    match the loading process's presets.
+    """
+    return type(spec), tuple(getattr(spec, f.name) for f in fields(spec))
 
 
 @dataclass(frozen=True)
@@ -53,6 +74,15 @@ class GPUSpec:
     flops_efficiency: float = 0.5
     kernel_overhead: float = 30e-6
     copy_interference: float = 0.03
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return rebuild(self)
 
     # cached_property works on a frozen dataclass (it writes straight to
     # ``__dict__``, bypassing the frozen ``__setattr__``); these are read

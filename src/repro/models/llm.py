@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from repro.hardware.specs import GPUSpec
+from repro.hardware.specs import GPUSpec, field_hash, rebuild
 
 #: Bytes per value for FP16/BF16 inference.
 FP16_BYTES = 2
@@ -54,6 +54,13 @@ class LLMSpec:
             raise ValueError("n_kv_heads cannot exceed n_heads")
         if min(self.n_layers, self.n_heads, self.n_kv_heads, self.head_dim) < 1:
             raise ValueError("transformer geometry values must be >= 1")
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return rebuild(self)
 
     # ------------------------------------------------------------------
     # Memory footprint
@@ -160,12 +167,15 @@ class LLMSpec:
 # ---------------------------------------------------------------------------
 # Roofline caches
 # ---------------------------------------------------------------------------
-# Engines evaluate the rooflines every simulated iteration, but the
+# Engines evaluate the rooflines every simulated iteration, and a
+# frontier frontend once per prefill and once per decode, but the
 # inputs repeat heavily: a (model, GPU, batch) triple pins the decode
-# coefficients, and prompt lengths come from finite traces.  Specs are
-# frozen dataclasses, hence hashable.  The expressions below must stay
-# term-for-term identical to the pre-cache formulas — the determinism
-# golden digest folds these floats via repr().
+# coefficients, and prompt lengths come from finite traces.  Both specs
+# hash as their frozen dataclass would, but compute that hash once per
+# instance (see :func:`~repro.hardware.specs.field_hash`), so a cache
+# hit no longer re-hashes every field of both keys.  The expressions
+# below must stay term-for-term identical to the pre-cache formulas —
+# the determinism golden digest folds these floats via repr().
 
 
 @lru_cache(maxsize=4096)

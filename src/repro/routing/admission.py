@@ -104,7 +104,9 @@ class AdmissionController:
 
     Unknown tenants get a default :class:`TenantClass` (priority 0, no
     rate limit) so the router never crashes on new traffic — it just
-    applies the most permissive class.
+    applies the most permissive class.  A tenant's depth limit is fixed
+    on its first :meth:`check_depth` and kept: the router asks once per
+    routed request.
     """
 
     def __init__(
@@ -123,6 +125,7 @@ class AdmissionController:
             for t in (tenants or [])
             if t.rate_limit is not None
         }
+        self._depth_limits: dict[str, int] = {}
 
     def tenant_class(self, tenant: str) -> TenantClass:
         cls = self.classes.get(tenant)
@@ -145,6 +148,9 @@ class AdmissionController:
 
     def check_depth(self, tenant: str, depth: int) -> Optional[str]:
         """Queue-depth verdict against the tenant's effective limit."""
-        if depth >= self.depth_limit(tenant):
+        limit = self._depth_limits.get(tenant)
+        if limit is None:
+            limit = self._depth_limits[tenant] = self.depth_limit(tenant)
+        if depth >= limit:
             return SHED_QUEUE_FULL
         return None

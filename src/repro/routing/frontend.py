@@ -11,7 +11,9 @@ whose pace degrades with the number of co-resident sequences — so the
 cluster frontier inherits the paper's single-GPU cost model without
 paying for per-token event simulation.
 
-A dispatched request is served by two timed callbacks, not a process:
+A dispatched request is served by two timers, not a process.  Each
+timer carries its request as its value and runs one callback bound
+once per frontend:
 
 * **prefill end**, scheduled at dispatch ``prefill_time`` ahead, stamps
   the first token and reads :attr:`~ServerFrontend.active` *then* to
@@ -45,7 +47,6 @@ at one place.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.models.llm import LLMSpec
@@ -103,6 +104,9 @@ class ServerFrontend:
         self.completed = 0
         self.tokens = 0
         self.on_complete: list[Callable] = []
+        # Bound once: every timer of a phase shares its callback.
+        self._on_prefilled = self._prefilled
+        self._on_decoded = self._decoded
 
     def enqueue(self, request: "Request") -> None:
         """Accept a routed request; serve it as soon as a slot frees."""
@@ -116,14 +120,15 @@ class ServerFrontend:
         request = self.queue.popleft()
         self.active += 1
         prefill = self.spec.prefill_time(self.gpu_spec, request.prompt_tokens)
-        self.env.timeout(prefill).callbacks.append(partial(self._prefilled, request))
+        self.env.timeout(prefill, request).callbacks.append(self._on_prefilled)
 
-    def _prefilled(self, request: "Request", _event) -> None:
+    def _prefilled(self, timer) -> None:
+        request = timer.value
         request.first_token_time = self.env.now
         request.generated_tokens = 1
         steps = request.max_new_tokens - 1
         if steps <= 0:
-            self._decoded(request, None)
+            self._decoded(timer)
             return
         # Decode pace at the *current* co-residency: more live
         # sequences stream more KV per step, so a loaded server
@@ -132,9 +137,10 @@ class ServerFrontend:
         batch = self.active
         context = request.prompt_tokens + steps // 2
         step = self.spec.decode_step_time(self.gpu_spec, batch, batch * context)
-        self.env.timeout(steps * step).callbacks.append(partial(self._decoded, request))
+        self.env.timeout(steps * step, request).callbacks.append(self._on_decoded)
 
-    def _decoded(self, request: "Request", _event) -> None:
+    def _decoded(self, timer) -> None:
+        request = timer.value
         request.generated_tokens = request.max_new_tokens
         request.finish_time = self.env.now
         if request.on_finish is not None and not request.on_finish.triggered:

@@ -171,6 +171,8 @@ class SLOAwarePolicy(RoutingPolicy):
         self.objective_names = list(objective_names)
         self.window_s = window_s
         self._scores: list = [1.0] * len(self.objective_names)
+        #: Indices of the frontends whose score is the highest.
+        self._leaders: list = list(range(len(self.objective_names)))
 
     @property
     def scores(self) -> list:
@@ -183,19 +185,21 @@ class SLOAwarePolicy(RoutingPolicy):
             attainment = self.tracker.attainment(name, self.window_s, now)
             scores.append(1.0 if attainment is None else attainment)
         self._scores = scores
+        top = max(scores)
+        self._leaders = [i for i, score in enumerate(scores) if score == top]
 
     def choose(self, request, tenant, frontends):
-        # Highest score, then smallest depth; a later index must beat
-        # the best so far strictly, so ties go to the lowest index.
-        scores = self._scores
-        best, best_score, best_depth = 0, scores[0], frontends[0].depth
-        for i in range(1, len(frontends)):
-            score = scores[i]
-            if score < best_score:
-                continue
-            depth = frontends[i].depth
-            if score > best_score or depth < best_depth:
-                best, best_score, best_depth = i, score, depth
+        # Highest score, then smallest depth; a later leader must beat
+        # the best so far strictly, so ties go to the lowest index.  A
+        # sole leader is chosen without reading any depth.
+        leaders = self._leaders
+        best = leaders[0]
+        if len(leaders) > 1:
+            best_depth = frontends[best].depth
+            for i in leaders[1:]:
+                depth = frontends[i].depth
+                if depth < best_depth:
+                    best, best_depth = i, depth
         return best
 
 

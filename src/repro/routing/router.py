@@ -80,46 +80,60 @@ class RequestLedger:
             self._unhashed.clear()
 
     def _tenant(self, tenant: str) -> dict:
-        books = self.per_tenant.get(tenant)
-        if books is None:
-            books = {
-                "offered": 0,
-                "routed": 0,
-                "completed": 0,
-                "shed": {reason: 0 for reason in SHED_REASONS},
-            }
-            self.per_tenant[tenant] = books
+        """Open the books of a tenant seen for the first time."""
+        self.per_tenant[tenant] = books = {
+            "offered": 0,
+            "routed": 0,
+            "completed": 0,
+            "shed": {reason: 0 for reason in SHED_REASONS},
+        }
         return books
 
-    def _event(self, kind: str, tenant: str, detail: str) -> None:
-        unhashed = self._unhashed
-        unhashed.append(f"{kind}|{tenant}|{detail}\n")
-        if len(unhashed) >= _HASH_BATCH:
-            self._flush()
-        for listener in self.listeners:
-            listener(kind, tenant, detail)
-
+    # Each record is booked in one call, with no helper on the common
+    # path: the router books two or three per request.  The hashed line
+    # is ``kind|tenant|detail``; listeners get the detail apart, built
+    # only when there are listeners.
     def record_offered(self, tenant: str, request: "Request") -> None:
         self.offered += 1
-        self._tenant(tenant)["offered"] += 1
-        self._event("offered", tenant, str(request.req_id))
+        (self.per_tenant.get(tenant) or self._tenant(tenant))["offered"] += 1
+        lines = self._unhashed
+        lines.append(f"offered|{tenant}|{request.req_id}\n")
+        if len(lines) >= _HASH_BATCH:
+            self._flush()
+        for listener in self.listeners:
+            listener("offered", tenant, f"{request.req_id}")
 
     def record_routed(self, tenant: str, request: "Request", frontend: str) -> None:
         self.routed += 1
-        self._tenant(tenant)["routed"] += 1
-        self._event("routed", tenant, f"{request.req_id}->{frontend}")
+        (self.per_tenant.get(tenant) or self._tenant(tenant))["routed"] += 1
+        lines = self._unhashed
+        lines.append(f"routed|{tenant}|{request.req_id}->{frontend}\n")
+        if len(lines) >= _HASH_BATCH:
+            self._flush()
+        for listener in self.listeners:
+            listener("routed", tenant, f"{request.req_id}->{frontend}")
 
     def record_shed(self, tenant: str, request: "Request", reason: str) -> None:
         if reason not in self.shed:
             raise ValueError(f"unknown shed reason {reason!r}")
         self.shed[reason] += 1
-        self._tenant(tenant)["shed"][reason] += 1
-        self._event("shed", tenant, f"{request.req_id}:{reason}")
+        (self.per_tenant.get(tenant) or self._tenant(tenant))["shed"][reason] += 1
+        lines = self._unhashed
+        lines.append(f"shed|{tenant}|{request.req_id}:{reason}\n")
+        if len(lines) >= _HASH_BATCH:
+            self._flush()
+        for listener in self.listeners:
+            listener("shed", tenant, f"{request.req_id}:{reason}")
 
     def record_completed(self, tenant: str, request: "Request", frontend: str) -> None:
         self.completed += 1
-        self._tenant(tenant)["completed"] += 1
-        self._event("completed", tenant, f"{request.req_id}@{frontend}")
+        (self.per_tenant.get(tenant) or self._tenant(tenant))["completed"] += 1
+        lines = self._unhashed
+        lines.append(f"completed|{tenant}|{request.req_id}@{frontend}\n")
+        if len(lines) >= _HASH_BATCH:
+            self._flush()
+        for listener in self.listeners:
+            listener("completed", tenant, f"{request.req_id}@{frontend}")
 
     # ------------------------------------------------------------------
     def check(self, now: float = 0.0) -> list[AuditViolation]:
@@ -254,32 +268,33 @@ class GlobalRouter:
         in flight; offering it again raises ``ValueError`` before
         anything is booked.
         """
-        if request.req_id in self._tenant_of:
+        req_id = request.req_id
+        tenant_of = self._tenant_of
+        if req_id in tenant_of:
             raise ValueError(
-                f"request {request.req_id} is already in flight "
-                f"(routed for tenant {self._tenant_of[request.req_id]!r})"
+                f"request {req_id} is already in flight "
+                f"(routed for tenant {tenant_of[req_id]!r})"
             )
         ledger = self.ledger
         ledger.record_offered(tenant, request)
-        now = self.env.now
-        reason = self.admission.check_rate(tenant, now)
+        admission = self.admission
+        reason = admission.check_rate(tenant, self.env.now)
         if reason is not None:
             ledger.record_shed(tenant, request, reason)
             return None
-        chosen = self.policy.choose(request, tenant, self.frontends)
-        reason = self.admission.check_depth(tenant, self.frontends[chosen].depth)
+        frontends = self.frontends
+        chosen = self.policy.choose(request, tenant, frontends)
+        frontend = frontends[chosen]
+        reason = admission.check_depth(tenant, frontend.depth)
         if reason is not None:
-            alternative = self.policy.fallback(
-                request, tenant, self.frontends, chosen
-            )
-            if alternative is None or self.admission.check_depth(
-                tenant, self.frontends[alternative].depth
+            chosen = self.policy.fallback(request, tenant, frontends, chosen)
+            if chosen is None or admission.check_depth(
+                tenant, frontends[chosen].depth
             ):
                 ledger.record_shed(tenant, request, reason)
                 return None
-            chosen = alternative
-        frontend = self.frontends[chosen]
-        self._tenant_of[request.req_id] = tenant
+            frontend = frontends[chosen]
+        tenant_of[req_id] = tenant
         ledger.record_routed(tenant, request, frontend.name)
         frontend.enqueue(request)
         return chosen
@@ -291,9 +306,10 @@ class GlobalRouter:
                 f"{frontend.name} completed request {request.req_id}, "
                 f"which the router did not route or already completed"
             )
-        self.ledger.record_completed(tenant, request, frontend.name)
+        name = frontend.name
+        self.ledger.record_completed(tenant, request, name)
         if self.tracker is not None:
-            self.tracker.observe_request(frontend.name, request)
+            self.tracker.observe_request(name, request)
 
     # ------------------------------------------------------------------
     def scrape(self, now: Optional[float] = None) -> None:

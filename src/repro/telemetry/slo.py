@@ -363,7 +363,12 @@ class SLOTracker:
         now = self.env.now
         for state in states:
             objective = state.objective
-            value = self._latency_value(objective.metric, request)
+            # TTFT, the frontier's one objective per server, is judged
+            # inline; TPOT and E2E go through ``_latency_value``.
+            if objective.metric == "ttft":
+                value = request.ttft
+            else:
+                value = self._latency_value(objective.metric, request)
             if value is None:
                 continue
             self._record_outcome(state, now, value <= objective.threshold)
